@@ -266,7 +266,6 @@ def _cmd_construct_certify(args) -> int:
         f"({'ok' if report.lower_bound_ok else 'FAILED'}), witnesses "
         f"{report.witnesses_checked}/{report.witnesses_total}"
         + (" sampled" if report.sampled else "")
-        + (f", {len(report.assumed)} assumed" if report.assumed else "")
     )
     _emit(args, report.to_json(), text)
     return EXIT_OK if report.ok() else EXIT_VIOLATION

@@ -213,13 +213,14 @@ def is_k_dicritical(
         )
     witnesses: dict[tuple[int, int], Colouring] = {}
     for arc in d.sorted_arcs():
-        w = is_k_dicolourable(d.without_arcs([arc]), k - 1, budget)
+        minus = d.without_arcs([arc])
+        w = is_k_dicolourable(minus, k - 1, budget)
         if w is None:
             return CriticalityReport(
                 d, k, False, witnesses, failure_arc=arc,
                 failure_reason=f"deleting arc {arc} keeps the dichromatic number at {k}",
             )
-        ok, _ = check_dicolouring(d.without_arcs([arc]), w)
+        ok, _ = check_dicolouring(minus, w)
         if not ok:  # pragma: no cover - solver always returns valid colourings
             raise AssertionError("solver produced an invalid witness")
         witnesses[arc] = w

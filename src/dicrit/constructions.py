@@ -13,9 +13,9 @@ same way.  Exact counts:
 
 The certification pipeline mirrors the structure of the dicriticality
 argument: the base level is certified exhaustively by the solver; higher
-levels get a compositional lower-bound certificate plus constructed and
-solver-validated arc-deletion witnesses, with anything not actually checked
-labelled explicitly in the report.
+levels get a compositional lower-bound certificate plus arc-deletion
+witnesses built from that argument alone and each checked against the
+digraph minus its arc.  No solver runs above the base level.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ from .colouring import (
     is_k_dicritical,
 )
 from .digraph import Digraph, DigraphError, induced
-
-#: Largest sub-construction the certifier will hit with the exact solver
-#: when building connection-arc witnesses; beyond this the obligation is
-#: recorded as assumed from dicriticality instead.
-CONNECTION_SOLVE_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -226,8 +221,9 @@ class CertificateReport:
 
     ``lower_bound_method`` is "solver" when the dichromatic-number lower
     bound comes from exhaustive refutation and "compositional" when it rests
-    on the structural premises plus the sub-certificate.  Witness parts that
-    could not be solver-validated are listed in ``assumed``.
+    on the structural premises plus the sub-certificate.  Every witness is
+    constructed and checked, so ``assumed`` is always empty; it stays in the
+    report and its JSON for readers that still look for it.
     """
 
     k: int
@@ -290,19 +286,16 @@ class _Level:
         self.reference = reference
         self.base_report = base_report
         self.sub = sub
-        self.gamma_cache: dict[int, tuple[int, ...] | None] = {}
 
     @property
     def chi(self) -> int:
         return 3 if isinstance(self.layout, G3Layout) else self.layout.k
 
 
-def _deletion_witness(
-    level: _Level, arc: tuple[int, int], budget: Budget, assumed: list[str]
-) -> Colouring | None:
+def _deletion_witness(level: _Level, arc: tuple[int, int]) -> Colouring:
     """A (chi-1)-dicolouring of the level's graph minus one arc, built the
-    way the dicriticality argument does; None when an obligation had to be
-    assumed (recorded in ``assumed``)."""
+    way the dicriticality argument does, down to the solver's level-3
+    witnesses."""
     if isinstance(level.layout, G3Layout):
         assert level.base_report is not None
         return level.base_report.witnesses[arc]
@@ -344,46 +337,26 @@ def _deletion_witness(
     for copy in layout.copies:
         off, end = copy.offset, copy.offset + sub_n
         if off <= u < end and off <= v < end:
-            xi = _deletion_witness(sub, (u - off, v - off), budget, assumed)
-            if xi is None:
-                return None
+            xi = _deletion_witness(sub, (u - off, v - off))
             return compose(tournament_colours(copy.arc), {off: xi.colours})
         if (v < k and off <= u < end) or (u < k and off <= v < end):
             t = (u if u >= k else v) - off
-            gamma = _gamma(sub, t, k, budget)
-            if gamma is None:
-                assumed.append(
-                    f"k={k}: witness for connection arc {arc} assumed from "
-                    f"dicriticality (sub-construction above desk scale)"
-                )
-                return None
-            return compose(tournament_colours(copy.arc), {off: gamma})
+            return compose(tournament_colours(copy.arc), {off: _gamma(sub, t)})
     raise AssertionError(f"arc {arc} fits no class")  # pragma: no cover
 
 
-def _gamma(sub: _Level, t: int, k: int, budget: Budget) -> tuple[int, ...] | None:
-    """A (k-1)-dicolouring of the sub-construction in which the local vertex
-    t is the only one coloured k-1, built by solving the vertex-deleted
-    graph with k-2 colours."""
-    if t in sub.gamma_cache:
-        return sub.gamma_cache[t]
-    result: tuple[int, ...] | None
-    if sub.digraph.n > CONNECTION_SOLVE_CAP:
-        result = None
-    else:
-        rest = [w for w in sub.digraph.vertices() if w != t]
-        deleted, mapping = induced(sub.digraph, rest)
-        partial = is_k_dicolourable(deleted, k - 2, budget)
-        if partial is None:
-            result = None
-        else:
-            colours = [0] * sub.digraph.n
-            for old, new in mapping.items():
-                colours[old] = partial.colours[new]
-            colours[t] = k - 1
-            result = tuple(colours)
-    sub.gamma_cache[t] = result
-    return result
+def _gamma(sub: _Level, t: int) -> tuple[int, ...]:
+    """A chi-dicolouring of the sub-construction in which the local vertex
+    t is the only one coloured chi.
+
+    The deletion witness of an arc at t is a (chi-1)-dicolouring of a
+    supergraph of the sub-construction minus t, so giving t a colour of its
+    own leaves every colour class acyclic.  The sub-construction is
+    dicritical, so t has out-degree at least chi-1 and an out-arc to use."""
+    arc = (t, sub.digraph.out_neighbours(t)[0])
+    colours = list(_deletion_witness(sub, arc).colours)
+    colours[t] = sub.chi
+    return tuple(colours)
 
 
 def _certify_level(
@@ -459,9 +432,7 @@ def _certify_level(
         arcs = sorted(rng.sample(arcs, witness_sample))
         report.sampled = True
     for arc in arcs:
-        witness = _deletion_witness(level, arc, budget, report.assumed)
-        if witness is None:
-            continue
+        witness = _deletion_witness(level, arc)
         valid, _ = check_dicolouring(d.without_arcs([arc]), witness)
         if valid:
             report.witnesses_checked += 1
@@ -482,10 +453,10 @@ def certify_dicritical_composition(
     Level 3 is certified exhaustively by the solver.  Higher levels combine
     (a) the compositional lower bound (structural premises checked here, the
     dichromatic lower bound inherited from the sub-certificate), (b) a
-    constructed and solver-validated (k-1)-dicolouring of the graph minus
-    each arc, for all arcs, or a seeded sample when ``witness_sample`` is
-    given (the report flags sampling), and (c) explicit labelling of any
-    obligation that exceeded desk scale instead of silent success.
+    constructed (k-1)-dicolouring of the graph minus each arc, for all arcs,
+    or a seeded sample when ``witness_sample`` is given (the report flags
+    sampling), and (c) a check of every such witness against the digraph
+    minus its arc, so nothing is assumed.
     """
     if spec is None:
         spec = ConstructionSpec(k=k)

@@ -196,8 +196,6 @@ def ore_compose(
 
 # -- generation ------------------------------------------------------------
 
-VALID_ORDERS_START = 4  # 4-Ore orders are exactly {4, 7, 10, ...}
-
 
 def _check_target(n_target: int) -> None:
     if n_target < 4 or n_target % 3 != 1:

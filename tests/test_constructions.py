@@ -1,5 +1,9 @@
+import itertools
+import random
+
 import pytest
 
+from dicrit import constructions
 from dicrit.colouring import check_dicolouring, dichromatic_number
 from dicrit.constructions import (
     ConstructionSpec,
@@ -13,6 +17,8 @@ from dicrit.constructions import (
 )
 from dicrit.digraph import Digraph, DigraphError
 from dicrit.packing import max_packing
+
+from .oracles import valid_dicolouring
 
 
 class TestBuildG3:
@@ -120,17 +126,74 @@ class TestCertify:
         assert report.sampled
         assert report.witnesses_checked == 30
 
-    def test_k5_records_assumed_obligations(self):
-        # the k=5 connection witnesses need solving a 76-vertex instance,
-        # which is beyond desk scale; the certificate must say so, not fail
+    def test_k5_certificate_checks_every_obligation(self):
+        # every witness, the connection arcs' included, is built from the
+        # construction and checked; nothing is left assumed
         report = certify_dicritical_composition(5, witness_sample=40, seed=2)
+        assert report.ok()
         assert report.lower_bound_method == "compositional"
-        assert report.structural_ok
-        assert not report.witness_failures
-        assert report.assumed  # connection arcs hit the solve cap
-        assert report.sub_certificate.k == 4
+        assert report.assumed == []
+        assert report.witnesses_checked == 40
+        level = report.sub_certificate
+        assert level.k == 4
+        while level is not None:
+            considered = 40 if level.sampled else level.witnesses_total
+            assert level.witnesses_checked == considered
+            assert level.assumed == [] and level.witness_failures == []
+            level = level.sub_certificate
 
     def test_g3_is_3_dicritical_end_to_end(self):
         g, _ = build_g3(1)
         assert dichromatic_number(g) == 3
         assert certify_dicritical_composition(3).witness_failures == []
+
+
+class TestWitnessOracle:
+    """Every deletion witness the certifier checks also passes the
+    Kahn-peeling oracle, which shares no code with the package's cycle
+    search, on the digraph minus exactly one arc."""
+
+    @pytest.mark.parametrize(
+        "k, seed, sample", [(4, 1, None), (4, 2, None), (4, 3, None), (5, 4, 40)]
+    )
+    def test_witnesses_pass_the_oracle(self, monkeypatch, k, seed, sample):
+        rng = random.Random(seed)
+        tournaments = {
+            level: tuple(
+                (u, v) if rng.random() < 0.5 else (v, u)
+                for u, v in itertools.combinations(range(level), 2)
+            )
+            for level in range(4, k + 1)
+        }
+        spec = ConstructionSpec(
+            k=k, cycle_orientation_seed=seed, tournaments=tournaments
+        )
+        checked = []
+        real_check = constructions.check_dicolouring
+
+        def recording_check(d, colouring):
+            checked.append((d, colouring))
+            return real_check(d, colouring)
+
+        monkeypatch.setattr(constructions, "check_dicolouring", recording_check)
+        report = certify_dicritical_composition(k, spec, witness_sample=sample)
+        assert report.ok()
+
+        for d, colouring in checked:
+            assert valid_dicolouring(Digraph(d.n, d.arcs), colouring.colours)
+        level = report
+        while level.k > 3:
+            g, _ = build_gk(level.k, spec)
+            deleted = []
+            for d, colouring in checked:
+                if d.n == g.n and d != g:
+                    assert colouring.k == level.k - 1
+                    (arc,) = g.arcs - d.arcs
+                    assert d.arcs == g.arcs - {arc}
+                    deleted.append(arc)
+            considered = sample if level.sampled else g.m
+            assert len(set(deleted)) == len(deleted) == considered
+            assert level.witnesses_checked == considered
+            assert level.assumed == []
+            level = level.sub_certificate
+        assert level.assumed == [] and level.witnesses_checked == 30

@@ -56,6 +56,27 @@ class TestConstruction:
         assert c3.with_arcs([(1, 0)]).has_digon(0, 1)
         assert c3.reverse().arcs == {(1, 0), (2, 1), (0, 2)}
 
+    @settings(max_examples=150)
+    @given(digraphs(max_n=9), st.data())
+    def test_arc_deletion_matches_a_rebuild(self, d, data):
+        # the deletion builders skip re-validation; they must still produce
+        # exactly the digraph a full construction gives
+        def assert_rebuilt(fast, removed):
+            slow = Digraph(d.n, d.arcs - set(removed))
+            assert fast == slow and hash(fast) == hash(slow) and fast.m == slow.m
+            for v in slow.vertices():
+                assert fast.out_neighbours(v) == slow.out_neighbours(v)
+                assert fast.in_neighbours(v) == slow.in_neighbours(v)
+
+        pairs = [(u, v) for u in range(d.n) for v in range(d.n) if u != v]
+        removed = data.draw(st.lists(st.sampled_from(pairs))) if pairs else []
+        absent = [a for a in pairs if a not in d.arcs]
+        for r in (removed, [], absent, absent + sorted(d.arcs)[:2]):
+            assert_rebuilt(d.without_arcs(r), r)
+        if d.digons():
+            u, v = data.draw(st.sampled_from(d.digons()))
+            assert_rebuilt(d.without_digon(u, v), [(u, v), (v, u)])
+
 
 class TestParse:
     def test_digon(self):
