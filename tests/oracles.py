@@ -55,6 +55,18 @@ def oracle_dichromatic_number(d: Digraph) -> int:
     raise AssertionError
 
 
+def oracle_is_k_dicritical(d: Digraph, k: int) -> bool:
+    """No isolated vertex, dichromatic number exactly k, and below k after
+    deleting any one arc.  Exhaustive; only sane for n <= 7 or so."""
+    if any(not d.out_neighbours(v) and not d.in_neighbours(v) for v in range(d.n)):
+        return False
+    if oracle_is_k_dicolourable(d, k - 1) or not oracle_is_k_dicolourable(d, k):
+        return False
+    return all(
+        oracle_is_k_dicolourable(Digraph(d.n, d.arcs - {arc}), k - 1) for arc in d.arcs
+    )
+
+
 def oracle_chromatic_number(n: int, edges) -> int:
     """Proper-colouring chromatic number of an undirected graph."""
     adj = [[] for _ in range(n)]

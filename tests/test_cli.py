@@ -49,6 +49,8 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"] and len(payload["witnesses"]) == 12
+        stats = payload["stats"]
+        assert stats["solved"] + stats["reused"] == 12 and stats["nodes"] > 0
 
     def test_critical_negative_is_1(self, capsys, k4_file):
         code, _, _ = run(capsys, "critical", k4_file, "--k", "3")

@@ -1,10 +1,14 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dicrit.budget import Budget, BudgetExceeded
 from dicrit.colouring import (
+    _assignments,
+    _masks,
+    _search_order,
     Colouring,
     ColouringError,
     check_dicolouring,
@@ -14,12 +18,20 @@ from dicrit.colouring import (
     is_k_dicritical,
 )
 from dicrit.constructions import build_g3
-from dicrit.digraph import Digraph, bidirected_complete, bidirected_from_edges, directed_cycle
+from dicrit.digraph import (
+    Digraph,
+    bidirected_complete,
+    bidirected_cycle,
+    bidirected_from_edges,
+    directed_cycle,
+)
+from dicrit.ore import generate_4ore
 
 from .oracles import (
     oracle_chromatic_number,
     oracle_dichromatic_number,
     oracle_is_k_dicolourable,
+    oracle_is_k_dicritical,
     valid_dicolouring,
 )
 from .test_digraph import digraphs
@@ -140,6 +152,9 @@ class TestIsKDicritical:
         for arc, witness in report.witnesses.items():
             ok, _ = check_dicolouring(k4.without_arcs([arc]), witness)
             assert ok and witness.k == 3
+        assert report.solved + report.reused == len(report.witnesses)
+        # A reused witness is the very object an earlier fresh search made.
+        assert len({id(w) for w in report.witnesses.values()}) == report.solved
 
     def test_k3(self, k3):
         assert is_k_dicritical(k3, 3).verdict
@@ -164,3 +179,87 @@ class TestIsKDicritical:
         blob = is_k_dicritical(k3, 3).to_json()
         assert blob["digraph"].startswith("n 3 m 6")
         assert blob["verdict"] is True
+
+    def test_g3_witness_stats(self):
+        g3, _ = build_g3(1)
+        budget = Budget(10_000_000)
+        report = is_k_dicritical(g3, 3, budget)
+        assert report.verdict
+        assert report.solved + report.reused == len(report.witnesses) == g3.m
+        assert report.solved > 0 and report.reused > 0
+        assert len({id(w) for w in report.witnesses.values()}) == report.solved
+        assert report.nodes == budget.used
+        assert report.to_json()["stats"] == {
+            "nodes": report.nodes, "solved": report.solved, "reused": report.reused,
+        }
+
+    @settings(max_examples=120, deadline=None)
+    @given(digraphs(max_n=6), st.sampled_from([2, 3, 4]))
+    @example(directed_cycle(3), 2)
+    @example(bidirected_cycle(5), 3)
+    @example(bidirected_complete(4), 4)
+    @example(Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3)]), 2)
+    def test_agrees_with_the_oracle(self, d, k):
+        report = is_k_dicritical(d, k)
+        assert report.verdict == oracle_is_k_dicritical(d, k)
+        assert report.solved + report.reused == len(report.witnesses)
+        for arc, witness in report.witnesses.items():
+            assert witness.k == k - 1
+            assert valid_dicolouring(Digraph(d.n, d.arcs - {arc}), witness.colours)
+        if report.verdict:
+            assert set(report.witnesses) == d.arcs
+
+
+class TestPinnedSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(max_n=7), st.integers(1, 3), st.data())
+    def test_pinned_pair_agrees_with_the_oracle(self, d, k, data):
+        if d.n < 2:
+            return
+        u, v = data.draw(st.lists(st.integers(0, d.n - 1), min_size=2, max_size=2, unique=True))
+        out, inn = _masks(d)
+        order = _search_order(out, inn)
+        pin = (u, v) if order.index(u) < order.index(v) else (v, u)
+        found = next(_assignments(out, inn, order, k, Budget(1_000_000), True, pin), None)
+        expected = any(
+            a[u] == a[v] and valid_dicolouring(d, a)
+            for a in itertools.product(range(k), repeat=d.n)
+        )
+        assert (found is not None) == expected
+        if found is not None:
+            assert found[u] == found[v] and valid_dicolouring(d, found)
+
+
+def _relabelled(d: Digraph, seed: int) -> Digraph:
+    perm = list(range(d.n))
+    random.Random(seed).shuffle(perm)
+    return Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
+
+
+class TestNodeCeilings:
+    """Upper bounds on ``Budget.used`` of the dicriticality check.  Node
+    counts are deterministic; a later change may only lower these."""
+
+    @pytest.mark.parametrize(
+        "build, k, ceiling",
+        [
+            (lambda: generate_4ore(25, seed=3)[0], 4, 11_267),
+            (lambda: build_g3(1)[0], 3, 1_246),
+            (lambda: build_g3(2)[0], 3, 19_677),
+        ],
+        ids=["4ore-25-seed3", "g3-1", "g3-2"],
+    )
+    def test_ceiling(self, build, k, ceiling):
+        budget = Budget(10 * ceiling)
+        assert is_k_dicritical(build(), k, budget).verdict
+        assert budget.used <= ceiling
+
+    def test_g3_three_fits_a_million_nodes(self):
+        g3, _ = build_g3(3)
+        assert is_k_dicritical(g3, 3, Budget(1_000_000)).verdict
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_relabelled_4ore_stays_cheap(self, seed):
+        d = _relabelled(generate_4ore(25, seed=3)[0], seed)
+        budget = Budget(100_000)
+        assert is_k_dicritical(d, 4, budget).verdict
