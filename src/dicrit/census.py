@@ -1,10 +1,22 @@
 """Tiny-n census of the minimum arc counts of k-dicritical digraphs.
 
-For each order n the census scans arc counts upward, enumerating all arc
-sets of that size (optionally sharded), and tests k-dicriticality exactly.
-The scan starts at m = n(k-1): every vertex of a k-dicritical digraph has
-in- and out-degree at least k-1, so nothing below that can qualify.  The
-verdicts themselves never rely on the bound.
+For each order n the census scans arc counts m upward from n(k - 1) and,
+at each m, tests k-dicriticality exactly on every candidate: every m-arc
+digraph on n vertices whose in- and out-degrees are all at least k - 1
+(optionally sharded).  Candidates are generated vertex by vertex, so arc
+sets that break the degree condition are never built.
+
+The candidate set, and with it every minimum the census reports, rests on
+one lemma: every k-dicritical digraph D has minimum in- and out-degree at
+least k - 1.  Proof: let v be a vertex.  D has no isolated vertex, so v
+lies on an arc a, and D - v is a subdigraph of the (k-1)-dicolourable
+D - a; take a (k-1)-dicolouring of D - v.  If v had fewer than k - 1
+out-neighbours, some colour class would hold none of them, and v could
+join that class without closing a directed cycle (a cycle through v leaves
+it along an arc to an out-neighbour).  That would (k-1)-dicolour D,
+contradicting chi(D) = k.  The in-degree case is symmetric, since a cycle
+through v also enters it from an in-neighbour.  Hence m >= n(k - 1), and
+the scan starts there.
 
 Witnesses found at the minimum are deduplicated by exhaustive permutation
 canonicalization (at n <= 5 that is at most 120 permutations) and persisted
@@ -16,7 +28,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .budget import Budget, ensure_budget
@@ -53,29 +66,67 @@ class CensusTable:
     o_min: dict[int, int | None]  # n -> o_k(n) over oriented graphs
     witnesses: dict[int, list[CensusRecord]]
     oriented_witnesses: dict[int, list[CensusRecord]]
+    # candidates: arc sets tested; dicritical: digraphs found before dedupe;
+    # nodes: budget spent inside the call.  No wall time, so sharded and
+    # unsharded tables compare equal.
+    stats: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
             "k": self.k,
             "d": {str(n): v for n, v in sorted(self.d_min.items())},
             "o": {str(n): v for n, v in sorted(self.o_min.items())},
+            "stats": dict(self.stats),
         }
 
 
-def _candidate_arc_sets(n: int, m: int, oriented_only: bool):
-    if oriented_only:
-        # Choose m undirected pairs, then orient each; never builds a digon.
-        pairs = list(itertools.combinations(range(n), 2))
-        for chosen in itertools.combinations(pairs, m):
-            for mask in range(1 << m):
-                yield frozenset(
-                    (v, u) if (mask >> i) & 1 else (u, v)
-                    for i, (u, v) in enumerate(chosen)
-                )
-    else:
-        all_arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        for combo in itertools.combinations(all_arcs, m):
-            yield frozenset(combo)
+def _candidate_arc_sets(n: int, m: int, k: int, oriented_only: bool):
+    """Every m-arc digraph on ``range(n)`` whose in- and out-degrees are all at
+    least k - 1, each exactly once, as a tuple of arcs in lexicographic order;
+    with ``oriented_only``, only those without a digon.
+
+    Vertices choose their out-neighbourhoods (of size at least k - 1) in the
+    order 0, 1, ..., n - 1, and the stream follows that order.  A branch is
+    cut when the r vertices still to place cannot take the arcs left, which
+    needs between (k - 1)r and (n - 1)r of them, or when some vertex w could
+    no longer reach in-degree k - 1 even if every unplaced vertex other than
+    w chose it.  In the oriented case v never chooses an earlier u that
+    already chose v, so no digon is built.
+    """
+    low = k - 1
+    # choices[v]: (mask, size, arcs) for every out-neighbourhood of v.
+    choices = []
+    for v in range(n):
+        others = [w for w in range(n) if w != v]
+        choices.append([
+            (sum(1 << w for w in chosen), size, tuple((v, w) for w in chosen))
+            for size in range(low, n)
+            for chosen in itertools.combinations(others, size)
+        ])
+    return _extend(choices, low, oriented_only, 0, m, [0] * n)
+
+
+def _extend(choices, low: int, oriented_only: bool, v: int, left: int, inn: list[int]):
+    """The arc tuples that give vertices v, v + 1, ... their out-neighbourhoods
+    with ``left`` arcs in all; ``inn[w]`` is the bitset of the vertices
+    before v that chose w.  A plain function, not a closure over the tables,
+    so that no reference cycle keeps them alive until the next collection."""
+    n = len(choices)
+    if v == n:
+        yield ()
+        return
+    rest = n - 1 - v
+    lo, hi = max(low, left - (n - 1) * rest), left - low * rest
+    banned = inn[v] if oriented_only else 0
+    bit = 1 << v
+    for mask, size, arcs in choices[v]:
+        if not lo <= size <= hi or mask & banned:
+            continue
+        nxt = [x | bit if mask >> w & 1 else x for w, x in enumerate(inn)]
+        if any(x.bit_count() + rest - (w > v) < low for w, x in enumerate(nxt)):
+            continue
+        for tail in _extend(choices, low, oriented_only, v + 1, left - size, nxt):
+            yield arcs + tail
 
 
 def _scan_arc_sets(
@@ -84,23 +135,18 @@ def _scan_arc_sets(
     k: int,
     budget: Budget,
     oriented_only: bool,
+    stats: Counter,
     shard: int = 0,
     nshards: int = 1,
 ):
-    """One shard of the size-m arc-set enumeration; yields the k-dicritical
-    digraphs found.  A pure function of its arguments, so shards can run
+    """One shard of the size-m candidate stream (every ``nshards``-th arc set,
+    starting at index ``shard``); yields the k-dicritical digraphs found and
+    adds the number of arc sets tested to ``stats["candidates"]``.  Apart
+    from that count, a pure function of its arguments, so shards can run
     anywhere and be merged by concatenation."""
-    for idx, arcs in enumerate(_candidate_arc_sets(n, m, oriented_only)):
-        if idx % nshards != shard:
-            continue
-        # Quick degree filter; the full check never relies on it.
-        outdeg = [0] * n
-        indeg = [0] * n
-        for u, v in arcs:
-            outdeg[u] += 1
-            indeg[v] += 1
-        if any(outdeg[v] < k - 1 or indeg[v] < k - 1 for v in range(n)):
-            continue
+    candidates = _candidate_arc_sets(n, m, k, oriented_only)
+    for arcs in itertools.islice(candidates, shard, None, nshards):
+        stats["candidates"] += 1
         d = Digraph(n, arcs)
         if is_k_dicritical(d, k, budget).verdict:
             yield d
@@ -118,16 +164,17 @@ def _dedupe(found: list[Digraph]) -> list[Digraph]:
 
 
 def _minimum_for(
-    n: int, k: int, budget: Budget, oriented_only: bool, nshards: int
+    n: int, k: int, budget: Budget, oriented_only: bool, nshards: int, stats: Counter
 ) -> tuple[int | None, list[Digraph]]:
     max_m = n * (n - 1) // (2 if oriented_only else 1)
     for m in range(max(1, n * (k - 1)), max_m + 1):
         found: list[Digraph] = []
         for shard in range(nshards):
             found.extend(
-                _scan_arc_sets(n, m, k, budget, oriented_only, shard, nshards)
+                _scan_arc_sets(n, m, k, budget, oriented_only, stats, shard, nshards)
             )
         if found:
+            stats["dicritical"] += len(found)
             return m, _dedupe(found)
     return None, []
 
@@ -144,10 +191,16 @@ def census(
     if k < 2:
         raise DigraphError("census needs k >= 2")
     budget = ensure_budget(budget, 50_000_000, "census")
+    start = budget.used
+    stats: Counter = Counter(candidates=0, dicritical=0)
     table = CensusTable(k, {}, {}, {}, {})
     for n in range(2, n_max + 1):
-        d_min, d_wit = _minimum_for(n, k, budget, oriented_only=False, nshards=nshards)
-        o_min, o_wit = _minimum_for(n, k, budget, oriented_only=True, nshards=nshards)
+        d_min, d_wit = _minimum_for(
+            n, k, budget, oriented_only=False, nshards=nshards, stats=stats
+        )
+        o_min, o_wit = _minimum_for(
+            n, k, budget, oriented_only=True, nshards=nshards, stats=stats
+        )
         table.d_min[n] = d_min
         table.o_min[n] = o_min
         table.witnesses[n] = [
@@ -156,6 +209,7 @@ def census(
         table.oriented_witnesses[n] = [
             CensusRecord(n, k, w, w.m, w.is_oriented(), True) for w in o_wit
         ]
+    table.stats = {**stats, "nodes": budget.used - start}
     return table
 
 

@@ -128,3 +128,31 @@ def oracle_max_packing_value(d: Digraph) -> int:
         return value
 
     return best(frozenset(range(d.n)))
+
+
+def oracle_census_candidates(
+    n: int, m: int, k: int, oriented_only: bool
+) -> set[frozenset]:
+    """Every m-arc digraph on range(n) with all in- and out-degrees at least
+    k - 1, by scanning all m-subsets of the n(n - 1) arcs (or all
+    orientations of all m-subsets of the pairs) and filtering on degree."""
+    if oriented_only:
+        pairs = list(itertools.combinations(range(n), 2))
+        scan = (
+            frozenset((v, u) if (mask >> i) & 1 else (u, v)
+                      for i, (u, v) in enumerate(chosen))
+            for chosen in itertools.combinations(pairs, m)
+            for mask in range(1 << m)
+        )
+    else:
+        all_arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        scan = (frozenset(c) for c in itertools.combinations(all_arcs, m))
+    keep = set()
+    for arcs in scan:
+        outdeg, indeg = [0] * n, [0] * n
+        for u, v in arcs:
+            outdeg[u] += 1
+            indeg[v] += 1
+        if min(outdeg) >= k - 1 and min(indeg) >= k - 1:
+            keep.add(arcs)
+    return keep

@@ -1,9 +1,72 @@
+from collections import Counter
+
 import pytest
 
-from dicrit.census import census, load_record, save_records
+from dicrit.budget import Budget
+from dicrit.census import (
+    _candidate_arc_sets,
+    _scan_arc_sets,
+    census,
+    load_record,
+    save_records,
+)
 from dicrit.colouring import is_k_dicritical
 from dicrit.digraph import DigraphError, directed_cycle, serialize
 from dicrit.iso import are_isomorphic
+
+from .oracles import oracle_census_candidates, oracle_is_k_dicritical
+
+#: census(k, 5) per k: d_k(n) and o_k(n) for n = 2..5.
+TABLES_N5 = {
+    2: ((2, 3, 4, 5), (None, 3, 4, 5)),
+    3: ((None, 6, 9, 10), (None,) * 4),
+    4: ((None, None, 12, 17), (None,) * 4),
+}
+#: Budget.used ceilings for census(k, 5).  Later changes may only lower them.
+NODE_CEILINGS_N5 = {2: 774, 3: 2_863, 4: 7_884}
+
+
+def assert_candidates_match(n, m, k, oriented):
+    got = [frozenset(arcs) for arcs in _candidate_arc_sets(n, m, k, oriented)]
+    assert len(got) == len(set(got)), f"an arc set was generated twice at m={m}"
+    assert set(got) == oracle_census_candidates(n, m, k, oriented), f"m={m}"
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    @pytest.mark.parametrize("k", (2, 3, 4))
+    @pytest.mark.parametrize("oriented", (False, True))
+    def test_matches_the_filtered_scan(self, n, k, oriented):
+        for m in range(n * (n - 1) + 1):
+            assert_candidates_match(n, m, k, oriented)
+
+    # Every arc count census(k, 5) scans at n = 5, from 5(k - 1) up to d_k(5);
+    # above m = 10 there is no oriented candidate.
+    @pytest.mark.parametrize("k, m", [(2, 5), (3, 10), (4, 15), (4, 16), (4, 17)])
+    @pytest.mark.parametrize("oriented", (False, True))
+    def test_matches_the_filtered_scan_n5(self, k, m, oriented):
+        assert_candidates_match(5, m, k, oriented)
+
+    @pytest.mark.parametrize(
+        "n, m, k, oriented", [(4, 4, 2, False), (4, 9, 3, False), (5, 5, 2, True)]
+    )
+    def test_shards_partition_the_stream(self, n, m, k, oriented):
+        full_stats = Counter()
+        full = list(_scan_arc_sets(n, m, k, Budget(10**6), oriented, full_stats))
+        assert len(full) > 1
+        counts, found = [], []
+        for shard in range(3):
+            stats = Counter()
+            part = list(
+                _scan_arc_sets(n, m, k, Budget(10**6), oriented, stats, shard, 3)
+            )
+            counts.append(stats["candidates"])
+            found.append({d.arcs for d in part})
+            assert len(found[-1]) == len(part)
+        assert sum(counts) == full_stats["candidates"]
+        assert max(counts) - min(counts) <= 1
+        assert all(not (a & b) for i, a in enumerate(found) for b in found[i + 1:])
+        assert set().union(*found) == {d.arcs for d in full}
 
 
 class TestCensus:
@@ -33,6 +96,42 @@ class TestCensus:
 
     def test_sharding_agrees(self):
         assert census(2, 3, nshards=3).to_json() == census(2, 3).to_json()
+        assert census(3, 5, nshards=3).to_json() == census(3, 5).to_json()
+
+    @pytest.mark.parametrize("k", (2, 3, 4))
+    def test_full_n5_table(self, k):
+        budget = Budget(50_000_000)
+        table = census(k, 5, budget)
+        d_min, o_min = TABLES_N5[k]
+        assert [table.d_min[n] for n in range(2, 6)] == list(d_min)
+        assert [table.o_min[n] for n in range(2, 6)] == list(o_min)
+        for n in range(2, 6):
+            for records, value in (
+                (table.witnesses[n], table.d_min[n]),
+                (table.oriented_witnesses[n], table.o_min[n]),
+            ):
+                assert len(records) == (value is not None)
+                for rec in records:
+                    assert rec.digraph.n == n and rec.arc_count == value
+                    assert oracle_is_k_dicritical(rec.digraph, k)
+        assert all(rec.oriented for recs in table.oriented_witnesses.values()
+                   for rec in recs)
+        assert budget.used <= NODE_CEILINGS_N5[k]
+        assert table.stats["nodes"] == budget.used
+        assert table.stats["dicritical"] >= sum(
+            len(recs) for recs in table.witnesses.values()
+        )
+
+    def test_stats(self):
+        table = census(2, 3)
+        # n = 2: the digon; n = 3: the two directed triangles, plain and oriented.
+        assert table.stats["dicritical"] == 5
+        assert table.stats["candidates"] >= table.stats["dicritical"]
+        assert table.stats["nodes"] > 0
+        assert table.to_json()["stats"] == table.stats
+        budget = Budget(10**6)
+        budget.spend(100)
+        assert census(2, 3, budget).stats == table.stats
 
     def test_bounds_validated(self):
         with pytest.raises(DigraphError):

@@ -172,3 +172,13 @@ class TestSubcommands:
         assert code == 0
         assert "d_2(n) = 2" in out and "d_2(n) = 3" in out
         assert list(out_dir.glob("*.dg"))
+
+    def test_census_json(self, capsys):
+        code, out, _ = run(capsys, "census", "--k", "2", "--n-max", "3", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["d"] == {"2": 2, "3": 3}
+        stats = payload["stats"]
+        assert set(stats) == {"candidates", "dicritical", "nodes"}
+        assert stats["candidates"] >= stats["dicritical"] == 5
+        assert stats["nodes"] > 0
