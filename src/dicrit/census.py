@@ -18,10 +18,10 @@ contradicting chi(D) = k.  The in-degree case is symmetric, since a cycle
 through v also enters it from an in-neighbour.  Hence m >= n(k - 1), and
 the scan starts there.
 
-Witnesses found at the minimum are deduplicated by exhaustive permutation
-canonicalization (at n <= 5 that is at most 120 permutations) and persisted
-as one canonical DG-v1 blob plus a JSON sidecar per record; records
-re-verify on load.
+Witnesses found at the minimum are deduplicated by their canonical form
+(:func:`dicrit.iso.canonical_form`, colour refinement plus
+individualisation) and persisted as one canonical DG-v1 blob plus a JSON
+sidecar per record; records re-verify on load.
 """
 
 from __future__ import annotations

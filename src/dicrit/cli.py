@@ -107,6 +107,8 @@ def _cmd_ore_compose(args) -> int:
     x, y = _int_list(args.digon)
     z1 = _int_list(args.z1)
     z = args.split
+    if not 0 <= z < d2.n:
+        raise DigraphError(f"split vertex {z} out of range")
     nbrs = set(d2.neighbours(z))
     z2 = sorted(nbrs - set(z1))
     composed, node = ore.ore_compose(d1, (x, y), d2, z, z1, z2)

@@ -1,23 +1,32 @@
-"""Isomorphism testing and canonical forms for desk-scale digraphs.
+"""Isomorphism testing and canonical forms, from one canonical labelling.
 
-Two tools, both exact:
+:func:`canonical_labelling` is the only search in this module: colour
+refinement plus individualisation (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 2014), for digraphs of any order.
 
-* :func:`canonical_form` minimises the relabelled arc list over all
-  permutations.  Exhaustive up to ``EXHAUSTIVE_N`` vertices; beyond that it
-  refuses (callers must fall back to invariant keys plus explicit
-  isomorphism checks).
-* :func:`find_isomorphism` backtracks over vertex images, pruning with
-  degree/digon invariants.  Fine for the n <= 13 digraphs this package
-  handles.
+* A colouring is an ordered partition of the vertices, and a vertex's
+  colour is the position of its cell.  Refinement splits each cell by the
+  sorted multiset of (neighbour colour, arc type) of its members, with arc
+  types out, in and digon, and orders the parts by that multiset, until the
+  colouring is equitable.  Nothing in it depends on the labels.
+* While some cell has more than one vertex, each vertex of the first
+  smallest such cell is individualised in turn (given the first position
+  of its cell) and the result refined again.  Each discrete colouring (a
+  leaf) relabels the digraph; the least sorted arc tuple over all leaves is
+  the canonical form.
+* Two leaves with equal arc tuples differ by an automorphism.  A child is
+  skipped when the automorphisms found so far that fix its ancestors
+  pointwise map it to an explored sibling, and a leaf that repeats the best
+  form sends the search back to where its path left the best leaf's path.
+
+:func:`canonical_form` and :func:`find_isomorphism` are derived from the
+labelling: two digraphs of the same order are isomorphic exactly when their
+forms are equal, and composing the two labellings gives an isomorphism.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .digraph import Digraph
-
-EXHAUSTIVE_N = 7
 
 
 def invariant_key(d: Digraph) -> tuple:
@@ -27,70 +36,138 @@ def invariant_key(d: Digraph) -> tuple:
     return (d.n, d.m, tuple(degs))
 
 
+def _typed_rows(d: Digraph) -> list[list[tuple[int, int]]]:
+    """For each vertex v, its neighbours w with the type of the arcs between
+    them: 0 for v -> w alone, 1 for w -> v alone, 2 for a digon."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
+    for u, v in d.arcs:
+        digon = (v, u) in d.arcs
+        rows[u].append((v, 2 if digon else 0))
+        if not digon:
+            rows[v].append((u, 1))
+    return rows
+
+
+def _refine(rows: list, col: list[int], cells: list[list[int]]):
+    """Split the ordered partition ``cells`` until it is equitable; ``col``
+    maps each vertex to the position of its cell and is updated in place."""
+    split = True
+    while split and len(cells) < len(col):
+        split = False
+        parts = []
+        for cell in cells:
+            if len(cell) == 1:
+                parts.append(cell)
+                continue
+            groups: dict[tuple, list[int]] = {}
+            for v in cell:
+                sig = tuple(sorted([3 * col[w] + t for w, t in rows[v]]))
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                parts.append(cell)
+                continue
+            split = True
+            pos = col[cell[0]]
+            for sig in sorted(groups):
+                part = groups[sig]
+                parts.append(part)
+                for v in part:
+                    col[v] = pos
+                pos += len(part)
+        cells = parts
+    return col, cells
+
+
+def _orbits(seeds: list[int], path: list[int], autos: list) -> set[int]:
+    """The union of the orbits of ``seeds`` under the automorphisms found
+    so far that fix ``path`` pointwise."""
+    gens = [g for g in autos if all(g[p] == p for p in path)]
+    orbit, stack = set(seeds), list(seeds)
+    while stack:
+        u = stack.pop()
+        for g in gens:
+            if g[u] not in orbit:
+                orbit.add(g[u])
+                stack.append(g[u])
+    return orbit
+
+
+def _leaf(arcs, col: list[int], path: list[int], best: list, autos: list) -> int:
+    """Compare one leaf with the best so far; returns the depth to resume at."""
+    form = tuple(sorted([(col[u], col[v]) for u, v in arcs]))
+    if best and form == best[0]:
+        _, lab, best_path = best
+        inverse = sorted(range(len(lab)), key=lab.__getitem__)
+        autos.append([inverse[p] for p in col])
+        # An individualised vertex keeps the first position of its cell, so
+        # a leaf's labelling determines its path, and the automorphism maps
+        # this path onto the best one.  Where the two paths part, this
+        # child is thus in the orbit of an explored sibling.
+        j = 0
+        while path[j] == best_path[j]:
+            j += 1
+        return j
+    if not best or form < best[0]:
+        best[:] = (form, col, tuple(path))
+    return len(path)
+
+
+def _search(rows: list, arcs, col: list[int], cells: list[list[int]],
+            path: list[int], best: list, autos: list) -> int:
+    """Explore the subtree below the equitable partition ``cells``; returns
+    the depth at which the search resumes (``len(path)`` when finished)."""
+    if len(cells) == len(col):
+        return _leaf(arcs, col, path, best, autos)
+    _, i = min((len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1)
+    depth = len(path)
+    explored: list[int] = []
+    covered: set[int] = set()
+    for v in cells[i]:
+        if v in covered:
+            continue
+        explored.append(v)
+        rest = list(cells[i])
+        rest.remove(v)
+        child, child_cells = list(col), list(cells)
+        for u in rest:
+            child[u] += 1
+        child_cells[i:i + 1] = [v], rest
+        path.append(v)
+        back = _search(rows, arcs, *_refine(rows, child, child_cells), path, best, autos)
+        path.pop()
+        if back < depth:
+            return back
+        if autos:
+            covered = _orbits(explored, path, autos)
+    return depth
+
+
+def canonical_labelling(d: Digraph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The canonical form of ``d`` and a labelling that produces it: the
+    labelling maps each vertex to its canonical position, and the form is
+    the sorted tuple of relabelled arcs."""
+    rows = _typed_rows(d)
+    best: list = []
+    _search(rows, d.arcs, *_refine(rows, [0] * d.n, [list(d.vertices())]), [], best, [])
+    return best[0], tuple(best[1])
+
+
 def canonical_form(d: Digraph) -> tuple[tuple[int, int], ...]:
-    """Lexicographically minimal arc tuple over all vertex permutations."""
-    if d.n > EXHAUSTIVE_N:
-        raise ValueError(
-            f"exhaustive canonicalization capped at n={EXHAUSTIVE_N}"
-        )
-    arcs = list(d.arcs)
-    best = None
-    for perm in itertools.permutations(range(d.n)):
-        relabelled = tuple(sorted((perm[u], perm[v]) for (u, v) in arcs))
-        if best is None or relabelled < best:
-            best = relabelled
-    return best if best is not None else ()
-
-
-def _vertex_invariant(d: Digraph, v: int) -> tuple:
-    return (d.out_degree(v), d.in_degree(v), d.digon_count_at(v))
+    """A relabelling invariant: equal for two digraphs of the same order
+    exactly when they are isomorphic."""
+    return canonical_labelling(d)[0]
 
 
 def find_isomorphism(a: Digraph, b: Digraph) -> dict[int, int] | None:
     """A bijection V(a) -> V(b) preserving arcs exactly, or None."""
     if a.n != b.n or a.m != b.m:
         return None
-    inv_a = [_vertex_invariant(a, v) for v in a.vertices()]
-    inv_b = [_vertex_invariant(b, v) for v in b.vertices()]
-    if sorted(inv_a) != sorted(inv_b):
+    form_a, lab_a = canonical_labelling(a)
+    form_b, lab_b = canonical_labelling(b)
+    if form_a != form_b:
         return None
-
-    # Most constrained first: rare invariants early, then high degree.
-    freq: dict[tuple, int] = {}
-    for key in inv_a:
-        freq[key] = freq.get(key, 0) + 1
-    order = sorted(a.vertices(), key=lambda v: (freq[inv_a[v]], -a.degree(v), v))
-
-    candidates = [
-        [w for w in b.vertices() if inv_b[w] == inv_a[v]] for v in a.vertices()
-    ]
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent(v: int, w: int) -> bool:
-        for v2, w2 in mapping.items():
-            if a.has_arc(v, v2) != b.has_arc(w, w2):
-                return False
-            if a.has_arc(v2, v) != b.has_arc(w2, w):
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return dict(mapping) if extend(0) else None
+    vertex_of = {p: w for w, p in enumerate(lab_b)}
+    return {v: vertex_of[p] for v, p in enumerate(lab_a)}
 
 
 def are_isomorphic(a: Digraph, b: Digraph) -> bool:

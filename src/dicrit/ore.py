@@ -30,7 +30,7 @@ from .digraph import (
     boundary,
     underlying_components,
 )
-from .iso import find_isomorphism, invariant_key
+from .iso import canonical_labelling
 from .potential import check_4ore_arc_identity
 
 
@@ -274,15 +274,22 @@ def _plausible_4ore(d: Digraph) -> bool:
 
 def _recognition_search(
     d: Digraph, budget: Budget, memo: dict
-) -> OreTrace | None:
+) -> tuple[OreTrace, list[int]] | None:
+    """A trace for ``d`` and a map phi from V(d) onto V(replay(trace)), or
+    None.  ``memo`` maps a canonical form to the trace found for it and phi
+    composed with the inverse of the canonical labelling (or None)."""
     budget.spend()
     if d.n == 4:
-        return OreLeaf() if _is_k4(d) else None
-    key = invariant_key(d)
-    for other, cached in memo.get(key, ()):
-        if find_isomorphism(d, other) is not None:
-            return cached
-    result = None
+        return (OreLeaf(), [0, 1, 2, 3]) if _is_k4(d) else None
+    form, labelling = canonical_labelling(d)
+    if form in memo:
+        if memo[form] is None:
+            return None
+        trace, psi = memo[form]
+        return trace, [psi[p] for p in labelling]
+    # Every digraph searched below this one is smaller, so none of them can
+    # read this entry before it is final.
+    memo[form] = None
     nonadjacent = [
         (x, y)
         for x, y in itertools.combinations(d.vertices(), 2)
@@ -324,44 +331,45 @@ def _recognition_search(
             d2 = Digraph(z_id + 1, list(d2_base.arcs) + extra)
             if not _plausible_4ore(d2):
                 continue
-            t1 = _recognition_search(d1, budget, memo)
-            if t1 is None:
+            found1 = _recognition_search(d1, budget, memo)
+            if found1 is None:
                 continue
-            t2 = _recognition_search(d2, budget, memo)
-            if t2 is None:
+            found2 = _recognition_search(d2, budget, memo)
+            if found2 is None:
                 continue
-            # The cached sub-traces replay to digraphs isomorphic to d1/d2,
-            # not equal; translate the surgery data through the isomorphism
-            # so the assembled trace replays consistently.
-            r1 = replay(t1)
-            tau1 = find_isomorphism(d1, r1)
-            r2 = replay(t2)
-            tau2 = find_isomorphism(d2, r2)
-            assert tau1 is not None and tau2 is not None
-            _, node = ore_compose(
-                r1,
-                (tau1[map1[x]], tau1[map1[y]]),
-                r2,
-                tau2[z_id],
-                sorted(tau2[map2[w]] for w in zx),
-                sorted(tau2[map2[w]] for w in zy),
-                digon_trace=t1,
-                split_trace=t2,
+            # phi1 and phi2 carry d1 and d2 onto the replays of their traces,
+            # so they translate the surgery data, and the label convention of
+            # ore_compose places every vertex of d in the composed replay.
+            (t1, phi1), (t2, phi2) = found1, found2
+            z = phi2[z_id]
+            node = OreNode(
+                digon_side=t1,
+                split_side=t2,
+                digon=(phi1[map1[x]], phi1[map1[y]]),
+                split_vertex=z,
+                z1=tuple(sorted(phi2[map2[w]] for w in zx)),
+                z2=tuple(sorted(phi2[map2[w]] for w in zy)),
             )
-            result = node
-            break
-        if result is not None:
-            break
-    memo.setdefault(key, []).append((d, result))
-    return result
+            phi = [0] * d.n
+            for v, i in map1.items():
+                phi[v] = phi1[i]
+            for v, i in map2.items():
+                p = phi2[i]
+                phi[v] = d1.n + p - (p > z)
+            psi = [0] * d.n
+            for v, p in enumerate(labelling):
+                psi[p] = phi[v]
+            memo[form] = (node, psi)
+            return node, phi
+    return None
 
 
 def is_4ore(d: Digraph, budget: Budget | int | None = None) -> OreTrace | None:
     """A composition trace iff the digraph is 4-Ore, else None.
 
     The input must be bidirected with n = 1 (mod 3); membership is decided
-    by decomposition search over nonadjacent 2-cutsets, memoized up to
-    isomorphism.  Replaying the returned trace yields a digraph isomorphic
+    by decomposition search over nonadjacent 2-cutsets, memoized by
+    canonical form.  Replaying the returned trace yields a digraph isomorphic
     to the input.
     """
     if not d.is_bidirected():
@@ -371,7 +379,8 @@ def is_4ore(d: Digraph, budget: Budget | int | None = None) -> OreTrace | None:
     budget = ensure_budget(budget, DEFAULT_RECOGNITION_NODES, "4-Ore recognition")
     if not _plausible_4ore(d):
         return None
-    return _recognition_search(d, budget, {})
+    found = _recognition_search(d, budget, {})
+    return None if found is None else found[0]
 
 
 # -- structural detectors ----------------------------------------------------

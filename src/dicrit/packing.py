@@ -126,6 +126,9 @@ def max_packing(d: Digraph, budget: Budget | int | None = None) -> Packing:
         search(0, 0)
     except BudgetExceeded:
         optimal = False
+    # search reaches itself through its closure cell; deleting the name
+    # breaks that cycle, so nothing here waits for the cyclic collector.
+    del search
     packing = Packing(
         digon_items=tuple(items[i] for i in best_items if values[i] == 1),  # type: ignore[misc]
         triangle_items=tuple(items[i] for i in best_items if values[i] == 2),  # type: ignore[misc]

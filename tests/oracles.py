@@ -4,7 +4,8 @@ Deliberately share no code with the package: validity of a colouring is
 decided by Kahn peeling (the solver uses DFS), dicolourability by full
 assignment enumeration (the solver backtracks), and packing values by
 recursion over the lowest free vertex (the packing module branches over a
-candidate item list with a bound).
+candidate item list with a bound), and canonical forms by trying every
+relabelling (the package refines colours and individualises vertices).
 """
 
 from __future__ import annotations
@@ -156,3 +157,16 @@ def oracle_census_candidates(
         if min(outdeg) >= k - 1 and min(indeg) >= k - 1:
             keep.add(arcs)
     return keep
+
+
+def oracle_canonical_form(d: Digraph) -> tuple[tuple[int, int], ...]:
+    """The lexicographically least sorted arc tuple over all n! relabellings.
+    Exhaustive; only sane for n <= 7."""
+    if d.n > 7:
+        raise ValueError("the exhaustive canonical form is capped at n = 7")
+    best: tuple[tuple[int, int], ...] | None = None
+    for perm in itertools.permutations(range(d.n)):
+        relabelled = tuple(sorted((perm[u], perm[v]) for u, v in d.arcs))
+        if best is None or relabelled < best:
+            best = relabelled
+    return best if best is not None else ()

@@ -97,6 +97,15 @@ class TestSubcommands:
         assert composed.n == 7 and composed.m == 22
         assert is_4ore(composed) is not None
 
+    @pytest.mark.parametrize("split", ["9", "-1"])
+    def test_ore_compose_split_out_of_range_is_2(self, capsys, k4_file, split):
+        code, out, err = run(
+            capsys, "ore", "compose", k4_file, k4_file,
+            "--digon", "0,1", "--split", split, "--z1", "0",
+        )
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: split vertex {split} out of range"
+
     def test_bound_oriented(self, capsys, tmp_path):
         from dicrit.constructions import ConstructionSpec, build_g3, build_gk
         g4, _ = build_gk(4, ConstructionSpec(k=4))

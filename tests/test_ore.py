@@ -1,8 +1,10 @@
+import gc
 import itertools
 import random
 
 import pytest
 
+from dicrit.budget import Budget
 from dicrit.colouring import check_dicolouring, is_k_dicolourable
 from dicrit.digraph import Digraph, DigraphError, bidirected_complete, directed_cycle, induced
 from dicrit.iso import are_isomorphic, find_isomorphism
@@ -161,6 +163,37 @@ class TestRecognition:
         assert trace is not None
         assert are_isomorphic(replay(trace), d)
 
+    # Budget.used of is_4ore on generate_4ore(61, s), relabelled by a shuffle
+    # seeded 1000 + s; upper bounds, which later changes may only lower.
+    RECOGNITION_NODES_61 = (47, 53, 42, 48, 58, 51, 56, 54, 53, 44)
+
+    @staticmethod
+    def _shuffled_4ore(n, seed):
+        d, _ = generate_4ore(n, seed=seed)
+        perm = list(range(n))
+        random.Random(1000 + seed).shuffle(perm)
+        return Digraph(n, ((perm[u], perm[v]) for u, v in d.arcs))
+
+    def _assert_replays_onto(self, d, trace):
+        replayed = replay(trace)
+        mapping = find_isomorphism(replayed, d)
+        assert mapping is not None
+        assert sorted(mapping.values()) == list(range(d.n))
+        assert {(mapping[u], mapping[v]) for u, v in replayed.arcs} == set(d.arcs)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_shuffled_61_within_node_ceiling(self, seed):
+        d = self._shuffled_4ore(61, seed)
+        budget = Budget(2_000_000, "4-Ore recognition")
+        trace = is_4ore(d, budget)
+        assert trace is not None
+        assert budget.used <= self.RECOGNITION_NODES_61[seed]
+        self._assert_replays_onto(d, trace)
+
+    def test_shuffled_100(self):
+        d = self._shuffled_4ore(100, 3)
+        self._assert_replays_onto(d, is_4ore(d))
+
     def test_bidirected_non_ore_rejected(self):
         # bidirected C7: right order (7 = 1 mod 3) but chromatic number 3
         from dicrit.digraph import bidirected_cycle
@@ -272,3 +305,27 @@ class TestIsomorphismOracle:
         b = Digraph(3, [(0, 1), (1, 2), (0, 2)])
         assert find_isomorphism(a, b) is None
         assert find_isomorphism(a, a.reverse()) is not None
+
+
+class TestNoCyclicGarbage:
+    """The searches leave no reference cycles, so their data is freed as
+    soon as they return rather than at the next cyclic collection."""
+
+    @pytest.mark.parametrize("search", ["max_packing", "is_4ore", "find_isomorphism"])
+    def test_collector_finds_nothing(self, search):
+        d, _ = generate_4ore(16, seed=1)
+        perm = list(range(d.n))
+        random.Random(0).shuffle(perm)
+        shuffled = Digraph(d.n, ((perm[u], perm[v]) for u, v in d.arcs))
+        call = {
+            "max_packing": lambda: max_packing(d),
+            "is_4ore": lambda: is_4ore(shuffled),
+            "find_isomorphism": lambda: find_isomorphism(d, shuffled),
+        }[search]
+        gc.collect()
+        gc.disable()
+        try:
+            assert call() is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
