@@ -11,6 +11,17 @@ vertex.  Symmetry is broken by allowing colour j+1 only once colour j has
 appeared, which in particular pins the first branching vertex to colour 1.
 Runs are deterministic and reproducible.
 
+Whether D is c-dicolourable at all, without a witness, is decided for
+``is_k_dicritical`` (its step "D is not (k-1)-dicolourable") and for
+``dichromatic_number`` by the plain search first, with an allowance of
+about 2 c n^2 nodes; if that runs out, a 2-separator reduction takes over.
+It replaces one side A of a separator {u, v} of the underlying graph at a
+time by a gadget of at most c - 1 vertices (nothing, a digon, an arc, a
+bidirected K_{c-1} that forces c(u) = c(v), or that K_{c-1} plus an arc),
+chosen by two to four recursive queries on digraphs smaller than D, and it
+runs the search only on pieces of at most 9 vertices or where no side can
+be replaced.  The proof is in docs/decisions.md, section 6.
+
 ``check_dicolouring`` runs its own DFS over adjacency lists and shares no
 code with the solver, so every witness the solver returns is checked
 independently.
@@ -21,11 +32,11 @@ Budgets count decision nodes; an exhausted budget raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
-from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
-from .digraph import Digraph, serialize
+from .budget import Budget, BudgetExceeded, DEFAULT_SOLVER_NODES, ensure_budget
+from .digraph import Digraph, bits, serialize, two_cut_sides
 
 
 class ColouringError(ValueError):
@@ -205,6 +216,210 @@ def _solve(d: Digraph, k: int, budget: Budget, symmetry: bool) -> Iterator[tuple
     return _assignments(out, inn, _search_order(out, inn), k, budget, symmetry)
 
 
+# -- deciding dicolourability by 2-separator reduction -------------------------
+
+#: Digraphs of at most this many vertices go straight to the search: on them
+#: a cut scan and its side queries cost more than the search itself.
+_BASE_SIZE = 9
+
+#: The plain search for c colours on n vertices gets this many times c n^2
+#: nodes before the reduction takes over.  Measured on the crit-ore corpus
+#: (seed 1), one reduction takes as long as the plain search spends on a
+#: median 3.2-4.0 n^2 nodes for G3 inputs (c = 2) and 5.0-6.4 n^2 for 4-Ore
+#: inputs and their near misses (c = 3).  Trying the search first for that
+#: long costs at most about twice the cheaper of the two routes, and keeps
+#: inputs the search settles quickly (most near misses, 4-Ore up to n = 19)
+#: off the reduction, which costs them several times as much.
+_PLAIN_NODES_PER_CN2 = 2
+
+
+@dataclass
+class RefutationStats:
+    """How a dicolourability question was decided.
+
+    ``plain_nodes`` were spent by the plain search before it finished or ran
+    out of its allowance; ``reduced`` says whether the 2-separator reduction
+    then ran, ``sides_replaced`` counts the sides it replaced by gadgets
+    (inside side queries too) and ``piece_solves`` the searches it ran on
+    pieces that it could not reduce further.
+    """
+
+    plain_nodes: int = 0
+    reduced: bool = False
+    sides_replaced: int = 0
+    piece_solves: int = 0
+
+
+def _in_masks(out: list[int]) -> list[int]:
+    inn = [0] * len(out)
+    for u, targets in enumerate(out):
+        for v in bits(targets):
+            inn[v] |= 1 << u
+    return inn
+
+
+def _restrict(out: list[int], vertices: list[int]) -> list[int]:
+    """The subdigraph induced on ``vertices``, relabelled in their order."""
+    index = {w: i for i, w in enumerate(vertices)}
+    keep = sum(1 << w for w in vertices)
+    result = []
+    for w in vertices:
+        mask = 0
+        for x in bits(out[w] & keep):
+            mask |= 1 << index[x]
+        result.append(mask)
+    return result
+
+
+def _attach(out: list[int], u: int, v: int, gadget: tuple[bool, bool, bool], c: int) -> None:
+    """Add ``gadget = (uv, vu, forcer)`` between u and v, in place: the arc
+    u->v if ``uv``, the arc v->u if ``vu``, and if ``forcer`` a bidirected
+    K_{c-1} joined by digons to u and v, which forces c(u) = c(v)."""
+    uv, vu, forcer = gadget
+    if uv:
+        out[u] |= 1 << v
+    if vu:
+        out[v] |= 1 << u
+    if forcer:
+        first = len(out)
+        clique = ((1 << (c - 1)) - 1) << first
+        for i in range(first, first + c - 1):
+            out.append(clique ^ (1 << i) | 1 << u | 1 << v)
+        out[u] |= clique
+        out[v] |= clique
+
+
+_NOTHING, _DIGON, _FORCER = (False, False, False), (True, True, False), (False, False, True)
+#: ``_side_gadget``'s answer when the side admits no boundary state at all.
+_REFUTED = "refuted"
+
+
+def _side_gadget(
+    out: list[int], inn: list[int], side: int, u: int, v: int, c: int,
+    budget: Budget, stats: RefutationStats,
+):
+    """The gadget that can replace ``side`` at the separator {u, v}: a
+    ``(uv, vu, forcer)`` triple for ``_attach``, ``_REFUTED`` when no
+    c-dicolouring of H = D[side + {u, v}] - {uv, vu} exists, or None when H
+    admits same-colour states with u->v paths and with v->u paths but none
+    without a path (no small gadget has that state set).  The boundary
+    states and the gadgets are proved in docs/decisions.md.
+    """
+    members = list(bits(side))
+    a = len(members)
+    h = _restrict(out, members + [u, v])
+    h[a] &= ~(1 << (a + 1))
+    h[a + 1] &= ~(1 << a)
+
+    def query(gadget) -> bool:
+        q = h.copy()
+        _attach(q, a, a + 1, gadget, c)
+        return _colourable(q, c, budget, stats)
+
+    # EQ0: c(u) = c(v) with no monochromatic path between them, that is,
+    # H with v merged into u is c-dicolourable.
+    merged = h[:a + 1]
+    merged[a] |= h[a + 1]
+    for w in range(a):
+        if merged[w] >> (a + 1) & 1:
+            merged[w] = merged[w] & ~(1 << (a + 1)) | 1 << a
+    if _colourable(merged, c, budget, stats):
+        return _NOTHING if query(_DIGON) else _FORCER
+    # A monochromatic u->v path leaves u by an arc u->x and enters v by an
+    # arc y->v, x and y in the side; if either arc lies in a digon, that
+    # digon is monochromatic.  So without both kinds of arc no such path.
+    free_out_u, free_in_u = out[u] & ~inn[u] & side, inn[u] & ~out[u] & side
+    free_out_v, free_in_v = out[v] & ~inn[v] & side, inn[v] & ~out[v] & side
+    uv = bool(free_out_u and free_in_v) and query((True, False, True))
+    vu = bool(free_out_v and free_in_u) and query((False, True, True))
+    if uv and vu:
+        return None
+    if query(_DIGON):
+        return (not vu, not uv, False)
+    if uv or vu:
+        return (uv, vu, True)
+    return _REFUTED
+
+
+def _colourable(out: list[int], c: int, budget: Budget, stats: RefutationStats) -> bool:
+    """Is the digraph with out-neighbour bitsets ``out`` c-dicolourable?
+
+    Each pass scans the 2-separators {u, v} of the underlying graph and
+    offers every component A of G - {u, v} but the largest as a side,
+    smallest first, if its queries are smaller than D (|A| + c + 1 < n) and
+    it meets no side already replaced in this pass nor its boundary.  A side
+    is replaced when its gadget has fewer vertices.  Digraphs of at most
+    ``_BASE_SIZE`` vertices, and those where no side is replaced, go to the
+    search.
+    """
+    while len(out) > _BASE_SIZE:
+        n = len(out)
+        inn = _in_masks(out)
+        offers = []
+        for cut, sides in two_cut_sides([o | i for o, i in zip(out, inn)]):
+            if len(cut) == 2:
+                sides.sort(key=int.bit_count)
+                offers.extend((side.bit_count(), side, *cut) for side in sides[:-1])
+        offers.sort()
+        gone = closed = 0
+        tried = set()
+        gadgets = []
+        for size, side, u, v in offers:
+            ends = 1 << u | 1 << v
+            if size + c + 1 >= n or side & closed or ends & gone or side in tried:
+                continue
+            tried.add(side)
+            gadget = _side_gadget(out, inn, side, u, v, c, budget, stats)
+            if gadget is _REFUTED:
+                return False
+            if gadget is None or (gadget[2] and size <= c - 1):
+                continue
+            gone |= side
+            closed |= side | ends
+            gadgets.append((u, v, gadget))
+        if not gadgets:
+            break
+        stats.sides_replaced += len(gadgets)
+        kept = [w for w in range(n) if not gone >> w & 1]
+        index = {w: i for i, w in enumerate(kept)}
+        out = _restrict(out, kept)
+        for u, v, gadget in gadgets:
+            _attach(out, index[u], index[v], gadget, c)
+    stats.piece_solves += 1
+    inn = _in_masks(out)
+    return next(_assignments(out, inn, _search_order(out, inn), c, budget, True), None) is not None
+
+
+def _decide(
+    out: list[int], inn: list[int], order: list[int], c: int,
+    budget: Budget, stats: RefutationStats,
+) -> bool:
+    """Is the digraph c-dicolourable?  The plain search in ``order`` runs
+    first, with an allowance of ``_PLAIN_NODES_PER_CN2`` c n^2 nodes; only if
+    that runs out does the 2-separator reduction decide.  Every node is
+    charged to ``budget``."""
+    n = len(out)
+    before = budget.used
+    if n <= _BASE_SIZE:
+        found = next(_assignments(out, inn, order, c, budget, True), None)
+        stats.plain_nodes += budget.used - before
+        return found is not None
+    allowance = Budget(
+        max(1, min(_PLAIN_NODES_PER_CN2 * c * n * n, budget.remaining())), budget.what
+    )
+    try:
+        found = next(_assignments(out, inn, order, c, allowance, True), None) is not None
+    except BudgetExceeded:
+        found = None
+    # This raises when it was the caller's limit, not the allowance, that ran out.
+    budget.spend(allowance.used)
+    stats.plain_nodes += allowance.used
+    if found is not None:
+        return found
+    stats.reduced = True
+    return _colourable(out, c, budget, stats)
+
+
 def is_k_dicolourable(
     d: Digraph, k: int, budget: Budget | int | None = None
 ) -> Colouring | None:
@@ -233,9 +448,14 @@ def enumerate_k_dicolourings(
 
 
 def dichromatic_number(d: Digraph, budget: Budget | int | None = None) -> int:
+    """The least k for which D is k-dicolourable, each k decided like the
+    refutation step of :func:`is_k_dicritical`."""
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "dichromatic number")
+    out, inn = _masks(d)
+    order = _search_order(out, inn)
+    stats = RefutationStats()
     for k in range(1, d.n + 1):
-        if is_k_dicolourable(d, k, budget) is not None:
+        if _decide(out, inn, order, k, budget, stats):
             return k
     raise AssertionError("n colours always suffice")  # pragma: no cover
 
@@ -246,7 +466,8 @@ class CriticalityReport:
 
     ``nodes`` is the budget spent inside the check.  Of the witnesses,
     ``solved`` came from a fresh search and ``reused`` were taken from an
-    earlier arc.
+    earlier arc.  ``refutation`` tells how "D is not (k-1)-dicolourable"
+    was decided.
     """
 
     digraph: Digraph
@@ -257,6 +478,7 @@ class CriticalityReport:
     failure_reason: str | None = None
     nodes: int = 0
     solved: int = 0
+    refutation: RefutationStats = field(default_factory=RefutationStats)
 
     @property
     def reused(self) -> int:
@@ -272,7 +494,10 @@ class CriticalityReport:
             },
             "failure_arc": list(self.failure_arc) if self.failure_arc else None,
             "failure_reason": self.failure_reason,
-            "stats": {"nodes": self.nodes, "solved": self.solved, "reused": self.reused},
+            "stats": {
+                "nodes": self.nodes, "solved": self.solved, "reused": self.reused,
+                **asdict(self.refutation),
+            },
         }
 
 
@@ -286,6 +511,8 @@ def is_k_dicritical(
     subdigraph sits inside some arc-deleted one), so the check is: D is not
     (k-1)-dicolourable, D has no isolated vertex, and D minus any single
     arc is (k-1)-dicolourable.  One witness colouring per arc is returned.
+    The first step needs no witness: the plain search, then, if it runs
+    long, the 2-separator reduction decides it (see the module docstring).
 
     Every search runs in one connectivity order computed for D.  Once D is
     known not to be (k-1)-dicolourable, the search for D - uv only tries
@@ -311,10 +538,11 @@ def is_k_dicritical(
                 )
     out, inn = _masks(d)
     order = _search_order(out, inn)
-    if next(_assignments(out, inn, order, k - 1, budget, True), None) is not None:
+    refutation = RefutationStats()
+    if _decide(out, inn, order, k - 1, budget, refutation):
         return CriticalityReport(
             d, k, False, {}, failure_reason=f"digraph is {k - 1}-dicolourable",
-            nodes=budget.used - start,
+            nodes=budget.used - start, refutation=refutation,
         )
     witnesses: dict[tuple[int, int], Colouring] = {}
     fresh: list[Colouring] = []
@@ -341,7 +569,7 @@ def is_k_dicritical(
                 return CriticalityReport(
                     d, k, False, witnesses, failure_arc=arc,
                     failure_reason=f"deleting arc {arc} keeps the dichromatic number at {k}",
-                    nodes=budget.used - start, solved=len(fresh),
+                    nodes=budget.used - start, solved=len(fresh), refutation=refutation,
                 )
             w = Colouring(k - 1, found)
             ok, _ = check_dicolouring(minus, w)
@@ -350,5 +578,6 @@ def is_k_dicritical(
             fresh.append(w)
         witnesses[arc] = w
     return CriticalityReport(
-        d, k, True, witnesses, nodes=budget.used - start, solved=len(fresh)
+        d, k, True, witnesses, nodes=budget.used - start, solved=len(fresh),
+        refutation=refutation,
     )

@@ -51,6 +51,9 @@ class TestSubcommands:
         assert payload["verdict"] and len(payload["witnesses"]) == 12
         stats = payload["stats"]
         assert stats["solved"] + stats["reused"] == 12 and stats["nodes"] > 0
+        # K4 is below the size where the 2-separator reduction can run.
+        assert stats["plain_nodes"] > 0 and stats["reduced"] is False
+        assert stats["sides_replaced"] == stats["piece_solves"] == 0
 
     def test_critical_negative_is_1(self, capsys, k4_file):
         code, _, _ = run(capsys, "critical", k4_file, "--k", "3")

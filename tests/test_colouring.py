@@ -1,16 +1,21 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dicrit import colouring
 from dicrit.budget import Budget, BudgetExceeded
 from dicrit.colouring import (
     _assignments,
+    _colourable,
+    _decide,
     _masks,
     _search_order,
     Colouring,
     ColouringError,
+    RefutationStats,
     check_dicolouring,
     dichromatic_number,
     enumerate_k_dicolourings,
@@ -105,6 +110,13 @@ class TestDichromaticNumber:
         g3, _ = build_g3(1)
         assert dichromatic_number(g3) == 3
 
+    def test_g3_four_needs_three(self):
+        # The plain search spends about 18M nodes refuting 2-dicolourability
+        # here; the 2-separator reduction needs a few hundred.
+        g3, _ = build_g3(4)
+        budget = Budget(20_000)
+        assert dichromatic_number(g3, budget) == 3
+
     @settings(max_examples=40, deadline=None)
     @given(digraphs(max_n=6))
     def test_matches_oracle(self, d):
@@ -189,8 +201,11 @@ class TestIsKDicritical:
         assert report.solved > 0 and report.reused > 0
         assert len({id(w) for w in report.witnesses.values()}) == report.solved
         assert report.nodes == budget.used
+        # g3-1 is refuted by the plain search alone, within its allowance.
         assert report.to_json()["stats"] == {
             "nodes": report.nodes, "solved": report.solved, "reused": report.reused,
+            "plain_nodes": report.refutation.plain_nodes, "reduced": False,
+            "sides_replaced": 0, "piece_solves": 0,
         }
 
     @settings(max_examples=120, deadline=None)
@@ -236,6 +251,138 @@ def _relabelled(d: Digraph, seed: int) -> Digraph:
     return Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
 
 
+@st.composite
+def glued_digraphs(draw, max_n=8):
+    """Pieces glued at vertex pairs, so the underlying graph has 2-cuts.
+    Each piece is oriented, bidirected or mixed."""
+    n = draw(st.integers(2, 4))
+    arcs: set[tuple[int, int]] = set()
+
+    def piece(vertices):
+        shapes = draw(st.sampled_from([
+            [(), ("ab",), ("ba",)], [(), ("ab", "ba")], [(), ("ab",), ("ba",), ("ab", "ba")],
+        ]))
+        for a, b in itertools.combinations(vertices, 2):
+            for arc in draw(st.sampled_from(shapes)):
+                arcs.add((a, b) if arc == "ab" else (b, a))
+
+    piece(range(n))
+    while n < max_n and draw(st.booleans()):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        size = draw(st.integers(1, min(3, max_n - n)))
+        piece([u, v, *range(n, n + size)])
+        n += size
+    return Digraph(n, arcs)
+
+
+def _random_glued(rng: random.Random, pieces: int) -> Digraph:
+    n, arcs = rng.randint(4, 7), set()
+    density = rng.choice([0.3, 0.5, 0.7])
+
+    def piece(vertices):
+        arcs.update((a, b) for a in vertices for b in vertices if a != b and rng.random() < density)
+
+    piece(list(range(n)))
+    for _ in range(pieces - 1):
+        u, v = rng.sample(range(n), 2)
+        size = rng.randint(2, 5)
+        piece([u, v, *range(n, n + size)])
+        n += size
+    return Digraph(n, arcs)
+
+
+def _reduce(d: Digraph, c: int) -> tuple[bool, RefutationStats]:
+    stats = RefutationStats()
+    return _colourable(_masks(d)[0], c, Budget(10_000_000), stats), stats
+
+
+class TestReduction:
+    """The 2-separator reduction, called without the plain search first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(glued_digraphs(), st.sampled_from([2, 3]))
+    @example(bidirected_cycle(5), 2)
+    @example(Digraph(6, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1), (4, 5), (5, 3)]), 2)
+    # Side {2, 3} at {0, 1} forces c(0) = c(1) and a path 0 -> 3 -> 1 (state
+    # EQuv only); the digon [0, 1] and the 4-cycle through 4 and 5 want
+    # c(0) != c(1), so the forcer in the gadget is what refutes.
+    @example(Digraph(6, [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (2, 3), (3, 2),
+                         (0, 3), (3, 1), (0, 4), (4, 0), (4, 5), (5, 4), (5, 1), (1, 5)]), 2)
+    # Two such sides at {0, 1}, both with paths 0 -> 1: 2-dicolourable, but
+    # not if either gadget had its arc the wrong way round.
+    @example(Digraph(6, [(0, 2), (2, 0), (1, 2), (2, 1), (2, 3), (3, 2), (0, 3), (3, 1),
+                         (0, 4), (4, 0), (1, 4), (4, 1), (4, 5), (5, 4), (0, 5), (5, 1)]), 2)
+    def test_agrees_with_the_oracle(self, d, c):
+        # Below the real base size everything would go to the search, so the
+        # reduction is made to reduce every piece of more than two vertices.
+        with mock.patch.object(colouring, "_BASE_SIZE", 2):
+            assert _reduce(d, c)[0] == oracle_is_k_dicolourable(d, c)
+
+    def test_agrees_with_the_search_on_larger_glued_digraphs(self):
+        rng = random.Random(12)
+        replaced = 0
+        for _ in range(40):
+            d = _random_glued(rng, rng.randint(3, 5))
+            c = rng.choice([2, 3])
+            got, stats = _reduce(d, c)
+            assert got == (is_k_dicolourable(d, c) is not None)
+            replaced += stats.sides_replaced
+        assert replaced > 0
+
+    @pytest.mark.parametrize("n", [13, 16, 19, 22])
+    def test_4ore_near_misses(self, n):
+        # D - a is 3-dicolourable because D is 4-dicritical; D + a is not.
+        rng = random.Random(n)
+        for seed in range(3):
+            d = generate_4ore(n, seed=seed)[0]
+            minus = _relabelled(d.without_arcs([rng.choice(d.sorted_arcs())]), seed)
+            pairs = [(x, y) for x in d.vertices() for y in d.vertices()
+                     if x != y and not d.has_arc(x, y) and not d.has_arc(y, x)]
+            plus = _relabelled(d.with_arcs([rng.choice(pairs)]), seed)
+            assert _reduce(minus, 3)[0] and is_k_dicolourable(minus, 3) is not None
+            assert not _reduce(plus, 3)[0] and is_k_dicolourable(plus, 3) is None
+
+    def test_shuffled_4ore_100_refuted_within_ceiling(self):
+        d = _relabelled(generate_4ore(100, seed=3)[0], 1)
+        out, inn = _masks(d)
+        stats = RefutationStats()
+        budget = Budget(61_268)
+        assert not _decide(out, inn, _search_order(out, inn), 3, budget, stats)
+        # 2 c n^2 = 60,000 nodes of plain search, then the reduction.
+        assert stats.reduced and stats.plain_nodes == 60_001
+        assert budget.used == stats.plain_nodes + 1_267
+
+    def test_g3_four_refuted_within_ceiling(self):
+        g3, _ = build_g3(4)
+        out, inn = _masks(g3)
+        stats = RefutationStats()
+        budget = Budget(5_400)
+        assert not _decide(out, inn, _search_order(out, inn), 2, budget, stats)
+        assert stats.reduced and stats.sides_replaced > 0
+
+    def test_caller_budget_still_runs_out_loudly(self):
+        g3, _ = build_g3(2)
+        out, inn = _masks(g3)
+        order = _search_order(out, inn)
+        # The caller's limit binds inside the plain search ...
+        budget = Budget(500)
+        with pytest.raises(BudgetExceeded):
+            _decide(out, inn, order, 2, budget, RefutationStats())
+        assert budget.used == 501
+        # ... and inside the reduction, after the 2 c n^2 = 1,600 plain nodes.
+        with pytest.raises(BudgetExceeded):
+            _decide(out, inn, order, 2, Budget(1_650), RefutationStats())
+
+    def test_report_counts_the_reduction(self):
+        g3, _ = build_g3(2)
+        budget = Budget(100_000)
+        report = is_k_dicritical(g3, 3, budget)
+        assert report.verdict and report.nodes == budget.used
+        stats = report.to_json()["stats"]
+        assert stats["reduced"] is True and stats["plain_nodes"] == 1_601
+        assert stats["sides_replaced"] > 0 and stats["piece_solves"] > 0
+
+
 class TestNodeCeilings:
     """Upper bounds on ``Budget.used`` of the dicriticality check.  Node
     counts are deterministic; a later change may only lower these."""
@@ -245,7 +392,7 @@ class TestNodeCeilings:
         [
             (lambda: generate_4ore(25, seed=3)[0], 4, 11_267),
             (lambda: build_g3(1)[0], 3, 1_246),
-            (lambda: build_g3(2)[0], 3, 19_677),
+            (lambda: build_g3(2)[0], 3, 7_490),
         ],
         ids=["4ore-25-seed3", "g3-1", "g3-2"],
     )

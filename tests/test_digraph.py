@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dicrit.digraph import (
     Digraph,
@@ -15,6 +17,9 @@ from dicrit.digraph import (
     parse,
     profiles,
     serialize,
+    two_cut_sides,
+    underlying_components,
+    underlying_masks,
 )
 
 
@@ -243,3 +248,25 @@ class TestConnectivity:
     def test_too_small_rejected(self, k3):
         with pytest.raises(DigraphError):
             is_k_connected(k3, 3)
+
+
+class TestTwoCutSides:
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(max_n=9))
+    @example(Digraph(7, [(1, 5), (2, 6), (6, 1)]))
+    @example(bidirected_path(5))
+    def test_agrees_with_trying_every_cut(self, d):
+        # The reference removes every set of one or two vertices and floods
+        # the rest over adjacency sets (``underlying_components``).
+        expected = {}
+        for size in (1, 2):
+            for cut in itertools.combinations(d.vertices(), size):
+                comps = underlying_components(d, cut)
+                if len(comps) > 1:
+                    expected[cut] = sorted(sum(1 << v for v in c) for c in comps)
+        found = list(two_cut_sides(underlying_masks(d)))
+        assert {cut: sorted(sides) for cut, sides in found} == expected
+        assert [cut for cut, _ in found] == sorted(expected, key=lambda c: (c[0], len(c), c))
+
+    def test_single_vertex_has_no_cut(self):
+        assert list(two_cut_sides([0])) == []
