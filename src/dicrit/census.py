@@ -190,6 +190,8 @@ def census(
         raise DigraphError(f"census supports 2 <= n_max <= {MAX_CENSUS_N}")
     if k < 2:
         raise DigraphError("census needs k >= 2")
+    if nshards < 1:
+        raise DigraphError(f"census needs at least one shard, got {nshards}")
     budget = ensure_budget(budget, 50_000_000, "census")
     start = budget.used
     stats: Counter = Counter(candidates=0, dicritical=0)

@@ -458,6 +458,10 @@ def certify_dicritical_composition(
     sampling), and (c) a check of every such witness against the digraph
     minus its arc, so nothing is assumed.
     """
+    if witness_sample is not None and witness_sample < 1:
+        raise DigraphError(
+            f"witness_sample must be at least 1, got {witness_sample}"
+        )
     if spec is None:
         spec = ConstructionSpec(k=k)
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "construction certificate")

@@ -13,6 +13,13 @@ The interchange format is DG-v1::
     <u> <v>            (M arc lines, 0-based ids)
 
 Canonical serialization lists arcs in lexicographic order.
+
+Every cut and component question is answered on vertex bitsets:
+:func:`underlying_masks` gives the underlying graph as one neighbourhood
+bitset per vertex, :func:`mask_components` floods it within a vertex
+bitset, and :func:`two_cut_sides` enumerates every cut of at most two
+vertices with its sides.  4-Ore recognition, D6 components, connectivity
+and the dicolouring reduction all use these three.
 """
 
 from __future__ import annotations
@@ -370,39 +377,6 @@ def identify(
 # -- connectivity ----------------------------------------------------------
 
 
-def _underlying_adjacency(d: Digraph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(d.n)]
-    for u, v in d.arcs:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
-def underlying_components(
-    d: Digraph, removed: Iterable[int] = ()
-) -> list[frozenset[int]]:
-    """Connected components of the underlying graph after vertex removal."""
-    gone = set(removed)
-    adj = _underlying_adjacency(d)
-    seen: set[int] = set(gone)
-    comps = []
-    for start in d.vertices():
-        if start in seen:
-            continue
-        stack = [start]
-        comp = set()
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.add(v)
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        comps.append(frozenset(comp))
-    return comps
-
-
 def bits(mask: int) -> Iterator[int]:
     """The members of a vertex bitset, in increasing order."""
     while mask:
@@ -420,8 +394,10 @@ def underlying_masks(d: Digraph) -> list[int]:
     return adj
 
 
-def _mask_components(adj: Sequence[int], alive: int) -> list[int]:
-    """Components of the graph induced on the bitset ``alive``, as bitsets."""
+def mask_components(adj: Sequence[int], alive: int) -> list[int]:
+    """Components of the graph induced on the bitset ``alive``, as bitsets,
+    ordered by lowest vertex.  ``adj`` holds neighbourhood bitsets, as from
+    :func:`underlying_masks`."""
     comps = []
     while alive:
         comp = pending = alive & -alive
@@ -498,10 +474,10 @@ def two_cut_sides(
         rest = everything & ~(1 << u)
         partners, reached = _cut_vertices(adjacency, rest)
         if reached != rest:
-            yield (u,), _mask_components(adjacency, rest)
+            yield (u,), mask_components(adjacency, rest)
             partners = rest
         for v in bits(partners >> (u + 1) << (u + 1)):
-            sides = _mask_components(adjacency, rest & ~(1 << v))
+            sides = mask_components(adjacency, rest & ~(1 << v))
             if len(sides) > 1:
                 yield (u, v), sides
 

@@ -26,11 +26,14 @@ from .digraph import (
     Digraph,
     DigraphError,
     bidirected_complete,
+    bits,
     induced,
     boundary,
-    underlying_components,
+    two_cut_sides,
+    underlying_masks,
 )
 from .iso import canonical_labelling
+from .packing import bidirected_triangles
 from .potential import check_4ore_arc_identity
 
 
@@ -290,25 +293,25 @@ def _recognition_search(
     # Every digraph searched below this one is smaller, so none of them can
     # read this entry before it is final.
     memo[form] = None
-    nonadjacent = [
-        (x, y)
-        for x, y in itertools.combinations(d.vertices(), 2)
-        if not d.has_arc(x, y) and not d.has_arc(y, x)
-    ]
-    for x, y in nonadjacent:
-        comps = underlying_components(d, (x, y))
-        if len(comps) < 2:
+    adj = underlying_masks(d)
+    for cut, comps in two_cut_sides(adj):
+        # A composition is undone at a cut {x, y} with no arc between them.
+        if len(cut) == 1:
             continue
-        nx = set(d.neighbours(x))
-        ny = set(d.neighbours(y))
+        x, y = cut
+        nx, ny = adj[x], adj[y]
+        if nx >> y & 1:
+            continue
         # Every component goes wholly to one side; try both roles.
         for mask in range(1, (1 << len(comps)) - 1):
             budget.spend()
-            a0: set[int] = set()
-            b0: set[int] = set()
+            a0 = b0 = 0
             for i, comp in enumerate(comps):
-                (a0 if mask & (1 << i) else b0).update(comp)
-            if len(a0) < 2 or len(b0) < 3:
+                if mask >> i & 1:
+                    a0 |= comp
+                else:
+                    b0 |= comp
+            if a0.bit_count() < 2 or b0.bit_count() < 3:
                 continue
             zx = nx & b0
             zy = ny & b0
@@ -316,16 +319,16 @@ def _recognition_search(
             # a single split vertex, and both parts must be non-empty.
             if not zx or not zy or (zx & zy):
                 continue
-            if len(nx & a0) < 2 or len(ny & a0) < 2:
+            if (nx & a0).bit_count() < 2 or (ny & a0).bit_count() < 2:
                 continue
-            d1_raw, map1 = induced(d, a0 | {x, y})
+            d1_raw, map1 = induced(d, bits(a0 | 1 << x | 1 << y))
             d1 = d1_raw.with_arcs([(map1[x], map1[y]), (map1[y], map1[x])])
             if d1.n % 3 != 1 or not _plausible_4ore(d1):
                 continue
-            d2_base, map2 = induced(d, b0)
+            d2_base, map2 = induced(d, bits(b0))
             z_id = d2_base.n
             extra = []
-            for w in zx | zy:
+            for w in bits(zx | zy):
                 extra.append((z_id, map2[w]))
                 extra.append((map2[w], z_id))
             d2 = Digraph(z_id + 1, list(d2_base.arcs) + extra)
@@ -347,8 +350,8 @@ def _recognition_search(
                 split_side=t2,
                 digon=(phi1[map1[x]], phi1[map1[y]]),
                 split_vertex=z,
-                z1=tuple(sorted(phi2[map2[w]] for w in zx)),
-                z2=tuple(sorted(phi2[map2[w]] for w in zy)),
+                z1=tuple(sorted(phi2[map2[w]] for w in bits(zx))),
+                z2=tuple(sorted(phi2[map2[w]] for w in bits(zy))),
             )
             phi = [0] * d.n
             for v, i in map1.items():
@@ -388,42 +391,27 @@ def is_4ore(d: Digraph, budget: Budget | int | None = None) -> OreTrace | None:
 
 def find_diamonds(d: Digraph) -> list[tuple[int, int, int, int]]:
     """Induced bidirected-K4-minus-a-digon subdigraphs whose two vertices
-    off the missing digon have degree 6 in the host.  Exhaustive."""
+    off the missing digon have degree 6 in the host, as sorted quads in
+    lexicographic order.  Exhaustive."""
     out = []
-    for quad in itertools.combinations(d.vertices(), 4):
-        digon_pairs = []
-        missing = []
-        ok = True
-        for u, v in itertools.combinations(quad, 2):
-            if d.has_digon(u, v):
-                digon_pairs.append((u, v))
-            elif d.has_arc(u, v) or d.has_arc(v, u):
-                ok = False  # single arcs spoil the bidirected pattern
-                break
-            else:
-                missing.append((u, v))
-        if not ok or len(digon_pairs) != 5 or len(missing) != 1:
+    for a, b in d.digons():
+        if d.degree(a) != 6 or d.degree(b) != 6:
             continue
-        u, v = missing[0]
-        others = [w for w in quad if w not in (u, v)]
-        if all(d.degree(w) == 6 for w in others):
-            out.append(tuple(sorted(quad)))
-    return out
+        common = (
+            set(d.out_neighbours(a)) & set(d.in_neighbours(a))
+            & set(d.out_neighbours(b)) & set(d.in_neighbours(b))
+        )
+        for u, v in itertools.combinations(sorted(common), 2):
+            if not d.has_arc(u, v) and not d.has_arc(v, u):
+                out.append(tuple(sorted((a, b, u, v))))
+    return sorted(out)
 
 
 def find_emeralds(d: Digraph) -> list[tuple[int, int, int]]:
     """Induced bidirected triangles with all three vertices of degree 6."""
-    out = []
-    for triple in itertools.combinations(d.vertices(), 3):
-        a, b, c = triple
-        if (
-            d.has_digon(a, b)
-            and d.has_digon(a, c)
-            and d.has_digon(b, c)
-            and all(d.degree(v) == 6 for v in triple)
-        ):
-            out.append(triple)
-    return out
+    return [
+        t for t in bidirected_triangles(d) if all(d.degree(v) == 6 for v in t)
+    ]
 
 
 def find_ore_collapsible(

@@ -69,8 +69,7 @@ def potential(
     d: Digraph, params: PotentialParams, budget: Budget | int | None = None
 ) -> Fraction:
     """rho(D) as an exact rational; fails loudly if T(D) is not certified."""
-    t = packing_value(d, budget)
-    return (TEN_THIRDS + params.eps) * d.n - d.m - params.delta * t
+    return potential_with_packing_value(d, params, packing_value(d, budget))
 
 
 def potential_with_packing_value(

@@ -20,7 +20,15 @@ from .colouring import (
     enumerate_k_dicolourings,
     is_k_dicolourable,
 )
-from .digraph import Digraph, DigraphError, boundary, induced, underlying_components
+from .digraph import (
+    Digraph,
+    DigraphError,
+    bits,
+    boundary,
+    induced,
+    mask_components,
+    underlying_masks,
+)
 from .potential import PotentialParams, TEN_THIRDS
 
 
@@ -125,14 +133,10 @@ def _classify_component(d: Digraph, comp: list[int]) -> D6Component:
 def d6_components(d: Digraph) -> list[D6Component]:
     """Connected components of D6, classified against the shapes the theory
     allows in a minimal counterexample ("other" is a first-class outcome)."""
-    verts = d6_vertices(d)
-    if not verts:
-        return []
-    sub, mapping = induced(d, verts)
-    back = {new: old for old, new in mapping.items()}
-    comps = underlying_components(sub)
+    d6 = sum(1 << v for v in d6_vertices(d))
     return [
-        _classify_component(d, [back[v] for v in comp]) for comp in comps
+        _classify_component(d, list(bits(comp)))
+        for comp in mask_components(underlying_masks(d), d6)
     ]
 
 

@@ -4,8 +4,11 @@ Deliberately share no code with the package: validity of a colouring is
 decided by Kahn peeling (the solver uses DFS), dicolourability by full
 assignment enumeration (the solver backtracks), and packing values by
 recursion over the lowest free vertex (the packing module branches over a
-candidate item list with a bound), and canonical forms by trying every
-relabelling (the package refines colours and individualises vertices).
+candidate item list with a bound), canonical forms by trying every
+relabelling (the package refines colours and individualises vertices),
+components by flooding adjacency sets (the package floods bitsets), and
+diamonds and emeralds by scanning every 4-set and 3-set (the package walks
+the digon graph).
 """
 
 from __future__ import annotations
@@ -170,3 +173,62 @@ def oracle_canonical_form(d: Digraph) -> tuple[tuple[int, int], ...]:
         if best is None or relabelled < best:
             best = relabelled
     return best if best is not None else ()
+
+
+def oracle_components(d: Digraph, removed=()) -> list[frozenset[int]]:
+    """Components of the underlying graph of d minus ``removed``, by
+    flooding adjacency sets from each unvisited vertex in increasing order."""
+    adj: list[set[int]] = [set() for _ in range(d.n)]
+    for u, v in d.arcs:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = set(removed)
+    comps = []
+    for start in range(d.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], set()
+        while stack:
+            v = stack.pop()
+            comp.add(v)
+            for u in adj[v] - seen:
+                seen.add(u)
+                stack.append(u)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def _degree(d: Digraph, v: int) -> int:
+    return sum((u == v) + (w == v) for u, w in d.arcs)
+
+
+def _digon(d: Digraph, u: int, v: int) -> bool:
+    return (u, v) in d.arcs and (v, u) in d.arcs
+
+
+def oracle_find_emeralds(d: Digraph) -> list[tuple[int, int, int]]:
+    """Every 3-set spanning three digons with all degrees 6, lexicographic."""
+    return [
+        t
+        for t in itertools.combinations(range(d.n), 3)
+        if all(_digon(d, u, v) for u, v in itertools.combinations(t, 2))
+        and all(_degree(d, v) == 6 for v in t)
+    ]
+
+
+def oracle_find_diamonds(d: Digraph) -> list[tuple[int, int, int, int]]:
+    """Every 4-set spanning five digons and one pair with no arc at all,
+    whose two vertices off that pair have degree 6, lexicographic."""
+    out = []
+    for quad in itertools.combinations(range(d.n), 4):
+        pairs = list(itertools.combinations(quad, 2))
+        digons = [p for p in pairs if _digon(d, *p)]
+        empty = [
+            (u, v) for u, v in pairs if (u, v) not in d.arcs and (v, u) not in d.arcs
+        ]
+        if len(digons) == 5 and len(empty) == 1:
+            others = set(quad) - set(empty[0])
+            if all(_degree(d, v) == 6 for v in others):
+                out.append(quad)
+    return out

@@ -139,6 +139,12 @@ class TestCensus:
         with pytest.raises(DigraphError):
             census(1, 3)
 
+    @pytest.mark.parametrize("nshards", [0, -2])
+    def test_needs_a_shard(self, nshards):
+        # with no shard nothing would be scanned and every minimum read None
+        with pytest.raises(DigraphError, match=f"got {nshards}"):
+            census(3, 4, nshards=nshards)
+
 
 class TestPersistence:
     def test_roundtrip_and_reverify(self, tmp_path):

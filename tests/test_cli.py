@@ -185,6 +185,16 @@ class TestSubcommands:
         assert "d_2(n) = 2" in out and "d_2(n) = 3" in out
         assert list(out_dir.glob("*.dg"))
 
+    @pytest.mark.parametrize("shards", ["0", "-2"])
+    def test_census_without_shards_is_2(self, capsys, shards):
+        code, out, err = run(capsys, "census", "--k", "3", "--n-max", "4", "--shards", shards)
+        assert code == 2 and out == "" and "shard" in err
+
+    @pytest.mark.parametrize("sample", ["0", "-3"])
+    def test_certify_sample_must_be_positive(self, capsys, sample):
+        code, out, err = run(capsys, "construct", "certify", "--k", "4", "--sample", sample)
+        assert code == 2 and out == "" and f"got {sample}" in err
+
     def test_census_json(self, capsys):
         code, out, _ = run(capsys, "census", "--k", "2", "--n-max", "3", "--json")
         assert code == 0

@@ -126,6 +126,12 @@ class TestCertify:
         assert report.sampled
         assert report.witnesses_checked == 30
 
+    @pytest.mark.parametrize("sample", [0, -3])
+    def test_sample_must_be_positive(self, sample):
+        # a sample of 0 would check no witness above level 3 and still be ok
+        with pytest.raises(DigraphError, match=f"witness_sample must be at least 1, got {sample}"):
+            certify_dicritical_composition(4, witness_sample=sample)
+
     def test_k5_certificate_checks_every_obligation(self):
         # every witness, the connection arcs' included, is built from the
         # construction and checked; nothing is left assumed

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dicrit.budget import Budget
 from dicrit.colouring import check_dicolouring, is_k_dicolourable
@@ -26,7 +27,8 @@ from dicrit.ore import (
 from dicrit.packing import max_packing
 from dicrit.potential import ZERO_PARAMS, check_4ore_arc_identity, potential
 
-from .oracles import valid_dicolouring
+from .oracles import oracle_find_diamonds, oracle_find_emeralds, valid_dicolouring
+from .test_digraph import mixed_digraphs
 
 
 class TestOreCompose:
@@ -246,6 +248,26 @@ class TestDetectors:
             items += [set(s) for s in find_emeralds(d)]
             for tri in bidirected_triangles(d):
                 assert any(not (set(tri) & s) for s in items), (n, seed, tri)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_digraphs(max_n=9))
+    def test_match_the_subset_scans(self, d):
+        assert find_emeralds(d) == oracle_find_emeralds(d)
+        assert find_diamonds(d) == oracle_find_diamonds(d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from((4, 7, 10, 13, 16)),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=0, max_value=5),
+    )
+    def test_match_the_subset_scans_on_4ore(self, n, seed, thinned):
+        # A 4-Ore digraph, then the same with one digon thinned to an arc,
+        # which moves two vertices off degree 6 and breaks near-K4s.
+        d, _ = generate_4ore(n, seed=seed)
+        for host in (d, d.without_arcs([d.digons()[thinned]])):
+            assert find_emeralds(host) == oracle_find_emeralds(host)
+            assert find_diamonds(host) == oracle_find_diamonds(host)
 
 
 class TestOreCollapsible:

@@ -15,6 +15,7 @@ from dicrit.potential import (
 )
 from dicrit.structure import (
     d6_components,
+    d6_vertices,
     dicritical_extension,
     discharge,
     find_chelou_arcs,
@@ -24,7 +25,10 @@ from dicrit.structure import (
     valency8,
 )
 
-from .test_digraph import digraphs
+from dicrit.ore import generate_4ore
+
+from .oracles import oracle_components
+from .test_digraph import digraphs, mixed_digraphs
 
 F = Fraction
 
@@ -92,6 +96,29 @@ class TestD6:
         # degree 6 from six simple arcs: not in D6
         arcs = [(0, i) for i in range(1, 4)] + [(i, 0) for i in range(4, 7)]
         assert d6_components(Digraph(7, arcs)) == []
+
+    @staticmethod
+    def _flooded_d6(d: Digraph) -> list[tuple[int, ...]]:
+        # The reference copies D[D6] out and floods its adjacency sets.
+        verts = d6_vertices(d)
+        if not verts:
+            return []
+        sub, mapping = induced(d, verts)
+        back = {new: old for old, new in mapping.items()}
+        return [tuple(sorted(back[v] for v in c)) for c in oracle_components(sub)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_digraphs(max_n=9))
+    def test_matches_induced_flood(self, d):
+        found = [c.vertices for c in d6_components(d)]
+        assert found == self._flooded_d6(d)
+
+    @pytest.mark.parametrize("n", [7, 13, 19, 25])
+    def test_matches_induced_flood_on_4ore(self, n):
+        for seed in range(5):
+            d, _ = generate_4ore(n, seed=seed)
+            found = [c.vertices for c in d6_components(d)]
+            assert found == self._flooded_d6(d), (n, seed)
 
 
 class TestValencies:
