@@ -2,9 +2,13 @@
 
 For each order n the census scans arc counts m upward from n(k - 1) and,
 at each m, tests k-dicriticality exactly on every candidate: every m-arc
-digraph on n vertices whose in- and out-degrees are all at least k - 1
-(optionally sharded).  Candidates are generated vertex by vertex, so arc
-sets that break the degree condition are never built.
+digraph on n vertices whose in- and out-degrees are all at least k - 1.
+Candidates are generated vertex by vertex, so arc sets that break the
+degree condition are never built, and each (n, m) stream is generated
+once.  The table, witnesses included, does not depend on the ``nshards``
+argument of :func:`census`: shards exist only in :func:`_scan_arc_sets`,
+which takes every ``nshards``-th candidate so that one stream can be split
+across processes.
 
 The candidate set, and with it every minimum the census reports, rests on
 one lemma: every k-dicritical digraph D has minimum in- and out-degree at
@@ -93,40 +97,72 @@ def _candidate_arc_sets(n: int, m: int, k: int, oriented_only: bool):
     w chose it.  In the oriented case v never chooses an earlier u that
     already chose v, so no digon is built.
     """
-    low = k - 1
-    # choices[v]: (mask, size, arcs) for every out-neighbourhood of v.
+    # choices[v][size]: (mask, chosen, arcs) for every out-neighbourhood of v
+    # of that size, in lexicographic order; sizes below k - 1 are never read.
     choices = []
     for v in range(n):
         others = [w for w in range(n) if w != v]
         choices.append([
-            (sum(1 << w for w in chosen), size, tuple((v, w) for w in chosen))
-            for size in range(low, n)
-            for chosen in itertools.combinations(others, size)
+            [(sum(1 << w for w in chosen), chosen, tuple((v, w) for w in chosen))
+             for chosen in itertools.combinations(others, size)]
+            for size in range(n)
         ])
-    return _extend(choices, low, oriented_only, 0, m, [0] * n)
+    return _extend(choices, k - 1, oriented_only, 0, m, [0] * n, [0] * n, [()] * n)
 
 
-def _extend(choices, low: int, oriented_only: bool, v: int, left: int, inn: list[int]):
+def _extend(
+    choices,
+    low: int,
+    oriented_only: bool,
+    v: int,
+    left: int,
+    indeg: list[int],
+    masks: list[int],
+    picked: list[tuple],
+):
     """The arc tuples that give vertices v, v + 1, ... their out-neighbourhoods
-    with ``left`` arcs in all; ``inn[w]`` is the bitset of the vertices
-    before v that chose w.  A plain function, not a closure over the tables,
-    so that no reference cycle keeps them alive until the next collection."""
+    with ``left`` arcs in all.  For each u < v, ``masks[u]`` and ``picked[u]``
+    are the bitset and arcs of the out-neighbourhood u chose, and ``indeg[w]``
+    counts the u < v that chose w; the lists are updated in place and
+    restored on the way back.  A plain function, not a closure over the
+    tables, so that no reference cycle keeps them alive until the next
+    collection."""
     n = len(choices)
-    if v == n:
-        yield ()
-        return
     rest = n - 1 - v
-    lo, hi = max(low, left - (n - 1) * rest), left - low * rest
-    banned = inn[v] if oriented_only else 0
-    bit = 1 << v
-    for mask, size, arcs in choices[v]:
-        if not lo <= size <= hi or mask & banned:
-            continue
-        nxt = [x | bit if mask >> w & 1 else x for w, x in enumerate(inn)]
-        if any(x.bit_count() + rest - (w > v) < low for w, x in enumerate(nxt)):
-            continue
-        for tail in _extend(choices, low, oriented_only, v + 1, left - size, nxt):
-            yield arcs + tail
+    # After v chooses, every w needs in-degree at least low - rest, one more
+    # if w is still to place.  One short, v must choose w; more, or w == v,
+    # and the branch is dead.
+    need = low - rest
+    required = 0
+    for w, count in enumerate(indeg):
+        short = need + (w > v) - count
+        if short > 0:
+            if short > 1 or w == v:
+                return
+            required |= 1 << w
+    banned = 0
+    if oriented_only:
+        bit = 1 << v
+        for u in range(v):
+            if masks[u] & bit:
+                banned |= 1 << u
+    by_size = choices[v]
+    for size in range(max(low, left - (n - 1) * rest), min(n - 1, left - low * rest) + 1):
+        for mask, chosen, arcs in by_size[size]:
+            if mask & required != required or mask & banned:
+                continue
+            picked[v] = arcs
+            if not rest:
+                yield sum(picked, ())
+                continue
+            masks[v] = mask
+            for w in chosen:
+                indeg[w] += 1
+            yield from _extend(
+                choices, low, oriented_only, v + 1, left - size, indeg, masks, picked
+            )
+            for w in chosen:
+                indeg[w] -= 1
 
 
 def _scan_arc_sets(
@@ -143,7 +179,8 @@ def _scan_arc_sets(
     starting at index ``shard``); yields the k-dicritical digraphs found and
     adds the number of arc sets tested to ``stats["candidates"]``.  Apart
     from that count, a pure function of its arguments, so shards can run
-    anywhere and be merged by concatenation."""
+    anywhere.  Candidate i lies in shard i mod ``nshards``: taking the shards'
+    results in turn, one from each, restores the order of the stream."""
     candidates = _candidate_arc_sets(n, m, k, oriented_only)
     for arcs in itertools.islice(candidates, shard, None, nshards):
         stats["candidates"] += 1
@@ -164,15 +201,11 @@ def _dedupe(found: list[Digraph]) -> list[Digraph]:
 
 
 def _minimum_for(
-    n: int, k: int, budget: Budget, oriented_only: bool, nshards: int, stats: Counter
+    n: int, k: int, budget: Budget, oriented_only: bool, stats: Counter
 ) -> tuple[int | None, list[Digraph]]:
     max_m = n * (n - 1) // (2 if oriented_only else 1)
     for m in range(max(1, n * (k - 1)), max_m + 1):
-        found: list[Digraph] = []
-        for shard in range(nshards):
-            found.extend(
-                _scan_arc_sets(n, m, k, budget, oriented_only, stats, shard, nshards)
-            )
+        found = list(_scan_arc_sets(n, m, k, budget, oriented_only, stats))
         if found:
             stats["dicritical"] += len(found)
             return m, _dedupe(found)
@@ -185,7 +218,12 @@ def census(
     budget: Budget | int | None = None,
     nshards: int = 1,
 ) -> CensusTable:
-    """Exact d_k(n) and o_k(n) for 2 <= n <= n_max (n_max at most 5)."""
+    """Exact d_k(n) and o_k(n) for 2 <= n <= n_max (n_max at most 5).
+
+    Each candidate stream is scanned once, in stream order, so the table,
+    witnesses included, does not depend on ``nshards``; it must still be at
+    least 1.  To split one stream across processes, run
+    :func:`_scan_arc_sets` per shard."""
     if not 2 <= n_max <= MAX_CENSUS_N:
         raise DigraphError(f"census supports 2 <= n_max <= {MAX_CENSUS_N}")
     if k < 2:
@@ -197,12 +235,8 @@ def census(
     stats: Counter = Counter(candidates=0, dicritical=0)
     table = CensusTable(k, {}, {}, {}, {})
     for n in range(2, n_max + 1):
-        d_min, d_wit = _minimum_for(
-            n, k, budget, oriented_only=False, nshards=nshards, stats=stats
-        )
-        o_min, o_wit = _minimum_for(
-            n, k, budget, oriented_only=True, nshards=nshards, stats=stats
-        )
+        d_min, d_wit = _minimum_for(n, k, budget, oriented_only=False, stats=stats)
+        o_min, o_wit = _minimum_for(n, k, budget, oriented_only=True, stats=stats)
         table.d_min[n] = d_min
         table.o_min[n] = o_min
         table.witnesses[n] = [

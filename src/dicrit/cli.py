@@ -430,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument("--out", default=None, help="directory for witness records")
-    p.add_argument("--shards", type=int, default=1)
+    p.add_argument("--shards", type=int, default=1,
+                   help="shard count, at least 1; the table and the records "
+                        "written do not depend on it (default 1)")
     _add_common(p)
     p.set_defaults(handler=_cmd_census)
 

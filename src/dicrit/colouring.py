@@ -53,7 +53,7 @@ class Colouring:
     def __post_init__(self):
         if self.k < 1:
             raise ColouringError("k must be at least 1")
-        if any(not (1 <= c <= self.k) for c in self.colours):
+        if self.colours and not 1 <= min(self.colours) <= max(self.colours) <= self.k:
             raise ColouringError("colours must lie in 1..k")
 
     def colour_of(self, v: int) -> int:

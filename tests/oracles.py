@@ -6,9 +6,11 @@ assignment enumeration (the solver backtracks), and packing values by
 recursion over the lowest free vertex (the packing module branches over a
 candidate item list with a bound), canonical forms by trying every
 relabelling (the package refines colours and individualises vertices),
-components by flooding adjacency sets (the package floods bitsets), and
+components by flooding adjacency sets (the package floods bitsets),
 diamonds and emeralds by scanning every 4-set and 3-set (the package walks
-the digon graph).
+the digon graph), and the order of the census candidate stream by the
+census's first generator (rebuilt bitsets and arc tuples at every level;
+the package keeps in-degree counts and joins arcs once per candidate).
 """
 
 from __future__ import annotations
@@ -160,6 +162,59 @@ def oracle_census_candidates(
         if min(outdeg) >= k - 1 and min(indeg) >= k - 1:
             keep.add(arcs)
     return keep
+
+
+def oracle_candidate_stream(n: int, m: int, k: int, oriented_only: bool):
+    """Every m-arc digraph on ``range(n)`` whose in- and out-degrees are all at
+    least k - 1, each exactly once, as a tuple of arcs in lexicographic order;
+    with ``oriented_only``, only those without a digon.
+
+    Vertices choose their out-neighbourhoods (of size at least k - 1) in the
+    order 0, 1, ..., n - 1, and the stream follows that order.  A branch is
+    cut when the r vertices still to place cannot take the arcs left, which
+    needs between (k - 1)r and (n - 1)r of them, or when some vertex w could
+    no longer reach in-degree k - 1 even if every unplaced vertex other than
+    w chose it.  In the oriented case v never chooses an earlier u that
+    already chose v, so no digon is built.
+
+    The census generator as first written, kept as the reference for the
+    order of the stream: it rebuilds the in-neighbour bitsets and the arc
+    tuple at every level.
+    """
+    low = k - 1
+    # choices[v]: (mask, size, arcs) for every out-neighbourhood of v.
+    choices = []
+    for v in range(n):
+        others = [w for w in range(n) if w != v]
+        choices.append([
+            (sum(1 << w for w in chosen), size, tuple((v, w) for w in chosen))
+            for size in range(low, n)
+            for chosen in itertools.combinations(others, size)
+        ])
+    return _extend(choices, low, oriented_only, 0, m, [0] * n)
+
+
+def _extend(choices, low: int, oriented_only: bool, v: int, left: int, inn: list[int]):
+    """The arc tuples that give vertices v, v + 1, ... their out-neighbourhoods
+    with ``left`` arcs in all; ``inn[w]`` is the bitset of the vertices
+    before v that chose w.  A plain function, not a closure over the tables,
+    so that no reference cycle keeps them alive until the next collection."""
+    n = len(choices)
+    if v == n:
+        yield ()
+        return
+    rest = n - 1 - v
+    lo, hi = max(low, left - (n - 1) * rest), left - low * rest
+    banned = inn[v] if oriented_only else 0
+    bit = 1 << v
+    for mask, size, arcs in choices[v]:
+        if not lo <= size <= hi or mask & banned:
+            continue
+        nxt = [x | bit if mask >> w & 1 else x for w, x in enumerate(inn)]
+        if any(x.bit_count() + rest - (w > v) < low for w, x in enumerate(nxt)):
+            continue
+        for tail in _extend(choices, low, oriented_only, v + 1, left - size, nxt):
+            yield arcs + tail
 
 
 def oracle_canonical_form(d: Digraph) -> tuple[tuple[int, int], ...]:

@@ -61,6 +61,15 @@ class TestCheckDicolouring:
         with pytest.raises(ColouringError):
             check_dicolouring(c3, Colouring(2, (1, 1)))
 
+    @pytest.mark.parametrize("colours", [(0, 1, 2), (1, 3, 2)])
+    def test_colour_out_of_range_rejected(self, colours):
+        with pytest.raises(ColouringError, match="colours must lie in 1..k"):
+            Colouring(2, colours)
+
+    def test_k_zero_rejected(self):
+        with pytest.raises(ColouringError, match="k must be at least 1"):
+            Colouring(0, ())
+
 
 class TestIsKDicolourable:
     def test_c3_two_colours(self, c3):
