@@ -9,7 +9,10 @@ a directed cycle inside one colour class.  That test runs on Python-int
 bitsets: one per colour class, and the out- and in-neighbourhood of each
 vertex.  Symmetry is broken by allowing colour j+1 only once colour j has
 appeared, which in particular pins the first branching vertex to colour 1.
-Runs are deterministic and reproducible.
+Runs are deterministic and reproducible.  The kernel, ``_assignments``,
+makes no call per node: the cycle test and the node count are inline, and
+the count reaches the budget whenever the kernel yields, finishes or runs
+out.
 
 Whether D is c-dicolourable at all, without a witness, is decided for
 ``is_k_dicritical`` (its step "D is not (k-1)-dicolourable") and for
@@ -153,38 +156,28 @@ def _assignments(
     ``out``/``inn`` are the bitset adjacency of the digraph, ``order`` the
     branching order.  ``pin = (a, b)``, with a placed before b, restricts the
     search to assignments with c(a) = c(b): b gets a's colour and no other.
+
+    Each colour tried is one node.  The count lives in a local and reaches
+    ``budget.used`` before every yield, on exhaustion and before
+    ``BudgetExceeded`` (then ``used == limit + 1``, as ``Budget.spend``
+    leaves it); it is read back after every yield, since the caller may
+    spend from the same budget in between.
     """
     n = len(order)
     colour = [0] * n
     members = [0] * (k + 1)  # members[c]: bitset of the vertices coloured c
     anchor, pinned = pin if pin is not None else (-1, -1)
-
-    def creates_cycle(v: int, cls: int) -> bool:
-        # A cycle through v inside the class is a path from an out-neighbour
-        # of v to an in-neighbour of v; none exists unless v has both.
-        targets = inn[v] & cls
-        if not targets:
-            return False
-        frontier = seen = out[v] & cls
-        while frontier:
-            if frontier & targets:
-                return True
-            low = frontier & -frontier
-            frontier ^= low
-            fresh = out[low.bit_length() - 1] & cls & ~seen
-            seen |= fresh
-            frontier |= fresh
-        return False
-
     # Depth i holds order[i]; held[i] is its current colour (0: none yet)
     # and top[i] the highest colour among order[:i].
     held = [0] * n
     top = [0] * (n + 1)
-    spend = budget.spend
+    limit, used = budget.limit, budget.used
     i = 0
     while i >= 0:
         if i == n:
+            budget.used = used
             yield tuple(colour)
+            used = budget.used
             i -= 1
             continue
         v = order[i]
@@ -195,10 +188,30 @@ def _assignments(
             c, last = max(c, colour[anchor] - 1), colour[anchor]
         else:
             last = k if not symmetry or top[i] >= k else top[i] + 1
+        out_v, inn_v = out[v], inn[v]
         while c < last:
             c += 1
-            spend()
-            if not creates_cycle(v, members[c]):
+            used += 1
+            if used > limit:
+                budget.used = used
+                raise BudgetExceeded(budget.what, limit)
+            # A cycle through v inside the class is a path from an
+            # out-neighbour of v to an in-neighbour of v; none exists unless
+            # v has both.
+            cls = members[c]
+            targets = inn_v & cls
+            if not targets:
+                break
+            frontier = seen = out_v & cls
+            while frontier:
+                if frontier & targets:
+                    break
+                low = frontier & -frontier
+                frontier ^= low
+                fresh = out[low.bit_length() - 1] & cls & ~seen
+                seen |= fresh
+                frontier |= fresh
+            else:
                 break
         else:
             held[i] = colour[v] = 0
@@ -208,6 +221,7 @@ def _assignments(
         members[c] |= 1 << v
         top[i + 1] = c if c > top[i] else top[i]
         i += 1
+    budget.used = used
 
 
 def _solve(d: Digraph, k: int, budget: Budget, symmetry: bool) -> Iterator[tuple[int, ...]]:
@@ -501,6 +515,34 @@ class CriticalityReport:
         }
 
 
+def _reuse_fits(out: list[int], cls: int, x: int, y: int, u: int, v: int) -> bool:
+    """Does the witness found for D - xy, whose class of x is the bitset
+    ``cls``, also dicolour D - uv?  ``out`` holds D's out-bitsets.  Valid
+    when D is not dicoloured by the witness: then every monochromatic cycle
+    of D runs through xy, so for uv != xy the answer is yes iff u and v lie
+    in ``cls`` and D[cls] - uv has no y->x path (docs/decisions.md,
+    section 7)."""
+    if not (cls >> u & 1 and cls >> v & 1):
+        return False
+    if u == x and v == y:
+        return True
+    target = 1 << x
+    frontier = seen = 1 << y
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        w = low.bit_length() - 1
+        step = out[w] & cls
+        if w == u:
+            step &= ~(1 << v)
+        if step & target:
+            return False
+        step &= ~seen
+        seen |= step
+        frontier |= step
+    return True
+
+
 def is_k_dicritical(
     d: Digraph, k: int, budget: Budget | int | None = None
 ) -> CriticalityReport:
@@ -519,10 +561,15 @@ def is_k_dicritical(
     colourings with c(u) = c(v), which loses nothing: a (k-1)-dicolouring c
     of D - uv with c(u) != c(v) would also dicolour D, because every cycle
     of D that is not a cycle of D - uv uses the arc uv and so meets both
-    colours.  By the same argument only earlier witnesses with c(u) = c(v)
-    can serve D - uv; they are tried first, newest first.  Every witness,
-    fresh or reused, passes ``check_dicolouring`` on D - uv before it enters
-    the report.
+    colours.
+
+    Earlier fresh witnesses are tried before a search, newest first.  A
+    witness w found for D - xy serves D - uv exactly when u and v lie in
+    x's colour class C and D[C] - uv has no y->x path: since D is not
+    (k-1)-dicolourable, every monochromatic cycle of D under w runs through
+    xy (docs/decisions.md, section 7).  ``_reuse_fits`` tests that with one
+    search on bitsets.  The accepted witness, fresh or reused, then passes
+    ``check_dicolouring`` on D - uv, once, before it enters the report.
     """
     if k < 2:
         raise ColouringError("dicriticality is only checked for k >= 2")
@@ -544,23 +591,24 @@ def is_k_dicritical(
             d, k, False, {}, failure_reason=f"digraph is {k - 1}-dicolourable",
             nodes=budget.used - start, refutation=refutation,
         )
+    position = [0] * d.n
+    for i, v in enumerate(order):
+        position[v] = i
     witnesses: dict[tuple[int, int], Colouring] = {}
-    fresh: list[Colouring] = []
+    # Each fresh witness with the arc xy it was found for and x's colour class.
+    fresh: list[tuple[Colouring, int, int, int]] = []
     for arc in d.sorted_arcs():
         u, v = arc
         minus = d.without_arcs([arc])
         w = next(
-            (
-                old for old in reversed(fresh)
-                if old.colours[u] == old.colours[v] and check_dicolouring(minus, old)[0]
-            ),
+            (old for old, x, y, cls in reversed(fresh) if _reuse_fits(out, cls, x, y, u, v)),
             None,
         )
         if w is None:
             out_minus, inn_minus = out.copy(), inn.copy()
             out_minus[u] &= ~(1 << v)
             inn_minus[v] &= ~(1 << u)
-            pin = (u, v) if order.index(u) < order.index(v) else (v, u)
+            pin = (u, v) if position[u] < position[v] else (v, u)
             found = next(
                 _assignments(out_minus, inn_minus, order, k - 1, budget, True, pin=pin),
                 None,
@@ -572,10 +620,11 @@ def is_k_dicritical(
                     nodes=budget.used - start, solved=len(fresh), refutation=refutation,
                 )
             w = Colouring(k - 1, found)
-            ok, _ = check_dicolouring(minus, w)
-            if not ok:  # pragma: no cover - solver always returns valid colourings
-                raise AssertionError("solver produced an invalid witness")
-            fresh.append(w)
+            cls = sum(1 << x for x, c in enumerate(found) if c == found[u])
+            fresh.append((w, u, v, cls))
+        ok, _ = check_dicolouring(minus, w)
+        if not ok:  # pragma: no cover - the search and the screen are exact
+            raise AssertionError(f"witness for arc {arc} fails check_dicolouring")
         witnesses[arc] = w
     return CriticalityReport(
         d, k, True, witnesses, nodes=budget.used - start, solved=len(fresh),

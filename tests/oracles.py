@@ -10,13 +10,17 @@ components by flooding adjacency sets (the package floods bitsets),
 diamonds and emeralds by scanning every 4-set and 3-set (the package walks
 the digon graph), and the order of the census candidate stream by the
 census's first generator (rebuilt bitsets and arc tuples at every level;
-the package keeps in-degree counts and joins arcs once per candidate).
+the package keeps in-degree counts and joins arcs once per candidate), and
+the dicolouring search's node sequence by its first kernel (a cycle-test
+closure and one ``Budget.spend`` call per node; the package inlines both).
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
+from dicrit.budget import Budget
 from dicrit.digraph import Digraph
 
 
@@ -216,6 +220,80 @@ def _extend(choices, low: int, oriented_only: bool, v: int, left: int, inn: list
         for tail in _extend(choices, low, oriented_only, v + 1, left - size, nxt):
             yield arcs + tail
 
+
+def oracle_assignments(
+    out: list[int],
+    inn: list[int],
+    order: list[int],
+    k: int,
+    budget: Budget,
+    symmetry: bool,
+    pin: tuple[int, int] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Yield every valid k-dicolouring assignment (backtracking core).
+
+    ``out``/``inn`` are the bitset adjacency of the digraph, ``order`` the
+    branching order.  ``pin = (a, b)``, with a placed before b, restricts the
+    search to assignments with c(a) = c(b): b gets a's colour and no other.
+
+    The dicolouring kernel as first written, kept as the reference for the
+    assignments yielded and the nodes spent: it tests cycles in a closure
+    and calls ``budget.spend()`` once per node.
+    """
+    n = len(order)
+    colour = [0] * n
+    members = [0] * (k + 1)  # members[c]: bitset of the vertices coloured c
+    anchor, pinned = pin if pin is not None else (-1, -1)
+
+    def creates_cycle(v: int, cls: int) -> bool:
+        # A cycle through v inside the class is a path from an out-neighbour
+        # of v to an in-neighbour of v; none exists unless v has both.
+        targets = inn[v] & cls
+        if not targets:
+            return False
+        frontier = seen = out[v] & cls
+        while frontier:
+            if frontier & targets:
+                return True
+            low = frontier & -frontier
+            frontier ^= low
+            fresh = out[low.bit_length() - 1] & cls & ~seen
+            seen |= fresh
+            frontier |= fresh
+        return False
+
+    # Depth i holds order[i]; held[i] is its current colour (0: none yet)
+    # and top[i] the highest colour among order[:i].
+    held = [0] * n
+    top = [0] * (n + 1)
+    spend = budget.spend
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield tuple(colour)
+            i -= 1
+            continue
+        v = order[i]
+        c = held[i]
+        if c:
+            members[c] &= ~(1 << v)
+        if v == pinned:
+            c, last = max(c, colour[anchor] - 1), colour[anchor]
+        else:
+            last = k if not symmetry or top[i] >= k else top[i] + 1
+        while c < last:
+            c += 1
+            spend()
+            if not creates_cycle(v, members[c]):
+                break
+        else:
+            held[i] = colour[v] = 0
+            i -= 1
+            continue
+        held[i] = colour[v] = c
+        members[c] |= 1 << v
+        top[i + 1] = c if c > top[i] else top[i]
+        i += 1
 
 def oracle_canonical_form(d: Digraph) -> tuple[tuple[int, int], ...]:
     """The lexicographically least sorted arc tuple over all n! relabellings.

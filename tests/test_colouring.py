@@ -12,6 +12,7 @@ from dicrit.colouring import (
     _colourable,
     _decide,
     _masks,
+    _reuse_fits,
     _search_order,
     Colouring,
     ColouringError,
@@ -36,6 +37,7 @@ from .oracles import (
     oracle_chromatic_number,
     oracle_dichromatic_number,
     oracle_is_k_dicolourable,
+    oracle_assignments,
     oracle_is_k_dicritical,
     valid_dicolouring,
 )
@@ -252,6 +254,154 @@ class TestPinnedSearch:
         assert (found is not None) == expected
         if found is not None:
             assert found[u] == found[v] and valid_dicolouring(d, found)
+
+
+def _run_kernel(kernel, d: Digraph, k: int, symmetry: bool, pin, limit: int):
+    """Everything ``kernel`` yields on ``d`` under ``Budget(limit)``, the
+    budget it used, and the message it ran out with (None if it finished)."""
+    out, inn = _masks(d)
+    budget = Budget(limit, "kernel")
+    got = []
+    try:
+        for assignment in kernel(out, inn, _search_order(out, inn), k, budget, symmetry, pin):
+            got.append(assignment)
+    except BudgetExceeded as exc:
+        return got, budget.used, str(exc)
+    return got, budget.used, None
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A digraph with n <= 7, k in 1..4, symmetry on or off, and no pin or a
+    pin (a, b) with a placed before b."""
+    d = draw(digraphs(max_n=7))
+    k = draw(st.integers(1, 4))
+    symmetry = draw(st.booleans())
+    pin = None
+    if d.n >= 2 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, d.n - 1), min_size=2, max_size=2, unique=True))
+        order = _search_order(*_masks(d))
+        pin = (a, b) if order.index(a) < order.index(b) else (b, a)
+    return d, k, symmetry, pin
+
+
+class TestKernel:
+    """The inlined search kernel against the first kernel, kept in
+    ``tests/oracles.py``: the same assignments in the same order, and the
+    same ``Budget.used`` whether the search finishes or runs out."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_inputs())
+    @example((bidirected_complete(4), 3, True, None))
+    @example((Digraph(7, []), 4, False, (0, 1)))
+    def test_matches_the_first_kernel(self, case):
+        d, k, symmetry, pin = case
+        assert _run_kernel(_assignments, d, k, symmetry, pin, 20_000) == \
+            _run_kernel(oracle_assignments, d, k, symmetry, pin, 20_000)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_inputs(), st.integers(1, 40))
+    def test_small_limits_run_out_alike(self, case, limit):
+        d, k, symmetry, pin = case
+        got = _run_kernel(_assignments, d, k, symmetry, pin, limit)
+        assert got == _run_kernel(oracle_assignments, d, k, symmetry, pin, limit)
+        if got[2] is not None:
+            assert got[1] == limit + 1
+            assert got[2] == f"kernel: node budget of {limit} exhausted"
+
+
+class TestSharedBudget:
+    """``enumerate_k_dicolourings`` while its caller spends from the same
+    budget between the colourings it yields."""
+
+    D = directed_cycle(4)
+    SPEND = 3
+
+    def marks(self) -> list[int]:
+        """``Budget.used`` at each yield, and at the end, with no caller spends."""
+        budget = Budget(10_000)
+        marks = [budget.used for _ in enumerate_k_dicolourings(self.D, 2, budget)]
+        return marks + [budget.used]
+
+    def test_total_is_solver_nodes_plus_caller_spends(self):
+        marks = self.marks()
+        budget = Budget(10_000)
+        for j, _ in enumerate(enumerate_k_dicolourings(self.D, 2, budget)):
+            assert budget.used == marks[j] + self.SPEND * j
+            budget.spend(self.SPEND)
+        count = len(marks) - 1
+        assert count == 14
+        assert budget.used == marks[-1] + self.SPEND * count
+
+    @pytest.mark.parametrize("taken", [1, 5, 14])
+    def test_early_close_keeps_the_nodes_spent(self, taken):
+        marks = self.marks()
+        budget = Budget(10_000)
+        colourings = enumerate_k_dicolourings(self.D, 2, budget)
+        for _ in range(taken):
+            next(colourings)
+            budget.spend(self.SPEND)
+        colourings.close()
+        assert budget.used == marks[taken - 1] + self.SPEND * taken
+
+    def test_limit_hit_mid_enumeration(self):
+        marks = self.marks()
+        # Runs out inside the search for the eighth colouring.
+        limit = marks[7] + self.SPEND * 7 - 1
+        budget = Budget(limit, "shared")
+        colourings = enumerate_k_dicolourings(self.D, 2, budget)
+        for _ in range(7):
+            next(colourings)
+            budget.spend(self.SPEND)
+        with pytest.raises(BudgetExceeded, match=f"shared: node budget of {limit} exhausted"):
+            next(colourings)
+        assert budget.used == limit + 1
+
+
+def _fresh_witnesses(report):
+    """Each fresh witness of a report with the arc it was found for: the
+    first arc, in the order checked, that it serves."""
+    first = {}
+    for arc in sorted(report.witnesses):
+        first.setdefault(id(report.witnesses[arc]), (arc, report.witnesses[arc]))
+    return list(first.values())
+
+
+class TestWitnessReuse:
+    CASES = {
+        "g3-1": lambda: (build_g3(1)[0], 3),
+        "g3-2": lambda: (build_g3(2)[0], 3),
+        "4ore-16-s0": lambda: (generate_4ore(16, seed=0)[0], 4),
+        "4ore-16-s1": lambda: (generate_4ore(16, seed=1)[0], 4),
+        "4ore-16-s2": lambda: (generate_4ore(16, seed=2)[0], 4),
+        "k4": lambda: (bidirected_complete(4), 4),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_screen_is_exact(self, name):
+        d, k = self.CASES[name]()
+        report = is_k_dicritical(d, k)
+        assert report.verdict
+        fresh = _fresh_witnesses(report)
+        assert len(fresh) == report.solved
+        out, _ = _masks(d)
+        for (x, y), w in fresh:
+            cls = sum(1 << z for z, c in enumerate(w.colours) if c == w.colours[x])
+            for u, v in d.sorted_arcs():
+                minus = Digraph(d.n, d.arcs - {(u, v)})
+                assert _reuse_fits(out, cls, x, y, u, v) == valid_dicolouring(minus, w.colours)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_one_check_per_witness(self, name):
+        d, k = self.CASES[name]()
+        with mock.patch.object(
+            colouring, "check_dicolouring", wraps=check_dicolouring
+        ) as checker:
+            report = is_k_dicritical(d, k)
+        assert report.verdict
+        assert checker.call_count == len(report.witnesses) == d.m
+        assert [call.args[1] for call in checker.call_args_list] == \
+            [report.witnesses[arc] for arc in d.sorted_arcs()]
 
 
 def _relabelled(d: Digraph, seed: int) -> Digraph:
