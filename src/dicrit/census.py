@@ -5,10 +5,7 @@ at each m, tests k-dicriticality exactly on every candidate: every m-arc
 digraph on n vertices whose in- and out-degrees are all at least k - 1.
 Candidates are generated vertex by vertex, so arc sets that break the
 degree condition are never built, and each (n, m) stream is generated
-once.  The table, witnesses included, does not depend on the ``nshards``
-argument of :func:`census`: shards exist only in :func:`_scan_arc_sets`,
-which takes every ``nshards``-th candidate so that one stream can be split
-across processes.
+once.  The ``nshards`` argument of :func:`census` has no effect.
 
 The candidate set, and with it every minimum the census reports, rests on
 one lemma: every k-dicritical digraph D has minimum in- and out-degree at
@@ -172,17 +169,11 @@ def _scan_arc_sets(
     budget: Budget,
     oriented_only: bool,
     stats: Counter,
-    shard: int = 0,
-    nshards: int = 1,
 ):
-    """One shard of the size-m candidate stream (every ``nshards``-th arc set,
-    starting at index ``shard``); yields the k-dicritical digraphs found and
-    adds the number of arc sets tested to ``stats["candidates"]``.  Apart
-    from that count, a pure function of its arguments, so shards can run
-    anywhere.  Candidate i lies in shard i mod ``nshards``: taking the shards'
-    results in turn, one from each, restores the order of the stream."""
-    candidates = _candidate_arc_sets(n, m, k, oriented_only)
-    for arcs in itertools.islice(candidates, shard, None, nshards):
+    """The size-m candidate stream: yields the k-dicritical digraphs found,
+    in stream order, and adds the number of arc sets tested to
+    ``stats["candidates"]``."""
+    for arcs in _candidate_arc_sets(n, m, k, oriented_only):
         stats["candidates"] += 1
         d = Digraph(n, arcs)
         if is_k_dicritical(d, k, budget).verdict:
@@ -220,10 +211,8 @@ def census(
 ) -> CensusTable:
     """Exact d_k(n) and o_k(n) for 2 <= n <= n_max (n_max at most 5).
 
-    Each candidate stream is scanned once, in stream order, so the table,
-    witnesses included, does not depend on ``nshards``; it must still be at
-    least 1.  To split one stream across processes, run
-    :func:`_scan_arc_sets` per shard."""
+    Each candidate stream is scanned once, in stream order.  ``nshards`` has
+    no effect; it must still be at least 1."""
     if not 2 <= n_max <= MAX_CENSUS_N:
         raise DigraphError(f"census supports 2 <= n_max <= {MAX_CENSUS_N}")
     if k < 2:

@@ -274,7 +274,7 @@ def _cmd_construct_certify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    table = census_mod.census(args.k, args.n_max, args.budget, nshards=args.shards)
+    table = census_mod.census(args.k, args.n_max, args.budget)
     violations = []
     for n, records in table.witnesses.items():
         for rec in records:
@@ -430,9 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument("--out", default=None, help="directory for witness records")
-    p.add_argument("--shards", type=int, default=1,
-                   help="shard count, at least 1; the table and the records "
-                        "written do not depend on it (default 1)")
     _add_common(p)
     p.set_defaults(handler=_cmd_census)
 

@@ -12,10 +12,11 @@ same way.  Exact counts:
     m_k = C(k,2) + 2 C(k,2) n_{k-1} + C(k,2) m_{k-1}
 
 The certification pipeline mirrors the structure of the dicriticality
-argument: the base level is certified exhaustively by the solver; higher
-levels get a compositional lower-bound certificate plus arc-deletion
-witnesses built from that argument alone and each checked against the
-digraph minus its arc.  No solver runs above the base level.
+argument.  The solver runs once, in the base level's criticality check;
+higher levels get a compositional lower-bound certificate.  Every colouring
+above that check, each level's reference and each arc-deletion witness, is
+composed from the construction by one composer and checked, the witnesses
+against the digraph minus their arc.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ from math import comb
 from typing import Union
 
 from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
-from .colouring import (
-    Colouring,
-    CriticalityReport,
-    check_dicolouring,
-    is_k_dicolourable,
-    is_k_dicritical,
-)
+from .colouring import Colouring, check_dicolouring, is_k_dicritical
 from .digraph import Digraph, DigraphError, induced
 
 
@@ -268,86 +263,71 @@ class CertificateReport:
         }
 
 
+@dataclass
 class _Level:
-    """Internal: one certified level plus the data its parent reuses."""
+    """Internal: one certified level plus the data its parent reuses.
 
-    def __init__(
-        self,
-        digraph: Digraph,
-        layout: Layout,
-        report: CertificateReport,
-        reference: Colouring,
-        base_report: CriticalityReport | None,
-        sub: "_Level | None",
-    ):
-        self.digraph = digraph
-        self.layout = layout
-        self.report = report
-        self.reference = reference
-        self.base_report = base_report
-        self.sub = sub
+    Level 3 keeps the solver's deletion witnesses; a higher level keeps its
+    sub-level.  ``reference`` is set only on a level that has a parent, to
+    ``_gamma(level, 0)``."""
+
+    digraph: Digraph
+    layout: Layout
+    report: CertificateReport
+    witnesses: dict[tuple[int, int], Colouring] | None = None
+    sub: "_Level | None" = None
+    reference: tuple[int, ...] = ()
 
     @property
     def chi(self) -> int:
-        return 3 if isinstance(self.layout, G3Layout) else self.layout.k
+        return self.report.k
+
+
+def _compose(
+    level: _Level,
+    special: tuple[int, int],
+    offset: int | None,
+    local: tuple[int, ...],
+) -> Colouring:
+    """A (chi-1)-colouring of the level's graph: distinct colours on the
+    tournament except the pair ``special``, which shares chi-1; ``local`` in
+    the copy at ``offset`` and the sub-level's reference in every other
+    copy."""
+    k = level.chi
+    others = iter(range(1, k - 1))
+    colours = [k - 1 if w in special else next(others) for w in range(k)]
+    reference = level.sub.reference
+    for copy in level.layout.copies:  # laid out back to back from vertex k
+        colours += local if copy.offset == offset else reference
+    return Colouring(k - 1, tuple(colours))
 
 
 def _deletion_witness(level: _Level, arc: tuple[int, int]) -> Colouring:
     """A (chi-1)-dicolouring of the level's graph minus one arc, built the
     way the dicriticality argument does, down to the solver's level-3
     witnesses."""
-    if isinstance(level.layout, G3Layout):
-        assert level.base_report is not None
-        return level.base_report.witnesses[arc]
-
-    layout = level.layout
-    k = layout.k
-    d = level.digraph
-    sub = level.sub
-    assert sub is not None
-    sub_n = sub.digraph.n
-    sub_ref = sub.reference.colours
+    if level.sub is None:
+        return level.witnesses[arc]
+    k = level.chi
     u, v = arc
-
-    def tournament_colours(special: tuple[int, int]) -> dict[int, int]:
-        # Distinct colours on the tournament, the special pair sharing k-1.
-        colours = {}
-        next_colour = 1
-        for w in range(k):
-            if w in special:
-                colours[w] = k - 1
-            else:
-                colours[w] = next_colour
-                next_colour += 1
-        return colours
-
-    def compose(t_cols: dict[int, int], special_copies: dict[int, tuple[int, ...]]) -> Colouring:
-        colours = [0] * d.n
-        for w, c in t_cols.items():
-            colours[w] = c
-        for copy in layout.copies:
-            local = special_copies.get(copy.offset, sub_ref)
-            for i, c in enumerate(local):
-                colours[copy.offset + i] = c
-        return Colouring(k - 1, tuple(colours))
-
     if u < k and v < k:
-        return compose(tournament_colours((u, v)), {})
-
-    for copy in layout.copies:
-        off, end = copy.offset, copy.offset + sub_n
-        if off <= u < end and off <= v < end:
-            xi = _deletion_witness(sub, (u - off, v - off))
-            return compose(tournament_colours(copy.arc), {off: xi.colours})
-        if (v < k and off <= u < end) or (u < k and off <= v < end):
-            t = (u if u >= k else v) - off
-            return compose(tournament_colours(copy.arc), {off: _gamma(sub, t)})
-    raise AssertionError(f"arc {arc} fits no class")  # pragma: no cover
+        return _compose(level, arc, None, ())
+    # Every other arc has an end in exactly one copy: inside it, or joining
+    # it to the tournament.
+    w = max(u, v)
+    copy = level.layout.copies[(w - k) // level.sub.digraph.n]
+    off = copy.offset
+    if min(u, v) >= k:
+        local = _deletion_witness(level.sub, (u - off, v - off)).colours
+    else:
+        local = _gamma(level.sub, w - off)
+    return _compose(level, copy.arc, off, local)
 
 
 def _gamma(sub: _Level, t: int) -> tuple[int, ...]:
     """A chi-dicolouring of the sub-construction in which the local vertex
-    t is the only one coloured chi.
+    t is the only one coloured chi.  With t = 0 it is the reference that
+    the parent puts in every copy the witness leaves alone.
 
     The deletion witness of an arc at t is a (chi-1)-dicolouring of a
     supergraph of the sub-construction minus t, so giving t a colour of its
@@ -380,11 +360,13 @@ def _certify_level(
             witnesses_checked=len(crit.witnesses),
             witness_failures=[crit.failure_arc] if crit.failure_arc else [],
         )
-        reference = is_k_dicolourable(d, 3, budget)
-        assert reference is not None
-        return _Level(d, layout, report, reference, crit, None)
+        return _Level(d, layout, report, witnesses=crit.witnesses)
 
     sub = _certify_level(k - 1, spec, budget, witness_sample, rng)
+    sub.reference = _gamma(sub, 0)
+    ok, cycle = check_dicolouring(sub.digraph, Colouring(sub.chi, sub.reference))
+    if not ok:
+        raise AssertionError(f"reference colouring invalid: {cycle}")
     d, layout = build_gk(k, spec)
     assert isinstance(layout, GkLayout)
 
@@ -413,20 +395,7 @@ def _certify_level(
         sub_certificate=sub.report,
     )
 
-    # Reference k-dicolouring: k distinct colours on the tournament, the
-    # sub-reference verbatim in every copy.
-    ref_colours = [0] * d.n
-    for w in range(k):
-        ref_colours[w] = w + 1
-    for copy in layout.copies:
-        for i, c in enumerate(sub.reference.colours):
-            ref_colours[copy.offset + i] = c
-    reference = Colouring(k, tuple(ref_colours))
-    ok, cycle = check_dicolouring(d, reference)
-    if not ok:
-        raise AssertionError(f"reference colouring invalid: {cycle}")
-
-    level = _Level(d, layout, report, reference, None, sub)
+    level = _Level(d, layout, report, sub=sub)
     arcs = d.sorted_arcs()
     if witness_sample is not None and witness_sample < len(arcs):
         arcs = sorted(rng.sample(arcs, witness_sample))

@@ -273,16 +273,14 @@ def phi_identify(
     d: Digraph,
     subset,
     phi: dict[int, int],
-    require_surjective: bool = False,
 ) -> IdentifyResult:
     """Collapse the colour classes of a 3-dicoloured induced subdigraph R to
     x1, x2, x3 and add the three digons among them.
 
     A class vertex is created for every colour 1..3 even when the class is
-    empty (the literal reading); ``require_surjective`` rejects such phi
-    instead.  The rest of the digraph is untouched.  Vertices outside R keep
-    their relative order and occupy 0..n-|R|-1; x1, x2, x3 are the last
-    three ids.
+    empty (the literal reading).  The rest of the digraph is untouched.
+    Vertices outside R keep their relative order and occupy 0..n-|R|-1;
+    x1, x2, x3 are the last three ids.
     """
     r = sorted(set(subset))
     if not 4 <= len(r) < d.n:
@@ -291,8 +289,6 @@ def phi_identify(
         raise DigraphError("phi must colour exactly the vertices of R")
     if any(c not in (1, 2, 3) for c in phi.values()):
         raise DigraphError("phi must use colours 1..3")
-    if require_surjective and set(phi.values()) != {1, 2, 3}:
-        raise DigraphError("phi must use all three colours")
     sub, sub_map = induced(d, r)
     sub_colours = [0] * sub.n
     for v in r:

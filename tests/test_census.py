@@ -1,11 +1,8 @@
-from collections import Counter
-
 import pytest
 
 from dicrit.budget import Budget
 from dicrit.census import (
     _candidate_arc_sets,
-    _scan_arc_sets,
     census,
     load_record,
     save_records,
@@ -60,28 +57,6 @@ class TestCandidates:
         for m in range(n * (k - 1), n * (k - 1) + 4):
             got = list(_candidate_arc_sets(n, m, k, oriented))
             assert got == list(oracle_candidate_stream(n, m, k, oriented)), f"m={m}"
-
-    @pytest.mark.parametrize(
-        "n, m, k, oriented", [(4, 4, 2, False), (4, 9, 3, False), (5, 5, 2, True)]
-    )
-    def test_shards_partition_the_stream(self, n, m, k, oriented):
-        full_stats = Counter()
-        full = list(_scan_arc_sets(n, m, k, Budget(10**6), oriented, full_stats))
-        assert len(full) > 1
-        counts, found = [], []
-        for shard in range(3):
-            stats = Counter()
-            part = list(
-                _scan_arc_sets(n, m, k, Budget(10**6), oriented, stats, shard, 3)
-            )
-            counts.append(stats["candidates"])
-            found.append({d.arcs for d in part})
-            assert len(found[-1]) == len(part)
-        assert sum(counts) == full_stats["candidates"]
-        assert max(counts) - min(counts) <= 1
-        assert all(not (a & b) for i, a in enumerate(found) for b in found[i + 1:])
-        assert set().union(*found) == {d.arcs for d in full}
-
 
 class TestCensus:
     def test_k2_minima_are_directed_cycles(self):

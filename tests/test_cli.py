@@ -185,21 +185,6 @@ class TestSubcommands:
         assert "d_2(n) = 2" in out and "d_2(n) = 3" in out
         assert list(out_dir.glob("*.dg"))
 
-    def test_census_records_do_not_depend_on_shards(self, capsys, tmp_path):
-        written = []
-        for shards in ("1", "2"):
-            out_dir = tmp_path / shards
-            code, _, _ = run(capsys, "census", "--k", "2", "--n-max", "4",
-                             "--shards", shards, "--out", str(out_dir))
-            assert code == 0
-            written.append({p.name: p.read_text() for p in out_dir.iterdir()})
-        assert written[0] and written[0] == written[1]
-
-    @pytest.mark.parametrize("shards", ["0", "-2"])
-    def test_census_without_shards_is_2(self, capsys, shards):
-        code, out, err = run(capsys, "census", "--k", "3", "--n-max", "4", "--shards", shards)
-        assert code == 2 and out == "" and "shard" in err
-
     @pytest.mark.parametrize("sample", ["0", "-3"])
     def test_certify_sample_must_be_positive(self, capsys, sample):
         code, out, err = run(capsys, "construct", "certify", "--k", "4", "--sample", sample)

@@ -154,6 +154,33 @@ class TestCertify:
         assert certify_dicritical_composition(3).witness_failures == []
 
 
+def _random_spec(k, seed):
+    """Seeded random tournaments at every level and a seeded cycle
+    orientation."""
+    rng = random.Random(seed)
+    tournaments = {
+        level: tuple(
+            (u, v) if rng.random() < 0.5 else (v, u)
+            for u, v in itertools.combinations(range(level), 2)
+        )
+        for level in range(4, k + 1)
+    }
+    return ConstructionSpec(k=k, cycle_orientation_seed=seed, tournaments=tournaments)
+
+
+def _record_checks(monkeypatch):
+    """Every (digraph, colouring) the certifier hands to its checker."""
+    checked = []
+    real_check = constructions.check_dicolouring
+
+    def recording_check(d, colouring):
+        checked.append((d, colouring))
+        return real_check(d, colouring)
+
+    monkeypatch.setattr(constructions, "check_dicolouring", recording_check)
+    return checked
+
+
 class TestWitnessOracle:
     """Every deletion witness the certifier checks also passes the
     Kahn-peeling oracle, which shares no code with the package's cycle
@@ -163,25 +190,8 @@ class TestWitnessOracle:
         "k, seed, sample", [(4, 1, None), (4, 2, None), (4, 3, None), (5, 4, 40)]
     )
     def test_witnesses_pass_the_oracle(self, monkeypatch, k, seed, sample):
-        rng = random.Random(seed)
-        tournaments = {
-            level: tuple(
-                (u, v) if rng.random() < 0.5 else (v, u)
-                for u, v in itertools.combinations(range(level), 2)
-            )
-            for level in range(4, k + 1)
-        }
-        spec = ConstructionSpec(
-            k=k, cycle_orientation_seed=seed, tournaments=tournaments
-        )
-        checked = []
-        real_check = constructions.check_dicolouring
-
-        def recording_check(d, colouring):
-            checked.append((d, colouring))
-            return real_check(d, colouring)
-
-        monkeypatch.setattr(constructions, "check_dicolouring", recording_check)
+        spec = _random_spec(k, seed)
+        checked = _record_checks(monkeypatch)
         report = certify_dicritical_composition(k, spec, witness_sample=sample)
         assert report.ok()
 
@@ -203,3 +213,20 @@ class TestWitnessOracle:
             assert level.assumed == []
             level = level.sub_certificate
         assert level.assumed == [] and level.witnesses_checked == 30
+
+    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_references_are_composed(self, monkeypatch, k, seed):
+        # every level below the top gets one reference, checked once on its
+        # own graph: a chi-dicolouring with vertex 0 alone in colour chi
+        spec = _random_spec(k, seed)
+        checked = _record_checks(monkeypatch)
+        assert certify_dicritical_composition(k, spec, witness_sample=40).ok()
+        for chi in range(3, k):
+            g, _ = build_gk(chi, spec)
+            (reference,) = [colouring for d, colouring in checked if d == g]
+            colours = reference.colours
+            assert reference.k == chi
+            assert valid_dicolouring(Digraph(g.n, g.arcs), colours)
+            assert set(colours) == set(range(1, chi + 1))
+            assert [v for v, c in enumerate(colours) if c == chi] == [0]

@@ -238,8 +238,6 @@ class TestPhiIdentify:
         result = phi_identify(d, [0, 1, 2, 4], phi)
         x3 = result.class_vertices[2]
         assert set(result.digraph.neighbours(x3)) == set(result.class_vertices[:2])
-        with pytest.raises(DigraphError):
-            phi_identify(d, [0, 1, 2, 4], phi, require_surjective=True)
 
     def test_identification_not_3_dicolourable(self, seven_vertex_composition):
         d = seven_vertex_composition
