@@ -68,8 +68,8 @@ class CensusTable:
     witnesses: dict[int, list[CensusRecord]]
     oriented_witnesses: dict[int, list[CensusRecord]]
     # candidates: arc sets tested; dicritical: digraphs found before dedupe;
-    # nodes: budget spent inside the call.  No wall time, so sharded and
-    # unsharded tables compare equal.
+    # nodes: budget spent inside the call.  No wall time, so the tables of
+    # two runs with the same arguments compare equal.
     stats: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict:

@@ -27,7 +27,8 @@ be replaced.  The proof is in docs/decisions.md, section 6.
 
 ``check_dicolouring`` runs its own DFS over adjacency lists and shares no
 code with the solver, so every witness the solver returns is checked
-independently.
+independently.  Given an arc ``removed`` it checks D minus that arc on D
+itself: its DFS skips that arc, so no per-arc digraph is rebuilt.
 
 Budgets count decision nodes; an exhausted budget raises
 :class:`~dicrit.budget.BudgetExceeded` rather than returning a silent "no".
@@ -66,8 +67,12 @@ class Colouring:
         return {"k": self.k, "colours": list(self.colours)}
 
 
-def _find_monochromatic_cycle(d: Digraph, colours: tuple[int, ...]) -> list[int] | None:
-    """A directed cycle inside one colour class, as a vertex list, or None."""
+def _find_monochromatic_cycle(
+    d: Digraph, colours: tuple[int, ...], removed: tuple[int, int] | None
+) -> list[int] | None:
+    """A directed cycle of D - removed inside one colour class, as a vertex
+    list, or None."""
+    tail, head = removed if removed is not None else (-1, -1)
     state = [0] * d.n  # 0 unvisited, 1 on stack, 2 done
     for root in d.vertices():
         if state[root]:
@@ -81,7 +86,7 @@ def _find_monochromatic_cycle(d: Digraph, colours: tuple[int, ...]) -> list[int]
             v, it = stack[-1]
             advanced = False
             for u in it:
-                if colours[u] != c:
+                if colours[u] != c or (v == tail and u == head):
                     continue
                 if state[u] == 1:
                     return path[path.index(u):]
@@ -98,13 +103,17 @@ def _find_monochromatic_cycle(d: Digraph, colours: tuple[int, ...]) -> list[int]
     return None
 
 
-def check_dicolouring(d: Digraph, colouring: Colouring) -> tuple[bool, list[int] | None]:
-    """True iff every colour class is acyclic; else a monochromatic cycle."""
+def check_dicolouring(
+    d: Digraph, colouring: Colouring, removed: tuple[int, int] | None = None
+) -> tuple[bool, list[int] | None]:
+    """True iff every colour class of D - removed is acyclic; else a
+    monochromatic cycle.  The verdict and the cycle are those on the digraph
+    rebuilt without ``removed``; an arc not in D removes nothing."""
     if len(colouring.colours) != d.n:
         raise ColouringError(
             f"assignment covers {len(colouring.colours)} vertices, digraph has {d.n}"
         )
-    cycle = _find_monochromatic_cycle(d, colouring.colours)
+    cycle = _find_monochromatic_cycle(d, colouring.colours, removed)
     return (cycle is None), cycle
 
 
@@ -599,7 +608,6 @@ def is_k_dicritical(
     fresh: list[tuple[Colouring, int, int, int]] = []
     for arc in d.sorted_arcs():
         u, v = arc
-        minus = d.without_arcs([arc])
         w = next(
             (old for old, x, y, cls in reversed(fresh) if _reuse_fits(out, cls, x, y, u, v)),
             None,
@@ -622,7 +630,7 @@ def is_k_dicritical(
             w = Colouring(k - 1, found)
             cls = sum(1 << x for x, c in enumerate(found) if c == found[u])
             fresh.append((w, u, v, cls))
-        ok, _ = check_dicolouring(minus, w)
+        ok, _ = check_dicolouring(d, w, arc)
         if not ok:  # pragma: no cover - the search and the screen are exact
             raise AssertionError(f"witness for arc {arc} fails check_dicolouring")
         witnesses[arc] = w

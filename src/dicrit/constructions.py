@@ -340,14 +340,13 @@ def _gamma(sub: _Level, t: int) -> tuple[int, ...]:
 
 
 def _certify_level(
-    k: int,
-    spec: ConstructionSpec,
+    d: Digraph,
+    layout: Layout,
     budget: Budget,
     witness_sample: int | None,
     rng: random.Random,
 ) -> _Level:
-    if k == 3:
-        d, layout = build_g3(spec.n0, spec.cycle_orientation_seed)
+    if isinstance(layout, G3Layout):
         crit = is_k_dicritical(d, 3, budget)
         report = CertificateReport(
             k=3,
@@ -362,13 +361,12 @@ def _certify_level(
         )
         return _Level(d, layout, report, witnesses=crit.witnesses)
 
-    sub = _certify_level(k - 1, spec, budget, witness_sample, rng)
+    k = layout.k
+    sub = _certify_level(layout.sub_digraph, layout.sub_layout, budget, witness_sample, rng)
     sub.reference = _gamma(sub, 0)
     ok, cycle = check_dicolouring(sub.digraph, Colouring(sub.chi, sub.reference))
     if not ok:
         raise AssertionError(f"reference colouring invalid: {cycle}")
-    d, layout = build_gk(k, spec)
-    assert isinstance(layout, GkLayout)
 
     # Structural premises of the pigeonhole lower bound: a complete
     # tournament, and complete wiring from every arc head into its copy and
@@ -402,7 +400,7 @@ def _certify_level(
         report.sampled = True
     for arc in arcs:
         witness = _deletion_witness(level, arc)
-        valid, _ = check_dicolouring(d.without_arcs([arc]), witness)
+        valid, _ = check_dicolouring(d, witness, arc)
         if valid:
             report.witnesses_checked += 1
         else:
@@ -431,8 +429,6 @@ def certify_dicritical_composition(
         raise DigraphError(
             f"witness_sample must be at least 1, got {witness_sample}"
         )
-    if spec is None:
-        spec = ConstructionSpec(k=k)
+    d, layout = build_gk(k, spec or ConstructionSpec(k=k))
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "construction certificate")
-    rng = random.Random(seed)
-    return _certify_level(k, spec, budget, witness_sample, rng).report
+    return _certify_level(d, layout, budget, witness_sample, random.Random(seed)).report

@@ -134,20 +134,7 @@ class Digraph:
         return Digraph(self.n, set(self.arcs) | set(extra))
 
     def without_arcs(self, removed: Iterable[tuple[int, int]]) -> "Digraph":
-        # Deleting arcs keeps a valid digraph valid, so only the adjacency
-        # rows that lose an arc are rebuilt and nothing is re-validated.
-        gone = self.arcs.intersection(removed)
-        out, inn = list(self._out), list(self._in)
-        for u in {u for u, _ in gone}:
-            out[u] = tuple(w for w in out[u] if (u, w) not in gone)
-        for v in {v for _, v in gone}:
-            inn[v] = tuple(w for w in inn[v] if (w, v) not in gone)
-        d = object.__new__(Digraph)
-        d.n = self.n
-        d.arcs = self.arcs - gone
-        d._out, d._in = tuple(out), tuple(inn)
-        d._hash = hash((d.n, d.arcs))
-        return d
+        return Digraph(self.n, self.arcs.difference(removed))
 
     def without_digon(self, u: int, v: int) -> "Digraph":
         if not self.has_digon(u, v):

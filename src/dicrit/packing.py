@@ -101,25 +101,26 @@ def max_packing(d: Digraph, budget: Budget | int | None = None) -> Packing:
         return value + free_now // 2 + surplus
 
     def search(i: int, value: int) -> None:
+        # Taking item i recurses; skipping it moves on in the loop, so the
+        # depth is the number of items taken, at most n/2.
         nonlocal best_value, best_items, free
         if value > best_value:
             best_value = value
             best_items = list(chosen)
-        if i == len(items) or bound(i, value, free) <= best_value:
-            return
-        budget.spend()
-        item = items[i]
-        if all(not used[v] for v in item):
-            for v in item:
-                used[v] = True
-            free -= len(item)
-            chosen.append(i)
-            search(i + 1, value + values[i])
-            chosen.pop()
-            free += len(item)
-            for v in item:
-                used[v] = False
-        search(i + 1, value)
+        while i < len(items) and bound(i, value, free) > best_value:
+            budget.spend()
+            item = items[i]
+            if all(not used[v] for v in item):
+                for v in item:
+                    used[v] = True
+                free -= len(item)
+                chosen.append(i)
+                search(i + 1, value + values[i])
+                chosen.pop()
+                free += len(item)
+                for v in item:
+                    used[v] = False
+            i += 1
 
     optimal = True
     try:

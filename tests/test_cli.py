@@ -75,6 +75,14 @@ class TestSubcommands:
         code, out, _ = run(capsys, "packing", k4_file)
         assert code == 0 and "T(D) = 2" in out
 
+    def test_packing_out_of_budget_is_3(self, capsys, tmp_path):
+        # K20 has 1,330 packing items; the search must run out of budget,
+        # not out of stack
+        path = tmp_path / "k20.dg"
+        path.write_text(serialize(bidirected_complete(20)))
+        code, out, _ = run(capsys, "packing", str(path), "--budget", "5000")
+        assert code == 3 and "T(D) = 13 (NOT optimal)" in out
+
     def test_ore_gen_check_roundtrip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "ore", "gen", "--n", "10", "--seed", "5")
         assert code == 0

@@ -63,6 +63,22 @@ class TestCheckDicolouring:
         with pytest.raises(ColouringError):
             check_dicolouring(c3, Colouring(2, (1, 1)))
 
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_removed_arc_matches_the_rebuilt_digraph(self, data):
+        # verdict and cycle equal those on D - arc built anew, whether or
+        # not D has the arc
+        d = data.draw(digraphs().filter(lambda g: g.n > 1))
+        arc = data.draw(st.sampled_from(
+            [(u, v) for u in range(d.n) for v in range(d.n) if u != v]
+        ))
+        k = data.draw(st.integers(1, 3))
+        colouring = Colouring(k, tuple(data.draw(
+            st.lists(st.integers(1, k), min_size=d.n, max_size=d.n)
+        )))
+        rebuilt = Digraph(d.n, d.arcs - {arc})
+        assert check_dicolouring(d, colouring, arc) == check_dicolouring(rebuilt, colouring)
+
     @pytest.mark.parametrize("colours", [(0, 1, 2), (1, 3, 2)])
     def test_colour_out_of_range_rejected(self, colours):
         with pytest.raises(ColouringError, match="colours must lie in 1..k"):

@@ -148,6 +148,23 @@ class TestCertify:
             assert level.assumed == [] and level.witness_failures == []
             level = level.sub_certificate
 
+    def test_builds_the_construction_once(self, monkeypatch):
+        # every level certifies the sub-digraph its parent's layout holds
+        calls = []
+        real_build = constructions.build_g3
+
+        def counting_build(*args):
+            calls.append(args)
+            return real_build(*args)
+
+        monkeypatch.setattr(constructions, "build_g3", counting_build)
+        assert certify_dicritical_composition(5, witness_sample=40, seed=2).ok()
+        assert len(calls) == 1
+
+    def test_level_below_3_is_rejected(self):
+        with pytest.raises(DigraphError, match="constructions start at k = 3"):
+            certify_dicritical_composition(2, ConstructionSpec(k=4))
+
     def test_g3_is_3_dicritical_end_to_end(self):
         g, _ = build_g3(1)
         assert dichromatic_number(g) == 3
@@ -169,13 +186,18 @@ def _random_spec(k, seed):
 
 
 def _record_checks(monkeypatch):
-    """Every (digraph, colouring) the certifier hands to its checker."""
+    """Every (digraph, colouring) the certifier hands to its checker; a
+    check of D minus an arc is recorded with that digraph rebuilt."""
     checked = []
     real_check = constructions.check_dicolouring
 
-    def recording_check(d, colouring):
-        checked.append((d, colouring))
-        return real_check(d, colouring)
+    def recording_check(d, colouring, removed=None):
+        if removed is None:
+            checked.append((d, colouring))
+        else:
+            assert d.has_arc(*removed)
+            checked.append((Digraph(d.n, d.arcs - {removed}), colouring))
+        return real_check(d, colouring, removed)
 
     monkeypatch.setattr(constructions, "check_dicolouring", recording_check)
     return checked

@@ -36,6 +36,14 @@ class TestMaxPacking:
         assert not p.optimal
         assert verify_packing(k6, p)
 
+    def test_many_items_stay_shallow(self):
+        # 1,140 triangles and 190 digons: skipping an item must not cost a
+        # stack frame, or the search overflows the recursion limit
+        k20 = bidirected_complete(20)
+        p = max_packing(k20, Budget(5_000))
+        assert p.value == 13 and not p.optimal
+        assert verify_packing(k20, p)
+
     def test_tampered_packing_fails_verification(self, k4):
         assert not verify_packing(k4, Packing((), ((0, 1, 2), (0, 2, 3))))
 
