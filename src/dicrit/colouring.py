@@ -1,18 +1,26 @@
 """Exact dicolouring: decision, dichromatic number, dicriticality.
 
 A k-dicolouring assigns each vertex a colour in 1..k so that every colour
-class induces an acyclic subdigraph.  The solver backtracks over vertices
-in a connectivity order (a vertex of highest degree first, then always the
+class induces an acyclic subdigraph.  The solver searches over vertices in
+a connectivity order (a vertex of highest degree first, then always the
 vertex with the most neighbours already placed; ties by degree, then id),
 trying colours lowest first, and rejects an assignment as soon as it closes
 a directed cycle inside one colour class.  That test runs on Python-int
 bitsets: one per colour class, and the out- and in-neighbourhood of each
 vertex.  Symmetry is broken by allowing colour j+1 only once colour j has
 appeared, which in particular pins the first branching vertex to colour 1.
-Runs are deterministic and reproducible.  The kernel, ``_assignments``,
-makes no call per node: the cycle test and the node count are inline, and
-the count reaches the budget whenever the kernel yields, finishes or runs
-out.
+Runs are deterministic and reproducible.
+
+The kernel, ``_assignments``, runs on the digraph relabelled once per
+question so that vertex i is the i-th in the order (``_branching``).  On a
+dead end it jumps back by conflict-directed backjumping: each depth keeps
+the bitset of earlier depths that ruled out its colours, and the search
+resumes at the deepest of them, skipping only subtrees that hold no
+solution.  It therefore yields the same assignments in the same order as
+chronological backtracking, from a subset of its nodes (docs/decisions.md,
+section 8).  It makes no call per node: the cycle test, the conflict sets
+and the node count are inline, and the count reaches the budget whenever
+the kernel yields, finishes or runs out.
 
 Whether D is c-dicolourable at all, without a witness, is decided for
 ``is_k_dicritical`` (its step "D is not (k-1)-dicolourable") and for
@@ -37,7 +45,7 @@ Budgets count decision nodes; an exhausted budget raises
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .budget import Budget, BudgetExceeded, DEFAULT_SOLVER_NODES, ensure_budget
 from .digraph import Digraph, bits, serialize, two_cut_sides
@@ -126,35 +134,53 @@ def _masks(d: Digraph) -> tuple[list[int], list[int]]:
     return out, inn
 
 
-def _search_order(out: list[int], inn: list[int]) -> list[int]:
-    """Connectivity order: a vertex of highest degree first, then always the
-    vertex with the most neighbours already placed (ties by degree, then id).
+def _branching(
+    out: list[int], inn: list[int], arcs: Iterable[tuple[int, int]]
+) -> tuple[list[int], list[int], list[int]]:
+    """The digraph with out- and in-bitsets ``out``/``inn`` and arc list
+    ``arcs`` relabelled into its connectivity order, for the kernel.
 
-    Each vertex carries one integer score; placing a vertex adds ``step`` to
-    the score of each neighbour, and ``step`` exceeds every degree-and-id key,
-    so the placed-neighbour count always dominates the tie-breaks.
+    The order puts a vertex of highest degree first, then always the vertex
+    with the most neighbours already placed (ties by degree, then id).  Each
+    vertex carries one integer score, written in base n with its id as the
+    last digit, so ``max`` picks the vertex as well as the score; placing a
+    vertex adds ``step`` to the score of each neighbour not yet placed, and
+    ``step`` exceeds every degree-and-id key, so the placed-neighbour count
+    always dominates the tie-breaks.  A placed vertex's score drops to -1.
+
+    Returns ``position``, where ``position[v]`` is the depth of vertex v,
+    and the out- and in-bitsets with depth i as vertex i, both built in one
+    pass over ``arcs``: on the census's digraphs of at most 5 vertices that
+    is cheaper than walking the bits of ``out``.
     """
     n = len(out)
-    score = [(out[v].bit_count() + inn[v].bit_count()) * n + n - 1 - v for v in range(n)]
-    step = 2 * n * n
-    order: list[int] = []
-    left = set(range(n))
-    while left:
-        v = max(left, key=score.__getitem__)
-        left.remove(v)
-        order.append(v)
-        neighbours = out[v] | inn[v]
-        while neighbours:
-            low = neighbours & -neighbours
+    score = [
+        ((out[v].bit_count() + inn[v].bit_count()) * n + n - 1 - v) * n + v for v in range(n)
+    ]
+    step = 2 * n * n * n
+    position = [0] * n
+    placed = 0
+    for i in range(n):
+        v = max(score) % n
+        score[v] = -1
+        position[v] = i
+        placed |= 1 << v
+        ahead = (out[v] | inn[v]) & ~placed
+        while ahead:
+            low = ahead & -ahead
             score[low.bit_length() - 1] += step
-            neighbours ^= low
-    return order
+            ahead ^= low
+    ordered_out, ordered_inn = [0] * n, [0] * n
+    for u, v in arcs:
+        i, j = position[u], position[v]
+        ordered_out[i] |= 1 << j
+        ordered_inn[j] |= 1 << i
+    return position, ordered_out, ordered_inn
 
 
 def _assignments(
     out: list[int],
     inn: list[int],
-    order: list[int],
     k: int,
     budget: Budget,
     symmetry: bool,
@@ -162,9 +188,20 @@ def _assignments(
 ) -> Iterator[tuple[int, ...]]:
     """Yield every valid k-dicolouring assignment (backtracking core).
 
-    ``out``/``inn`` are the bitset adjacency of the digraph, ``order`` the
-    branching order.  ``pin = (a, b)``, with a placed before b, restricts the
-    search to assignments with c(a) = c(b): b gets a's colour and no other.
+    ``out``/``inn`` are the bitset adjacency of the digraph, labelled in
+    branching order: depth i colours vertex i.  ``pin = (a, b)``, a < b,
+    restricts the search to assignments with c(a) = c(b): b gets a's colour
+    and no other.
+
+    Dead ends jump back by conflict-directed backjumping.  Each depth keeps
+    a conflict bitset of earlier depths: the ``seen`` set of every colour
+    the cycle test rejected (it holds the monochromatic path), the anchor
+    at the pinned depth, every earlier depth where symmetry cut the colour
+    range, and every earlier depth at every depth once an assignment has
+    been yielded.  A dead end resumes the deepest depth in its set and
+    merges the rest of the set into that depth's.  Only subtrees without a
+    solution are skipped, so the assignments and their order are those of
+    the chronological search (docs/decisions.md, section 8).
 
     Each colour tried is one node.  The count lives in a local and reaches
     ``budget.used`` before every yield, on exhaustion and before
@@ -172,46 +209,53 @@ def _assignments(
     leaves it); it is read back after every yield, since the caller may
     spend from the same budget in between.
     """
-    n = len(order)
+    n = len(out)
     colour = [0] * n
-    members = [0] * (k + 1)  # members[c]: bitset of the vertices coloured c
+    members = [0] * (k + 1)  # members[c]: bitset of the depths above coloured c
+    conflict = [0] * n
     anchor, pinned = pin if pin is not None else (-1, -1)
-    # Depth i holds order[i]; held[i] is its current colour (0: none yet)
-    # and top[i] the highest colour among order[:i].
-    held = [0] * n
-    top = [0] * (n + 1)
+    # top[i] is the highest colour among depths 0..i-1; without symmetry
+    # breaking it starts at k, so no colour range is ever cut.
+    top = [0 if symmetry else k] * (n + 1)
+    cut = k - 1
     limit, used = budget.limit, budget.used
-    i = 0
-    while i >= 0:
+    i = c = 0  # c: the colour depth i resumes after, 0 on arrival from above
+    while True:
         if i == n:
             budget.used = used
             yield tuple(colour)
             used = budget.used
-            i -= 1
-            continue
-        v = order[i]
-        c = held[i]
-        if c:
-            members[c] &= ~(1 << v)
-        if v == pinned:
-            c, last = max(c, colour[anchor] - 1), colour[anchor]
+            # From here on every depth conflicts with every depth above it.
+            conflict = [(1 << j) - 1 for j in range(n)]
+            i = n - 1
+            c = colour[i]
+            members[c] ^= 1 << i
+        t = top[i]
+        if i == pinned:
+            last = colour[anchor]
+            if c:
+                why = conflict[i]
+            else:
+                c, why = last - 1, 1 << anchor
+        elif t < cut:
+            last, why = t + 1, (1 << i) - 1
         else:
-            last = k if not symmetry or top[i] >= k else top[i] + 1
-        out_v, inn_v = out[v], inn[v]
+            last, why = k, conflict[i] if c else 0
+        out_i, inn_i = out[i], inn[i]
         while c < last:
             c += 1
             used += 1
             if used > limit:
                 budget.used = used
                 raise BudgetExceeded(budget.what, limit)
-            # A cycle through v inside the class is a path from an
-            # out-neighbour of v to an in-neighbour of v; none exists unless
-            # v has both.
+            # A cycle through i inside the class is a path from an
+            # out-neighbour of i to an in-neighbour of i; none exists unless
+            # i has both.
             cls = members[c]
-            targets = inn_v & cls
+            targets = inn_i & cls
             if not targets:
                 break
-            frontier = seen = out_v & cls
+            frontier = seen = out_i & cls
             while frontier:
                 if frontier & targets:
                     break
@@ -222,21 +266,34 @@ def _assignments(
                 frontier |= fresh
             else:
                 break
+            why |= seen
         else:
-            held[i] = colour[v] = 0
-            i -= 1
+            # Dead end: resume the deepest depth in conflict and hand it the
+            # rest of the set.  With none, no solution is left.
+            if not why:
+                break
+            h = why.bit_length() - 1
+            conflict[h] |= why ^ (1 << h)
+            while i > h:
+                i -= 1
+                members[colour[i]] ^= 1 << i
+            c = colour[h]
             continue
-        held[i] = colour[v] = c
-        members[c] |= 1 << v
-        top[i + 1] = c if c > top[i] else top[i]
+        conflict[i] = why
+        colour[i] = c
+        members[c] |= 1 << i
+        top[i + 1] = c if c > t else t
         i += 1
+        c = 0
     budget.used = used
 
 
 def _solve(d: Digraph, k: int, budget: Budget, symmetry: bool) -> Iterator[tuple[int, ...]]:
-    """``_assignments`` on ``d`` in its connectivity order."""
-    out, inn = _masks(d)
-    return _assignments(out, inn, _search_order(out, inn), k, budget, symmetry)
+    """``_assignments`` on ``d`` in its connectivity order, each assignment
+    mapped back to d's labels."""
+    position, out, inn = _branching(*_masks(d), d.arcs)
+    for found in _assignments(out, inn, k, budget, symmetry):
+        yield tuple(map(found.__getitem__, position))
 
 
 # -- deciding dicolourability by 2-separator reduction -------------------------
@@ -248,10 +305,11 @@ _BASE_SIZE = 9
 #: The plain search for c colours on n vertices gets this many times c n^2
 #: nodes before the reduction takes over.  Measured on the crit-ore corpus
 #: (seed 1), one reduction takes as long as the plain search spends on a
-#: median 3.2-4.0 n^2 nodes for G3 inputs (c = 2) and 5.0-6.4 n^2 for 4-Ore
-#: inputs and their near misses (c = 3).  Trying the search first for that
-#: long costs at most about twice the cheaper of the two routes, and keeps
-#: inputs the search settles quickly (most near misses, 4-Ore up to n = 19)
+#: median 3.3-4.7 n^2 nodes for G3 inputs (c = 2) and 7.0-8.3 n^2 for 4-Ore
+#: inputs and their near misses (c = 3), by input kind.  Trying the search
+#: first for that long costs at most about twice the cheaper of the two
+#: routes, and keeps inputs the search settles quickly (every 4-Ore input
+#: and near miss there, up to n = 25, and all but 4 of the 72 g3-2 inputs)
 #: off the reduction, which costs them several times as much.
 _PLAIN_NODES_PER_CN2 = 2
 
@@ -409,29 +467,34 @@ def _colourable(out: list[int], c: int, budget: Budget, stats: RefutationStats) 
         for u, v, gadget in gadgets:
             _attach(out, index[u], index[v], gadget, c)
     stats.piece_solves += 1
-    inn = _in_masks(out)
-    return next(_assignments(out, inn, _search_order(out, inn), c, budget, True), None) is not None
+    arcs = [(u, v) for u, targets in enumerate(out) for v in bits(targets)]
+    _, ordered_out, ordered_inn = _branching(out, _in_masks(out), arcs)
+    return next(_assignments(ordered_out, ordered_inn, c, budget, True), None) is not None
 
 
 def _decide(
-    out: list[int], inn: list[int], order: list[int], c: int,
+    out: list[int], ordered_out: list[int], ordered_inn: list[int], c: int,
     budget: Budget, stats: RefutationStats,
 ) -> bool:
-    """Is the digraph c-dicolourable?  The plain search in ``order`` runs
-    first, with an allowance of ``_PLAIN_NODES_PER_CN2`` c n^2 nodes; only if
-    that runs out does the 2-separator reduction decide.  Every node is
-    charged to ``budget``."""
+    """Is the digraph with out-bitsets ``out`` c-dicolourable?  The plain
+    search on the same digraph in branching order (``ordered_out`` and
+    ``ordered_inn``, from ``_branching``) runs first, with an allowance of
+    ``_PLAIN_NODES_PER_CN2`` c n^2 nodes; only if that runs out does the
+    2-separator reduction decide, on ``out``.  Every node is charged to
+    ``budget``."""
     n = len(out)
     before = budget.used
     if n <= _BASE_SIZE:
-        found = next(_assignments(out, inn, order, c, budget, True), None)
+        found = next(_assignments(ordered_out, ordered_inn, c, budget, True), None)
         stats.plain_nodes += budget.used - before
         return found is not None
     allowance = Budget(
         max(1, min(_PLAIN_NODES_PER_CN2 * c * n * n, budget.remaining())), budget.what
     )
     try:
-        found = next(_assignments(out, inn, order, c, allowance, True), None) is not None
+        found = next(
+            _assignments(ordered_out, ordered_inn, c, allowance, True), None
+        ) is not None
     except BudgetExceeded:
         found = None
     # This raises when it was the caller's limit, not the allowance, that ran out.
@@ -475,10 +538,10 @@ def dichromatic_number(d: Digraph, budget: Budget | int | None = None) -> int:
     refutation step of :func:`is_k_dicritical`."""
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "dichromatic number")
     out, inn = _masks(d)
-    order = _search_order(out, inn)
+    _, ordered_out, ordered_inn = _branching(out, inn, d.arcs)
     stats = RefutationStats()
     for k in range(1, d.n + 1):
-        if _decide(out, inn, order, k, budget, stats):
+        if _decide(out, ordered_out, ordered_inn, k, budget, stats):
             return k
     raise AssertionError("n colours always suffice")  # pragma: no cover
 
@@ -526,7 +589,8 @@ class CriticalityReport:
 
 def _reuse_fits(out: list[int], cls: int, x: int, y: int, u: int, v: int) -> bool:
     """Does the witness found for D - xy, whose class of x is the bitset
-    ``cls``, also dicolour D - uv?  ``out`` holds D's out-bitsets.  Valid
+    ``cls``, also dicolour D - uv?  ``out`` holds D's out-bitsets, in any
+    labelling that ``cls`` and the four vertices share.  Valid
     when D is not dicoloured by the witness: then every monochromatic cycle
     of D runs through xy, so for uv != xy the answer is yes iff u and v lie
     in ``cls`` and D[cls] - uv has no y->x path (docs/decisions.md,
@@ -565,7 +629,9 @@ def is_k_dicritical(
     The first step needs no witness: the plain search, then, if it runs
     long, the 2-separator reduction decides it (see the module docstring).
 
-    Every search runs in one connectivity order computed for D.  Once D is
+    Every search runs in one connectivity order computed for D, on D
+    relabelled into it once; each fresh witness is mapped back to D's
+    labels, and the screen below runs in the relabelled digraph.  Once D is
     known not to be (k-1)-dicolourable, the search for D - uv only tries
     colourings with c(u) = c(v), which loses nothing: a (k-1)-dicolouring c
     of D - uv with c(u) != c(v) would also dicolour D, because every cycle
@@ -584,50 +650,44 @@ def is_k_dicritical(
         raise ColouringError("dicriticality is only checked for k >= 2")
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "dicriticality check")
     start = budget.used
-    if d.n > 1:
+    out, inn = _masks(d)
+    if d.n > 1 and 0 in map(int.__or__, out, inn):
         for v in d.vertices():
-            if d.degree(v) == 0:
+            if not out[v] | inn[v]:
                 return CriticalityReport(
                     d, k, False, {},
                     failure_reason=f"vertex {v} is isolated, so D-{v} is a proper "
                     f"subdigraph with the same dichromatic number",
                 )
-    out, inn = _masks(d)
-    order = _search_order(out, inn)
+    position, ordered_out, ordered_inn = _branching(out, inn, d.arcs)
     refutation = RefutationStats()
-    if _decide(out, inn, order, k - 1, budget, refutation):
+    if _decide(out, ordered_out, ordered_inn, k - 1, budget, refutation):
         return CriticalityReport(
             d, k, False, {}, failure_reason=f"digraph is {k - 1}-dicolourable",
             nodes=budget.used - start, refutation=refutation,
         )
-    position = [0] * d.n
-    for i, v in enumerate(order):
-        position[v] = i
     witnesses: dict[tuple[int, int], Colouring] = {}
-    # Each fresh witness with the arc xy it was found for and x's colour class.
+    # Each fresh witness with the arc xy it was found for and x's colour
+    # class; the arc and the class are in branching order.
     fresh: list[tuple[Colouring, int, int, int]] = []
     for arc in d.sorted_arcs():
-        u, v = arc
-        w = next(
-            (old for old, x, y, cls in reversed(fresh) if _reuse_fits(out, cls, x, y, u, v)),
-            None,
-        )
-        if w is None:
-            out_minus, inn_minus = out.copy(), inn.copy()
+        u, v = position[arc[0]], position[arc[1]]
+        for w, x, y, cls in reversed(fresh):
+            if _reuse_fits(ordered_out, cls, x, y, u, v):
+                break
+        else:
+            out_minus, inn_minus = ordered_out.copy(), ordered_inn.copy()
             out_minus[u] &= ~(1 << v)
             inn_minus[v] &= ~(1 << u)
-            pin = (u, v) if position[u] < position[v] else (v, u)
-            found = next(
-                _assignments(out_minus, inn_minus, order, k - 1, budget, True, pin=pin),
-                None,
-            )
+            pin = (u, v) if u < v else (v, u)
+            found = next(_assignments(out_minus, inn_minus, k - 1, budget, True, pin), None)
             if found is None:
                 return CriticalityReport(
                     d, k, False, witnesses, failure_arc=arc,
                     failure_reason=f"deleting arc {arc} keeps the dichromatic number at {k}",
                     nodes=budget.used - start, solved=len(fresh), refutation=refutation,
                 )
-            w = Colouring(k - 1, found)
+            w = Colouring(k - 1, tuple(map(found.__getitem__, position)))
             cls = sum(1 << x for x, c in enumerate(found) if c == found[u])
             fresh.append((w, u, v, cls))
         ok, _ = check_dicolouring(d, w, arc)

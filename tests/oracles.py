@@ -236,9 +236,10 @@ def oracle_assignments(
     branching order.  ``pin = (a, b)``, with a placed before b, restricts the
     search to assignments with c(a) = c(b): b gets a's colour and no other.
 
-    The dicolouring kernel as first written, kept as the reference for the
-    assignments yielded and the nodes spent: it tests cycles in a closure
-    and calls ``budget.spend()`` once per node.
+    The dicolouring kernel as first written, kept as the chronological
+    reference: the backjumping kernel must yield the same assignments in the
+    same order from no more nodes.  It tests cycles in a closure, calls
+    ``budget.spend()`` once per node and always backtracks one depth.
     """
     n = len(order)
     colour = [0] * n

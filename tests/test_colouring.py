@@ -9,11 +9,11 @@ from dicrit import colouring
 from dicrit.budget import Budget, BudgetExceeded
 from dicrit.colouring import (
     _assignments,
+    _branching,
     _colourable,
     _decide,
     _masks,
     _reuse_fits,
-    _search_order,
     Colouring,
     ColouringError,
     RefutationStats,
@@ -259,10 +259,11 @@ class TestPinnedSearch:
         if d.n < 2:
             return
         u, v = data.draw(st.lists(st.integers(0, d.n - 1), min_size=2, max_size=2, unique=True))
-        out, inn = _masks(d)
-        order = _search_order(out, inn)
-        pin = (u, v) if order.index(u) < order.index(v) else (v, u)
-        found = next(_assignments(out, inn, order, k, Budget(1_000_000), True, pin), None)
+        position, out, inn = _branching(*_masks(d), d.arcs)
+        pin = tuple(sorted((position[u], position[v])))
+        found = next(_assignments(out, inn, k, Budget(1_000_000), True, pin), None)
+        if found is not None:
+            found = tuple(map(found.__getitem__, position))
         expected = any(
             a[u] == a[v] and valid_dicolouring(d, a)
             for a in itertools.product(range(k), repeat=d.n)
@@ -272,58 +273,108 @@ class TestPinnedSearch:
             assert found[u] == found[v] and valid_dicolouring(d, found)
 
 
-def _run_kernel(kernel, d: Digraph, k: int, symmetry: bool, pin, limit: int):
-    """Everything ``kernel`` yields on ``d`` under ``Budget(limit)``, the
-    budget it used, and the message it ran out with (None if it finished)."""
-    out, inn = _masks(d)
-    budget = Budget(limit, "kernel")
+def _run(assignments, budget: Budget):
+    """Everything ``assignments`` yields, the budget it used, and the
+    message it ran out with (None if it finished)."""
     got = []
     try:
-        for assignment in kernel(out, inn, _search_order(out, inn), k, budget, symmetry, pin):
+        for assignment in assignments:
             got.append(assignment)
     except BudgetExceeded as exc:
         return got, budget.used, str(exc)
     return got, budget.used, None
 
 
+def _run_kernel(d: Digraph, k: int, symmetry: bool, pin, limit: int):
+    """``_run`` of the kernel on ``d`` relabelled into branching order under
+    ``Budget(limit)``, its assignments mapped back to d's labels."""
+    position, out, inn = _branching(*_masks(d), d.arcs)
+    if pin is not None:
+        pin = (position[pin[0]], position[pin[1]])
+    budget = Budget(limit, "kernel")
+    return _run(
+        (tuple(map(found.__getitem__, position))
+         for found in _assignments(out, inn, k, budget, symmetry, pin)),
+        budget,
+    )
+
+
+def _order(d: Digraph) -> list[int]:
+    """The vertices of ``d`` in branching order."""
+    position = _branching(*_masks(d), d.arcs)[0]
+    return sorted(d.vertices(), key=position.__getitem__)
+
+
+def _run_oracle(d: Digraph, k: int, symmetry: bool, pin, limit: int):
+    """``_run`` of the chronological reference kernel on ``d`` itself."""
+    out, inn = _masks(d)
+    budget = Budget(limit, "kernel")
+    return _run(oracle_assignments(out, inn, _order(d), k, budget, symmetry, pin), budget)
+
+
 @st.composite
-def kernel_inputs(draw):
+def kernel_inputs(draw, symmetry=None, pinned=None):
     """A digraph with n <= 7, k in 1..4, symmetry on or off, and no pin or a
-    pin (a, b) with a placed before b."""
-    d = draw(digraphs(max_n=7))
+    pin (a, b) with a placed before b; ``symmetry`` and ``pinned`` fix
+    those choices when given."""
+    d = draw(digraphs(max_n=7).filter(lambda d: d.n >= 2 or not pinned))
     k = draw(st.integers(1, 4))
-    symmetry = draw(st.booleans())
+    if symmetry is None:
+        symmetry = draw(st.booleans())
     pin = None
-    if d.n >= 2 and draw(st.booleans()):
+    if d.n >= 2 and (draw(st.booleans()) if pinned is None else pinned):
         a, b = draw(st.lists(st.integers(0, d.n - 1), min_size=2, max_size=2, unique=True))
-        order = _search_order(*_masks(d))
+        order = _order(d)
         pin = (a, b) if order.index(a) < order.index(b) else (b, a)
     return d, k, symmetry, pin
 
 
 class TestKernel:
-    """The inlined search kernel against the first kernel, kept in
-    ``tests/oracles.py``: the same assignments in the same order, and the
-    same ``Budget.used`` whether the search finishes or runs out."""
+    """The backjumping kernel against the chronological one, kept in
+    ``tests/oracles.py``: the same assignments in the same order, from no
+    more nodes, and a budget that runs out loudly part way through the
+    same list."""
+
+    # Above 4 + 4^2 + ... + 4^7, so neither kernel runs out on n <= 7, k <= 4.
+    LIMIT = 22_000
+
+    def check_complete_run(self, case):
+        d, k, symmetry, pin = case
+        got, used, message = _run_kernel(d, k, symmetry, pin, self.LIMIT)
+        expected, oracle_used, oracle_message = _run_oracle(d, k, symmetry, pin, self.LIMIT)
+        assert message is None and oracle_message is None
+        assert got == expected
+        assert used <= oracle_used
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_inputs())
     @example((bidirected_complete(4), 3, True, None))
     @example((Digraph(7, []), 4, False, (0, 1)))
     def test_matches_the_first_kernel(self, case):
-        d, k, symmetry, pin = case
-        assert _run_kernel(_assignments, d, k, symmetry, pin, 20_000) == \
-            _run_kernel(oracle_assignments, d, k, symmetry, pin, 20_000)
+        self.check_complete_run(case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_inputs(symmetry=False, pinned=True))
+    @example((directed_cycle(4), 2, False, (0, 2)))
+    def test_pinned_enumeration_without_symmetry(self, case):
+        # Every assignment is yielded, so after the first one the conflict
+        # sets that every yield fills carry the rest of the enumeration.
+        self.check_complete_run(case)
 
     @settings(max_examples=100, deadline=None)
     @given(kernel_inputs(), st.integers(1, 40))
     def test_small_limits_run_out_alike(self, case, limit):
         d, k, symmetry, pin = case
-        got = _run_kernel(_assignments, d, k, symmetry, pin, limit)
-        assert got == _run_kernel(oracle_assignments, d, k, symmetry, pin, limit)
-        if got[2] is not None:
-            assert got[1] == limit + 1
-            assert got[2] == f"kernel: node budget of {limit} exhausted"
+        got, used, message = _run_kernel(d, k, symmetry, pin, limit)
+        expected, oracle_used, _ = _run_oracle(d, k, symmetry, pin, self.LIMIT)
+        if message is None:
+            assert got == expected and used <= oracle_used
+        else:
+            assert used == limit + 1
+            assert message == f"kernel: node budget of {limit} exhausted"
+            assert got == expected[:len(got)]
+            # The kernel visits a subset of the reference's nodes.
+            assert oracle_used > limit
 
 
 class TestSharedBudget:
@@ -522,7 +573,7 @@ class TestReduction:
         out, inn = _masks(d)
         stats = RefutationStats()
         budget = Budget(61_268)
-        assert not _decide(out, inn, _search_order(out, inn), 3, budget, stats)
+        assert not _decide(out, *_branching(out, inn, d.arcs)[1:], 3, budget, stats)
         # 2 c n^2 = 60,000 nodes of plain search, then the reduction.
         assert stats.reduced and stats.plain_nodes == 60_001
         assert budget.used == stats.plain_nodes + 1_267
@@ -532,21 +583,21 @@ class TestReduction:
         out, inn = _masks(g3)
         stats = RefutationStats()
         budget = Budget(5_400)
-        assert not _decide(out, inn, _search_order(out, inn), 2, budget, stats)
+        assert not _decide(out, *_branching(out, inn, g3.arcs)[1:], 2, budget, stats)
         assert stats.reduced and stats.sides_replaced > 0
 
     def test_caller_budget_still_runs_out_loudly(self):
         g3, _ = build_g3(2)
         out, inn = _masks(g3)
-        order = _search_order(out, inn)
+        _, ordered_out, ordered_inn = _branching(out, inn, g3.arcs)
         # The caller's limit binds inside the plain search ...
         budget = Budget(500)
         with pytest.raises(BudgetExceeded):
-            _decide(out, inn, order, 2, budget, RefutationStats())
+            _decide(out, ordered_out, ordered_inn, 2, budget, RefutationStats())
         assert budget.used == 501
         # ... and inside the reduction, after the 2 c n^2 = 1,600 plain nodes.
         with pytest.raises(BudgetExceeded):
-            _decide(out, inn, order, 2, Budget(1_650), RefutationStats())
+            _decide(out, ordered_out, ordered_inn, 2, Budget(1_650), RefutationStats())
 
     def test_report_counts_the_reduction(self):
         g3, _ = build_g3(2)
@@ -565,11 +616,15 @@ class TestNodeCeilings:
     @pytest.mark.parametrize(
         "build, k, ceiling",
         [
-            (lambda: generate_4ore(25, seed=3)[0], 4, 11_267),
-            (lambda: build_g3(1)[0], 3, 1_246),
-            (lambda: build_g3(2)[0], 3, 7_490),
+            (lambda: generate_4ore(25, seed=3)[0], 4, 5_649),
+            (lambda: build_g3(1)[0], 3, 623),
+            (lambda: build_g3(2)[0], 3, 5_146),
+            (lambda: build_g3(3)[0], 3, 44_321),
+            # Labels permuted by random.Random(1).shuffle: 170,362,028 nodes
+            # under chronological backtracking.
+            (lambda: _relabelled(generate_4ore(49, seed=3)[0], 1), 4, 285_443),
         ],
-        ids=["4ore-25-seed3", "g3-1", "g3-2"],
+        ids=["4ore-25-seed3", "g3-1", "g3-2", "g3-3", "4ore-49-seed3-shuffled"],
     )
     def test_ceiling(self, build, k, ceiling):
         budget = Budget(10 * ceiling)
