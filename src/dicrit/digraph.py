@@ -19,7 +19,9 @@ Every cut and component question is answered on vertex bitsets:
 bitset per vertex, :func:`mask_components` floods it within a vertex
 bitset, and :func:`two_cut_sides` enumerates every cut of at most two
 vertices with its sides.  4-Ore recognition, D6 components, connectivity
-and the dicolouring reduction all use these three.
+and the dicolouring reduction all use these three.  :func:`digon_masks`
+gives the digon graph the same way; the packing layer and the diamond
+detector read their digon cliques off it.
 """
 
 from __future__ import annotations
@@ -378,6 +380,16 @@ def underlying_masks(d: Digraph) -> list[int]:
     for u, v in d.arcs:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    return adj
+
+
+def digon_masks(d: Digraph) -> list[int]:
+    """The digon graph as one neighbourhood bitset per vertex: bit v of
+    entry u is set when uv and vu are both arcs."""
+    adj = [0] * d.n
+    for u, v in d.arcs:
+        if (v, u) in d.arcs:
+            adj[u] |= 1 << v
     return adj
 
 

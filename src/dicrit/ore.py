@@ -27,6 +27,7 @@ from .digraph import (
     DigraphError,
     bidirected_complete,
     bits,
+    digon_masks,
     induced,
     boundary,
     two_cut_sides,
@@ -393,15 +394,12 @@ def find_diamonds(d: Digraph) -> list[tuple[int, int, int, int]]:
     """Induced bidirected-K4-minus-a-digon subdigraphs whose two vertices
     off the missing digon have degree 6 in the host, as sorted quads in
     lexicographic order.  Exhaustive."""
+    digon = digon_masks(d)
     out = []
     for a, b in d.digons():
         if d.degree(a) != 6 or d.degree(b) != 6:
             continue
-        common = (
-            set(d.out_neighbours(a)) & set(d.in_neighbours(a))
-            & set(d.out_neighbours(b)) & set(d.in_neighbours(b))
-        )
-        for u, v in itertools.combinations(sorted(common), 2):
+        for u, v in itertools.combinations(bits(digon[a] & digon[b]), 2):
             if not d.has_arc(u, v) and not d.has_arc(v, u):
                 out.append(tuple(sorted((a, b, u, v))))
     return sorted(out)
@@ -449,6 +447,8 @@ def split_vertex(
     ``out_parts = (O1, O2)`` must partition N+(v) and ``in_parts = (I1, I2)``
     must partition N-(v); empty parts are allowed.  Returns (D', v1, v2).
     """
+    if not 0 <= v < d.n:
+        raise DigraphError(f"vertex {v} out of range")
     o1, o2 = set(out_parts[0]), set(out_parts[1])
     i1, i2 = set(in_parts[0]), set(in_parts[1])
     if o1 & o2 or (o1 | o2) != set(d.out_neighbours(v)):

@@ -2,20 +2,20 @@
 
 The packing value is d + 2t for d digons and t bidirected triangles; its
 maximum over all packings is the quantity every potential computation
-needs.  The search is branch and bound over the candidate items (triangles
-enumerated first, then digons, both in lexicographic order) with an
-admissible optimistic bound, so the result is exhaustively optimal unless
-the node budget runs out, in which case the best packing found so far is
-returned flagged non-optimal.
+needs.  Every item is a clique of the digon graph, so triangles are read
+off :func:`~dicrit.digraph.digon_masks`.  The search is branch and bound
+over the items as vertex bitsets (triangles first, then digons, both in
+lexicographic order) with an admissible optimistic bound, so the result is
+exhaustively optimal unless the node budget runs out, in which case the
+best packing found so far is returned flagged non-optimal.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .budget import Budget, DEFAULT_PACKING_NODES, BudgetExceeded, ensure_budget
-from .digraph import Digraph
+from .digraph import Digraph, bits, digon_masks
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,6 @@ class Packing:
     @property
     def value(self) -> int:
         return len(self.digon_items) + 2 * len(self.triangle_items)
-
-    def vertices(self) -> frozenset[int]:
-        used: set[int] = set()
-        for item in self.digon_items + self.triangle_items:
-            used.update(item)
-        return frozenset(used)
 
     def to_json(self) -> dict:
         return {
@@ -65,74 +59,67 @@ def verify_packing(d: Digraph, packing: Packing) -> bool:
 
 def bidirected_triangles(d: Digraph) -> list[tuple[int, int, int]]:
     """All vertex triples inducing a bidirected triangle, lexicographic."""
-    digon_nbrs: list[list[int]] = [[] for _ in range(d.n)]
-    for u, v in d.digons():
-        digon_nbrs[u].append(v)
-        digon_nbrs[v].append(u)
+    digon = digon_masks(d)
     out = []
     for a in d.vertices():
-        nbrs = [b for b in digon_nbrs[a] if b > a]
-        for b, c in itertools.combinations(sorted(nbrs), 2):
-            if d.has_digon(b, c):
+        later = digon[a] & ~((2 << a) - 1)  # digon neighbours above a
+        for b in bits(later):
+            for c in bits(later & digon[b] & ~((2 << b) - 1)):
                 out.append((a, b, c))
     return out
+
+
+def _search(
+    masks: list[int],
+    n_triangles: int,
+    budget: Budget,
+    best: list,
+    i: int,
+    value: int,
+    used: int,
+    free: int,
+    chosen: tuple[int, ...],
+) -> None:
+    """Branch on items ``i..``: the first ``n_triangles`` are triangles
+    worth 2, the rest digons worth 1, so an item covers its worth plus one
+    vertices.  ``used`` is the bitset of covered vertices and ``free`` the
+    number left; ``best`` holds the incumbent value and item indices, so it
+    survives :class:`BudgetExceeded`."""
+    if value > best[0]:
+        best[:] = value, chosen
+    # Taking item i recurses; skipping it moves on in the loop, so the
+    # depth is the number of items taken, at most n/2.  The bound: digons
+    # collect at most floor(free/2); each still-available triangle can
+    # beat that rate by one, hence the surplus term.  Admissible.
+    while i < len(masks) and (
+        value + free // 2 + min(max(0, n_triangles - i), free // 3) > best[0]
+    ):
+        budget.spend()
+        if not masks[i] & used:
+            gain = 2 if i < n_triangles else 1
+            _search(
+                masks, n_triangles, budget, best, i + 1, value + gain,
+                used | masks[i], free - gain - 1, chosen + (i,),
+            )
+        i += 1
 
 
 def max_packing(d: Digraph, budget: Budget | int | None = None) -> Packing:
     """A maximum packing, exhaustively optimal within the node budget."""
     budget = ensure_budget(budget, DEFAULT_PACKING_NODES, "packing search")
     triangles = bidirected_triangles(d)
-    digons = d.digons()
-    items: list[tuple[int, ...]] = [*triangles, *digons]
-    values = [2] * len(triangles) + [1] * len(digons)
-    n_triangles = len(triangles)
-
-    best_items: list[int] = []
-    best_value = 0
-    chosen: list[int] = []
-    used = [False] * d.n
-    free = d.n
-
-    def bound(i: int, value: int, free_now: int) -> int:
-        # Digons collect at most floor(free/2); each still-available triangle
-        # can beat that rate by one, hence the surplus term.  Admissible.
-        remaining_triangles = max(0, n_triangles - i)
-        surplus = min(remaining_triangles, free_now // 3)
-        return value + free_now // 2 + surplus
-
-    def search(i: int, value: int) -> None:
-        # Taking item i recurses; skipping it moves on in the loop, so the
-        # depth is the number of items taken, at most n/2.
-        nonlocal best_value, best_items, free
-        if value > best_value:
-            best_value = value
-            best_items = list(chosen)
-        while i < len(items) and bound(i, value, free) > best_value:
-            budget.spend()
-            item = items[i]
-            if all(not used[v] for v in item):
-                for v in item:
-                    used[v] = True
-                free -= len(item)
-                chosen.append(i)
-                search(i + 1, value + values[i])
-                chosen.pop()
-                free += len(item)
-                for v in item:
-                    used[v] = False
-            i += 1
-
+    items: list[tuple[int, ...]] = [*triangles, *d.digons()]
+    masks = [sum(1 << v for v in item) for item in items]
+    best: list = [0, ()]
     optimal = True
     try:
-        search(0, 0)
+        _search(masks, len(triangles), budget, best, 0, 0, 0, d.n, ())
     except BudgetExceeded:
         optimal = False
-    # search reaches itself through its closure cell; deleting the name
-    # breaks that cycle, so nothing here waits for the cyclic collector.
-    del search
+    chosen = best[1]
     packing = Packing(
-        digon_items=tuple(items[i] for i in best_items if values[i] == 1),  # type: ignore[misc]
-        triangle_items=tuple(items[i] for i in best_items if values[i] == 2),  # type: ignore[misc]
+        digon_items=tuple(items[i] for i in chosen if i >= len(triangles)),  # type: ignore[misc]
+        triangle_items=tuple(items[i] for i in chosen if i < len(triangles)),  # type: ignore[misc]
         optimal=optimal,
     )
     assert verify_packing(d, packing)

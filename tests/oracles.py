@@ -102,6 +102,15 @@ def oracle_chromatic_number(n: int, edges) -> int:
     raise AssertionError
 
 
+def oracle_bidirected_triangles(d: Digraph) -> list[tuple[int, int, int]]:
+    """Every 3-set spanning three digons, lexicographic."""
+    return [
+        t
+        for t in itertools.combinations(range(d.n), 3)
+        if all(_digon(d, u, v) for u, v in itertools.combinations(t, 2))
+    ]
+
+
 def oracle_max_packing_value(d: Digraph) -> int:
     """Exhaustive recursion over the lowest free vertex: skip it, pack it in
     a digon, or pack it in a bidirected triangle."""
@@ -111,14 +120,7 @@ def oracle_max_packing_value(d: Digraph) -> int:
         for v in range(u + 1, d.n)
         if (u, v) in d.arcs and (v, u) in d.arcs
     ]
-    triangles = [
-        (a, b, c)
-        for a, b, c in itertools.combinations(range(d.n), 3)
-        if all(
-            (x, y) in d.arcs and (y, x) in d.arcs
-            for x, y in ((a, b), (a, c), (b, c))
-        )
-    ]
+    triangles = oracle_bidirected_triangles(d)
     memo: dict[frozenset, int] = {}
 
     def best(free: frozenset) -> int:

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 import pytest
 
-from dicrit.budget import Budget
 from dicrit.census import census
 from dicrit.colouring import is_k_dicolourable, is_k_dicritical
 from dicrit.constructions import (
@@ -32,7 +31,6 @@ from dicrit.constructions import (
     gadget_forces_distinct,
 )
 from dicrit.digraph import (
-    Digraph,
     bidirected_complete,
     directed_cycle,
     induced,
@@ -50,7 +48,7 @@ from dicrit.potential import (
 )
 from dicrit.structure import discharge
 
-from .conftest import CORPUS_SIZES, random_digraph, random_bidirected
+from .conftest import random_digraph, random_bidirected
 from .oracles import oracle_chromatic_number, oracle_max_packing_value
 
 F = Fraction

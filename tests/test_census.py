@@ -8,7 +8,7 @@ from dicrit.census import (
     save_records,
 )
 from dicrit.colouring import is_k_dicritical
-from dicrit.digraph import DigraphError, directed_cycle, serialize
+from dicrit.digraph import DigraphError, directed_cycle
 from dicrit.iso import are_isomorphic
 
 from .oracles import (

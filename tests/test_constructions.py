@@ -4,10 +4,9 @@ import random
 import pytest
 
 from dicrit import constructions
-from dicrit.colouring import check_dicolouring, dichromatic_number
+from dicrit.colouring import dichromatic_number
 from dicrit.constructions import (
     ConstructionSpec,
-    G3Layout,
     all_gadgets,
     build_g3,
     build_gk,

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dicrit.budget import Budget
-from dicrit.colouring import check_dicolouring, is_k_dicolourable
 from dicrit.digraph import Digraph, DigraphError, bidirected_complete, directed_cycle, induced
 from dicrit.iso import are_isomorphic, find_isomorphism
 from dicrit.ore import (
@@ -308,6 +307,11 @@ class TestSplitVertex:
                 found = True
                 break
         assert found
+
+    @pytest.mark.parametrize("v", [4, -1])
+    def test_out_of_range_vertex_rejected(self, k4, v):
+        with pytest.raises(DigraphError, match=f"vertex {v} out of range"):
+            split_vertex(k4, v, (set(), set()), (set(), set()))
 
     def test_invalid_partition_rejected(self, k4):
         with pytest.raises(DigraphError):

@@ -1,13 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from dicrit.budget import Budget
-from dicrit.digraph import bidirected_complete, induced
+from dicrit.digraph import bidirected_complete, digon_masks, induced
+from dicrit.ore import generate_4ore
 from dicrit.packing import Packing, bidirected_triangles, max_packing, verify_packing
 
 from .conftest import random_digraph
-from .oracles import oracle_max_packing_value
-from .test_digraph import digraphs
+from .oracles import oracle_bidirected_triangles, oracle_max_packing_value
+from .test_digraph import digraphs, mixed_digraphs
 
 
 class TestMaxPacking:
@@ -51,6 +52,48 @@ class TestMaxPacking:
     @given(digraphs(max_n=7))
     def test_matches_exhaustive_oracle(self, d):
         assert max_packing(d).value == oracle_max_packing_value(d)
+
+    # Value and node count of the search on inputs that run fast.  The
+    # counts are ceilings: a later change may lower them, never raise them.
+    @pytest.mark.parametrize(
+        "seed, value, nodes",
+        [(0, 19, 1_184), (1, 19, 2_678), (2, 19, 803), (3, 20, 1_228), (4, 19, 2_662)],
+    )
+    def test_4ore_nodes_pinned(self, seed, value, nodes):
+        d, _ = generate_4ore(31, seed=seed)
+        budget = Budget()
+        p = max_packing(d, budget)
+        assert p.optimal and p.value == value
+        assert budget.used <= nodes
+
+    def test_k12_nodes_pinned(self):
+        budget = Budget()
+        p = max_packing(bidirected_complete(12), budget)
+        assert p.optimal and p.value == 8
+        assert budget.used <= 615_389
+
+
+class TestDigonGraph:
+    @staticmethod
+    def check(d):
+        assert bidirected_triangles(d) == oracle_bidirected_triangles(d)
+        digon = digon_masks(d)
+        for u in range(d.n):
+            for v in range(d.n):
+                assert bool(digon[u] >> v & 1) == d.has_digon(u, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_digraphs(max_n=9))
+    def test_match_the_pair_and_triple_scans(self, d):
+        self.check(d)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from((4, 7, 10, 13, 16)),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_match_the_pair_and_triple_scans_on_4ore(self, n, seed):
+        self.check(generate_4ore(n, seed=seed)[0])
 
 
 class TestPackingLemmas:

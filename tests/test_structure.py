@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from dicrit.colouring import is_k_dicolourable
-from dicrit.digraph import Digraph, DigraphError, bidirected_complete, boundary, induced
+from dicrit.digraph import Digraph, DigraphError, bidirected_complete, induced
 from dicrit.packing import max_packing
 from dicrit.potential import (
     REFERENCE_PARAMS,
