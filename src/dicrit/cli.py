@@ -197,6 +197,8 @@ def _parse_phi(args) -> tuple[list[int], dict[int, int]]:
     colours = _int_list(args.colours)
     if len(subset) != len(colours):
         raise DigraphError("--subset and --colours must have the same length")
+    if len(set(subset)) != len(subset):
+        raise DigraphError("--subset must not repeat a vertex")
     return subset, dict(zip(subset, colours))
 
 

@@ -265,10 +265,6 @@ def generate_4ore(
 # -- recognition -----------------------------------------------------------
 
 
-def _is_k4(d: Digraph) -> bool:
-    return d.n == 4 and d.m == 12
-
-
 def _plausible_4ore(d: Digraph) -> bool:
     # Cheap necessary conditions: exact arc identity and minimum degree 6.
     if not check_4ore_arc_identity(d):
@@ -283,8 +279,10 @@ def _recognition_search(
     None.  ``memo`` maps a canonical form to the trace found for it and phi
     composed with the inverse of the canonical labelling (or None)."""
     budget.spend()
+    # Every input has passed _plausible_4ore: 3m = 10n - 4 gives n = 1
+    # (mod 3), and at n = 4 it gives m = 12, the bidirected K4.
     if d.n == 4:
-        return (OreLeaf(), [0, 1, 2, 3]) if _is_k4(d) else None
+        return OreLeaf(), [0, 1, 2, 3]
     form, labelling = canonical_labelling(d)
     if form in memo:
         if memo[form] is None:
@@ -312,7 +310,10 @@ def _recognition_search(
                     a0 |= comp
                 else:
                     b0 |= comp
-            if a0.bit_count() < 2 or b0.bit_count() < 3:
+            # d1 has order |a0| + 2 and d2 order |b0| + 1, with |a0| + |b0| =
+            # n - 2 = 2 (mod 3).  Both orders are 1 (mod 3) iff |a0| = 2
+            # (mod 3); then |b0| = 0 (mod 3), so |a0| >= 2 and |b0| >= 3.
+            if a0.bit_count() % 3 != 2:
                 continue
             zx = nx & b0
             zy = ny & b0
@@ -324,7 +325,7 @@ def _recognition_search(
                 continue
             d1_raw, map1 = induced(d, bits(a0 | 1 << x | 1 << y))
             d1 = d1_raw.with_arcs([(map1[x], map1[y]), (map1[y], map1[x])])
-            if d1.n % 3 != 1 or not _plausible_4ore(d1):
+            if not _plausible_4ore(d1):
                 continue
             d2_base, map2 = induced(d, bits(b0))
             z_id = d2_base.n
@@ -416,11 +417,12 @@ def find_ore_collapsible(
     d: Digraph, size_cap: int, budget: Budget | int | None = None
 ) -> list[tuple[frozenset[int], tuple[int, int]]]:
     """All induced R with a 2-vertex boundary {u,v} such that R + [u,v] is
-    4-Ore, for n(R) <= size_cap.  Exhaustive subset scan."""
+    4-Ore, for n(R) <= size_cap.  Scans every subset of order 4, 7, 10, ...
+    up to the cap: a 4-Ore digraph has n = 1 (mod 3)."""
     budget = ensure_budget(budget, DEFAULT_RECOGNITION_NODES, "Ore-collapsible scan")
     results = []
     top = min(size_cap, d.n - 1)
-    for size in range(4, top + 1):
+    for size in range(4, top + 1, 3):
         for subset in itertools.combinations(d.vertices(), size):
             budget.spend()
             bd = boundary(d, subset)
@@ -429,7 +431,7 @@ def find_ore_collapsible(
             u, v = sorted(bd)
             r, mapping = induced(d, subset)
             h = r.with_arcs([(mapping[u], mapping[v]), (mapping[v], mapping[u])])
-            if h.n % 3 != 1 or not h.is_bidirected():
+            if not h.is_bidirected():
                 continue
             if is_4ore(h, budget) is not None:
                 results.append((frozenset(subset), (u, v)))

@@ -35,15 +35,6 @@ from .potential import PotentialParams, TEN_THIRDS
 # -- chelou arcs -------------------------------------------------------------
 
 
-def _is_out_chelou(d: Digraph, x: int, y: int) -> bool:
-    if d.has_arc(y, x):
-        return False
-    if d.out_degree(x) != 3 or d.in_degree(y) != 3:
-        return False
-    candidates = set(d.in_neighbours(y)) - set(d.out_neighbours(y)) - {x}
-    return bool(candidates)
-
-
 def find_chelou_arcs(
     d: Digraph,
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -51,13 +42,18 @@ def find_chelou_arcs(
 
     An arc xy is out-chelou when yx is absent, d+(x) = 3, d-(y) = 3, and
     some z != x is an in- but not out-neighbour of y.  An arc is in-chelou
-    when its reversal is out-chelou in the arc-reversed digraph.
+    when its reversal is out-chelou in the arc-reversed digraph: yx is
+    absent, d+(x) = 3, d-(y) = 3, and some z != y is an out- but not
+    in-neighbour of x.
     """
-    out_chelou = [a for a in d.sorted_arcs() if _is_out_chelou(d, *a)]
-    rev = d.reverse()
-    in_chelou = [
-        (x, y) for (x, y) in d.sorted_arcs() if _is_out_chelou(rev, y, x)
-    ]
+    out_chelou, in_chelou = [], []
+    for x, y in d.sorted_arcs():
+        if d.has_arc(y, x) or d.out_degree(x) != 3 or d.in_degree(y) != 3:
+            continue
+        if set(d.in_neighbours(y)) - set(d.out_neighbours(y)) - {x}:
+            out_chelou.append((x, y))
+        if set(d.out_neighbours(x)) - set(d.in_neighbours(x)) - {y}:
+            in_chelou.append((x, y))
     return out_chelou, in_chelou
 
 

@@ -12,7 +12,12 @@ the digon graph), and the order of the census candidate stream by the
 census's first generator (rebuilt bitsets and arc tuples at every level;
 the package keeps in-degree counts and joins arcs once per candidate), and
 the dicolouring search's node sequence by its first kernel (a cycle-test
-closure and one ``Budget.spend`` call per node; the package inlines both).
+closure and one ``Budget.spend`` call per node; the package inlines both),
+chelou arcs by the reversal in their definition (the package reads both
+kinds off D in one pass), and the Ore-collapsible scan by testing subsets
+of every order (the package visits only orders 1 mod 3).  The last is
+written with the package's ``boundary``, ``induced`` and ``is_4ore``, so it
+checks the scan's order arithmetic, not recognition.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import itertools
 from typing import Iterator
 
 from dicrit.budget import Budget
-from dicrit.digraph import Digraph
+from dicrit.digraph import Digraph, boundary, induced
+from dicrit.ore import is_4ore
 
 
 def class_is_acyclic(d: Digraph, vertices: set[int]) -> bool:
@@ -367,4 +373,46 @@ def oracle_find_diamonds(d: Digraph) -> list[tuple[int, int, int, int]]:
             others = set(quad) - set(empty[0])
             if all(_degree(d, v) == 6 for v in others):
                 out.append(quad)
+    return out
+
+
+def oracle_find_chelou_arcs(
+    d: Digraph,
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Out-chelou arcs of D, and the arcs of D whose reversal is out-chelou
+    in the arc-reversed digraph, each in lexicographic order."""
+
+    def out_chelou(g: Digraph, x: int, y: int) -> bool:
+        return (
+            not g.has_arc(y, x)
+            and g.out_degree(x) == 3
+            and g.in_degree(y) == 3
+            and bool(set(g.in_neighbours(y)) - set(g.out_neighbours(y)) - {x})
+        )
+
+    rev = d.reverse()
+    arcs = d.sorted_arcs()
+    return (
+        [(x, y) for x, y in arcs if out_chelou(d, x, y)],
+        [(x, y) for x, y in arcs if out_chelou(rev, y, x)],
+    )
+
+
+def oracle_ore_collapsible(
+    d: Digraph, size_cap: int
+) -> list[tuple[frozenset[int], tuple[int, int]]]:
+    """Every subset R of every order 4..size_cap (below n) with boundary
+    {u, v} such that R + [u, v] is bidirected of order 1 mod 3 and 4-Ore,
+    by order and then lexicographically."""
+    out = []
+    for size in range(4, min(size_cap, d.n - 1) + 1):
+        for subset in itertools.combinations(range(d.n), size):
+            bd = boundary(d, subset)
+            if len(bd) != 2:
+                continue
+            u, v = sorted(bd)
+            r, mapping = induced(d, subset)
+            h = r.with_arcs([(mapping[u], mapping[v]), (mapping[v], mapping[u])])
+            if h.n % 3 == 1 and h.is_bidirected() and is_4ore(h) is not None:
+                out.append((frozenset(subset), (u, v)))
     return out

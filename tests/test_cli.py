@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from dicrit.cli import main
+from dicrit.cli import build_parser, main
 from dicrit.digraph import bidirected_complete, parse, serialize
 from dicrit.ore import is_4ore
 
@@ -172,6 +174,13 @@ class TestSubcommands:
         payload = json.loads(out)
         assert 1 <= len(payload["core"]) <= 3
 
+    @pytest.mark.parametrize("command", ["identify", "extend"])
+    def test_repeated_subset_vertex_is_2(self, capsys, k4_file, command):
+        code, out, err = run(
+            capsys, command, k4_file, "--subset", "0,0,1,2,3", "--colours", "1,2,2,3,1",
+        )
+        assert code == 2 and out == "" and "repeat" in err
+
     def test_construct_and_certify(self, capsys):
         code, out, _ = run(capsys, "construct", "g3", "--n0", "1")
         assert code == 0 and parse(out).n == 12
@@ -207,3 +216,24 @@ class TestSubcommands:
         assert set(stats) == {"candidates", "dicritical", "nodes"}
         assert stats["candidates"] >= stats["dicritical"] == 5
         assert stats["nodes"] > 0
+
+
+def readme_commands() -> list[str]:
+    """Every ``dicrit ...`` line of the README's shell blocks."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines, in_sh = [], False
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("dicrit "):
+            lines.append(line)
+    return lines
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_example_parses(line):
+    build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_commands_are_found():
+    assert len(readme_commands()) >= 18

@@ -26,8 +26,36 @@ from dicrit.ore import (
 from dicrit.packing import max_packing
 from dicrit.potential import ZERO_PARAMS, check_4ore_arc_identity, potential
 
-from .oracles import oracle_find_diamonds, oracle_find_emeralds, valid_dicolouring
+from .oracles import (
+    oracle_find_diamonds,
+    oracle_find_emeralds,
+    oracle_ore_collapsible,
+    valid_dicolouring,
+)
 from .test_digraph import mixed_digraphs
+
+
+def shuffled_4ore(n, seed):
+    """``generate_4ore(n, seed)`` relabelled by a shuffle seeded 1000 + seed."""
+    d, _ = generate_4ore(n, seed=seed)
+    perm = list(range(n))
+    random.Random(1000 + seed).shuffle(perm)
+    return Digraph(n, ((perm[u], perm[v]) for u, v in d.arcs))
+
+
+def swapped_4ore(n, seed):
+    """``generate_4ore(n, seed)`` after a degree-preserving swap of two
+    digons, {a,b},{c,e} -> {a,e},{c,b}, drawn by ``random.Random(seed)``."""
+    d, _ = generate_4ore(n, seed=seed)
+    rng = random.Random(seed)
+    edges = sorted((u, v) for u, v in d.arcs if u < v)
+    while True:
+        (a, b), (c, e) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, e = e, c
+        if len({a, b, c, e}) == 4 and not d.has_arc(a, e) and not d.has_arc(c, b):
+            arcs = set(d.arcs) - {(a, b), (b, a), (c, e), (e, c)}
+            return Digraph(n, arcs | {(a, e), (e, a), (c, b), (b, c)})
 
 
 class TestOreCompose:
@@ -168,13 +196,6 @@ class TestRecognition:
     # seeded 1000 + s; upper bounds, which later changes may only lower.
     RECOGNITION_NODES_61 = (47, 53, 42, 48, 58, 51, 56, 54, 53, 44)
 
-    @staticmethod
-    def _shuffled_4ore(n, seed):
-        d, _ = generate_4ore(n, seed=seed)
-        perm = list(range(n))
-        random.Random(1000 + seed).shuffle(perm)
-        return Digraph(n, ((perm[u], perm[v]) for u, v in d.arcs))
-
     def _assert_replays_onto(self, d, trace):
         replayed = replay(trace)
         mapping = find_isomorphism(replayed, d)
@@ -184,7 +205,7 @@ class TestRecognition:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_shuffled_61_within_node_ceiling(self, seed):
-        d = self._shuffled_4ore(61, seed)
+        d = shuffled_4ore(61, seed)
         budget = Budget(2_000_000, "4-Ore recognition")
         trace = is_4ore(d, budget)
         assert trace is not None
@@ -192,8 +213,26 @@ class TestRecognition:
         self._assert_replays_onto(d, trace)
 
     def test_shuffled_100(self):
-        d = self._shuffled_4ore(100, 3)
+        d = shuffled_4ore(100, 3)
         self._assert_replays_onto(d, is_4ore(d))
+
+    # Budget.used of is_4ore on shuffled and swapped 4-Ore digraphs (n, seed);
+    # upper bounds, which later changes may only lower.
+    @pytest.mark.parametrize(
+        "make, n, seed, recognised, ceiling",
+        [
+            (shuffled_4ore, 13, 0, True, 10),
+            (shuffled_4ore, 19, 3, True, 16),
+            (shuffled_4ore, 25, 2, True, 22),
+            (shuffled_4ore, 31, 1, True, 26),
+            (swapped_4ore, 22, 1, False, 299),
+            (swapped_4ore, 28, 4, False, 889),
+        ],
+    )
+    def test_within_node_ceiling(self, make, n, seed, recognised, ceiling):
+        budget = Budget(2_000_000, "4-Ore recognition")
+        assert (is_4ore(make(n, seed), budget) is not None) == recognised
+        assert budget.used <= ceiling
 
     def test_bidirected_non_ore_rejected(self):
         # bidirected C7: right order (7 = 1 mod 3) but chromatic number 3
@@ -280,6 +319,29 @@ class TestOreCollapsible:
 
     def test_k4_has_none(self, k4):
         assert find_ore_collapsible(k4, size_cap=3) == []
+
+    @pytest.mark.parametrize(
+        "n, seed, cap",
+        [(7, 0, 6), (10, 1, 4), (10, 2, 5), (10, 3, 8), (13, 0, 7), (13, 1, 10), (16, 2, 5)],
+    )
+    @pytest.mark.parametrize("labels", ["generator", "shuffled", "thinned"])
+    def test_matches_the_all_orders_scan(self, n, seed, cap, labels):
+        d, _ = generate_4ore(n, seed=seed)
+        host = {
+            "generator": d,
+            "shuffled": shuffled_4ore(n, seed),
+            "thinned": d.without_arcs([d.digons()[0]]),
+        }[labels]
+        assert find_ore_collapsible(host, cap) == oracle_ore_collapsible(host, cap)
+
+    # Budget.used of find_ore_collapsible(generate_4ore(n, seed), 7); upper
+    # bounds, which later changes may only lower.
+    @pytest.mark.parametrize("n, seed, ceiling", [(13, 0, 2_443), (16, 1, 13_271)])
+    def test_within_node_ceiling(self, n, seed, ceiling):
+        d, _ = generate_4ore(n, seed=seed)
+        budget = Budget(2_000_000, "Ore-collapsible scan")
+        assert find_ore_collapsible(d, 7, budget)
+        assert budget.used <= ceiling
 
     def test_oriented_has_none(self):
         assert find_ore_collapsible(directed_cycle(6), size_cap=5) == []

@@ -27,7 +27,7 @@ from dicrit.structure import (
 
 from dicrit.ore import generate_4ore
 
-from .oracles import oracle_components
+from .oracles import oracle_components, oracle_find_chelou_arcs
 from .test_digraph import digraphs, mixed_digraphs
 
 F = Fraction
@@ -59,6 +59,11 @@ class TestChelou:
         rev = chelou_pattern().reverse()
         _, in_chelou = find_chelou_arcs(rev)
         assert in_chelou == [(1, 0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_digraphs(max_n=9))
+    def test_matches_the_reversal_definition(self, d):
+        assert find_chelou_arcs(d) == oracle_find_chelou_arcs(d)
 
     @settings(max_examples=60)
     @given(digraphs(max_n=6))
