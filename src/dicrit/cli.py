@@ -46,7 +46,7 @@ def _frac(q: Fraction) -> str:
 
 
 def _params(args) -> PotentialParams:
-    return PotentialParams(Fraction(args.eps), Fraction(args.delta))
+    return PotentialParams(args.eps, args.delta)
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -45,7 +45,7 @@ Budgets count decision nodes; an exhausted budget raises
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, BudgetExceeded, DEFAULT_SOLVER_NODES, ensure_budget
 from .digraph import Digraph, bits, serialize, two_cut_sides
@@ -67,9 +67,6 @@ class Colouring:
             raise ColouringError("k must be at least 1")
         if self.colours and not 1 <= min(self.colours) <= max(self.colours) <= self.k:
             raise ColouringError("colours must lie in 1..k")
-
-    def colour_of(self, v: int) -> int:
-        return self.colours[v]
 
     def to_json(self) -> dict:
         return {"k": self.k, "colours": list(self.colours)}
@@ -125,17 +122,8 @@ def check_dicolouring(
     return (cycle is None), cycle
 
 
-def _masks(d: Digraph) -> tuple[list[int], list[int]]:
-    """Out- and in-neighbour sets of every vertex as Python-int bitsets."""
-    out, inn = [0] * d.n, [0] * d.n
-    for u, v in d.arcs:
-        out[u] |= 1 << v
-        inn[v] |= 1 << u
-    return out, inn
-
-
 def _branching(
-    out: list[int], inn: list[int], arcs: Iterable[tuple[int, int]]
+    out: Sequence[int], inn: Sequence[int], arcs: Iterable[tuple[int, int]]
 ) -> tuple[list[int], list[int], list[int]]:
     """The digraph with out- and in-bitsets ``out``/``inn`` and arc list
     ``arcs`` relabelled into its connectivity order, for the kernel.
@@ -291,7 +279,7 @@ def _assignments(
 def _solve(d: Digraph, k: int, budget: Budget, symmetry: bool) -> Iterator[tuple[int, ...]]:
     """``_assignments`` on ``d`` in its connectivity order, each assignment
     mapped back to d's labels."""
-    position, out, inn = _branching(*_masks(d), d.arcs)
+    position, out, inn = _branching(d.out_masks, d.in_masks, d.arcs)
     for found in _assignments(out, inn, k, budget, symmetry):
         yield tuple(map(found.__getitem__, position))
 
@@ -422,7 +410,7 @@ def _side_gadget(
     return _REFUTED
 
 
-def _colourable(out: list[int], c: int, budget: Budget, stats: RefutationStats) -> bool:
+def _colourable(out: Sequence[int], c: int, budget: Budget, stats: RefutationStats) -> bool:
     """Is the digraph with out-neighbour bitsets ``out`` c-dicolourable?
 
     Each pass scans the 2-separators {u, v} of the underlying graph and
@@ -473,7 +461,7 @@ def _colourable(out: list[int], c: int, budget: Budget, stats: RefutationStats) 
 
 
 def _decide(
-    out: list[int], ordered_out: list[int], ordered_inn: list[int], c: int,
+    out: Sequence[int], ordered_out: list[int], ordered_inn: list[int], c: int,
     budget: Budget, stats: RefutationStats,
 ) -> bool:
     """Is the digraph with out-bitsets ``out`` c-dicolourable?  The plain
@@ -537,11 +525,10 @@ def dichromatic_number(d: Digraph, budget: Budget | int | None = None) -> int:
     """The least k for which D is k-dicolourable, each k decided like the
     refutation step of :func:`is_k_dicritical`."""
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "dichromatic number")
-    out, inn = _masks(d)
-    _, ordered_out, ordered_inn = _branching(out, inn, d.arcs)
+    _, ordered_out, ordered_inn = _branching(d.out_masks, d.in_masks, d.arcs)
     stats = RefutationStats()
     for k in range(1, d.n + 1):
-        if _decide(out, ordered_out, ordered_inn, k, budget, stats):
+        if _decide(d.out_masks, ordered_out, ordered_inn, k, budget, stats):
             return k
     raise AssertionError("n colours always suffice")  # pragma: no cover
 
@@ -650,7 +637,7 @@ def is_k_dicritical(
         raise ColouringError("dicriticality is only checked for k >= 2")
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "dicriticality check")
     start = budget.used
-    out, inn = _masks(d)
+    out, inn = d.out_masks, d.in_masks
     if d.n > 1 and 0 in map(int.__or__, out, inn):
         for v in d.vertices():
             if not out[v] | inn[v]:

@@ -26,7 +26,7 @@ forms are equal, and composing the two labellings gives an isomorphism.
 
 from __future__ import annotations
 
-from .digraph import Digraph
+from .digraph import Digraph, bits
 
 
 def invariant_key(d: Digraph) -> tuple:
@@ -39,12 +39,12 @@ def invariant_key(d: Digraph) -> tuple:
 def _typed_rows(d: Digraph) -> list[list[tuple[int, int]]]:
     """For each vertex v, its neighbours w with the type of the arcs between
     them: 0 for v -> w alone, 1 for w -> v alone, 2 for a digon."""
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
-    for u, v in d.arcs:
-        digon = (v, u) in d.arcs
-        rows[u].append((v, 2 if digon else 0))
-        if not digon:
-            rows[v].append((u, 1))
+    rows = []
+    for v, (o, i) in enumerate(zip(d.out_masks, d.in_masks)):
+        row = [(w, 2 if i >> w & 1 else 0) for w in d.out_neighbours(v)]
+        if i & ~o:  # bidirected digraphs have no in-only neighbours
+            row += [(w, 1) for w in bits(i & ~o)]
+        rows.append(row)
     return rows
 
 
@@ -168,7 +168,3 @@ def find_isomorphism(a: Digraph, b: Digraph) -> dict[int, int] | None:
         return None
     vertex_of = {p: w for w, p in enumerate(lab_b)}
     return {v: vertex_of[p] for v, p in enumerate(lab_a)}
-
-
-def are_isomorphic(a: Digraph, b: Digraph) -> bool:
-    return find_isomorphism(a, b) is not None

@@ -32,7 +32,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise DigraphError(f"not an exact rational: {value!r}") from None
     raise DigraphError(f"not an exact rational: {value!r} (floats are refused)")
 
 

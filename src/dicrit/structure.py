@@ -46,14 +46,19 @@ def find_chelou_arcs(
     absent, d+(x) = 3, d-(y) = 3, and some z != y is an out- but not
     in-neighbour of x.
     """
+    out, inn = d.out_masks, d.in_masks
     out_chelou, in_chelou = [], []
-    for x, y in d.sorted_arcs():
-        if d.has_arc(y, x) or d.out_degree(x) != 3 or d.in_degree(y) != 3:
+    for x in d.vertices():
+        if out[x].bit_count() != 3:
             continue
-        if set(d.in_neighbours(y)) - set(d.out_neighbours(y)) - {x}:
-            out_chelou.append((x, y))
-        if set(d.out_neighbours(x)) - set(d.in_neighbours(x)) - {y}:
-            in_chelou.append((x, y))
+        out_only = out[x] & ~inn[x]
+        for y in bits(out_only):
+            if inn[y].bit_count() != 3:
+                continue
+            if inn[y] & ~out[y] & ~(1 << x):
+                out_chelou.append((x, y))
+            if out_only & ~(1 << y):
+                in_chelou.append((x, y))
     return out_chelou, in_chelou
 
 
@@ -79,7 +84,7 @@ def valency8(d: Digraph, v: int) -> int:
 
 def neighbourhood_valency(d: Digraph, v: int) -> int:
     """Sum of the 8+-valencies of v's neighbours of degree at least 8."""
-    if v not in d6_vertices(d):
+    if not (0 <= v < d.n and d.degree(v) == 6 and d.digon_count_at(v)):
         raise DigraphError(f"vertex {v} is not in D6")
     return sum(valency8(d, u) for u in d.neighbours(v) if d.degree(u) >= 8)
 

@@ -17,7 +17,8 @@ chelou arcs by the reversal in their definition (the package reads both
 kinds off D in one pass), and the Ore-collapsible scan by testing subsets
 of every order (the package visits only orders 1 mod 3).  The last is
 written with the package's ``boundary``, ``induced`` and ``is_4ore``, so it
-checks the scan's order arithmetic, not recognition.
+checks the scan's order arithmetic, not recognition.  Adjacency is
+read off the arc set by its definitions (the package stores bitsets).
 """
 
 from __future__ import annotations
@@ -28,6 +29,43 @@ from typing import Iterator
 from dicrit.budget import Budget
 from dicrit.digraph import Digraph, boundary, induced
 from dicrit.ore import is_4ore
+
+
+def reversed_digraph(d: Digraph) -> Digraph:
+    """D with every arc reversed."""
+    return Digraph(d.n, [(v, u) for u, v in d.arcs])
+
+
+def underlying_edges(d: Digraph) -> set[tuple[int, int]]:
+    """The edges of the underlying graph, each as (low, high)."""
+    return {(min(u, v), max(u, v)) for u, v in d.arcs}
+
+
+def oracle_adjacency(d: Digraph) -> dict:
+    """Every adjacency answer of ``Digraph`` from the arc set alone, keyed by
+    the accessor's name: per-vertex lists for the neighbour and degree
+    accessors, an n x n table for ``has_digon``, and the underlying and
+    digon graphs as one neighbourhood bitset per vertex."""
+    arcs, vs = d.arcs, range(d.n)
+    out = [sorted(w for u, w in arcs if u == v) for v in vs]
+    inn = [sorted(u for u, w in arcs if w == v) for v in vs]
+    nbrs = [sorted(set(o) | set(i)) for o, i in zip(out, inn)]
+    table = [[(u, v) in arcs and (v, u) in arcs for v in vs] for u in vs]
+    return {
+        "out_neighbours": [tuple(o) for o in out],
+        "in_neighbours": [tuple(i) for i in inn],
+        "neighbours": [tuple(x) for x in nbrs],
+        "out_degree": [len(o) for o in out],
+        "in_degree": [len(i) for i in inn],
+        "degree": [len(o) + len(i) for o, i in zip(out, inn)],
+        "digon_count_at": [sum(row) for row in table],
+        "has_digon": table,
+        "digons": [(u, v) for u in vs for v in vs if u < v and table[u][v]],
+        "is_bidirected": all((v, u) in arcs for u, v in arcs),
+        "is_oriented": not any((v, u) in arcs for u, v in arcs),
+        "underlying_masks": [sum(1 << w for w in x) for x in nbrs],
+        "digon_masks": [sum(1 << w for w in vs if row[w]) for row in table],
+    }
 
 
 def class_is_acyclic(d: Digraph, vertices: set[int]) -> bool:
@@ -390,7 +428,7 @@ def oracle_find_chelou_arcs(
             and bool(set(g.in_neighbours(y)) - set(g.out_neighbours(y)) - {x})
         )
 
-    rev = d.reverse()
+    rev = reversed_digraph(d)
     arcs = d.sorted_arcs()
     return (
         [(x, y) for x, y in arcs if out_chelou(d, x, y)],

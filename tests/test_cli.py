@@ -44,6 +44,15 @@ class TestExitCodes:
     def test_bad_usage_is_2(self, capsys):
         assert main(["no-such-command"]) == 2
 
+    @pytest.mark.parametrize("command", ["potential", "audit", "discharge"])
+    @pytest.mark.parametrize("params", [("1/0", "1/3"), ("1/51", "2/0")])
+    def test_zero_denominator_is_2(self, capsys, k4_file, command, params):
+        files = [] if command == "audit" else [k4_file]
+        code, _, err = run(
+            capsys, command, *files, "--eps", params[0], "--delta", params[1]
+        )
+        assert code == 2 and err.startswith("error:") and "/0" in err
+
 
 class TestSubcommands:
     def test_critical_json(self, capsys, k4_file):
@@ -94,7 +103,7 @@ class TestSubcommands:
         assert code == 0 and "4-Ore" in out
 
     def test_ore_check_negative_is_1(self, capsys, tmp_path):
-        bad = bidirected_complete(4).without_digon(0, 1)
+        bad = bidirected_complete(4).without_arcs([(0, 1), (1, 0)])
         path = tmp_path / "bad.dg"
         path.write_text(serialize(bad))
         code, out, _ = run(capsys, "ore", "check", str(path))

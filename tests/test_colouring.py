@@ -12,7 +12,6 @@ from dicrit.colouring import (
     _branching,
     _colourable,
     _decide,
-    _masks,
     _reuse_fits,
     Colouring,
     ColouringError,
@@ -259,7 +258,7 @@ class TestPinnedSearch:
         if d.n < 2:
             return
         u, v = data.draw(st.lists(st.integers(0, d.n - 1), min_size=2, max_size=2, unique=True))
-        position, out, inn = _branching(*_masks(d), d.arcs)
+        position, out, inn = _branching(d.out_masks, d.in_masks, d.arcs)
         pin = tuple(sorted((position[u], position[v])))
         found = next(_assignments(out, inn, k, Budget(1_000_000), True, pin), None)
         if found is not None:
@@ -288,7 +287,7 @@ def _run(assignments, budget: Budget):
 def _run_kernel(d: Digraph, k: int, symmetry: bool, pin, limit: int):
     """``_run`` of the kernel on ``d`` relabelled into branching order under
     ``Budget(limit)``, its assignments mapped back to d's labels."""
-    position, out, inn = _branching(*_masks(d), d.arcs)
+    position, out, inn = _branching(d.out_masks, d.in_masks, d.arcs)
     if pin is not None:
         pin = (position[pin[0]], position[pin[1]])
     budget = Budget(limit, "kernel")
@@ -301,13 +300,13 @@ def _run_kernel(d: Digraph, k: int, symmetry: bool, pin, limit: int):
 
 def _order(d: Digraph) -> list[int]:
     """The vertices of ``d`` in branching order."""
-    position = _branching(*_masks(d), d.arcs)[0]
+    position = _branching(d.out_masks, d.in_masks, d.arcs)[0]
     return sorted(d.vertices(), key=position.__getitem__)
 
 
 def _run_oracle(d: Digraph, k: int, symmetry: bool, pin, limit: int):
     """``_run`` of the chronological reference kernel on ``d`` itself."""
-    out, inn = _masks(d)
+    out, inn = d.out_masks, d.in_masks
     budget = Budget(limit, "kernel")
     return _run(oracle_assignments(out, inn, _order(d), k, budget, symmetry, pin), budget)
 
@@ -451,7 +450,7 @@ class TestWitnessReuse:
         assert report.verdict
         fresh = _fresh_witnesses(report)
         assert len(fresh) == report.solved
-        out, _ = _masks(d)
+        out = d.out_masks
         for (x, y), w in fresh:
             cls = sum(1 << z for z, c in enumerate(w.colours) if c == w.colours[x])
             for u, v in d.sorted_arcs():
@@ -519,7 +518,7 @@ def _random_glued(rng: random.Random, pieces: int) -> Digraph:
 
 def _reduce(d: Digraph, c: int) -> tuple[bool, RefutationStats]:
     stats = RefutationStats()
-    return _colourable(_masks(d)[0], c, Budget(10_000_000), stats), stats
+    return _colourable(d.out_masks, c, Budget(10_000_000), stats), stats
 
 
 class TestReduction:
@@ -570,7 +569,7 @@ class TestReduction:
 
     def test_shuffled_4ore_100_refuted_within_ceiling(self):
         d = _relabelled(generate_4ore(100, seed=3)[0], 1)
-        out, inn = _masks(d)
+        out, inn = d.out_masks, d.in_masks
         stats = RefutationStats()
         budget = Budget(61_268)
         assert not _decide(out, *_branching(out, inn, d.arcs)[1:], 3, budget, stats)
@@ -580,7 +579,7 @@ class TestReduction:
 
     def test_g3_four_refuted_within_ceiling(self):
         g3, _ = build_g3(4)
-        out, inn = _masks(g3)
+        out, inn = g3.out_masks, g3.in_masks
         stats = RefutationStats()
         budget = Budget(5_400)
         assert not _decide(out, *_branching(out, inn, g3.arcs)[1:], 2, budget, stats)
@@ -588,7 +587,7 @@ class TestReduction:
 
     def test_caller_budget_still_runs_out_loudly(self):
         g3, _ = build_g3(2)
-        out, inn = _masks(g3)
+        out, inn = g3.out_masks, g3.in_masks
         _, ordered_out, ordered_inn = _branching(out, inn, g3.arcs)
         # The caller's limit binds inside the plain search ...
         budget = Budget(500)

@@ -10,6 +10,7 @@ from dicrit.digraph import (
     bidirected_complete,
     bidirected_path,
     boundary,
+    digon_masks,
     directed_cycle,
     identify,
     induced,
@@ -20,8 +21,9 @@ from dicrit.digraph import (
     two_cut_sides,
     underlying_masks,
 )
+from dicrit.ore import generate_4ore
 
-from .oracles import oracle_components
+from .oracles import oracle_adjacency, oracle_components, reversed_digraph
 
 
 @st.composite
@@ -76,7 +78,7 @@ class TestConstruction:
     def test_builders(self, c3):
         assert c3.without_arcs([(0, 1)]).m == 2
         assert c3.with_arcs([(1, 0)]).has_digon(0, 1)
-        assert c3.reverse().arcs == {(1, 0), (2, 1), (0, 2)}
+        assert reversed_digraph(c3).arcs == {(1, 0), (2, 1), (0, 2)}
 
     @settings(max_examples=150)
     @given(digraphs(max_n=9), st.data())
@@ -89,15 +91,55 @@ class TestConstruction:
             for v in slow.vertices():
                 assert fast.out_neighbours(v) == slow.out_neighbours(v)
                 assert fast.in_neighbours(v) == slow.in_neighbours(v)
+            assert fast.out_masks == slow.out_masks and fast.in_masks == slow.in_masks
 
         pairs = [(u, v) for u in range(d.n) for v in range(d.n) if u != v]
         removed = data.draw(st.lists(st.sampled_from(pairs))) if pairs else []
         absent = [a for a in pairs if a not in d.arcs]
         for r in (removed, [], absent, absent + sorted(d.arcs)[:2]):
             assert_rebuilt(d.without_arcs(r), r)
-        if d.digons():
-            u, v = data.draw(st.sampled_from(d.digons()))
-            assert_rebuilt(d.without_digon(u, v), [(u, v), (v, u)])
+
+
+def assert_adjacency_matches_the_arcs(d):
+    vs = d.vertices()
+    for u in vs:
+        for v in vs:
+            assert bool(d.out_masks[u] >> v & 1) == ((u, v) in d.arcs)
+            assert bool(d.in_masks[v] >> u & 1) == ((u, v) in d.arcs)
+    assert max(d.out_masks + d.in_masks) < 1 << d.n
+    expected = oracle_adjacency(d)
+    for name in ("out_neighbours", "in_neighbours", "neighbours", "out_degree",
+                 "in_degree", "degree", "digon_count_at"):
+        assert [getattr(d, name)(v) for v in vs] == expected[name], name
+    assert [[d.has_digon(u, v) for v in vs] for u in vs] == expected["has_digon"]
+    assert not d.has_digon(d.n, 0) and not d.has_digon(0, d.n)
+    for name in ("digons", "is_bidirected", "is_oriented"):
+        assert getattr(d, name)() == expected[name], name
+    assert underlying_masks(d) == expected["underlying_masks"]
+    assert digon_masks(d) == expected["digon_masks"]
+    ps = profiles(d)
+    assert [p.vertex for p in ps] == list(vs)
+    for v, p in enumerate(ps):
+        nbrs = expected["neighbours"][v]
+        assert (p.in_degree, p.out_degree, p.degree, p.neighbour_count) == (
+            expected["in_degree"][v], expected["out_degree"][v], expected["degree"][v], len(nbrs)
+        )
+        assert p.simple_neighbours == tuple(w for w in nbrs if not expected["has_digon"][v][w])
+
+
+class TestAdjacency:
+    """The stored bitsets and every accessor read off them equal their
+    definitions on the arc set."""
+
+    @settings(max_examples=200)
+    @given(mixed_digraphs(max_n=9))
+    def test_mixed_digraphs(self, d):
+        assert_adjacency_matches_the_arcs(d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((4, 7, 10, 13, 16)), st.integers(0, 10_000))
+    def test_4ore_digraphs(self, n, seed):
+        assert_adjacency_matches_the_arcs(generate_4ore(n, seed=seed)[0])
 
 
 class TestParse:

@@ -37,6 +37,11 @@ class TestPotentialParams:
         with pytest.raises(DigraphError):
             PotentialParams(0.1, 0.2)
 
+    @pytest.mark.parametrize("eps", ["1/0", "one third"])
+    def test_unparsable_string_refused(self, eps):
+        with pytest.raises(DigraphError, match="not an exact rational"):
+            PotentialParams(eps, 0)
+
 
 class TestPotential:
     def test_k4_at_zero(self, k4):

@@ -27,7 +27,12 @@ from dicrit.structure import (
 
 from dicrit.ore import generate_4ore
 
-from .oracles import oracle_components, oracle_find_chelou_arcs
+from .oracles import (
+    oracle_components,
+    oracle_find_chelou_arcs,
+    reversed_digraph,
+    underlying_edges,
+)
 from .test_digraph import digraphs, mixed_digraphs
 
 F = Fraction
@@ -56,7 +61,7 @@ class TestChelou:
         assert find_chelou_arcs(c3) == ([], [])
 
     def test_in_chelou_via_reversal(self):
-        rev = chelou_pattern().reverse()
+        rev = reversed_digraph(chelou_pattern())
         _, in_chelou = find_chelou_arcs(rev)
         assert in_chelou == [(1, 0)]
 
@@ -69,7 +74,7 @@ class TestChelou:
     @given(digraphs(max_n=6))
     def test_duality(self, d):
         out_chelou, in_chelou = find_chelou_arcs(d)
-        rev_out, rev_in = find_chelou_arcs(d.reverse())
+        rev_out, rev_in = find_chelou_arcs(reversed_digraph(d))
         assert sorted((y, x) for x, y in in_chelou) == rev_out
         assert sorted((y, x) for x, y in out_chelou) == rev_in
 
@@ -156,6 +161,14 @@ class TestValencies:
     def test_nu_n_requires_d6_membership(self, c3):
         with pytest.raises(DigraphError):
             neighbourhood_valency(c3, 0)
+
+    @pytest.mark.parametrize("v", [-1, 7])
+    def test_nu_n_rejects_vertices_outside_the_digraph(self, v):
+        # vertex 6 is in D6: degree 6 with three digons
+        d = Digraph(7, [(6, u) for u in range(3)] + [(u, 6) for u in range(3)])
+        assert neighbourhood_valency(d, 6) == 0
+        with pytest.raises(DigraphError):
+            neighbourhood_valency(d, v)
 
 
 class TestDischarge:
@@ -341,7 +354,7 @@ class TestCollapsible:
         for cand in itertools.combinations(range(d.n), 4):
             s, _ = induced(d, cand)
             degs = sorted(len(s.neighbours(v)) for v in range(4))
-            if s.is_bidirected() and len(s.underlying_edges()) == 3 and degs == [1, 1, 2, 2]:
+            if s.is_bidirected() and len(underlying_edges(s)) == 3 and degs == [1, 1, 2, 2]:
                 quad = cand
                 break
         assert quad is not None
