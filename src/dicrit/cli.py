@@ -104,14 +104,18 @@ def _cmd_ore_check(args) -> int:
 def _cmd_ore_compose(args) -> int:
     d1 = _load(args.file1)
     d2 = _load(args.file2)
-    x, y = _int_list(args.digon)
+    digon = _int_list(args.digon)
+    if len(digon) != 2:
+        raise DigraphError("--digon must name exactly two vertices")
     z1 = _int_list(args.z1)
+    if len(set(z1)) != len(z1):
+        raise DigraphError("--z1 must not repeat a vertex")
     z = args.split
     if not 0 <= z < d2.n:
         raise DigraphError(f"split vertex {z} out of range")
     nbrs = set(d2.neighbours(z))
     z2 = sorted(nbrs - set(z1))
-    composed, node = ore.ore_compose(d1, (x, y), d2, z, z1, z2)
+    composed, node = ore.ore_compose(d1, tuple(digon), d2, z, z1, z2)
     payload = {"digraph": serialize(composed), "trace": ore.trace_to_json(node)}
     _emit(args, payload, serialize(composed).rstrip("\n"))
     return EXIT_OK

@@ -334,9 +334,8 @@ def boundary(d: Digraph, subset: Iterable[int]) -> frozenset[int]:
         raise DigraphError("subset contains vertices outside the digraph")
     if len(r) == d.n:
         raise DigraphError("boundary of the whole vertex set is undefined")
-    return frozenset(
-        v for v in r if any(u not in r for u in d.neighbours(v))
-    )
+    outside = ~sum(1 << v for v in r)
+    return frozenset(v for v in r if (d.out_masks[v] | d.in_masks[v]) & outside)
 
 
 def identify(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .budget import Budget, DEFAULT_RECOGNITION_NODES, ensure_budget
 from .digraph import (
@@ -29,7 +29,6 @@ from .digraph import (
     bits,
     digon_masks,
     induced,
-    boundary,
     two_cut_sides,
     underlying_masks,
 )
@@ -272,6 +271,19 @@ def _plausible_4ore(d: Digraph) -> bool:
     return all(d.degree(v) >= 6 for v in d.vertices())
 
 
+def _splits(comps: list[int]) -> Iterator[tuple[int, int]]:
+    """Every way of giving the components ``comps`` (bitsets) to two
+    non-empty unions, as ``(a0, b0)``; each division comes in both roles."""
+    for mask in range(1, (1 << len(comps)) - 1):
+        a0 = b0 = 0
+        for i, comp in enumerate(comps):
+            if mask >> i & 1:
+                a0 |= comp
+            else:
+                b0 |= comp
+        yield a0, b0
+
+
 def _recognition_search(
     d: Digraph, budget: Budget, memo: dict
 ) -> tuple[OreTrace, list[int]] | None:
@@ -302,14 +314,8 @@ def _recognition_search(
         if nx >> y & 1:
             continue
         # Every component goes wholly to one side; try both roles.
-        for mask in range(1, (1 << len(comps)) - 1):
+        for a0, b0 in _splits(comps):
             budget.spend()
-            a0 = b0 = 0
-            for i, comp in enumerate(comps):
-                if mask >> i & 1:
-                    a0 |= comp
-                else:
-                    b0 |= comp
             # d1 has order |a0| + 2 and d2 order |b0| + 1, with |a0| + |b0| =
             # n - 2 = 2 (mod 3).  Both orders are 1 (mod 3) iff |a0| = 2
             # (mod 3); then |b0| = 0 (mod 3), so |a0| >= 2 and |b0| >= 3.
@@ -417,25 +423,33 @@ def find_ore_collapsible(
     d: Digraph, size_cap: int, budget: Budget | int | None = None
 ) -> list[tuple[frozenset[int], tuple[int, int]]]:
     """All induced R with a 2-vertex boundary {u,v} such that R + [u,v] is
-    4-Ore, for n(R) <= size_cap.  Scans every subset of order 4, 7, 10, ...
-    up to the cap: a 4-Ore digraph has n = 1 (mod 3)."""
+    4-Ore, for n(R) <= size_cap, by order and then lexicographically.
+
+    With both sides non-empty, boundary(R) = {u, v} exactly when R - {u, v}
+    is a union of components of G - {u, v} (G the underlying graph) and u
+    and v each see the rest, so the scan walks the splits of the 2-cuts
+    from :func:`two_cut_sides` and keeps orders 4, 7, 10, ... (the 4-Ore
+    orders); see ``docs/decisions.md`` section 9."""
     budget = ensure_budget(budget, DEFAULT_RECOGNITION_NODES, "Ore-collapsible scan")
     results = []
-    top = min(size_cap, d.n - 1)
-    for size in range(4, top + 1, 3):
-        for subset in itertools.combinations(d.vertices(), size):
+    adj = underlying_masks(d)
+    for cut, comps in two_cut_sides(adj):
+        if len(cut) == 1:
+            continue
+        # Unlike recognition, keep adjacent pairs: a host that is not 4-Ore
+        # can have a 4-Ore R + [u, v] with u and v already joined.
+        u, v = cut
+        for a0, b0 in _splits(comps):
             budget.spend()
-            bd = boundary(d, subset)
-            if len(bd) != 2:
+            size = a0.bit_count() + 2
+            if size > size_cap or size % 3 != 1 or not (adj[u] & b0 and adj[v] & b0):
                 continue
-            u, v = sorted(bd)
+            subset = [*bits(a0 | 1 << u | 1 << v)]
             r, mapping = induced(d, subset)
             h = r.with_arcs([(mapping[u], mapping[v]), (mapping[v], mapping[u])])
-            if not h.is_bidirected():
-                continue
-            if is_4ore(h, budget) is not None:
+            if h.is_bidirected() and is_4ore(h, budget) is not None:
                 results.append((frozenset(subset), (u, v)))
-    return results
+    return sorted(results, key=lambda found: (len(found[0]), sorted(found[0])))
 
 
 def split_vertex(

@@ -15,9 +15,9 @@ the dicolouring search's node sequence by its first kernel (a cycle-test
 closure and one ``Budget.spend`` call per node; the package inlines both),
 chelou arcs by the reversal in their definition (the package reads both
 kinds off D in one pass), and the Ore-collapsible scan by testing subsets
-of every order (the package visits only orders 1 mod 3).  The last is
-written with the package's ``boundary``, ``induced`` and ``is_4ore``, so it
-checks the scan's order arithmetic, not recognition.  Adjacency is
+of every order (the package walks the splits of 2-cuts, orders 1 mod 3
+only).  The last is written with the package's ``boundary``, ``induced``
+and ``is_4ore``, so it checks how the scan finds R, not recognition.  Adjacency is
 read off the arc set by its definitions (the package stores bitsets).
 """
 

@@ -128,6 +128,22 @@ class TestSubcommands:
         assert code == 2 and out == ""
         assert err.strip() == f"error: split vertex {split} out of range"
 
+    @pytest.mark.parametrize(
+        "digon, z1, message",
+        [
+            ("0", "0", "--digon must name exactly two vertices"),
+            ("0,1,2", "0", "--digon must name exactly two vertices"),
+            ("0,1", "0,0", "--z1 must not repeat a vertex"),
+        ],
+    )
+    def test_ore_compose_bad_input_is_2(self, capsys, k4_file, digon, z1, message):
+        code, out, err = run(
+            capsys, "ore", "compose", k4_file, k4_file,
+            "--digon", digon, "--split", "3", "--z1", z1,
+        )
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: {message}"
+
     def test_bound_oriented(self, capsys, tmp_path):
         from dicrit.constructions import ConstructionSpec, build_g3, build_gk
         g4, _ = build_gk(4, ConstructionSpec(k=4))

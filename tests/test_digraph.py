@@ -245,6 +245,11 @@ class TestBoundary:
         with pytest.raises(DigraphError):
             boundary(c3, [0, 1, 2])
 
+    @pytest.mark.parametrize("subset", [[], [0, 3], [-1, 0]])
+    def test_empty_or_outside_rejected(self, c3, subset):
+        with pytest.raises(DigraphError):
+            boundary(c3, subset)
+
     @settings(max_examples=100)
     @given(digraphs(), st.data())
     def test_boundary_inside_subset(self, d, data):
@@ -260,6 +265,10 @@ class TestBoundary:
             (u in subset) != (v in subset) for u, v in d.arcs
         )
         assert bool(bd) == crossing
+        assert bd == {
+            w for arc in d.arcs for w, x in (arc, arc[::-1])
+            if w in subset and x not in subset
+        }
 
 
 class TestIdentify:

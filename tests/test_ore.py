@@ -309,6 +309,37 @@ class TestDetectors:
             assert find_diamonds(host) == oracle_find_diamonds(host)
 
 
+@st.composite
+def collapsible_hosts(draw):
+    """Hosts of at most 10 vertices for the collapsible scan: a digraph from
+    ``mixed_digraphs`` (often not bidirected), a bidirected graph (often
+    disconnected), a 4-Ore digraph beside a bidirected K4 (or K3 past 7
+    vertices), apart or joined at a 1-cut by one digon, or a 4-Ore digraph
+    with one extra digon (so some boundary pairs are adjacent)."""
+    kind = draw(st.sampled_from(("mixed", "bidirected", "union", "extra digon")))
+    if kind == "mixed":
+        return draw(mixed_digraphs(max_n=10))
+    if kind == "bidirected":
+        n = draw(st.integers(min_value=1, max_value=10))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
+        return Digraph(n, [arc for u, v in edges for arc in ((u, v), (v, u))])
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    if kind == "union":
+        a, _ = generate_4ore(draw(st.sampled_from((4, 7))), seed=seed)
+        b = bidirected_complete(min(4, 10 - a.n))
+        arcs = list(a.arcs) + [(u + a.n, v + a.n) for u, v in b.arcs]
+        if draw(st.booleans()):
+            arcs += [(0, a.n), (a.n, 0)]
+        return Digraph(a.n + b.n, arcs)
+    d, _ = generate_4ore(draw(st.sampled_from((7, 10))), seed=seed)
+    u, v = draw(
+        st.sampled_from([(u, v) for u, v in itertools.combinations(d.vertices(), 2)
+                         if not d.has_arc(u, v)])
+    )
+    return d.with_arcs([(u, v), (v, u)])
+
+
 class TestOreCollapsible:
     def test_digon_side_found_in_seven_vertex(self, seven_vertex_composition):
         found = find_ore_collapsible(seven_vertex_composition, size_cap=6)
@@ -335,14 +366,39 @@ class TestOreCollapsible:
         }[labels]
         assert find_ore_collapsible(host, cap) == oracle_ore_collapsible(host, cap)
 
+    @settings(max_examples=150, deadline=None)
+    @given(collapsible_hosts(), st.sampled_from((4, 7, 10)))
+    def test_matches_the_all_orders_scan_on_small_hosts(self, host, cap):
+        assert find_ore_collapsible(host, cap) == oracle_ore_collapsible(host, cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from((4, 7, 10, 13, 16)),
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(("generator", "shuffled", "thinned")),
+        st.sampled_from((4, 7, 10)),
+        st.data(),
+    )
+    def test_matches_the_all_orders_scan_on_4ore(self, n, seed, labels, cap, data):
+        d, _ = generate_4ore(n, seed=seed)
+        if labels == "shuffled":
+            perm = data.draw(st.permutations(range(n)))
+            d = Digraph(n, ((perm[u], perm[v]) for u, v in d.arcs))
+        elif labels == "thinned":
+            d = d.without_arcs([data.draw(st.sampled_from(d.digons()))])
+        assert find_ore_collapsible(d, cap) == oracle_ore_collapsible(d, cap)
+
     # Budget.used of find_ore_collapsible(generate_4ore(n, seed), 7); upper
     # bounds, which later changes may only lower.
-    @pytest.mark.parametrize("n, seed, ceiling", [(13, 0, 2_443), (16, 1, 13_271)])
+    @pytest.mark.parametrize("n, seed, ceiling", [(13, 0, 26), (16, 1, 29)])
     def test_within_node_ceiling(self, n, seed, ceiling):
         d, _ = generate_4ore(n, seed=seed)
         budget = Budget(2_000_000, "Ore-collapsible scan")
         assert find_ore_collapsible(d, 7, budget)
         assert budget.used <= ceiling
+
+    def test_shuffled_25_cap_10_within_default_budget(self):
+        assert len(find_ore_collapsible(shuffled_4ore(25, 3), 10)) == 6
 
     def test_oriented_has_none(self):
         assert find_ore_collapsible(directed_cycle(6), size_cap=5) == []
