@@ -4,10 +4,11 @@ The packing value is d + 2t for d digons and t bidirected triangles; its
 maximum over all packings is the quantity every potential computation
 needs.  Every item is a clique of the digon graph, so triangles are read
 off :func:`~dicrit.digraph.digon_masks`.  The search is branch and bound
-over the items as vertex bitsets (triangles first, then digons, both in
-lexicographic order) with an admissible optimistic bound, so the result is
-exhaustively optimal unless the node budget runs out, in which case the
-best packing found so far is returned flagged non-optimal.
+over the triangles as vertex bitsets, in lexicographic order, and then
+over digons by the partner of the lowest vertex left that has one, each
+with an admissible optimistic bound, so the result is exhaustively optimal
+unless the node budget runs out, in which case the best packing found so
+far is returned flagged non-optimal.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ def bidirected_triangles(d: Digraph) -> list[tuple[int, int, int]]:
 
 
 def _search(
-    masks: list[int],
-    n_triangles: int,
+    triangles: list[int],
+    digon: list[int],
     budget: Budget,
     best: list,
     i: int,
@@ -80,46 +81,54 @@ def _search(
     free: int,
     chosen: tuple[int, ...],
 ) -> None:
-    """Branch on items ``i..``: the first ``n_triangles`` are triangles
-    worth 2, the rest digons worth 1, so an item covers its worth plus one
-    vertices.  ``used`` is the bitset of covered vertices and ``free`` the
-    number left; ``best`` holds the incumbent value and item indices, so it
-    survives :class:`BudgetExceeded`."""
+    """Branch on the triangles ``i..`` (vertex bitsets worth 2 each), then
+    on digons.  ``used`` is the bitset of covered vertices and ``free`` the
+    number left; ``best`` holds the incumbent value and items as bitsets,
+    so it survives :class:`BudgetExceeded`."""
     if value > best[0]:
         best[:] = value, chosen
-    # Taking item i recurses; skipping it moves on in the loop, so the
+    # Taking triangle i recurses; skipping it moves on in the loop, so the
     # depth is the number of items taken, at most n/2.  The bound: digons
     # collect at most floor(free/2); each still-available triangle can
     # beat that rate by one, hence the surplus term.  Admissible.
-    while i < len(masks) and (
-        value + free // 2 + min(max(0, n_triangles - i), free // 3) > best[0]
+    while i < len(triangles) and (
+        value + free // 2 + min(len(triangles) - i, free // 3) > best[0]
     ):
         budget.spend()
-        if not masks[i] & used:
-            gain = 2 if i < n_triangles else 1
-            _search(
-                masks, n_triangles, budget, best, i + 1, value + gain,
-                used | masks[i], free - gain - 1, chosen + (i,),
-            )
+        if not triangles[i] & used:
+            _search(triangles, digon, budget, best, i + 1, value + 2,
+                    used | triangles[i], free - 3, chosen + (triangles[i],))
         i += 1
+    if i < len(triangles):
+        return
+    # Digons: the lowest uncovered vertex v with an uncovered partner takes
+    # each such partner w in turn and is never left out, since a best
+    # matching of the rest that misses v covers w, and swapping w's digon
+    # for vw keeps its size.  At most half of these vertices get a digon.
+    live = [v for v in range(len(digon)) if not used >> v & 1 and digon[v] & ~used]
+    for w in bits(digon[live[0]] & ~used) if live else ():
+        if value + len(live) // 2 <= best[0]:
+            return
+        budget.spend()
+        pair = 1 << live[0] | 1 << w
+        _search(triangles, digon, budget, best, i, value + 1, used | pair,
+                free - 2, chosen + (pair,))
 
 
 def max_packing(d: Digraph, budget: Budget | int | None = None) -> Packing:
     """A maximum packing, exhaustively optimal within the node budget."""
     budget = ensure_budget(budget, DEFAULT_PACKING_NODES, "packing search")
-    triangles = bidirected_triangles(d)
-    items: list[tuple[int, ...]] = [*triangles, *d.digons()]
-    masks = [sum(1 << v for v in item) for item in items]
+    triangles = [sum(1 << v for v in t) for t in bidirected_triangles(d)]
     best: list = [0, ()]
     optimal = True
     try:
-        _search(masks, len(triangles), budget, best, 0, 0, 0, d.n, ())
+        _search(triangles, digon_masks(d), budget, best, 0, 0, 0, d.n, ())
     except BudgetExceeded:
         optimal = False
-    chosen = best[1]
+    items = [tuple(bits(item)) for item in best[1]]
     packing = Packing(
-        digon_items=tuple(items[i] for i in chosen if i >= len(triangles)),  # type: ignore[misc]
-        triangle_items=tuple(items[i] for i in chosen if i < len(triangles)),  # type: ignore[misc]
+        digon_items=tuple(item for item in items if len(item) == 2),  # type: ignore[misc]
+        triangle_items=tuple(item for item in items if len(item) == 3),  # type: ignore[misc]
         optimal=optimal,
     )
     assert verify_packing(d, packing)

@@ -2,13 +2,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dicrit.budget import Budget
-from dicrit.digraph import bidirected_complete, digon_masks, induced
+from dicrit.digraph import Digraph, bidirected_complete, digon_masks, induced
 from dicrit.ore import generate_4ore
 from dicrit.packing import Packing, bidirected_triangles, max_packing, verify_packing
 
 from .conftest import random_digraph
 from .oracles import oracle_bidirected_triangles, oracle_max_packing_value
 from .test_digraph import digraphs, mixed_digraphs
+
+
+@st.composite
+def sparse_bidirected(draw, max_n=12):
+    """Bidirected graphs with at most n + 4 digons."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1]),
+        max_size=n + 4, unique=True,
+    ))
+    return Digraph(n, [arc for u, v in pairs for arc in ((u, v), (v, u))])
 
 
 class TestMaxPacking:
@@ -65,6 +76,22 @@ class TestMaxPacking:
         p = max_packing(d, budget)
         assert p.optimal and p.value == value
         assert budget.used <= nodes
+
+    @pytest.mark.parametrize("seed, value, nodes", [(11, 23, 1_301), (18, 24, 1_531), (26, 23, 715)])
+    def test_4ore_40_within_default_budget(self, seed, value, nodes):
+        d, _ = generate_4ore(40, seed=seed)
+        budget = Budget()
+        p = max_packing(d, budget)
+        assert p.optimal and p.value == value
+        assert budget.used <= nodes
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_bidirected())
+    def test_matches_exhaustive_oracle_on_sparse_graphs(self, d):
+        # Few triangles and many odd cycles, so the digon branching decides.
+        p = max_packing(d)
+        assert p.optimal and verify_packing(d, p)
+        assert p.value == oracle_max_packing_value(d)
 
     def test_k12_nodes_pinned(self):
         budget = Budget()
