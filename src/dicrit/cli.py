@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import census as census_mod
 from . import constructions, ore, structure
-from .budget import BudgetExceeded
+from .budget import DEFAULT_RECOGNITION_NODES, BudgetExceeded, ensure_budget
 from .colouring import (
     ColouringError,
     dichromatic_number,
@@ -89,13 +89,15 @@ def _cmd_ore_gen(args) -> int:
 
 def _cmd_ore_check(args) -> int:
     d = _load(args.file)
-    trace = ore.is_4ore(d, args.budget)
+    budget = ensure_budget(args.budget, DEFAULT_RECOGNITION_NODES, "4-Ore recognition")
+    trace = ore.is_4ore(d, budget)
+    stats = {"nodes": budget.used}
     if trace is None:
-        _emit(args, {"is_4ore": False}, "not 4-Ore")
+        _emit(args, {"is_4ore": False, "stats": stats}, "not 4-Ore")
         return EXIT_VIOLATION
     _emit(
         args,
-        {"is_4ore": True, "trace": ore.trace_to_json(trace)},
+        {"is_4ore": True, "trace": ore.trace_to_json(trace), "stats": stats},
         "4-Ore (decomposition trace found)",
     )
     return EXIT_OK

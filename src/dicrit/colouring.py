@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, BudgetExceeded, DEFAULT_SOLVER_NODES, ensure_budget
-from .digraph import Digraph, bits, serialize, two_cut_sides
+from .digraph import Digraph, bits, restrict, serialize, two_cut_sides
 
 
 class ColouringError(ValueError):
@@ -327,19 +327,6 @@ def _in_masks(out: list[int]) -> list[int]:
     return inn
 
 
-def _restrict(out: list[int], vertices: list[int]) -> list[int]:
-    """The subdigraph induced on ``vertices``, relabelled in their order."""
-    index = {w: i for i, w in enumerate(vertices)}
-    keep = sum(1 << w for w in vertices)
-    result = []
-    for w in vertices:
-        mask = 0
-        for x in bits(out[w] & keep):
-            mask |= 1 << index[x]
-        result.append(mask)
-    return result
-
-
 def _attach(out: list[int], u: int, v: int, gadget: tuple[bool, bool, bool], c: int) -> None:
     """Add ``gadget = (uv, vu, forcer)`` between u and v, in place: the arc
     u->v if ``uv``, the arc v->u if ``vu``, and if ``forcer`` a bidirected
@@ -376,7 +363,7 @@ def _side_gadget(
     """
     members = list(bits(side))
     a = len(members)
-    h = _restrict(out, members + [u, v])
+    h = restrict(out, members + [u, v])
     h[a] &= ~(1 << (a + 1))
     h[a + 1] &= ~(1 << a)
 
@@ -451,7 +438,7 @@ def _colourable(out: Sequence[int], c: int, budget: Budget, stats: RefutationSta
         stats.sides_replaced += len(gadgets)
         kept = [w for w in range(n) if not gone >> w & 1]
         index = {w: i for i, w in enumerate(kept)}
-        out = _restrict(out, kept)
+        out = restrict(out, kept)
         for u, v, gadget in gadgets:
             _attach(out, index[u], index[v], gadget, c)
     stats.piece_solves += 1

@@ -25,9 +25,9 @@ Every cut and component question is answered on vertex bitsets:
 bitset per vertex, :func:`mask_components` floods it within a vertex
 bitset, and :func:`two_cut_sides` enumerates every cut of at most two
 vertices with its sides.  4-Ore recognition, D6 components, connectivity
-and the dicolouring reduction all use these three.  :func:`digon_masks`
-gives the digon graph the same way; the packing layer and the diamond
-detector read their digon cliques off it.
+and the dicolouring reduction all use these three, and :func:`restrict`
+cuts out pieces.  :func:`digon_masks` gives the digon graph the same way;
+the packing layer and the diamond detector read their digon cliques off it.
 """
 
 from __future__ import annotations
@@ -323,6 +323,19 @@ def induced(d: Digraph, subset: Iterable[int]) -> tuple[Digraph, dict[int, int]]
         if u in mapping and v in mapping
     ]
     return Digraph(len(vs), arcs), mapping
+
+
+def restrict(masks: Sequence[int], vertices: Sequence[int]) -> list[int]:
+    """Bitset adjacency induced on ``vertices``, relabelled in their order."""
+    index = {w: i for i, w in enumerate(vertices)}
+    keep = sum(1 << w for w in vertices)
+    result = []
+    for w in vertices:
+        mask = 0
+        for x in bits(masks[w] & keep):
+            mask |= 1 << index[x]
+        result.append(mask)
+    return result
 
 
 def boundary(d: Digraph, subset: Iterable[int]) -> frozenset[int]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .budget import Budget, DEFAULT_RECOGNITION_NODES, ensure_budget
 from .digraph import (
@@ -28,13 +28,12 @@ from .digraph import (
     bidirected_complete,
     bits,
     digon_masks,
-    induced,
+    restrict,
     two_cut_sides,
     underlying_masks,
 )
 from .iso import canonical_labelling
 from .packing import bidirected_triangles
-from .potential import check_4ore_arc_identity
 
 
 # -- traces ----------------------------------------------------------------
@@ -264,11 +263,22 @@ def generate_4ore(
 # -- recognition -----------------------------------------------------------
 
 
-def _plausible_4ore(d: Digraph) -> bool:
-    # Cheap necessary conditions: exact arc identity and minimum degree 6.
-    if not check_4ore_arc_identity(d):
-        return False
-    return all(d.degree(v) >= 6 for v in d.vertices())
+def _plausible(adj: Sequence[int]) -> bool:
+    # Cheap necessary conditions on a bidirected digraph, from its underlying
+    # bitsets: the arc identity 3m = 10n - 4 and minimum degree 6.
+    sizes = [mask.bit_count() for mask in adj]
+    return 3 * sum(sizes) == 10 * len(adj) - 4 and min(sizes) >= 3
+
+
+def _digon_piece(masks: Sequence[int], part: int, x: int, y: int) -> tuple[list[int], list[int]]:
+    """The bitset adjacency ``masks`` induced on the bitset ``part`` plus x
+    and y, with the digon [x, y] added, and the vertices it keeps in order."""
+    side = [*bits(part | 1 << x | 1 << y)]
+    piece = restrict(masks, side)
+    i, j = side.index(x), side.index(y)
+    piece[i] |= 1 << j
+    piece[j] |= 1 << i
+    return piece, side
 
 
 def _splits(comps: list[int]) -> Iterator[tuple[int, int]]:
@@ -285,34 +295,39 @@ def _splits(comps: list[int]) -> Iterator[tuple[int, int]]:
 
 
 def _recognition_search(
-    d: Digraph, budget: Budget, memo: dict
+    adj: tuple[int, ...], budget: Budget, memo: dict
 ) -> tuple[OreTrace, list[int]] | None:
-    """A trace for ``d`` and a map phi from V(d) onto V(replay(trace)), or
-    None.  ``memo`` maps a canonical form to the trace found for it and phi
-    composed with the inverse of the canonical labelling (or None)."""
+    """A trace for the bidirected digraph with underlying bitsets ``adj`` and
+    a map phi from its vertices onto V(replay(trace)), or None.  ``memo``
+    maps each piece's bitsets to that result, and its canonical form to the
+    trace and phi composed with the inverse canonical labelling (or None)."""
     budget.spend()
-    # Every input has passed _plausible_4ore: 3m = 10n - 4 gives n = 1
-    # (mod 3), and at n = 4 it gives m = 12, the bidirected K4.
-    if d.n == 4:
+    # Every input has passed _plausible: 3m = 10n - 4 gives n = 1 (mod 3),
+    # and at n = 4 it gives m = 12, the bidirected K4.
+    if len(adj) == 4:
         return OreLeaf(), [0, 1, 2, 3]
+    if adj in memo:
+        return memo[adj]
+    d = Digraph(len(adj), [(u, v) for u, mask in enumerate(adj) for v in bits(mask)])
     form, labelling = canonical_labelling(d)
     if form in memo:
-        if memo[form] is None:
-            return None
-        trace, psi = memo[form]
-        return trace, [psi[p] for p in labelling]
+        found = memo[form]
+        if found:
+            found = found[0], [found[1][p] for p in labelling]
+        memo[adj] = found
+        return found
     # Every digraph searched below this one is smaller, so none of them can
-    # read this entry before it is final.
-    memo[form] = None
-    adj = underlying_masks(d)
+    # read these entries before they are final.
+    memo[form] = memo[adj] = None
     for cut, comps in two_cut_sides(adj):
-        # A composition is undone at a cut {x, y} with no arc between them.
-        if len(cut) == 1:
-            continue
+        # No 4-critical graph has a cut vertex, a 2-cut {x, y} with x ~ y,
+        # or a 2-cut leaving three components (docs/decisions.md section 10).
+        if len(cut) == 1 or len(comps) > 2:
+            return None
         x, y = cut
         nx, ny = adj[x], adj[y]
         if nx >> y & 1:
-            continue
+            return None
         # Every component goes wholly to one side; try both roles.
         for a0, b0 in _splits(comps):
             budget.spend()
@@ -329,48 +344,46 @@ def _recognition_search(
                 continue
             if (nx & a0).bit_count() < 2 or (ny & a0).bit_count() < 2:
                 continue
-            d1_raw, map1 = induced(d, bits(a0 | 1 << x | 1 << y))
-            d1 = d1_raw.with_arcs([(map1[x], map1[y]), (map1[y], map1[x])])
-            if not _plausible_4ore(d1):
+            d1, side1 = _digon_piece(adj, a0, x, y)
+            if not _plausible(d1):
                 continue
-            d2_base, map2 = induced(d, bits(b0))
-            z_id = d2_base.n
-            extra = []
+            # d2 is D[b0] with a last vertex z joined to zx and zy.
+            side2 = [*bits(b0)]
+            at = {w: i for i, w in enumerate(side2)}
+            d2 = restrict(adj, side2) + [sum(1 << at[w] for w in bits(zx | zy))]
             for w in bits(zx | zy):
-                extra.append((z_id, map2[w]))
-                extra.append((map2[w], z_id))
-            d2 = Digraph(z_id + 1, list(d2_base.arcs) + extra)
-            if not _plausible_4ore(d2):
+                d2[at[w]] |= 1 << len(side2)
+            if not _plausible(d2):
                 continue
-            found1 = _recognition_search(d1, budget, memo)
+            found1 = _recognition_search(tuple(d1), budget, memo)
             if found1 is None:
                 continue
-            found2 = _recognition_search(d2, budget, memo)
+            found2 = _recognition_search(tuple(d2), budget, memo)
             if found2 is None:
                 continue
             # phi1 and phi2 carry d1 and d2 onto the replays of their traces,
             # so they translate the surgery data, and the label convention of
             # ore_compose places every vertex of d in the composed replay.
             (t1, phi1), (t2, phi2) = found1, found2
-            z = phi2[z_id]
+            z = phi2[-1]
             node = OreNode(
                 digon_side=t1,
                 split_side=t2,
-                digon=(phi1[map1[x]], phi1[map1[y]]),
+                digon=(phi1[side1.index(x)], phi1[side1.index(y)]),
                 split_vertex=z,
-                z1=tuple(sorted(phi2[map2[w]] for w in bits(zx))),
-                z2=tuple(sorted(phi2[map2[w]] for w in bits(zy))),
+                z1=tuple(sorted(phi2[at[w]] for w in bits(zx))),
+                z2=tuple(sorted(phi2[at[w]] for w in bits(zy))),
             )
-            phi = [0] * d.n
-            for v, i in map1.items():
-                phi[v] = phi1[i]
-            for v, i in map2.items():
-                p = phi2[i]
-                phi[v] = d1.n + p - (p > z)
-            psi = [0] * d.n
+            phi = [0] * len(adj)
+            for v, p in zip(side1, phi1):
+                phi[v] = p
+            for v, p in zip(side2, phi2):
+                phi[v] = len(d1) + p - (p > z)
+            psi = [0] * len(adj)
             for v, p in enumerate(labelling):
                 psi[p] = phi[v]
             memo[form] = (node, psi)
+            memo[adj] = (node, phi)
             return node, phi
     return None
 
@@ -378,20 +391,20 @@ def _recognition_search(
 def is_4ore(d: Digraph, budget: Budget | int | None = None) -> OreTrace | None:
     """A composition trace iff the digraph is 4-Ore, else None.
 
-    The input must be bidirected with n = 1 (mod 3); membership is decided
-    by decomposition search over nonadjacent 2-cutsets, memoized by
-    canonical form.  Replaying the returned trace yields a digraph isomorphic
-    to the input.
+    The input must be bidirected with n = 1 (mod 3).  Decomposition search
+    on the underlying graph's bitsets undoes compositions at non-adjacent
+    2-cuts, and rejects a piece at its first cut no 4-critical graph has.
+    Pieces are memoised by their bitsets, then by canonical form.  Replaying
+    the returned trace yields a digraph isomorphic to the input.
     """
     if not d.is_bidirected():
         raise DigraphError("4-Ore digraphs are bidirected")
     if d.n % 3 != 1:
         raise DigraphError("4-Ore orders are 4, 7, 10, ... (n = 1 mod 3)")
     budget = ensure_budget(budget, DEFAULT_RECOGNITION_NODES, "4-Ore recognition")
-    if not _plausible_4ore(d):
-        return None
-    found = _recognition_search(d, budget, {})
-    return None if found is None else found[0]
+    adj = tuple(underlying_masks(d))
+    found = _plausible(adj) and _recognition_search(adj, budget, {})
+    return found[0] if found else None
 
 
 # -- structural detectors ----------------------------------------------------
@@ -444,10 +457,10 @@ def find_ore_collapsible(
             size = a0.bit_count() + 2
             if size > size_cap or size % 3 != 1 or not (adj[u] & b0 and adj[v] & b0):
                 continue
-            subset = [*bits(a0 | 1 << u | 1 << v)]
-            r, mapping = induced(d, subset)
-            h = r.with_arcs([(mapping[u], mapping[v]), (mapping[v], mapping[u])])
-            if h.is_bidirected() and is_4ore(h, budget) is not None:
+            # R + [u, v] is bidirected iff its out- and in-masks agree.
+            h, subset = _digon_piece(d.out_masks, a0, u, v)
+            if h == _digon_piece(d.in_masks, a0, u, v)[0] and _plausible(h) and (
+                    _recognition_search(tuple(h), budget, {})):
                 results.append((frozenset(subset), (u, v)))
     return sorted(results, key=lambda found: (len(found[0]), sorted(found[0])))
 

@@ -102,6 +102,17 @@ class TestSubcommands:
         code, out, _ = run(capsys, "ore", "check", str(gen_path))
         assert code == 0 and "4-Ore" in out
 
+    def test_ore_check_json_stats(self, capsys, k4_file, tmp_path):
+        code, out, _ = run(capsys, "ore", "check", k4_file, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["is_4ore"] and payload["stats"] == {"nodes": 1}
+        # K4 minus a digon fails the arc identity before any search node.
+        path = tmp_path / "bad.dg"
+        path.write_text(serialize(bidirected_complete(4).without_arcs([(0, 1), (1, 0)])))
+        code, out, _ = run(capsys, "ore", "check", str(path), "--json")
+        payload = json.loads(out)
+        assert code == 1 and payload == {"is_4ore": False, "stats": {"nodes": 0}}
+
     def test_ore_check_negative_is_1(self, capsys, tmp_path):
         bad = bidirected_complete(4).without_arcs([(0, 1), (1, 0)])
         path = tmp_path / "bad.dg"

@@ -17,6 +17,7 @@ from dicrit.digraph import (
     is_k_connected,
     parse,
     profiles,
+    restrict,
     serialize,
     two_cut_sides,
     underlying_masks,
@@ -226,6 +227,14 @@ class TestInduced:
     def test_empty_rejected(self, c3):
         with pytest.raises(DigraphError):
             induced(c3, [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_digraphs(max_n=9), st.data())
+    def test_restrict_matches_induced(self, d, data):
+        subset = sorted(data.draw(st.sets(st.sampled_from(range(d.n)), min_size=1)))
+        sub, _ = induced(d, subset)
+        assert restrict(d.out_masks, subset) == list(sub.out_masks)
+        assert restrict(underlying_masks(d), subset) == underlying_masks(sub)
 
 
 class TestBoundary:

@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dicrit.budget import Budget
-from dicrit.digraph import Digraph, DigraphError, bidirected_complete, directed_cycle, induced
-from dicrit.iso import find_isomorphism
+from dicrit.digraph import (
+    Digraph,
+    DigraphError,
+    bidirected_complete,
+    directed_cycle,
+    induced,
+    two_cut_sides,
+    underlying_masks,
+)
+from dicrit.iso import canonical_form, find_isomorphism
 from dicrit.ore import (
     OreLeaf,
     OreNode,
@@ -27,6 +35,7 @@ from dicrit.packing import max_packing
 from dicrit.potential import ZERO_PARAMS, check_4ore_arc_identity, potential
 
 from .oracles import (
+    oracle_4ore_forms,
     oracle_find_diamonds,
     oracle_find_emeralds,
     oracle_ore_collapsible,
@@ -217,6 +226,17 @@ class TestRecognition:
         d = shuffled_4ore(100, 3)
         self._assert_replays_onto(d, is_4ore(d))
 
+    # The search of each meets a piece it has already recognised, with the
+    # same labels, and takes its trace and map from the memo: the piece was
+    # searched itself on the shuffled inputs, and matched an isomorphic
+    # piece's canonical form on generate_4ore(40, 11).
+    @pytest.mark.parametrize(
+        "n, seed, shuffled", [(19, 12, True), (25, 53, True), (40, 11, False)]
+    )
+    def test_repeated_piece_replays_onto(self, n, seed, shuffled):
+        d = shuffled_4ore(n, seed) if shuffled else generate_4ore(n, seed=seed)[0]
+        self._assert_replays_onto(d, is_4ore(d))
+
     # Budget.used of is_4ore on shuffled and swapped 4-Ore digraphs (n, seed);
     # upper bounds, which later changes may only lower.
     @pytest.mark.parametrize(
@@ -226,7 +246,7 @@ class TestRecognition:
             (shuffled_4ore, 19, 3, True, 16),
             (shuffled_4ore, 25, 2, True, 22),
             (shuffled_4ore, 31, 1, True, 26),
-            (swapped_4ore, 22, 1, False, 299),
+            (swapped_4ore, 22, 1, False, 1),
             (swapped_4ore, 28, 4, False, 889),
         ],
     )
@@ -239,6 +259,41 @@ class TestRecognition:
         # bidirected C7: right order (7 = 1 mod 3) but chromatic number 3
         from dicrit.digraph import bidirected_cycle
         assert is_4ore(bidirected_cycle(7)) is None
+
+    @pytest.mark.parametrize("n", range(7, 32, 3))
+    def test_every_cut_is_a_non_adjacent_pair_with_two_sides(self, n):
+        # Recognition rejects a piece at any other cut (decisions section 10).
+        for seed in range(10):
+            adj = underlying_masks(shuffled_4ore(n, seed))
+            for cut, sides in two_cut_sides(adj):
+                assert len(cut) == 2 and not adj[cut[0]] >> cut[1] & 1, (n, seed, cut)
+                assert len(sides) == 2, (n, seed, cut)
+
+    @pytest.mark.parametrize("n, classes", [(7, 1), (10, 6), (13, 46)])
+    def test_class_counts(self, n, classes):
+        assert len(oracle_4ore_forms(n)) == classes
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((7, 10, 13)), st.data())
+    def test_verdict_matches_the_classes(self, n, data):
+        # A class member, perhaps after a degree-preserving swap of two
+        # digons {a,b},{c,e} -> {a,e},{c,b}, under a random relabelling.
+        form = data.draw(st.sampled_from(sorted(oracle_4ore_forms(n))))
+        arcs = set(form)
+        edges = sorted((u, v) for u, v in arcs if u < v)
+        swaps = [
+            (a, b, c, e)
+            for (a, b), edge in itertools.permutations(edges, 2)
+            for c, e in (edge, edge[::-1])
+            if len({a, b, c, e}) == 4 and (a, e) not in arcs and (c, b) not in arcs
+        ]
+        if data.draw(st.booleans()):
+            a, b, c, e = data.draw(st.sampled_from(swaps))
+            arcs -= {(a, b), (b, a), (c, e), (e, c)}
+            arcs |= {(a, e), (e, a), (c, b), (b, c)}
+        perm = data.draw(st.permutations(range(n)))
+        d = Digraph(n, ((perm[u], perm[v]) for u, v in arcs))
+        assert (is_4ore(d) is not None) == (canonical_form(d) in oracle_4ore_forms(n))
 
 
 class TestDetectors:
