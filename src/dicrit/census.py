@@ -1,11 +1,16 @@
 """Tiny-n census of the minimum arc counts of k-dicritical digraphs.
 
 For each order n the census scans arc counts m upward from n(k - 1) and,
-at each m, tests k-dicriticality exactly on every candidate: every m-arc
-digraph on n vertices whose in- and out-degrees are all at least k - 1.
-Candidates are generated vertex by vertex, so arc sets that break the
-degree condition are never built, and each (n, m) stream is generated
-once.  The ``nshards`` argument of :func:`census` has no effect.
+at each m, tests k-dicriticality exactly on one labelling of every
+candidate class.  A candidate is an m-arc digraph on n vertices whose in-
+and out-degrees are all at least k - 1; relabelling changes neither that
+nor dicriticality, so only candidates whose labels follow one rule are
+generated: vertex 0 has the largest out-degree d0 and the out-neighbours
+1..d0, and out-degrees do not increase along 1..d0, nor along d0 + 1..n - 1
+(docs/decisions.md, section 11).  Candidates are generated vertex by
+vertex, so arc sets that break the degree condition or the rule are never
+built, and each (n, m) stream is generated once.  The ``nshards`` argument
+of :func:`census` has no effect.
 
 The candidate set, and with it every minimum the census reports, rests on
 one lemma: every k-dicritical digraph D has minimum in- and out-degree at
@@ -82,16 +87,23 @@ class CensusTable:
 
 
 def _candidate_arc_sets(n: int, m: int, k: int, oriented_only: bool):
-    """Every m-arc digraph on ``range(n)`` whose in- and out-degrees are all at
-    least k - 1, each exactly once, as a tuple of arcs in lexicographic order;
-    with ``oriented_only``, only those without a digon.
+    """The m-arc digraphs on ``range(n)`` whose in- and out-degrees are all
+    at least k - 1 and whose labels follow the census's rule, each once, as
+    tuples of arcs in lexicographic order; with ``oriented_only``, only
+    those without a digon.  The rule: vertex 0 has the largest out-degree d0
+    and the out-neighbourhood {1, ..., d0}, and out-degrees do not increase
+    along 1..d0, nor along d0 + 1..n - 1.  Every isomorphism class of such
+    digraphs has at least one labelling that follows it, often several
+    (docs/decisions.md, section 11).
 
     Vertices choose their out-neighbourhoods (of size at least k - 1) in the
-    order 0, 1, ..., n - 1, and the stream follows that order.  A branch is
-    cut when the r vertices still to place cannot take the arcs left, which
-    needs between (k - 1)r and (n - 1)r of them, or when some vertex w could
-    no longer reach in-degree k - 1 even if every unplaced vertex other than
-    w chose it.  In the oriented case v never chooses an earlier u that
+    order 0, 1, ..., n - 1, and the stream follows that order; vertex 0 takes
+    only the first neighbourhood of each size, and every later vertex at most
+    d0 arcs, at most as many as the vertex before it inside its group.  A
+    branch is cut when the r vertices still to place cannot take the arcs
+    left, which needs between (k - 1)r and d0 r of them, or when some vertex w
+    could no longer reach in-degree k - 1 even if every unplaced vertex other
+    than w chose it.  In the oriented case v never chooses an earlier u that
     already chose v, so no digon is built.
     """
     # choices[v][size]: (mask, chosen, arcs) for every out-neighbourhood of v
@@ -104,7 +116,11 @@ def _candidate_arc_sets(n: int, m: int, k: int, oriented_only: bool):
              for chosen in itertools.combinations(others, size)]
             for size in range(n)
         ])
-    return _extend(choices, k - 1, oriented_only, 0, m, [0] * n, [0] * n, [()] * n)
+    # Vertex 0 takes only {1, ..., size}, the first of each size.
+    choices[0] = [by_size[:1] for by_size in choices[0]]
+    return _extend(
+        choices, k - 1, oriented_only, 0, m, 0, n - 1, [0] * n, [0] * n, [()] * n
+    )
 
 
 def _extend(
@@ -113,17 +129,20 @@ def _extend(
     oriented_only: bool,
     v: int,
     left: int,
+    top: int,
+    cap: int,
     indeg: list[int],
     masks: list[int],
     picked: list[tuple],
 ):
     """The arc tuples that give vertices v, v + 1, ... their out-neighbourhoods
-    with ``left`` arcs in all.  For each u < v, ``masks[u]`` and ``picked[u]``
-    are the bitset and arcs of the out-neighbourhood u chose, and ``indeg[w]``
-    counts the u < v that chose w; the lists are updated in place and
-    restored on the way back.  A plain function, not a closure over the
-    tables, so that no reference cycle keeps them alive until the next
-    collection."""
+    with ``left`` arcs in all.  ``cap`` is the most arcs v may choose and,
+    for v > 0, ``top`` is vertex 0's out-degree d0.  For each u < v,
+    ``masks[u]`` and ``picked[u]`` are the bitset and arcs of the
+    out-neighbourhood u chose, and ``indeg[w]`` counts the u < v that chose
+    w; the lists are updated in place and restored on the way back.  A plain
+    function, not a closure over the tables, so that no reference cycle keeps
+    them alive until the next collection."""
     n = len(choices)
     rest = n - 1 - v
     # After v chooses, every w needs in-degree at least low - rest, one more
@@ -143,8 +162,17 @@ def _extend(
         for u in range(v):
             if masks[u] & bit:
                 banned |= 1 << u
+    if v:
+        floor = left - top * rest
+    else:
+        # d0 is the largest of n out-degrees summing to m, so at least m / n.
+        floor = -(-left // n)
     by_size = choices[v]
-    for size in range(max(low, left - (n - 1) * rest), min(n - 1, left - low * rest) + 1):
+    for size in range(max(low, floor), min(cap, left - low * rest) + 1):
+        if not v:
+            top = size
+        # Vertex d0 + 1 starts the second group, capped by d0 again.
+        nxt = top if v == top else size
         for mask, chosen, arcs in by_size[size]:
             if mask & required != required or mask & banned:
                 continue
@@ -156,7 +184,8 @@ def _extend(
             for w in chosen:
                 indeg[w] += 1
             yield from _extend(
-                choices, low, oriented_only, v + 1, left - size, indeg, masks, picked
+                choices, low, oriented_only, v + 1, left - size, top, nxt,
+                indeg, masks, picked,
             )
             for w in chosen:
                 indeg[w] -= 1
@@ -259,20 +288,36 @@ def save_records(records: list[CensusRecord], directory: str | Path) -> list[Pat
 def load_record(
     blob_path: str | Path, budget: Budget | int | None = None
 ) -> CensusRecord:
-    """Load one record and re-verify its dicriticality (no stale corpus)."""
+    """Load one record and re-verify its dicriticality (no stale corpus).
+
+    The sidecar must be a JSON object giving an integer k >= 2 and the
+    blob's order, arc count and orientedness; otherwise ``DigraphError``
+    names the sidecar."""
     blob_path = Path(blob_path)
     sidecar = blob_path.with_suffix(".json")
-    meta = json.loads(sidecar.read_text())
+    try:
+        meta = json.loads(sidecar.read_text())
+    except json.JSONDecodeError as exc:
+        raise DigraphError(f"{sidecar}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DigraphError(f"{sidecar}: expected a JSON object")
     d = parse(blob_path.read_text())
-    report = is_k_dicritical(d, meta["k"], budget)
+    k = meta.get("k")
+    if type(k) is not int or k < 2:
+        raise DigraphError(f"{sidecar}: k must be an integer >= 2, got {k!r}")
+    stored = {key: meta.get(key) for key in ("n", "arc_count", "oriented")}
+    actual = {"n": d.n, "arc_count": d.m, "oriented": d.is_oriented()}
+    if stored != actual:
+        raise DigraphError(f"{sidecar}: sidecar gives {stored}, blob has {actual}")
+    report = is_k_dicritical(d, k, budget)
     if not report.verdict:
         raise DigraphError(
             f"{blob_path}: stored digraph no longer verifies as "
-            f"{meta['k']}-dicritical ({report.failure_reason})"
+            f"{k}-dicritical ({report.failure_reason})"
         )
     return CensusRecord(
         n=d.n,
-        k=meta["k"],
+        k=k,
         digraph=d,
         arc_count=d.m,
         oriented=d.is_oriented(),

@@ -284,10 +284,17 @@ def _cmd_construct_certify(args) -> int:
 def _cmd_census(args) -> int:
     table = census_mod.census(args.k, args.n_max, args.budget)
     violations = []
-    for n, records in table.witnesses.items():
-        for rec in records:
-            if args.k == 4 and 3 * rec.arc_count < 10 * rec.n - 4:
-                violations.append(f"n={n}: witness below the 10n/3 - 4/3 bound")
+    if args.k == 4:
+        for n, records in table.witnesses.items():
+            for rec in records:
+                if 3 * rec.arc_count < 10 * rec.n - 4:
+                    violations.append(f"n={n}: witness below the 10n/3 - 4/3 bound")
+        for n, records in table.oriented_witnesses.items():
+            for rec in records:
+                if not check_oriented_bound(rec.digraph)[0]:
+                    violations.append(
+                        f"n={n}: oriented witness below the (10/3 + 1/51)n - 1 bound"
+                    )
     if args.out:
         all_records = [r for recs in table.witnesses.values() for r in recs]
         all_records += [r for recs in table.oriented_witnesses.values() for r in recs]

@@ -78,30 +78,30 @@ def _find_monochromatic_cycle(
     """A directed cycle of D - removed inside one colour class, as a vertex
     list, or None."""
     tail, head = removed if removed is not None else (-1, -1)
+    out = d._out  # the sorted out-neighbour tuples, read with no call per vertex
     state = [0] * d.n  # 0 unvisited, 1 on stack, 2 done
-    for root in d.vertices():
+    for root in range(d.n):
         if state[root]:
             continue
         c = colours[root]
-        # Iterative DFS restricted to the colour class of the root.
-        stack: list[tuple[int, Iterator[int]]] = [(root, iter(d.out_neighbours(root)))]
+        # Iterative DFS restricted to the colour class of the root: one
+        # iterator over out-neighbours per vertex of the path, in step.
         state[root] = 1
         path = [root]
+        stack = [iter(out[root])]
         while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
+            v = path[-1]
+            for u in stack[-1]:
                 if colours[u] != c or (v == tail and u == head):
                     continue
                 if state[u] == 1:
                     return path[path.index(u):]
-                if state[u] == 0:
+                if not state[u]:
                     state[u] = 1
                     path.append(u)
-                    stack.append((u, iter(d.out_neighbours(u))))
-                    advanced = True
+                    stack.append(iter(out[u]))
                     break
-            if not advanced:
+            else:
                 state[v] = 2
                 path.pop()
                 stack.pop()

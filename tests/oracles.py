@@ -10,7 +10,9 @@ components by flooding adjacency sets (the package floods bitsets),
 diamonds and emeralds by scanning every 4-set and 3-set (the package walks
 the digon graph), and the order of the census candidate stream by the
 census's first generator (rebuilt bitsets and arc tuples at every level;
-the package keeps in-degree counts and joins arcs once per candidate), and
+the package keeps in-degree counts and joins arcs once per candidate; the
+census's labelling rule is read off the out-degrees as stated, where the
+package caps sizes while it generates), and
 the dicolouring search's node sequence by its first kernel (a cycle-test
 closure and one ``Budget.spend`` call per node; the package inlines both),
 chelou arcs by the reversal in their definition (the package reads both
@@ -220,6 +222,22 @@ def oracle_census_candidates(
     return keep
 
 
+def oracle_follows_labelling_rule(n: int, arcs) -> bool:
+    """Whether the digraph on range(n) with these arcs follows the census's
+    labelling rule: vertex 0 has the largest out-degree d0 and exactly the
+    out-neighbours 1..d0, and out-degrees do not increase along 1..d0, nor
+    along d0 + 1..n - 1."""
+    outdeg = [sum(1 for u, _ in arcs if u == v) for v in range(n)]
+    d0 = outdeg[0]
+    first, second = outdeg[1:d0 + 1], outdeg[d0 + 1:]
+    return (
+        d0 == max(outdeg)
+        and {w for u, w in arcs if u == 0} == set(range(1, d0 + 1))
+        and first == sorted(first, reverse=True)
+        and second == sorted(second, reverse=True)
+    )
+
+
 def oracle_candidate_stream(n: int, m: int, k: int, oriented_only: bool):
     """Every m-arc digraph on ``range(n)`` whose in- and out-degrees are all at
     least k - 1, each exactly once, as a tuple of arcs in lexicographic order;
@@ -235,7 +253,8 @@ def oracle_candidate_stream(n: int, m: int, k: int, oriented_only: bool):
 
     The census generator as first written, kept as the reference for the
     order of the stream: it rebuilds the in-neighbour bitsets and the arc
-    tuple at every level.
+    tuple at every level, and it knows no labelling rule, so it yields every
+    labelling of each candidate.
     """
     low = k - 1
     # choices[v]: (mask, size, arcs) for every out-neighbourhood of v.

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from dicrit.budget import Budget
@@ -8,12 +10,13 @@ from dicrit.census import (
     save_records,
 )
 from dicrit.colouring import is_k_dicritical
-from dicrit.digraph import DigraphError, directed_cycle
-from dicrit.iso import find_isomorphism
+from dicrit.digraph import Digraph, DigraphError, directed_cycle
+from dicrit.iso import canonical_form, find_isomorphism
 
 from .oracles import (
     oracle_candidate_stream,
     oracle_census_candidates,
+    oracle_follows_labelling_rule,
     oracle_is_k_dicritical,
 )
 
@@ -24,13 +27,28 @@ TABLES_N5 = {
     4: ((None, None, 12, 17), (None,) * 4),
 }
 #: Budget.used ceilings for census(k, 5).  Later changes may only lower them.
-NODE_CEILINGS_N5 = {2: 774, 3: 2_863, 4: 7_884}
+NODE_CEILINGS_N5 = {2: 212, 3: 531, 4: 1_145}
+
+
+def census_streams():
+    """(n, m, k, oriented) for every candidate stream census(k, 5) scans: m
+    from n(k - 1) up to the minimum, or up to the most arcs if there is none."""
+    for k, (d_min, o_min) in TABLES_N5.items():
+        for n in range(2, 6):
+            for oriented, minima in ((False, d_min), (True, o_min)):
+                top = minima[n - 2] or n * (n - 1) // (2 if oriented else 1)
+                for m in range(max(1, n * (k - 1)), top + 1):
+                    yield n, m, k, oriented
 
 
 def assert_candidates_match(n, m, k, oriented):
     got = [frozenset(arcs) for arcs in _candidate_arc_sets(n, m, k, oriented)]
     assert len(got) == len(set(got)), f"an arc set was generated twice at m={m}"
-    assert set(got) == oracle_census_candidates(n, m, k, oriented), f"m={m}"
+    expected = {
+        arcs for arcs in oracle_census_candidates(n, m, k, oriented)
+        if oracle_follows_labelling_rule(n, arcs)
+    }
+    assert set(got) == expected, f"m={m}"
 
 
 class TestCandidates:
@@ -56,7 +74,24 @@ class TestCandidates:
     def test_stream_order_is_pinned(self, n, k, oriented):
         for m in range(n * (k - 1), n * (k - 1) + 4):
             got = list(_candidate_arc_sets(n, m, k, oriented))
-            assert got == list(oracle_candidate_stream(n, m, k, oriented)), f"m={m}"
+            expected = [
+                arcs for arcs in oracle_candidate_stream(n, m, k, oriented)
+                if oracle_follows_labelling_rule(n, arcs)
+            ]
+            assert got == expected, f"m={m}"
+
+    # The labelling rule drops labellings, never classes.  At n = 6 the scan
+    # of all m-subsets of the 30 arcs is out of reach, so the first generator
+    # stands in for it; there every candidate is 2-regular, and only the pin
+    # on vertex 0's out-neighbourhood cuts.
+    @pytest.mark.parametrize("n, m, k, oriented", [*census_streams(), (6, 12, 3, False)])
+    def test_every_class_appears(self, n, m, k, oriented):
+        def forms(stream):
+            return {canonical_form(Digraph(n, arcs)) for arcs in stream}
+
+        oracle = oracle_census_candidates if n <= 5 else oracle_candidate_stream
+        got = forms(_candidate_arc_sets(n, m, k, oriented))
+        assert got == forms(oracle(n, m, k, oriented))
 
 class TestCensus:
     def test_k2_minima_are_directed_cycles(self):
@@ -122,8 +157,10 @@ class TestCensus:
 
     def test_stats(self):
         table = census(2, 3)
-        # n = 2: the digon; n = 3: the two directed triangles, plain and oriented.
-        assert table.stats["dicritical"] == 5
+        # n = 2: the digon; n = 3: the directed triangle 0 -> 1 -> 2 -> 0,
+        # plain and oriented.  Its other labelling, 0 -> 2 -> 1 -> 0, breaks
+        # the labelling rule (vertex 0's out-neighbour must be 1).
+        assert table.stats["dicritical"] == 3
         assert table.stats["candidates"] >= table.stats["dicritical"]
         assert table.stats["nodes"] > 0
         assert table.to_json()["stats"] == table.stats
@@ -156,7 +193,26 @@ class TestPersistence:
     def test_stale_record_rejected(self, tmp_path):
         table = census(2, 3)
         paths = save_records(table.witnesses[3], tmp_path)
-        # corrupt the blob: a path is not 2-dicritical
-        paths[0].write_text("n 3 m 2\n0 1\n1 2\n")
-        with pytest.raises(DigraphError):
+        # corrupt the blob, keeping what the sidecar states about it: the
+        # transitive tournament is acyclic, so not 2-dicritical
+        paths[0].write_text("n 3 m 3\n0 1\n1 2\n0 2\n")
+        with pytest.raises(DigraphError, match="no longer verifies"):
+            load_record(paths[0])
+
+    @pytest.mark.parametrize("rewrite", [
+        # the sidecar disagrees with the blob
+        {"n": 9}, {"arc_count": 2}, {"oriented": True},
+        {"n": 9, "arc_count": 2, "oriented": True},
+        # k is not an integer of at least 2
+        {"k": "3"}, {"k": 3.0}, {"k": None}, {"k": True}, {"k": 1},
+        # not a JSON object
+        "{", "[3]",
+    ])
+    def test_bad_sidecar_rejected(self, tmp_path, rewrite):
+        paths = save_records(census(3, 3).witnesses[3], tmp_path)
+        sidecar = paths[0].with_suffix(".json")
+        if isinstance(rewrite, dict):
+            rewrite = json.dumps({**json.loads(sidecar.read_text()), **rewrite})
+        sidecar.write_text(rewrite)
+        with pytest.raises(DigraphError, match=sidecar.name):
             load_record(paths[0])

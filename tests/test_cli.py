@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from dicrit import census as census_mod
 from dicrit.cli import build_parser, main
-from dicrit.digraph import bidirected_complete, parse, serialize
+from dicrit.digraph import bidirected_complete, directed_cycle, parse, serialize
 from dicrit.ore import is_4ore
 
 
@@ -250,8 +251,24 @@ class TestSubcommands:
         assert payload["d"] == {"2": 2, "3": 3}
         stats = payload["stats"]
         assert set(stats) == {"candidates", "dicritical", "nodes"}
-        assert stats["candidates"] >= stats["dicritical"] == 5
+        # the digon, and the directed triangle 0 -> 1 -> 2 -> 0 plain and
+        # oriented: its other labelling breaks the census's labelling rule
+        assert stats["candidates"] >= stats["dicritical"] == 3
         assert stats["nodes"] > 0
+
+    def test_census_checks_the_oriented_bound(self, capsys, monkeypatch):
+        # A directed triangle has 3 < (10/3 + 1/51) 3 - 1 arcs.
+        triangle = directed_cycle(3)
+        table = census_mod.CensusTable(
+            4, {3: None}, {3: 3}, {3: []},
+            {3: [census_mod.CensusRecord(3, 4, triangle, 3, True, True)]},
+        )
+        monkeypatch.setattr(census_mod, "census", lambda *args: table)
+        code, out, _ = run(capsys, "census", "--k", "4", "--n-max", "3", "--json")
+        assert code == 1
+        assert json.loads(out)["violations"] == [
+            "n=3: oriented witness below the (10/3 + 1/51)n - 1 bound"
+        ]
 
 
 def readme_commands() -> list[str]:
