@@ -294,13 +294,36 @@ def _splits(comps: list[int]) -> Iterator[tuple[int, int]]:
         yield a0, b0
 
 
+def _labelling(adj: Sequence[int]) -> tuple:
+    """The canonical form and labelling of the bidirected digraph with
+    underlying bitsets ``adj``."""
+    return canonical_labelling(
+        Digraph(len(adj), [(u, v) for u, mask in enumerate(adj) for v in bits(mask)])
+    )
+
+
+def _by_form(found, labelling: Sequence[int]):
+    """A search result with its map phi composed with the inverse of a
+    canonical ``labelling``, so that it is indexed by canonical position."""
+    if not found:
+        return found
+    psi = [0] * len(labelling)
+    for v, p in enumerate(labelling):
+        psi[p] = found[1][v]
+    return found[0], psi
+
+
 def _recognition_search(
     adj: tuple[int, ...], budget: Budget, memo: dict
 ) -> tuple[OreTrace, list[int]] | None:
     """A trace for the bidirected digraph with underlying bitsets ``adj`` and
     a map phi from its vertices onto V(replay(trace)), or None.  ``memo``
     maps each piece's bitsets to that result, and its canonical form to the
-    trace and phi composed with the inverse canonical labelling (or None)."""
+    trace and phi composed with the inverse canonical labelling (or None).
+    Isomorphic pieces share their order and sorted degrees, so forms are
+    computed only for pieces that share those with an earlier piece
+    (docs/decisions.md section 12): ``memo`` maps the pair to the first
+    piece that has it until a second one comes, and then to None."""
     budget.spend()
     # Every input has passed _plausible: 3m = 10n - 4 gives n = 1 (mod 3),
     # and at n = 4 it gives m = 12, the bidirected K4.
@@ -308,93 +331,105 @@ def _recognition_search(
         return OreLeaf(), [0, 1, 2, 3]
     if adj in memo:
         return memo[adj]
-    d = Digraph(len(adj), [(u, v) for u, mask in enumerate(adj) for v in bits(mask)])
-    form, labelling = canonical_labelling(d)
-    if form in memo:
-        found = memo[form]
-        if found:
-            found = found[0], [found[1][p] for p in labelling]
-        memo[adj] = found
-        return found
     # Every digraph searched below this one is smaller, so none of them can
-    # read these entries before they are final.
-    memo[form] = memo[adj] = None
-    for cut, comps in two_cut_sides(adj):
-        # No 4-critical graph has a cut vertex, a 2-cut {x, y} with x ~ y,
-        # or a 2-cut leaving three components (docs/decisions.md section 10).
-        if len(cut) == 1 or len(comps) > 2:
-            return None
-        x, y = cut
-        nx, ny = adj[x], adj[y]
-        if nx >> y & 1:
-            return None
-        # Every component goes wholly to one side; try both roles.
-        for a0, b0 in _splits(comps):
-            budget.spend()
-            # d1 has order |a0| + 2 and d2 order |b0| + 1, with |a0| + |b0| =
-            # n - 2 = 2 (mod 3).  Both orders are 1 (mod 3) iff |a0| = 2
-            # (mod 3); then |b0| = 0 (mod 3), so |a0| >= 2 and |b0| >= 3.
-            if a0.bit_count() % 3 != 2:
-                continue
-            zx = nx & b0
-            zy = ny & b0
-            # A split-side vertex adjacent to both x and y cannot come from
-            # a single split vertex, and both parts must be non-empty.
-            if not zx or not zy or (zx & zy):
-                continue
-            if (nx & a0).bit_count() < 2 or (ny & a0).bit_count() < 2:
-                continue
-            d1, side1 = _digon_piece(adj, a0, x, y)
-            if not _plausible(d1):
-                continue
-            # d2 is D[b0] with a last vertex z joined to zx and zy.
-            side2 = [*bits(b0)]
-            at = {w: i for i, w in enumerate(side2)}
-            d2 = restrict(adj, side2) + [sum(1 << at[w] for w in bits(zx | zy))]
-            for w in bits(zx | zy):
-                d2[at[w]] |= 1 << len(side2)
-            if not _plausible(d2):
-                continue
-            found1 = _recognition_search(tuple(d1), budget, memo)
-            if found1 is None:
-                continue
-            found2 = _recognition_search(tuple(d2), budget, memo)
-            if found2 is None:
-                continue
-            # phi1 and phi2 carry d1 and d2 onto the replays of their traces,
-            # so they translate the surgery data, and the label convention of
-            # ore_compose places every vertex of d in the composed replay.
-            (t1, phi1), (t2, phi2) = found1, found2
-            z = phi2[-1]
-            node = OreNode(
-                digon_side=t1,
-                split_side=t2,
-                digon=(phi1[side1.index(x)], phi1[side1.index(y)]),
-                split_vertex=z,
-                z1=tuple(sorted(phi2[at[w]] for w in bits(zx))),
-                z2=tuple(sorted(phi2[at[w]] for w in bits(zy))),
-            )
-            phi = [0] * len(adj)
-            for v, p in zip(side1, phi1):
-                phi[v] = p
-            for v, p in zip(side2, phi2):
-                phi[v] = len(d1) + p - (p > z)
-            psi = [0] * len(adj)
-            for v, p in enumerate(labelling):
-                psi[p] = phi[v]
-            memo[form] = (node, psi)
-            memo[adj] = (node, phi)
-            return node, phi
-    return None
+    # read this piece's entries before they are final, and an earlier piece
+    # of this order has been searched to the end.
+    memo[adj] = None
+    key = len(adj), tuple(sorted(mask.bit_count() for mask in adj))
+    form = labelling = None
+    if key not in memo:
+        memo[key] = adj
+    else:
+        earlier, memo[key] = memo[key], None
+        if earlier is not None:
+            earlier_form, earlier_labelling = _labelling(earlier)
+            memo[earlier_form] = _by_form(memo[earlier], earlier_labelling)
+        form, labelling = _labelling(adj)
+        if form in memo:
+            found = memo[form]
+            if found:
+                found = found[0], [found[1][p] for p in labelling]
+            memo[adj] = found
+            return found
+        memo[form] = None
+    # Above order 4 a 4-Ore digraph has the 2-cut of its last composition.
+    # No 4-critical graph has a cut vertex, a 2-cut {x, y} with x ~ y, or a
+    # 2-cut leaving three components (docs/decisions.md section 10).
+    first = next(two_cut_sides(adj), None)
+    if first is None or len(first[0]) == 1 or len(first[1]) > 2:
+        return None
+    (x, y), comps = first
+    nx, ny = adj[x], adj[y]
+    if nx >> y & 1:
+        return None
+    # d1 has order |a0| + 2 and d2 order |b0| + 1, with |a0| + |b0| = n - 2 =
+    # 2 (mod 3).  Both orders are 1 (mod 3) iff |a0| = 2 (mod 3); then |b0| =
+    # 0 (mod 3), so |a0| >= 2, |b0| >= 3, and the other role fails.  If the
+    # piece is 4-Ore, this split gives two 4-Ore pieces, so any check below
+    # that fails settles that it is not (docs/decisions.md section 12).
+    for a0, b0 in (comps, comps[::-1]):
+        budget.spend()
+        if a0.bit_count() % 3 == 2:
+            break
+    else:
+        return None
+    zx = nx & b0
+    zy = ny & b0
+    # A split-side vertex adjacent to both x and y cannot come from a single
+    # split vertex, and both parts must be non-empty.
+    if not zx or not zy or (zx & zy):
+        return None
+    if (nx & a0).bit_count() < 2 or (ny & a0).bit_count() < 2:
+        return None
+    d1, side1 = _digon_piece(adj, a0, x, y)
+    if not _plausible(d1):
+        return None
+    # d2 is D[b0] with a last vertex z joined to zx and zy.
+    side2 = [*bits(b0)]
+    at = {w: i for i, w in enumerate(side2)}
+    d2 = restrict(adj, side2) + [sum(1 << at[w] for w in bits(zx | zy))]
+    for w in bits(zx | zy):
+        d2[at[w]] |= 1 << len(side2)
+    if not _plausible(d2):
+        return None
+    found1 = _recognition_search(tuple(d1), budget, memo)
+    if found1 is None:
+        return None
+    found2 = _recognition_search(tuple(d2), budget, memo)
+    if found2 is None:
+        return None
+    # phi1 and phi2 carry d1 and d2 onto the replays of their traces, so they
+    # translate the surgery data, and the label convention of ore_compose
+    # places every vertex of d in the composed replay.
+    (t1, phi1), (t2, phi2) = found1, found2
+    z = phi2[-1]
+    node = OreNode(
+        digon_side=t1,
+        split_side=t2,
+        digon=(phi1[side1.index(x)], phi1[side1.index(y)]),
+        split_vertex=z,
+        z1=tuple(sorted(phi2[at[w]] for w in bits(zx))),
+        z2=tuple(sorted(phi2[at[w]] for w in bits(zy))),
+    )
+    phi = [0] * len(adj)
+    for v, p in zip(side1, phi1):
+        phi[v] = p
+    for v, p in zip(side2, phi2):
+        phi[v] = len(d1) + p - (p > z)
+    memo[adj] = (node, phi)
+    if form is not None:
+        memo[form] = _by_form(memo[adj], labelling)
+    return node, phi
 
 
 def is_4ore(d: Digraph, budget: Budget | int | None = None) -> OreTrace | None:
     """A composition trace iff the digraph is 4-Ore, else None.
 
     The input must be bidirected with n = 1 (mod 3).  Decomposition search
-    on the underlying graph's bitsets undoes compositions at non-adjacent
-    2-cuts, and rejects a piece at its first cut no 4-critical graph has.
-    Pieces are memoised by their bitsets, then by canonical form.  Replaying
+    on the underlying graph's bitsets undoes a composition at the first cut
+    of each piece, which decides the piece (docs/decisions.md sections 10
+    and 12).  Pieces are memoised by their bitsets, and by canonical form
+    once an earlier piece shares their order and sorted degrees.  Replaying
     the returned trace yields a digraph isomorphic to the input.
     """
     if not d.is_bidirected():

@@ -23,6 +23,9 @@ and ``is_4ore``, so it checks how the scan finds R, not recognition.  The
 4-Ore classes of small orders come from every composition of smaller
 classes (recognition undoes compositions); they are deduplicated with the
 package's ``canonical_form``, so they check recognition, not isomorphism.
+4-Ore recognition is also checked against its definition, by trying
+every non-adjacent pair and every split of the components it leaves (the
+package decides each piece at its first cut, memoised by canonical form).
 Adjacency is read off the arc set by its definitions (the package stores
 bitsets).
 """
@@ -503,3 +506,64 @@ def oracle_4ore_forms(n: int) -> frozenset[tuple[tuple[int, int], ...]]:
                         composed, _ = ore_compose(d1, digon, d2, z, z1, z2)
                         forms.add(canonical_form(composed))
     return frozenset(forms)
+
+
+def oracle_is_4ore(d: Digraph) -> bool:
+    """Whether the bidirected digraph d is 4-Ore, from the definition: the
+    bidirected K4, or an Ore-composition of two 4-Ore digraphs.  A
+    composition's digon side D1 and split side D2 meet at a pair {x, y} with
+    no arc between them, so every such pair and every way of giving the
+    components of G - {x, y} (G the underlying graph) to the two sides is
+    tried, with no rule about which cuts can occur and no memo.  Only the
+    order and the arc count 3m = 10n - 4, which every 4-Ore digraph has,
+    prune.  Exponential; meant for n <= 16."""
+    return _oracle_4ore(frozenset(range(d.n)), frozenset(underlying_edges(d)))
+
+
+def _oracle_4ore(vertices: frozenset, edges: frozenset) -> bool:
+    n = len(vertices)
+    if n % 3 != 1 or 3 * len(edges) != 5 * n - 2:
+        return False
+    if n == 4:
+        return True
+    adj: dict = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    for x, y in itertools.combinations(sorted(vertices), 2):
+        if y in adj[x]:
+            continue
+        comps = _oracle_flood(adj, vertices - {x, y})
+        for sides in itertools.product((0, 1), repeat=len(comps)):
+            if len(set(sides)) < 2:
+                continue
+            a = frozenset().union(*(c for c, s in zip(comps, sides) if s == 0))
+            b = vertices - a - {x, y}
+            # D2's split vertex z has x take Z1 and y take Z2, which
+            # partition N(z) into non-empty parts.
+            zx, zy = adj[x] & b, adj[y] & b
+            if not zx or not zy or zx & zy:
+                continue
+            z = -1
+            d1 = frozenset(e for e in edges if set(e) <= a | {x, y}) | {(x, y)}
+            d2 = frozenset(e for e in edges if set(e) <= b)
+            d2 |= {(z, w) for w in zx | zy}
+            if _oracle_4ore(a | {x, y}, d1) and _oracle_4ore(b | {z}, d2):
+                return True
+    return False
+
+
+def _oracle_flood(adj: dict, alive: frozenset) -> list[frozenset]:
+    """Components of the graph ``adj`` induced on ``alive``."""
+    comps, seen = [], set()
+    for start in sorted(alive):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for u in adj[stack.pop()] & alive - comp:
+                comp.add(u)
+                stack.append(u)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
