@@ -13,7 +13,6 @@ from .colouring import (
     CriticalityReport,
     check_dicolouring,
     dichromatic_number,
-    enumerate_k_dicolourings,
     is_k_dicolourable,
     is_k_dicritical,
 )
@@ -21,18 +20,13 @@ from .digraph import (
     Digraph,
     DigraphError,
     ParseError,
-    VertexProfile,
     bidirected_complete,
     bidirected_cycle,
     bidirected_from_edges,
-    bidirected_path,
     boundary,
     directed_cycle,
-    identify,
     induced,
-    is_k_connected,
     parse,
-    profiles,
     serialize,
 )
 from .packing import Packing, max_packing, packing_value

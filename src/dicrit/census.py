@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .budget import Budget, ensure_budget
+from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
 from .colouring import is_k_dicritical
 from .digraph import Digraph, DigraphError, parse, serialize
 from .iso import canonical_form
@@ -248,7 +248,7 @@ def census(
         raise DigraphError("census needs k >= 2")
     if nshards < 1:
         raise DigraphError(f"census needs at least one shard, got {nshards}")
-    budget = ensure_budget(budget, 50_000_000, "census")
+    budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "census")
     start = budget.used
     stats: Counter = Counter(candidates=0, dicritical=0)
     table = CensusTable(k, {}, {}, {}, {})

@@ -11,16 +11,17 @@ vertex.  Symmetry is broken by allowing colour j+1 only once colour j has
 appeared, which in particular pins the first branching vertex to colour 1.
 Runs are deterministic and reproducible.
 
-The kernel, ``_assignments``, runs on the digraph relabelled once per
-question so that vertex i is the i-th in the order (``_branching``).  On a
-dead end it jumps back by conflict-directed backjumping: each depth keeps
-the bitset of earlier depths that ruled out its colours, and the search
-resumes at the deepest of them, skipping only subtrees that hold no
-solution.  It therefore yields the same assignments in the same order as
-chronological backtracking, from a subset of its nodes (docs/decisions.md,
-section 8).  It makes no call per node: the cycle test, the conflict sets
-and the node count are inline, and the count reaches the budget whenever
-the kernel yields, finishes or runs out.
+The kernel, ``_first_assignment``, answers one question: the first valid
+assignment, or None.  It runs on the digraph relabelled once per question
+so that vertex i is the i-th in the order (``_branching``).  On a dead end
+it jumps back by conflict-directed backjumping: each depth keeps the bitset
+of earlier depths that ruled out its colours, and the search resumes at the
+deepest of them, skipping only subtrees that hold no solution.  It
+therefore returns the first assignment of chronological backtracking, or
+refutes, from a subset of its nodes (docs/decisions.md, section 8).  It
+makes no call per node: the cycle test, the conflict sets and the node
+count are inline, and the count reaches the budget when the kernel returns
+or runs out.
 
 Whether D is c-dicolourable at all, without a witness, is decided for
 ``is_k_dicritical`` (its step "D is not (k-1)-dicolourable") and for
@@ -45,7 +46,7 @@ Budgets count decision nodes; an exhausted budget raises
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .budget import Budget, BudgetExceeded, DEFAULT_SOLVER_NODES, ensure_budget
 from .digraph import Digraph, bits, restrict, serialize, two_cut_sides
@@ -166,15 +167,15 @@ def _branching(
     return position, ordered_out, ordered_inn
 
 
-def _assignments(
+def _first_assignment(
     out: list[int],
     inn: list[int],
     k: int,
     budget: Budget,
-    symmetry: bool,
     pin: tuple[int, int] | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield every valid k-dicolouring assignment (backtracking core).
+) -> tuple[int, ...] | None:
+    """The first valid k-dicolouring assignment of the search, or None if
+    there is none (backtracking core).
 
     ``out``/``inn`` are the bitset adjacency of the digraph, labelled in
     branching order: depth i colours vertex i.  ``pin = (a, b)``, a < b,
@@ -184,40 +185,26 @@ def _assignments(
     Dead ends jump back by conflict-directed backjumping.  Each depth keeps
     a conflict bitset of earlier depths: the ``seen`` set of every colour
     the cycle test rejected (it holds the monochromatic path), the anchor
-    at the pinned depth, every earlier depth where symmetry cut the colour
-    range, and every earlier depth at every depth once an assignment has
-    been yielded.  A dead end resumes the deepest depth in its set and
+    at the pinned depth, and every earlier depth where symmetry breaking cut
+    the colour range.  A dead end resumes the deepest depth in its set and
     merges the rest of the set into that depth's.  Only subtrees without a
-    solution are skipped, so the assignments and their order are those of
-    the chronological search (docs/decisions.md, section 8).
+    solution are skipped, so the answer is the first assignment of the
+    chronological search, or its refutation (docs/decisions.md, section 8).
 
     Each colour tried is one node.  The count lives in a local and reaches
-    ``budget.used`` before every yield, on exhaustion and before
-    ``BudgetExceeded`` (then ``used == limit + 1``, as ``Budget.spend``
-    leaves it); it is read back after every yield, since the caller may
-    spend from the same budget in between.
+    ``budget.used`` when the kernel returns and before ``BudgetExceeded``
+    (then ``used == limit + 1``, as ``Budget.spend`` leaves it).
     """
     n = len(out)
     colour = [0] * n
     members = [0] * (k + 1)  # members[c]: bitset of the depths above coloured c
     conflict = [0] * n
     anchor, pinned = pin if pin is not None else (-1, -1)
-    # top[i] is the highest colour among depths 0..i-1; without symmetry
-    # breaking it starts at k, so no colour range is ever cut.
-    top = [0 if symmetry else k] * (n + 1)
+    top = [0] * (n + 1)  # top[i]: the highest colour among depths 0..i-1
     cut = k - 1
     limit, used = budget.limit, budget.used
     i = c = 0  # c: the colour depth i resumes after, 0 on arrival from above
-    while True:
-        if i == n:
-            budget.used = used
-            yield tuple(colour)
-            used = budget.used
-            # From here on every depth conflicts with every depth above it.
-            conflict = [(1 << j) - 1 for j in range(n)]
-            i = n - 1
-            c = colour[i]
-            members[c] ^= 1 << i
+    while i < n:
         t = top[i]
         if i == pinned:
             last = colour[anchor]
@@ -257,9 +244,10 @@ def _assignments(
             why |= seen
         else:
             # Dead end: resume the deepest depth in conflict and hand it the
-            # rest of the set.  With none, no solution is left.
+            # rest of the set.  With none, no solution exists.
             if not why:
-                break
+                budget.used = used
+                return None
             h = why.bit_length() - 1
             conflict[h] |= why ^ (1 << h)
             while i > h:
@@ -274,14 +262,7 @@ def _assignments(
         i += 1
         c = 0
     budget.used = used
-
-
-def _solve(d: Digraph, k: int, budget: Budget, symmetry: bool) -> Iterator[tuple[int, ...]]:
-    """``_assignments`` on ``d`` in its connectivity order, each assignment
-    mapped back to d's labels."""
-    position, out, inn = _branching(d.out_masks, d.in_masks, d.arcs)
-    for found in _assignments(out, inn, k, budget, symmetry):
-        yield tuple(map(found.__getitem__, position))
+    return tuple(colour)
 
 
 # -- deciding dicolourability by 2-separator reduction -------------------------
@@ -444,7 +425,7 @@ def _colourable(out: Sequence[int], c: int, budget: Budget, stats: RefutationSta
     stats.piece_solves += 1
     arcs = [(u, v) for u, targets in enumerate(out) for v in bits(targets)]
     _, ordered_out, ordered_inn = _branching(out, _in_masks(out), arcs)
-    return next(_assignments(ordered_out, ordered_inn, c, budget, True), None) is not None
+    return _first_assignment(ordered_out, ordered_inn, c, budget) is not None
 
 
 def _decide(
@@ -460,16 +441,14 @@ def _decide(
     n = len(out)
     before = budget.used
     if n <= _BASE_SIZE:
-        found = next(_assignments(ordered_out, ordered_inn, c, budget, True), None)
+        found = _first_assignment(ordered_out, ordered_inn, c, budget) is not None
         stats.plain_nodes += budget.used - before
-        return found is not None
+        return found
     allowance = Budget(
         max(1, min(_PLAIN_NODES_PER_CN2 * c * n * n, budget.remaining())), budget.what
     )
     try:
-        found = next(
-            _assignments(ordered_out, ordered_inn, c, allowance, True), None
-        ) is not None
+        found = _first_assignment(ordered_out, ordered_inn, c, allowance) is not None
     except BudgetExceeded:
         found = None
     # This raises when it was the caller's limit, not the allowance, that ran out.
@@ -492,20 +471,9 @@ def is_k_dicolourable(
     if k < 1:
         raise ColouringError("k must be at least 1")
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "dicolouring search")
-    for assignment in _solve(d, k, budget, symmetry=True):
-        return Colouring(k, assignment)
-    return None
-
-
-def enumerate_k_dicolourings(
-    d: Digraph, k: int, budget: Budget | int | None = None
-) -> Iterator[Colouring]:
-    """All valid k-dicolourings, including colour permutations."""
-    if k < 1:
-        raise ColouringError("k must be at least 1")
-    budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "dicolouring enumeration")
-    for assignment in _solve(d, k, budget, symmetry=False):
-        yield Colouring(k, assignment)
+    position, out, inn = _branching(d.out_masks, d.in_masks, d.arcs)
+    found = _first_assignment(out, inn, k, budget)
+    return None if found is None else Colouring(k, tuple(map(found.__getitem__, position)))
 
 
 def dichromatic_number(d: Digraph, budget: Budget | int | None = None) -> int:
@@ -654,7 +622,7 @@ def is_k_dicritical(
             out_minus[u] &= ~(1 << v)
             inn_minus[v] &= ~(1 << u)
             pin = (u, v) if u < v else (v, u)
-            found = next(_assignments(out_minus, inn_minus, k - 1, budget, True, pin), None)
+            found = _first_assignment(out_minus, inn_minus, k - 1, budget, pin)
             if found is None:
                 return CriticalityReport(
                     d, k, False, witnesses, failure_arc=arc,

@@ -3,8 +3,8 @@
 Vertices are dense integers ``0..n-1``.  Arcs are ordered pairs ``(u, v)``
 with ``u != v``; a digon is a pair of opposite arcs.  Values never mutate:
 every edit returns a fresh digraph, and operations that move vertices
-(induced subdigraphs, identification) also return the relabelling map so
-provenance survives composition.
+(induced subdigraphs) also return the relabelling map so provenance
+survives composition.
 
 The interchange format is DG-v1::
 
@@ -24,15 +24,14 @@ Every cut and component question is answered on vertex bitsets:
 :func:`underlying_masks` gives the underlying graph as one neighbourhood
 bitset per vertex, :func:`mask_components` floods it within a vertex
 bitset, and :func:`two_cut_sides` enumerates every cut of at most two
-vertices with its sides.  4-Ore recognition, D6 components, connectivity
-and the dicolouring reduction all use these three, and :func:`restrict`
-cuts out pieces.  :func:`digon_masks` gives the digon graph the same way;
+vertices with its sides.  4-Ore recognition, D6 components and the
+dicolouring reduction all use these three, and :func:`restrict` cuts out
+pieces.  :func:`digon_masks` gives the digon graph the same way;
 the packing layer and the diamond detector read their digon cliques off it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -196,14 +195,6 @@ def bidirected_cycle(n: int) -> Digraph:
     return Digraph(n, arcs)
 
 
-def bidirected_path(n: int) -> Digraph:
-    arcs = []
-    for i in range(n - 1):
-        arcs.append((i, i + 1))
-        arcs.append((i + 1, i))
-    return Digraph(n, arcs)
-
-
 def bidirected_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
     arcs = []
     for u, v in edges:
@@ -274,36 +265,7 @@ def serialize(d: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- vertex profiles -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VertexProfile:
-    """Degree data for one vertex; d(v) = n(v) + number of digons at v."""
-
-    vertex: int
-    in_degree: int
-    out_degree: int
-    degree: int
-    neighbour_count: int
-    simple_neighbours: tuple[int, ...]
-
-
-def profiles(d: Digraph) -> list[VertexProfile]:
-    return [
-        VertexProfile(
-            vertex=v,
-            in_degree=i.bit_count(),
-            out_degree=o.bit_count(),
-            degree=o.bit_count() + i.bit_count(),
-            neighbour_count=(o | i).bit_count(),
-            simple_neighbours=tuple(bits(o ^ i)),
-        )
-        for v, (o, i) in enumerate(zip(d.out_masks, d.in_masks))
-    ]
-
-
-# -- subdigraphs, boundaries, identification -------------------------------
+# -- subdigraphs and boundaries -------------------------------------------
 
 
 def induced(d: Digraph, subset: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
@@ -349,37 +311,6 @@ def boundary(d: Digraph, subset: Iterable[int]) -> frozenset[int]:
         raise DigraphError("boundary of the whole vertex set is undefined")
     outside = ~sum(1 << v for v in r)
     return frozenset(v for v in r if (d.out_masks[v] | d.in_masks[v]) & outside)
-
-
-def identify(
-    d: Digraph, blocks: Iterable[Iterable[int]]
-) -> tuple[Digraph, dict[int, int]]:
-    """Collapse each block to a single vertex, dropping intra-block arcs.
-
-    Vertices not covered by any block keep their identity as singleton
-    blocks.  The new vertices are ordered by the minimum original id in
-    each block; the old-id -> new-id map is returned alongside.
-    """
-    block_sets = [sorted(set(b)) for b in blocks]
-    covered: set[int] = set()
-    for b in block_sets:
-        if not b:
-            raise DigraphError("blocks must be non-empty")
-        if b[0] < 0 or b[-1] >= d.n:
-            raise DigraphError("block contains vertices outside the digraph")
-        if covered & set(b):
-            raise DigraphError("blocks must be disjoint")
-        covered.update(b)
-    parts = block_sets + [[v] for v in d.vertices() if v not in covered]
-    parts.sort(key=lambda b: b[0])
-    mapping: dict[int, int] = {}
-    for i, part in enumerate(parts):
-        for v in part:
-            mapping[v] = i
-    arcs = {
-        (mapping[u], mapping[v]) for (u, v) in d.arcs if mapping[u] != mapping[v]
-    }
-    return Digraph(len(parts), arcs), mapping
 
 
 # -- connectivity ----------------------------------------------------------
@@ -490,19 +421,3 @@ def two_cut_sides(
             sides = mask_components(adjacency, rest & ~(1 << v))
             if len(sides) > 1:
                 yield (u, v), sides
-
-
-def is_k_connected(d: Digraph, k: int) -> tuple[bool, frozenset[int] | None]:
-    """Underlying-graph k-connectivity, from :func:`two_cut_sides`.
-
-    Only k = 2 and k = 3 are supported.  Returns the verdict and, when
-    false, the lexicographically first (k-1)-cutset as a witness.
-    """
-    if k not in (2, 3):
-        raise DigraphError("only 2- and 3-connectivity are supported")
-    if d.n <= k:
-        raise DigraphError(f"{k}-connectivity needs more than {k} vertices")
-    for cut, _ in two_cut_sides(underlying_masks(d)):
-        if len(cut) == k - 1:
-            return False, frozenset(cut)
-    return True, None

@@ -120,22 +120,6 @@ def trace_to_json(trace: OreTrace | None) -> dict | None:
     }
 
 
-def trace_from_json(data: dict | None) -> OreTrace | None:
-    if data is None:
-        return None
-    if data["kind"] == "leaf":
-        return OreLeaf()
-    return OreNode(
-        digon_side=trace_from_json(data["digon_side"]),
-        split_side=trace_from_json(data["split_side"]),
-        digon=tuple(data["digon"]),
-        split_vertex=data["split_vertex"],
-        z1=tuple(data["z1"]),
-        z2=tuple(data["z2"]),
-        j_preserving=data["j_preserving"],
-    )
-
-
 # -- composition -----------------------------------------------------------
 
 

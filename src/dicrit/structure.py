@@ -17,7 +17,6 @@ from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
 from .colouring import (
     Colouring,
     check_dicolouring,
-    enumerate_k_dicolourings,
     is_k_dicolourable,
 )
 from .digraph import (
@@ -388,7 +387,12 @@ def is_collapsible(
 ) -> tuple[bool, dict[int, int] | None]:
     """True iff for EVERY 3-dicolouring phi of R the dicritical extension is
     the whole host, the core has size 1, and the boundary of R is
-    monochromatic in phi.  Returns the violating phi otherwise."""
+    monochromatic in phi.  Returns the violating phi otherwise.
+
+    The 3-colourings of R are tried in lexicographic order, one budget node
+    each, and ``check_dicolouring`` keeps the dicolourings; the dicritical
+    extension computed for each of those dominates the cost.
+    """
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "collapsibility check")
     r = sorted(set(subset))
     if not 4 <= len(r) < d.n:
@@ -397,8 +401,11 @@ def is_collapsible(
     back = {new: old for old, new in sub_map.items()}
     bd = boundary(d, r)
     everything = frozenset(d.vertices())
-    for colouring in enumerate_k_dicolourings(sub, 3, budget):
-        phi = {back[v]: colouring.colours[v] for v in sub.vertices()}
+    for colours in itertools.product(range(1, 4), repeat=sub.n):
+        budget.spend()
+        if not check_dicolouring(sub, Colouring(3, colours))[0]:
+            continue
+        phi = {back[v]: colours[v] for v in sub.vertices()}
         ext = dicritical_extension(d, r, phi, budget)
         monochromatic = len({phi[v] for v in bd}) <= 1
         if (

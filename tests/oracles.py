@@ -2,7 +2,8 @@
 
 Deliberately share no code with the package: validity of a colouring is
 decided by Kahn peeling (the solver uses DFS), dicolourability by full
-assignment enumeration (the solver backtracks), and packing values by
+assignment enumeration and by inclusion-exclusion over the acyclic vertex
+sets (the solver backtracks), and packing values by
 recursion over the lowest free vertex (the packing module branches over a
 candidate item list with a bound), canonical forms by trying every
 relabelling (the package refines colours and individualises vertices),
@@ -110,6 +111,61 @@ def oracle_is_k_dicolourable(d: Digraph, k: int) -> bool:
     return any(
         valid_dicolouring(d, assignment)
         for assignment in itertools.product(range(k), repeat=d.n)
+    )
+
+
+def _acyclic_subset_counts(d: Digraph) -> list[int]:
+    """a[X] for every vertex bitset X: how many subsets of X induce an
+    acyclic subdigraph.
+
+    S is acyclic iff it is empty, or some v in S has no out-neighbour in S
+    and S - v is acyclic: an acyclic digraph has a sink, and no cycle passes
+    through a sink.  The zeta transform then sums over subsets."""
+    n = d.n
+    out = [0] * n
+    for u, v in d.arcs:
+        out[u] |= 1 << v
+    a = [1] + [0] * ((1 << n) - 1)
+    for s in range(1, 1 << n):
+        a[s] = int(any(
+            s >> v & 1 and not out[v] & s and a[s ^ 1 << v] for v in range(n)
+        ))
+    for v in range(n):
+        bit = 1 << v
+        for x in range(1 << n):
+            if x & bit:
+                a[x] += a[x ^ bit]
+    return a
+
+
+def _covers(a: list[int], n: int, k: int) -> int:
+    """The number of k-tuples of acyclic sets whose union is V(D), by
+    inclusion-exclusion: the sum over X of (-1)^(n - |X|) a(X)^k."""
+    return sum((-1) ** (n - x.bit_count()) * a[x] ** k for x in range(1 << n))
+
+
+def oracle_ie_is_k_dicolourable(d: Digraph, k: int) -> bool:
+    """D is k-dicolourable iff k acyclic sets cover V(D), since a subset of
+    an acyclic set is acyclic (Bjoerklund, Husfeldt and Koivisto, "Set
+    partitioning via inclusion-exclusion", SIAM J. Comput. 2009).  Exact
+    integers, 2^n sets; sane for n <= 12 or so."""
+    return _covers(_acyclic_subset_counts(d), d.n, k) > 0
+
+
+def oracle_ie_dichromatic_number(d: Digraph) -> int:
+    a = _acyclic_subset_counts(d)
+    return next(k for k in range(1, d.n + 1) if _covers(a, d.n, k) > 0)
+
+
+def oracle_ie_is_k_dicritical(d: Digraph, k: int) -> bool:
+    """``oracle_is_k_dicritical`` with every dicolourability question
+    answered by inclusion-exclusion: m + 2 evaluations at most."""
+    if any(not d.out_neighbours(v) and not d.in_neighbours(v) for v in range(d.n)):
+        return False
+    if oracle_ie_dichromatic_number(d) != k:
+        return False
+    return all(
+        oracle_ie_is_k_dicolourable(Digraph(d.n, d.arcs - {arc}), k - 1) for arc in d.arcs
     )
 
 
@@ -301,7 +357,6 @@ def oracle_assignments(
     order: list[int],
     k: int,
     budget: Budget,
-    symmetry: bool,
     pin: tuple[int, int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every valid k-dicolouring assignment (backtracking core).
@@ -309,10 +364,12 @@ def oracle_assignments(
     ``out``/``inn`` are the bitset adjacency of the digraph, ``order`` the
     branching order.  ``pin = (a, b)``, with a placed before b, restricts the
     search to assignments with c(a) = c(b): b gets a's colour and no other.
+    Colour j + 1 is tried only once colour j has appeared.
 
     The dicolouring kernel as first written, kept as the chronological
-    reference: the backjumping kernel must yield the same assignments in the
-    same order from no more nodes.  It tests cycles in a closure, calls
+    reference: the backjumping kernel must return the first assignment
+    yielded here, or None when there is none, from no more nodes than this
+    search spends to reach it.  It tests cycles in a closure, calls
     ``budget.spend()`` once per node and always backtracks one depth.
     """
     n = len(order)
@@ -355,7 +412,7 @@ def oracle_assignments(
         if v == pinned:
             c, last = max(c, colour[anchor] - 1), colour[anchor]
         else:
-            last = k if not symmetry or top[i] >= k else top[i] + 1
+            last = k if top[i] >= k else top[i] + 1
         while c < last:
             c += 1
             spend()

@@ -8,17 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 from dicrit import colouring
 from dicrit.budget import Budget, BudgetExceeded
 from dicrit.colouring import (
-    _assignments,
     _branching,
     _colourable,
     _decide,
+    _first_assignment,
     _reuse_fits,
     Colouring,
     ColouringError,
     RefutationStats,
     check_dicolouring,
     dichromatic_number,
-    enumerate_k_dicolourings,
     is_k_dicolourable,
     is_k_dicritical,
 )
@@ -35,12 +34,15 @@ from dicrit.ore import generate_4ore
 from .oracles import (
     oracle_chromatic_number,
     oracle_dichromatic_number,
+    oracle_ie_dichromatic_number,
+    oracle_ie_is_k_dicolourable,
+    oracle_ie_is_k_dicritical,
     oracle_is_k_dicolourable,
     oracle_assignments,
     oracle_is_k_dicritical,
     valid_dicolouring,
 )
-from .test_digraph import digraphs
+from .test_digraph import digraphs, mixed_digraphs
 
 
 class TestCheckDicolouring:
@@ -113,16 +115,6 @@ class TestIsKDicolourable:
         assert (got is not None) == oracle_is_k_dicolourable(d, k)
         if got is not None:
             assert valid_dicolouring(d, got.colours)
-
-    def test_enumeration_finds_every_colouring(self, c3):
-        found = {c.colours for c in enumerate_k_dicolourings(c3, 2)}
-        expected = {
-            assignment
-            for assignment in itertools.product((1, 2), repeat=3)
-            if valid_dicolouring(c3, assignment)
-        }
-        assert found == expected
-
 
 class TestDichromaticNumber:
     def test_single_vertex(self):
@@ -260,7 +252,7 @@ class TestPinnedSearch:
         u, v = data.draw(st.lists(st.integers(0, d.n - 1), min_size=2, max_size=2, unique=True))
         position, out, inn = _branching(d.out_masks, d.in_masks, d.arcs)
         pin = tuple(sorted((position[u], position[v])))
-        found = next(_assignments(out, inn, k, Budget(1_000_000), True, pin), None)
+        found = _first_assignment(out, inn, k, Budget(1_000_000), pin)
         if found is not None:
             found = tuple(map(found.__getitem__, position))
         expected = any(
@@ -272,30 +264,22 @@ class TestPinnedSearch:
             assert found[u] == found[v] and valid_dicolouring(d, found)
 
 
-def _run(assignments, budget: Budget):
-    """Everything ``assignments`` yields, the budget it used, and the
-    message it ran out with (None if it finished)."""
-    got = []
-    try:
-        for assignment in assignments:
-            got.append(assignment)
-    except BudgetExceeded as exc:
-        return got, budget.used, str(exc)
-    return got, budget.used, None
-
-
-def _run_kernel(d: Digraph, k: int, symmetry: bool, pin, limit: int):
-    """``_run`` of the kernel on ``d`` relabelled into branching order under
-    ``Budget(limit)``, its assignments mapped back to d's labels."""
+def _run_kernel(d: Digraph, k: int, pin, limit: int):
+    """The kernel on ``d`` relabelled into branching order under
+    ``Budget(limit)``: its assignment mapped back to d's labels (None if it
+    refutes or runs out), the budget it used, and the message it ran out
+    with (None if it finished)."""
     position, out, inn = _branching(d.out_masks, d.in_masks, d.arcs)
     if pin is not None:
         pin = (position[pin[0]], position[pin[1]])
     budget = Budget(limit, "kernel")
-    return _run(
-        (tuple(map(found.__getitem__, position))
-         for found in _assignments(out, inn, k, budget, symmetry, pin)),
-        budget,
-    )
+    try:
+        found = _first_assignment(out, inn, k, budget, pin)
+    except BudgetExceeded as exc:
+        return None, budget.used, str(exc)
+    if found is not None:
+        found = tuple(map(found.__getitem__, position))
+    return found, budget.used, None
 
 
 def _order(d: Digraph) -> list[int]:
@@ -304,124 +288,133 @@ def _order(d: Digraph) -> list[int]:
     return sorted(d.vertices(), key=position.__getitem__)
 
 
-def _run_oracle(d: Digraph, k: int, symmetry: bool, pin, limit: int):
-    """``_run`` of the chronological reference kernel on ``d`` itself."""
-    out, inn = d.out_masks, d.in_masks
+def _run_oracle(d: Digraph, k: int, pin, limit: int):
+    """The first assignment the chronological reference kernel yields on
+    ``d`` itself, or None once it is exhausted, and the budget it used to
+    get there."""
     budget = Budget(limit, "kernel")
-    return _run(oracle_assignments(out, inn, _order(d), k, budget, symmetry, pin), budget)
+    found = next(oracle_assignments(d.out_masks, d.in_masks, _order(d), k, budget, pin), None)
+    return found, budget.used
 
 
 @st.composite
-def kernel_inputs(draw, symmetry=None, pinned=None):
-    """A digraph with n <= 7, k in 1..4, symmetry on or off, and no pin or a
-    pin (a, b) with a placed before b; ``symmetry`` and ``pinned`` fix
-    those choices when given."""
-    d = draw(digraphs(max_n=7).filter(lambda d: d.n >= 2 or not pinned))
+def kernel_inputs(draw):
+    """A digraph with n <= 7, k in 1..4, and no pin or a pin (a, b) with a
+    placed before b."""
+    d = draw(digraphs(max_n=7))
     k = draw(st.integers(1, 4))
-    if symmetry is None:
-        symmetry = draw(st.booleans())
     pin = None
-    if d.n >= 2 and (draw(st.booleans()) if pinned is None else pinned):
+    if d.n >= 2 and draw(st.booleans()):
         a, b = draw(st.lists(st.integers(0, d.n - 1), min_size=2, max_size=2, unique=True))
         order = _order(d)
         pin = (a, b) if order.index(a) < order.index(b) else (b, a)
-    return d, k, symmetry, pin
+    return d, k, pin
 
 
 class TestKernel:
     """The backjumping kernel against the chronological one, kept in
-    ``tests/oracles.py``: the same assignments in the same order, from no
-    more nodes, and a budget that runs out loudly part way through the
-    same list."""
+    ``tests/oracles.py``: the kernel returns the first assignment that one
+    yields, or None when that one is exhausted, from no more nodes than it
+    spent to get there, and a budget that runs out does so loudly."""
 
     # Above 4 + 4^2 + ... + 4^7, so neither kernel runs out on n <= 7, k <= 4.
     LIMIT = 22_000
 
-    def check_complete_run(self, case):
-        d, k, symmetry, pin = case
-        got, used, message = _run_kernel(d, k, symmetry, pin, self.LIMIT)
-        expected, oracle_used, oracle_message = _run_oracle(d, k, symmetry, pin, self.LIMIT)
-        assert message is None and oracle_message is None
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_inputs())
+    @example((bidirected_complete(4), 3, None))
+    @example((bidirected_complete(4), 4, None))
+    @example((Digraph(7, []), 4, (0, 1)))
+    @example((directed_cycle(4), 2, (0, 2)))
+    # A jump lands on a depth that opened colour 2, and the search must go
+    # on above it: dropping the symmetry rule's conflict set refutes this.
+    @example((Digraph(7, [
+        (0, 4), (1, 0), (1, 3), (1, 4), (1, 6), (2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 4),
+        (3, 5), (4, 0), (4, 2), (4, 3), (4, 5), (4, 6), (5, 1), (5, 2), (5, 3), (5, 4), (6, 1),
+        (6, 5),
+    ]), 3, None))
+    def test_matches_the_first_kernel(self, case):
+        d, k, pin = case
+        got, used, message = _run_kernel(d, k, pin, self.LIMIT)
+        expected, oracle_used = _run_oracle(d, k, pin, self.LIMIT)
+        assert message is None
         assert got == expected
         assert used <= oracle_used
-
-    @settings(max_examples=150, deadline=None)
-    @given(kernel_inputs())
-    @example((bidirected_complete(4), 3, True, None))
-    @example((Digraph(7, []), 4, False, (0, 1)))
-    def test_matches_the_first_kernel(self, case):
-        self.check_complete_run(case)
-
-    @settings(max_examples=100, deadline=None)
-    @given(kernel_inputs(symmetry=False, pinned=True))
-    @example((directed_cycle(4), 2, False, (0, 2)))
-    def test_pinned_enumeration_without_symmetry(self, case):
-        # Every assignment is yielded, so after the first one the conflict
-        # sets that every yield fills carry the rest of the enumeration.
-        self.check_complete_run(case)
 
     @settings(max_examples=100, deadline=None)
     @given(kernel_inputs(), st.integers(1, 40))
     def test_small_limits_run_out_alike(self, case, limit):
-        d, k, symmetry, pin = case
-        got, used, message = _run_kernel(d, k, symmetry, pin, limit)
-        expected, oracle_used, _ = _run_oracle(d, k, symmetry, pin, self.LIMIT)
+        d, k, pin = case
+        got, used, message = _run_kernel(d, k, pin, limit)
+        expected, oracle_used = _run_oracle(d, k, pin, self.LIMIT)
         if message is None:
             assert got == expected and used <= oracle_used
         else:
             assert used == limit + 1
             assert message == f"kernel: node budget of {limit} exhausted"
-            assert got == expected[:len(got)]
             # The kernel visits a subset of the reference's nodes.
             assert oracle_used > limit
 
 
-class TestSharedBudget:
-    """``enumerate_k_dicolourings`` while its caller spends from the same
-    budget between the colourings it yields."""
+#: k-dicritical digraphs of at most 10 vertices, with their k.
+DICRITICAL = (
+    [(directed_cycle(n), 2) for n in (2, 5, 8, 10)]
+    + [(bidirected_cycle(n), 3) for n in (3, 7, 9)]
+    + [(bidirected_complete(4), 4)]
+    + [(generate_4ore(n, seed)[0], 4) for n in (7, 10) for seed in range(3)]
+)
 
-    D = directed_cycle(4)
-    SPEND = 3
 
-    def marks(self) -> list[int]:
-        """``Budget.used`` at each yield, and at the end, with no caller spends."""
-        budget = Budget(10_000)
-        marks = [budget.used for _ in enumerate_k_dicolourings(self.D, 2, budget)]
-        return marks + [budget.used]
+@st.composite
+def near_dicritical(draw):
+    """A k-dicritical digraph of at most 10 vertices, relabelled, with one
+    arc deleted, one arc added or left as it is; and its k."""
+    d, k = draw(st.sampled_from(DICRITICAL))
+    arcs = set(d.arcs)
+    edit = draw(st.sampled_from(("none", "delete", "add")))
+    if edit == "delete":
+        arcs.discard(draw(st.sampled_from(sorted(arcs))))
+    elif edit == "add" and d.m < d.n * (d.n - 1):
+        missing = sorted(
+            (u, v) for u in range(d.n) for v in range(d.n) if u != v and (u, v) not in arcs
+        )
+        arcs.add(draw(st.sampled_from(missing)))
+    perm = draw(st.permutations(range(d.n)))
+    return Digraph(d.n, [(perm[u], perm[v]) for u, v in arcs]), k
 
-    def test_total_is_solver_nodes_plus_caller_spends(self):
-        marks = self.marks()
-        budget = Budget(10_000)
-        for j, _ in enumerate(enumerate_k_dicolourings(self.D, 2, budget)):
-            assert budget.used == marks[j] + self.SPEND * j
-            budget.spend(self.SPEND)
-        count = len(marks) - 1
-        assert count == 14
-        assert budget.used == marks[-1] + self.SPEND * count
 
-    @pytest.mark.parametrize("taken", [1, 5, 14])
-    def test_early_close_keeps_the_nodes_spent(self, taken):
-        marks = self.marks()
-        budget = Budget(10_000)
-        colourings = enumerate_k_dicolourings(self.D, 2, budget)
-        for _ in range(taken):
-            next(colourings)
-            budget.spend(self.SPEND)
-        colourings.close()
-        assert budget.used == marks[taken - 1] + self.SPEND * taken
+class TestInclusionExclusion:
+    """The inclusion-exclusion oracle against the k^n brute force up to
+    n = 7, then the solver against it on 8 to 10 vertices."""
 
-    def test_limit_hit_mid_enumeration(self):
-        marks = self.marks()
-        # Runs out inside the search for the eighth colouring.
-        limit = marks[7] + self.SPEND * 7 - 1
-        budget = Budget(limit, "shared")
-        colourings = enumerate_k_dicolourings(self.D, 2, budget)
-        for _ in range(7):
-            next(colourings)
-            budget.spend(self.SPEND)
-        with pytest.raises(BudgetExceeded, match=f"shared: node budget of {limit} exhausted"):
-            next(colourings)
-        assert budget.used == limit + 1
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(digraphs(max_n=7), mixed_digraphs(max_n=7)), st.integers(1, 3))
+    @example(bidirected_complete(4), 3)
+    @example(bidirected_complete(5), 4)
+    def test_agrees_with_the_brute_force(self, d, k):
+        assert oracle_ie_is_k_dicolourable(d, k) == oracle_is_k_dicolourable(d, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(digraphs(10, 8), mixed_digraphs(10, 8)), st.integers(1, 4))
+    def test_is_k_dicolourable(self, d, k):
+        got = is_k_dicolourable(d, k)
+        assert (got is not None) == oracle_ie_is_k_dicolourable(d, k)
+        if got is not None:
+            assert valid_dicolouring(d, got.colours)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(digraphs(10, 8), mixed_digraphs(10, 8)))
+    def test_dichromatic_number(self, d):
+        assert dichromatic_number(d) == oracle_ie_dichromatic_number(d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(near_dicritical())
+    def test_is_k_dicritical(self, case):
+        d, k = case
+        report = is_k_dicritical(d, k)
+        assert report.verdict == oracle_ie_is_k_dicritical(d, k)
+        for arc, witness in report.witnesses.items():
+            assert valid_dicolouring(Digraph(d.n, d.arcs - {arc}), witness.colours)
 
 
 def _fresh_witnesses(report):

@@ -8,15 +8,12 @@ from dicrit.digraph import (
     DigraphError,
     ParseError,
     bidirected_complete,
-    bidirected_path,
+    bidirected_from_edges,
     boundary,
     digon_masks,
     directed_cycle,
-    identify,
     induced,
-    is_k_connected,
     parse,
-    profiles,
     restrict,
     serialize,
     two_cut_sides,
@@ -28,8 +25,8 @@ from .oracles import oracle_adjacency, oracle_components, reversed_digraph
 
 
 @st.composite
-def digraphs(draw, max_n=6):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def digraphs(draw, max_n=6, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     possible = [(u, v) for u in range(n) for v in range(n) if u != v]
     if possible:
         arcs = draw(st.sets(st.sampled_from(possible)))
@@ -39,11 +36,11 @@ def digraphs(draw, max_n=6):
 
 
 @st.composite
-def mixed_digraphs(draw, max_n=9):
+def mixed_digraphs(draw, max_n=9, min_n=1):
     """Each vertex pair gets no arc, one arc either way, or a digon; digons
     are drawn half the time, so degree-6 vertices, bidirected triangles and
     near-K4s are common."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     arcs = []
     for u, v in itertools.combinations(range(n), 2):
         kind = draw(st.sampled_from(("none", "forward", "back", "digon", "digon", "digon")))
@@ -118,14 +115,6 @@ def assert_adjacency_matches_the_arcs(d):
         assert getattr(d, name)() == expected[name], name
     assert underlying_masks(d) == expected["underlying_masks"]
     assert digon_masks(d) == expected["digon_masks"]
-    ps = profiles(d)
-    assert [p.vertex for p in ps] == list(vs)
-    for v, p in enumerate(ps):
-        nbrs = expected["neighbours"][v]
-        assert (p.in_degree, p.out_degree, p.degree, p.neighbour_count) == (
-            expected["in_degree"][v], expected["out_degree"][v], expected["degree"][v], len(nbrs)
-        )
-        assert p.simple_neighbours == tuple(w for w in nbrs if not expected["has_digon"][v][w])
 
 
 class TestAdjacency:
@@ -182,33 +171,6 @@ class TestParse:
     @given(digraphs())
     def test_roundtrip(self, d):
         assert parse(serialize(d)) == d
-
-
-class TestProfiles:
-    def test_k4(self, k4):
-        for p in profiles(k4):
-            assert p.degree == 6 and p.neighbour_count == 3
-            assert p.simple_neighbours == ()
-
-    def test_c3(self, c3):
-        for p in profiles(c3):
-            assert p.degree == 2 and p.neighbour_count == 2
-            assert len(p.simple_neighbours) == 2
-
-    def test_digon(self):
-        d = Digraph(2, [(0, 1), (1, 0)])
-        for p in profiles(d):
-            assert p.degree == 2 and p.neighbour_count == 1
-            assert p.simple_neighbours == ()
-
-    @settings(max_examples=100)
-    @given(digraphs())
-    def test_degree_sums_and_digon_identity(self, d):
-        ps = profiles(d)
-        assert sum(p.out_degree for p in ps) == d.m
-        assert sum(p.in_degree for p in ps) == d.m
-        for p in ps:
-            assert p.degree == p.neighbour_count + d.digon_count_at(p.vertex)
 
 
 class TestInduced:
@@ -280,58 +242,11 @@ class TestBoundary:
         }
 
 
-class TestIdentify:
-    def test_fold_triangle_to_digon(self, c3):
-        folded, _ = identify(c3, [{0, 1}])
-        assert folded.n == 2 and folded.arcs == {(0, 1), (1, 0)}
-
-    def test_singletons_are_identity(self, k4):
-        same, mapping = identify(k4, [{0}, {1}])
-        assert same == k4
-        assert mapping == {v: v for v in range(4)}
-
-    def test_digon_plus_isolated_folds_to_digon(self):
-        # identify(digon [0,1] plus isolated 2, {{0,2}}): arc folding keeps
-        # exactly the digon, now on 2 vertices.
-        d = Digraph(3, [(0, 1), (1, 0)])
-        folded, mapping = identify(d, [{0, 2}])
-        assert folded.n == 2
-        assert folded.arcs == {(mapping[0], mapping[1]), (mapping[1], mapping[0])}
-
-    def test_overlap_rejected(self, k4):
-        with pytest.raises(DigraphError):
-            identify(k4, [{0, 1}, {1, 2}])
-
-    @settings(max_examples=60)
-    @given(digraphs())
-    def test_singleton_blocks_always_identity(self, d):
-        same, _ = identify(d, [{v} for v in range(d.n)])
-        assert same == d
-
-
-class TestConnectivity:
-    def test_k4_three_connected(self, k4):
-        assert is_k_connected(k4, 3) == (True, None)
-
-    def test_path_cut_vertex(self):
-        ok, cut = is_k_connected(bidirected_path(3), 2)
-        assert not ok and cut == {1}
-
-    def test_c5_two_not_three(self, c5_bi):
-        assert is_k_connected(c5_bi, 2)[0]
-        ok, cut = is_k_connected(c5_bi, 3)
-        assert not ok and len(cut) == 2
-
-    def test_too_small_rejected(self, k3):
-        with pytest.raises(DigraphError):
-            is_k_connected(k3, 3)
-
-
 class TestTwoCutSides:
     @settings(max_examples=150, deadline=None)
     @given(digraphs(max_n=9))
     @example(Digraph(7, [(1, 5), (2, 6), (6, 1)]))
-    @example(bidirected_path(5))
+    @example(bidirected_from_edges(5, [(i, i + 1) for i in range(4)]))
     def test_agrees_with_trying_every_cut(self, d):
         # The reference removes every set of one or two vertices and floods
         # the rest over adjacency sets.

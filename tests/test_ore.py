@@ -29,8 +29,6 @@ from dicrit.ore import (
     ore_compose,
     replay,
     split_vertex,
-    trace_from_json,
-    trace_to_json,
 )
 from dicrit.packing import max_packing
 from dicrit.potential import ZERO_PARAMS, check_4ore_arc_identity, potential
@@ -189,10 +187,6 @@ class TestGenerate:
             d, trace = generate_4ore(n, seed=3, j_preserving=True)
             assert j_vertices(trace) == (0, 1, 2, 3)
             assert replay(trace) == d
-
-    def test_trace_json_roundtrip(self):
-        _, trace = generate_4ore(10, seed=4, j_preserving=True)
-        assert trace_from_json(trace_to_json(trace)) == trace
 
 
 class TestRecognition:

@@ -32,6 +32,7 @@ from .oracles import (
     oracle_find_chelou_arcs,
     reversed_digraph,
     underlying_edges,
+    valid_dicolouring,
 )
 from .test_digraph import digraphs, mixed_digraphs
 
@@ -327,15 +328,16 @@ class TestDicriticalExtension:
         # colours in its neighbourhood: the identification is K4 itself, so
         # the peeled extender must be that K4 with a full core.
         d = seven_vertex_composition
-        from dicrit.colouring import enumerate_k_dicolourings
         target = None
         for v0 in range(d.n):
             rest = [w for w in range(d.n) if w != v0]
             sub, mapping = induced(d, rest)
-            for col in enumerate_k_dicolourings(sub, 3):
-                nbr_colours = {col.colours[mapping[u]] for u in d.neighbours(v0)}
+            for col in itertools.product(range(1, 4), repeat=sub.n):
+                if not valid_dicolouring(sub, col):
+                    continue
+                nbr_colours = {col[mapping[u]] for u in d.neighbours(v0)}
                 if nbr_colours == {1, 2, 3}:
-                    target = (v0, rest, {w: col.colours[mapping[w]] for w in rest})
+                    target = (v0, rest, {w: col[mapping[w]] for w in rest})
                     break
             if target:
                 break
