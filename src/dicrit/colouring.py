@@ -23,16 +23,19 @@ makes no call per node: the cycle test, the conflict sets and the node
 count are inline, and the count reaches the budget when the kernel returns
 or runs out.
 
-Whether D is c-dicolourable at all, without a witness, is decided for
-``is_k_dicritical`` (its step "D is not (k-1)-dicolourable") and for
-``dichromatic_number`` by the plain search first, with an allowance of
-about 2 c n^2 nodes; if that runs out, a 2-separator reduction takes over.
+Whether D is c-dicolourable is decided in one place, ``_decide``, for
+``is_k_dicolourable``, ``dichromatic_number`` and the step "D is not
+(k-1)-dicolourable" of ``is_k_dicritical``: by the plain search first, with
+an allowance of about 2 c n^2 nodes, keeping the assignment it finds; if
+that runs out, a 2-separator reduction takes over.
 It replaces one side A of a separator {u, v} of the underlying graph at a
 time by a gadget of at most c - 1 vertices (nothing, a digon, an arc, a
 bidirected K_{c-1} that forces c(u) = c(v), or that K_{c-1} plus an arc),
 chosen by two to four recursive queries on digraphs smaller than D, and it
 runs the search only on pieces of at most 9 vertices or where no side can
-be replaced.  The proof is in docs/decisions.md, section 6.
+be replaced.  The proof is in docs/decisions.md, section 6.  After a "yes"
+from the reduction, ``is_k_dicolourable`` runs the plain search to the end
+for its witness.
 
 ``check_dicolouring`` runs its own DFS over adjacency lists and shares no
 code with the solver, so every witness the solver returns is checked
@@ -431,33 +434,34 @@ def _colourable(out: Sequence[int], c: int, budget: Budget, stats: RefutationSta
 def _decide(
     out: Sequence[int], ordered_out: list[int], ordered_inn: list[int], c: int,
     budget: Budget, stats: RefutationStats,
-) -> bool:
+) -> tuple[int, ...] | bool | None:
     """Is the digraph with out-bitsets ``out`` c-dicolourable?  The plain
     search on the same digraph in branching order (``ordered_out`` and
     ``ordered_inn``, from ``_branching``) runs first, with an allowance of
     ``_PLAIN_NODES_PER_CN2`` c n^2 nodes; only if that runs out does the
-    2-separator reduction decide, on ``out``.  Every node is charged to
-    ``budget``."""
+    2-separator reduction decide, on ``out``.  Returns the assignment the
+    plain search found, in branching order, True when the reduction decided
+    "yes", or None for "no".  Every node is charged to ``budget``."""
     n = len(out)
     before = budget.used
     if n <= _BASE_SIZE:
-        found = _first_assignment(ordered_out, ordered_inn, c, budget) is not None
+        found = _first_assignment(ordered_out, ordered_inn, c, budget)
         stats.plain_nodes += budget.used - before
         return found
     allowance = Budget(
         max(1, min(_PLAIN_NODES_PER_CN2 * c * n * n, budget.remaining())), budget.what
     )
     try:
-        found = _first_assignment(ordered_out, ordered_inn, c, allowance) is not None
+        found = _first_assignment(ordered_out, ordered_inn, c, allowance)
     except BudgetExceeded:
-        found = None
+        found = False
     # This raises when it was the caller's limit, not the allowance, that ran out.
     budget.spend(allowance.used)
     stats.plain_nodes += allowance.used
-    if found is not None:
+    if found is not False:
         return found
     stats.reduced = True
-    return _colourable(out, c, budget, stats)
+    return _colourable(out, c, budget, stats) or None
 
 
 def is_k_dicolourable(
@@ -465,14 +469,18 @@ def is_k_dicolourable(
 ) -> Colouring | None:
     """A valid k-dicolouring if one exists, else None (exhaustively correct).
 
-    Raises BudgetExceeded when the node budget runs out before the search
-    finishes; that outcome is "unknown", never "no".
+    Decided by ``_decide``; after a "yes" from the reduction the plain
+    search runs to the end for the witness, which is therefore the same
+    whichever route decided.  Raises BudgetExceeded when the node budget
+    runs out first; that outcome is "unknown", never "no".
     """
     if k < 1:
         raise ColouringError("k must be at least 1")
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "dicolouring search")
     position, out, inn = _branching(d.out_masks, d.in_masks, d.arcs)
-    found = _first_assignment(out, inn, k, budget)
+    found = _decide(d.out_masks, out, inn, k, budget, RefutationStats())
+    if found is True:
+        found = _first_assignment(out, inn, k, budget)
     return None if found is None else Colouring(k, tuple(map(found.__getitem__, position)))
 
 

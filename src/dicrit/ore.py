@@ -43,10 +43,6 @@ from .packing import bidirected_triangles
 class OreLeaf:
     """The base case: a bidirected K4 on vertices 0..3."""
 
-    @property
-    def n(self) -> int:
-        return 4
-
 
 @dataclass(frozen=True)
 class OreNode:
@@ -65,12 +61,6 @@ class OreNode:
     z1: tuple[int, ...]
     z2: tuple[int, ...]
     j_preserving: bool = False
-
-    @property
-    def n(self) -> int:
-        if self.digon_side is None or self.split_side is None:
-            raise DigraphError("incomplete trace has no defined order")
-        return self.digon_side.n + self.split_side.n - 1
 
 
 OreTrace = Union[OreLeaf, OreNode]

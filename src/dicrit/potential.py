@@ -42,9 +42,9 @@ def as_fraction(value) -> Fraction:
 @dataclass(frozen=True)
 class PotentialParams:
     """An (eps, delta) pair.  Construction only requires non-negativity;
-    the headline feasibility constraints are reported by :meth:`feasible`
-    and audited row by row by :func:`audit_params`, so infeasible pairs can
-    still be examined."""
+    the feasibility constraints, the two headline ones first, are audited
+    row by row by :func:`audit_params`, so infeasible pairs can still be
+    examined."""
 
     eps: Fraction
     delta: Fraction
@@ -56,10 +56,6 @@ class PotentialParams:
         object.__setattr__(self, "delta", delta)
         if eps < 0 or delta < 0:
             raise DigraphError("eps and delta must be non-negative")
-
-    def feasible(self) -> bool:
-        """The two headline constraints: delta >= 6 eps and 3 delta - eps <= 1/3."""
-        return self.delta >= 6 * self.eps and 3 * self.delta - self.eps <= Fraction(1, 3)
 
 
 #: The reference pair (1/51, 2/17): delta = 6 eps with 3 delta - eps = 1/3,

@@ -10,7 +10,7 @@ for minimal counterexamples are *reported*, never assumed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
@@ -173,7 +173,6 @@ class ChargeLedger:
     initial: dict[int, Fraction]
     transfers: list[Transfer]
     final: dict[int, Fraction]
-    inapplicable: list[str] = field(default_factory=list)
 
     def total_initial(self) -> Fraction:
         return sum(self.initial.values(), Fraction(0))
@@ -190,7 +189,6 @@ class ChargeLedger:
             "initial": {str(v): frac(q) for v, q in sorted(self.initial.items())},
             "transfers": [t.to_json() for t in self.transfers],
             "final": {str(v): frac(q) for v, q in sorted(self.final.items())},
-            "inapplicable": list(self.inapplicable),
         }
 
 
@@ -206,6 +204,8 @@ def discharge(d: Digraph, params: PotentialParams) -> ChargeLedger:
         degree at least 8, 1/(d(v) - nu(v)) * (-10/3 + d(v)/2 - eps) per arc
         joining them (a digon carries two arcs, a simple arc one; the simple
         arc case is an interpretation choice and is flagged on the transfer).
+        The divisor is at least 1: the arcs joining v to the sender count
+        in d(v) but not in nu(v), as the sender has degree 6 < 8.
     R3: a degree-7 vertex with d- = 3 (resp. d+ = 3) sends 1/12 - eps/8 to
         each in-neighbour (resp. out-neighbour).
     """
@@ -222,7 +222,6 @@ def discharge(d: Digraph, params: PotentialParams) -> ChargeLedger:
     }
     small_amount = Fraction(1, 12) - eps / 8
     transfers: list[Transfer] = []
-    inapplicable: list[str] = []
 
     for v in d.vertices():
         deg = d.degree(v)
@@ -236,11 +235,6 @@ def discharge(d: Digraph, params: PotentialParams) -> ChargeLedger:
                     continue
                 divisor = du - valency8(d, u)
                 n_arcs = int(d.has_arc(v, u)) + int(d.has_arc(u, v))
-                if divisor <= 0:
-                    inapplicable.append(
-                        f"R2 {v}->{u}: d(u)-nu(u)={divisor}, rule inapplicable"
-                    )
-                    continue
                 per_arc = (Fraction(-10, 3) + Fraction(du, 2) - eps) / divisor
                 note = None if n_arcs == 2 else "simple arc: per-arc amount sent once"
                 transfers.append(Transfer("R2", v, u, n_arcs * per_arc, note))
@@ -256,7 +250,7 @@ def discharge(d: Digraph, params: PotentialParams) -> ChargeLedger:
     for t in transfers:
         final[t.source] -= t.amount
         final[t.target] += t.amount
-    return ChargeLedger(params, sigma, initial, transfers, final, inapplicable)
+    return ChargeLedger(params, sigma, initial, transfers, final)
 
 
 # -- phi-identification and dicritical extensions ----------------------------

@@ -1,13 +1,15 @@
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from dicrit import census as census_mod
 from dicrit.cli import build_parser, main
-from dicrit.digraph import bidirected_complete, directed_cycle, parse, serialize
-from dicrit.ore import is_4ore
+from dicrit.constructions import ConstructionSpec, build_gk
+from dicrit.digraph import Digraph, bidirected_complete, directed_cycle, parse, serialize
+from dicrit.ore import generate_4ore, is_4ore
 
 
 @pytest.fixture()
@@ -191,6 +193,33 @@ class TestSubcommands:
         assert payload["sigma"]["0"] == "1/34"
         assert payload["initial"]["0"] == "11/34"
 
+    def test_discharge_json_transfers_are_exact(self, capsys, tmp_path):
+        # In this 4-Ore digraph vertex 1 has degree 10 and no neighbour of
+        # degree >= 8, and five degree-6 vertices send it R2 over a digon:
+        # 2 (-10/3 + 10/2 - 1/51) / (10 - 0) = 28/85 each.
+        d, _ = generate_4ore(10, seed=0)
+        assert d.degree(1) == 10
+        path = tmp_path / "ore10.dg"
+        path.write_text(serialize(d))
+        code, out, _ = run(
+            capsys, "discharge", str(path), "--eps", "1/51", "--delta", "2/17", "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        amount = 2 * (Fraction(-10, 3) + Fraction(10, 2) - Fraction(1, 51)) / 10
+        assert f"{amount.numerator}/{amount.denominator}" == "28/85"
+        assert payload["transfers"] == [
+            {"rule": "R2", "source": v, "target": 1, "amount": "28/85", "note": None}
+            for v in (2, 3, 6, 7, 8)
+        ]
+        initial = {int(v): Fraction(q) for v, q in payload["initial"].items()}
+        final = {int(v): Fraction(q) for v, q in payload["final"].items()}
+        assert sum(final.values()) == sum(initial.values())
+        for t in payload["transfers"]:
+            initial[t["source"]] -= Fraction(t["amount"])
+            initial[t["target"]] += Fraction(t["amount"])
+        assert initial == final
+
     def test_identify_and_extend(self, capsys, tmp_path):
         from dicrit.ore import ore_compose
         k4 = bidirected_complete(4)
@@ -229,6 +258,25 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["ok"] and payload["sampled"]
+
+    def test_construct_with_a_tournament_file(self, capsys, tmp_path):
+        # A 3-cycle 0 -> 1 -> 2 -> 0 dominated by 3: not the default
+        # transitive tournament, so the file is what changes G_4.
+        arcs = [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)]
+        path = tmp_path / "t4.dg"
+        path.write_text(serialize(Digraph(4, arcs)))
+        code, out, _ = run(capsys, "construct", "gk", "--k", "4", "--tournament", str(path))
+        assert code == 0
+        expected, _ = build_gk(4, ConstructionSpec(k=4, tournaments={4: tuple(arcs)}))
+        assert parse(out) == expected
+        assert expected != build_gk(4, ConstructionSpec(k=4))[0]
+        code, out, _ = run(
+            capsys, "construct", "certify", "--k", "4", "--tournament", str(path),
+            "--sample", "12", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ok"] and payload["n"] == expected.n and payload["m"] == expected.m
 
     def test_census(self, capsys, tmp_path):
         out_dir = tmp_path / "corpus"

@@ -601,6 +601,51 @@ class TestReduction:
         assert stats["sides_replaced"] > 0 and stats["piece_solves"] > 0
 
 
+def _reduction_first():
+    """Patches under which every question of more than two vertices runs the
+    reduction: pieces reduce down to two vertices, and the plain search gets
+    an allowance of one node."""
+    return mock.patch.multiple(colouring, _BASE_SIZE=2, _PLAIN_NODES_PER_CN2=0)
+
+
+class TestDecisionPath:
+    """``is_k_dicolourable`` decides through ``_decide``, and after a "yes"
+    from the reduction runs the plain search again for the witness."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(digraphs(10, 8), mixed_digraphs(10, 8)), st.integers(1, 4))
+    def test_reduction_route_agrees_with_the_oracle(self, d, k):
+        plain = is_k_dicolourable(d, k)
+        with _reduction_first(), mock.patch.object(
+            colouring, "_colourable", wraps=colouring._colourable
+        ) as reduction:
+            got = is_k_dicolourable(d, k)
+        assert reduction.called
+        assert (got is not None) == oracle_ie_is_k_dicolourable(d, k)
+        assert got == plain
+        if got is not None:
+            assert valid_dicolouring(d, got.colours)
+
+    def test_budget_runs_out_loudly_on_either_side_of_the_reduction(self):
+        d, k = bidirected_cycle(7), 3
+        witness = Budget()
+        _first_assignment(*_branching(d.out_masks, d.in_masks, d.arcs)[1:], k, witness)
+        with _reduction_first():
+            budget = Budget()
+            expected = is_k_dicolourable(d, k, budget)
+            total = budget.used
+            # 2 nodes of plain search (one over its allowance), the
+            # reduction, then the witness search.
+            reduction = total - 2 - witness.used
+            assert expected is not None and reduction > 1 and witness.used > 1
+            for limit in (2 + reduction - 1, total - 1):
+                budget = Budget(limit)
+                with pytest.raises(BudgetExceeded):
+                    is_k_dicolourable(d, k, budget)
+                assert budget.used == limit + 1
+            assert is_k_dicolourable(d, k, Budget(total)) == expected
+
+
 class TestNodeCeilings:
     """Upper bounds on ``Budget.used`` of the dicriticality check.  Node
     counts are deterministic; a later change may only lower these."""
@@ -621,6 +666,19 @@ class TestNodeCeilings:
     def test_ceiling(self, build, k, ceiling):
         budget = Budget(10 * ceiling)
         assert is_k_dicritical(build(), k, budget).verdict
+        assert budget.used <= ceiling
+
+    @pytest.mark.parametrize(
+        "build, k, ceiling",
+        [
+            (lambda: build_g3(4)[0], 2, 5_400),
+            (lambda: _relabelled(generate_4ore(100, seed=3)[0], 1), 3, 61_268),
+        ],
+        ids=["g3-4", "4ore-100-seed3-shuffled"],
+    )
+    def test_refutation_ceiling(self, build, k, ceiling):
+        budget = Budget(10 * ceiling)
+        assert is_k_dicolourable(build(), k, budget) is None
         assert budget.used <= ceiling
 
     def test_g3_three_fits_a_million_nodes(self):

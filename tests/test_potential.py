@@ -23,7 +23,10 @@ class TestPotentialParams:
     def test_reference_pair(self):
         assert REFERENCE_PARAMS.eps == F(1, 51)
         assert REFERENCE_PARAMS.delta == F(2, 17)
-        assert REFERENCE_PARAMS.feasible()
+        # Both headline constraints, the first two catalogue rows, hold.
+        assert audit_params(REFERENCE_PARAMS)[:2] == [
+            ("delta >= 6*eps", True), ("3*delta - eps <= 1/3", True),
+        ]
 
     def test_negative_rejected(self):
         with pytest.raises(DigraphError):
@@ -31,7 +34,13 @@ class TestPotentialParams:
 
     def test_infeasible_pairs_still_constructible(self):
         p = PotentialParams(F(1, 10), F(0))
-        assert not p.feasible()
+        assert audit_params(p)[:2] == [
+            ("delta >= 6*eps", False), ("3*delta - eps <= 1/3", True),
+        ]
+        p = PotentialParams(F(0), F(1, 2))
+        assert audit_params(p)[:2] == [
+            ("delta >= 6*eps", True), ("3*delta - eps <= 1/3", False),
+        ]
 
     def test_floats_refused(self):
         with pytest.raises(DigraphError):

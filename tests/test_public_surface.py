@@ -2,11 +2,11 @@
 
 A public name is a top-level function or class of a module in
 ``src/dicrit`` whose name does not start with an underscore, or such a
-method of ``Digraph``.  It counts as used when code in ``src/`` (the
+method of a public class.  It counts as used when code in ``src/`` (the
 re-exports of ``__init__`` aside), in ``bench/`` or in
 ``tests/test_acceptance.py`` reads it outside its own definition: a bare
 name, ``module.name`` for a function or class, or ``anything.name`` for a
-``Digraph`` method.  Names with no such reader are listed in ``KEPT`` with
+method.  Names with no such reader are listed in ``KEPT`` with
 the reason they stay; a name that gains a reader leaves the list.
 """
 
@@ -34,7 +34,7 @@ KEPT = {
 
 
 def _public_names() -> dict[str, tuple[Path, ast.AST]]:
-    """``module.name`` (``digraph.Digraph.method`` for methods) -> the file
+    """``module.name`` (``module.Class.method`` for methods) -> the file
     and the definition."""
     names = {}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -42,10 +42,10 @@ def _public_names() -> dict[str, tuple[Path, ast.AST]]:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
                 continue
             names[f"{path.stem}.{node.name}"] = path, node
-            if isinstance(node, ast.ClassDef) and node.name == "Digraph":
+            if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if isinstance(method, ast.FunctionDef) and method.name[0] != "_":
-                        names[f"{path.stem}.Digraph.{method.name}"] = path, method
+                        names[f"{path.stem}.{node.name}.{method.name}"] = path, method
     return names
 
 
@@ -87,8 +87,8 @@ def _unused() -> set[str]:
                 reads.setdefault(key, []).append((path, node.lineno))
     unused = set()
     for qualified, (path, node) in names.items():
-        module, *_, name = qualified.split(".")
-        if ".Digraph." in qualified:
+        module, *owner, name = qualified.split(".")
+        if owner:
             keys = [("*", name)]
         else:
             keys = [("", name), (module, name), ("dicrit", name)]

@@ -103,6 +103,26 @@ class TestD6:
         comps = d6_components(path2_host())
         assert [(c.vertices, c.klass) for c in comps] == [((0, 1), "path2")]
 
+    def test_star4_reports_the_leaf_valencies(self):
+        # Centre 0 joined by digons to the leaves 1, 2, 3; each leaf reaches
+        # degree 6 through four simple arcs.  Leaf 1's go to 4 and 5, which
+        # share a digon and reach degree 8 through pendant arcs, so
+        # nu_N(1) = nu(4) + nu(5) = 4; leaves 2 and 3 have light neighbours.
+        arcs = [a for leaf in (1, 2, 3) for a in ((0, leaf), (leaf, 0))]
+        arcs += [(1, 4), (1, 5), (6, 1), (7, 1)]
+        arcs += [(leaf, w) for leaf in (2, 3) for w in (6, 7)]
+        arcs += [(w, leaf) for leaf in (2, 3) for w in (8, 9)]
+        arcs += [(4, 5), (5, 4)] + [(4, w) for w in range(10, 15)]
+        arcs += [(5, w) for w in range(15, 20)]
+        d = Digraph(20, arcs)
+        assert d6_vertices(d) == [0, 1, 2, 3]
+        assert neighbourhood_valency(d, 1) == 4
+        (comp,) = d6_components(d)
+        assert comp.to_json() == {
+            "vertices": [0, 1, 2, 3], "class": "star4",
+            "valency_condition": {1: True, 2: False, 3: False},
+        }
+
     def test_degree6_without_digon_excluded(self):
         # degree 6 from six simple arcs: not in D6
         arcs = [(0, i) for i in range(1, 4)] + [(i, 0) for i in range(4, 7)]
