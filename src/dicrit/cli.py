@@ -15,7 +15,12 @@ from pathlib import Path
 
 from . import census as census_mod
 from . import constructions, ore, structure
-from .budget import DEFAULT_RECOGNITION_NODES, BudgetExceeded, ensure_budget
+from .budget import (
+    DEFAULT_PACKING_NODES,
+    DEFAULT_RECOGNITION_NODES,
+    BudgetExceeded,
+    ensure_budget,
+)
 from .colouring import (
     ColouringError,
     dichromatic_number,
@@ -125,16 +130,19 @@ def _cmd_ore_compose(args) -> int:
 
 def _cmd_packing(args) -> int:
     d = _load(args.file)
-    packing = max_packing(d, args.budget)
+    budget = ensure_budget(args.budget, DEFAULT_PACKING_NODES, "packing search")
+    packing = max_packing(d, budget)
     text = f"T(D) = {packing.value}" + ("" if packing.optimal else " (NOT optimal)")
-    _emit(args, packing.to_json(), text)
+    _emit(args, {**packing.to_json(), "stats": {"nodes": budget.used}}, text)
     return EXIT_OK if packing.optimal else EXIT_BUDGET
 
 
 def _cmd_potential(args) -> int:
     d = _load(args.file)
-    value = potential(d, _params(args), args.budget)
-    _emit(args, {"potential": _frac(value)}, _frac(value))
+    budget = ensure_budget(args.budget, DEFAULT_PACKING_NODES, "packing search")
+    value = potential(d, _params(args), budget)
+    text = _frac(value)
+    _emit(args, {"potential": text, "stats": {"nodes": budget.used}}, text)
     return EXIT_OK
 
 

@@ -6,9 +6,10 @@ needs.  Every item is a clique of the digon graph, so triangles are read
 off :func:`~dicrit.digraph.digon_masks`.  The search is branch and bound
 over the triangles as vertex bitsets, in lexicographic order, and then
 over digons by the partner of the lowest vertex left that has one, each
-with an admissible optimistic bound, so the result is exhaustively optimal
-unless the node budget runs out, in which case the best packing found so
-far is returned flagged non-optimal.
+with an admissible optimistic bound (a triangle adds at most half a unit
+over the digon rate of one per two vertices), so the result is
+exhaustively optimal unless the node budget runs out, in which case the
+best packing found so far is returned flagged non-optimal.
 """
 
 from __future__ import annotations
@@ -88,11 +89,12 @@ def _search(
     if value > best[0]:
         best[:] = value, chosen
     # Taking triangle i recurses; skipping it moves on in the loop, so the
-    # depth is the number of items taken, at most n/2.  The bound: digons
-    # collect at most floor(free/2); each still-available triangle can
-    # beat that rate by one, hence the surplus term.  Admissible.
+    # depth is the number of items taken, at most n/2.  The bound: a
+    # completion with d digons and t triangles has 2d + 3t <= free, so it
+    # adds d + 2t <= (free + t) / 2, and t is at most the triangles left
+    # and at most free/3.  Admissible (docs/decisions.md section 13).
     while i < len(triangles) and (
-        value + free // 2 + min(len(triangles) - i, free // 3) > best[0]
+        value + (free + min(len(triangles) - i, free // 3)) // 2 > best[0]
     ):
         budget.spend()
         if not triangles[i] & used:
@@ -131,7 +133,8 @@ def max_packing(d: Digraph, budget: Budget | int | None = None) -> Packing:
         triangle_items=tuple(item for item in items if len(item) == 3),  # type: ignore[misc]
         optimal=optimal,
     )
-    assert verify_packing(d, packing)
+    if not verify_packing(d, packing):
+        raise AssertionError(f"packing {packing} fails verify_packing")
     return packing
 
 

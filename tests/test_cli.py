@@ -89,13 +89,25 @@ class TestSubcommands:
         code, out, _ = run(capsys, "packing", k4_file)
         assert code == 0 and "T(D) = 2" in out
 
+    def test_packing_json_stats(self, capsys, k4_file):
+        code, out, _ = run(capsys, "packing", k4_file, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["value"] == 2 and payload["stats"] == {"nodes": 1}
+
+    def test_potential_json_stats(self, capsys, k4_file):
+        code, out, _ = run(
+            capsys, "potential", k4_file, "--eps", "1/51", "--delta", "2/17", "--json"
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload == {"potential": "20/17", "stats": {"nodes": 1}}
+
     def test_packing_out_of_budget_is_3(self, capsys, tmp_path):
-        # K20 has 1,330 packing items; the search must run out of budget,
-        # not out of stack
-        path = tmp_path / "k20.dg"
-        path.write_text(serialize(bidirected_complete(20)))
+        # K40 has 10,660 packing items and needs 9,877 nodes; the search
+        # must run out of budget, not out of stack
+        path = tmp_path / "k40.dg"
+        path.write_text(serialize(bidirected_complete(40)))
         code, out, _ = run(capsys, "packing", str(path), "--budget", "5000")
-        assert code == 3 and "T(D) = 13 (NOT optimal)" in out
+        assert code == 3 and "T(D) = 6 (NOT optimal)" in out
 
     def test_ore_gen_check_roundtrip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "ore", "gen", "--n", "10", "--seed", "5")

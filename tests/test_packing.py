@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from dicrit.budget import Budget
 from dicrit.digraph import Digraph, bidirected_complete, digon_masks, induced
 from dicrit.ore import generate_4ore
+from dicrit import packing
 from dicrit.packing import Packing, bidirected_triangles, max_packing, verify_packing
 
 from .conftest import random_digraph
@@ -49,12 +50,22 @@ class TestMaxPacking:
         assert verify_packing(k6, p)
 
     def test_many_items_stay_shallow(self):
-        # 1,140 triangles and 190 digons: skipping an item must not cost a
-        # stack frame, or the search overflows the recursion limit
-        k20 = bidirected_complete(20)
-        p = max_packing(k20, Budget(5_000))
-        assert p.value == 13 and not p.optimal
-        assert verify_packing(k20, p)
+        # 9,880 triangles and 780 digons: skipping an item must not cost a
+        # stack frame, or the search overflows the recursion limit.  K40
+        # needs 9,877 nodes, so 5,000 runs out with many items still open.
+        k40 = bidirected_complete(40)
+        p = max_packing(k40, Budget(5_000))
+        assert p.value == 6 and not p.optimal
+        assert verify_packing(k40, p)
+
+    def test_unverifiable_packing_raises(self, k4, monkeypatch):
+        # The check must survive ``python -O``, so it is no ``assert``.
+        def overlapping(triangles, digon, budget, best, *rest):
+            best[:] = 3, (0b0111, 0b0110)
+
+        monkeypatch.setattr(packing, "_search", overlapping)
+        with pytest.raises(AssertionError, match="verify_packing"):
+            max_packing(k4)
 
     def test_tampered_packing_fails_verification(self, k4):
         assert not verify_packing(k4, Packing((), ((0, 1, 2), (0, 2, 3))))
@@ -68,7 +79,7 @@ class TestMaxPacking:
     # counts are ceilings: a later change may lower them, never raise them.
     @pytest.mark.parametrize(
         "seed, value, nodes",
-        [(0, 19, 1_184), (1, 19, 2_678), (2, 19, 803), (3, 20, 1_228), (4, 19, 2_662)],
+        [(0, 19, 106), (1, 19, 173), (2, 19, 141), (3, 20, 71), (4, 19, 226)],
     )
     def test_4ore_nodes_pinned(self, seed, value, nodes):
         d, _ = generate_4ore(31, seed=seed)
@@ -77,7 +88,7 @@ class TestMaxPacking:
         assert p.optimal and p.value == value
         assert budget.used <= nodes
 
-    @pytest.mark.parametrize("seed, value, nodes", [(11, 23, 1_301), (18, 24, 1_531), (26, 23, 715)])
+    @pytest.mark.parametrize("seed, value, nodes", [(11, 23, 767), (18, 24, 603), (26, 23, 457)])
     def test_4ore_40_within_default_budget(self, seed, value, nodes):
         d, _ = generate_4ore(40, seed=seed)
         budget = Budget()
@@ -97,7 +108,38 @@ class TestMaxPacking:
         budget = Budget()
         p = max_packing(bidirected_complete(12), budget)
         assert p.optimal and p.value == 8
-        assert budget.used <= 615_389
+        assert budget.used <= 220
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_cliques_match_closed_form(self, n):
+        # t triangles, then digons on the n - 3t vertices left.
+        expected = max(2 * t + (n - 3 * t) // 2 for t in range(n // 3 + 1))
+        p = max_packing(bidirected_complete(n))
+        assert p.optimal and p.value == expected
+
+    # The packings the search returned before its triangle bound was
+    # tightened; a tighter admissible bound prunes only branches that
+    # cannot beat the incumbent, so the same items must come back.
+    @pytest.mark.parametrize("seed, digon_items, triangle_items", [
+        (0, ((8, 12), (9, 15), (20, 21)),
+         ((0, 1, 2), (3, 4, 6), (5, 13, 14), (7, 10, 11), (16, 18, 19),
+          (22, 29, 30), (23, 24, 25), (26, 27, 28))),
+        (1, ((1, 4), (8, 9), (13, 22), (18, 21), (26, 27)),
+         ((0, 2, 3), (5, 6, 7), (10, 11, 12), (14, 15, 16), (17, 19, 20),
+          (23, 24, 25), (28, 29, 30))),
+        (2, ((7, 25), (19, 22), (20, 28)),
+         ((0, 1, 3), (2, 26, 27), (4, 5, 6), (8, 9, 10), (11, 12, 13),
+          (14, 15, 16), (18, 29, 30), (21, 23, 24))),
+        (3, ((10, 17), (19, 29)),
+         ((0, 4, 5), (1, 2, 3), (6, 11, 12), (7, 8, 9), (13, 15, 16),
+          (14, 20, 22), (18, 23, 25), (21, 27, 28), (24, 26, 30))),
+        (4, ((3, 7), (9, 10), (17, 23), (24, 30), (26, 27)),
+         ((0, 1, 2), (4, 5, 6), (8, 11, 12), (13, 15, 16), (14, 18, 19),
+          (20, 21, 22), (25, 28, 29))),
+    ])
+    def test_4ore_items_pinned(self, seed, digon_items, triangle_items):
+        d, _ = generate_4ore(31, seed=seed)
+        assert max_packing(d) == Packing(digon_items, triangle_items)
 
 
 class TestDigonGraph:
