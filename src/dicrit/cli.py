@@ -18,6 +18,7 @@ from . import constructions, ore, structure
 from .budget import (
     DEFAULT_PACKING_NODES,
     DEFAULT_RECOGNITION_NODES,
+    DEFAULT_SOLVER_NODES,
     BudgetExceeded,
     ensure_budget,
 )
@@ -70,8 +71,9 @@ def _int_list(raw: str) -> list[int]:
 
 def _cmd_chi(args) -> int:
     d = _load(args.file)
-    value = dichromatic_number(d, args.budget)
-    _emit(args, {"dichromatic_number": value}, str(value))
+    budget = ensure_budget(args.budget, DEFAULT_SOLVER_NODES, "dichromatic number")
+    value = dichromatic_number(d, budget)
+    _emit(args, {"dichromatic_number": value, "stats": {"nodes": budget.used}}, str(value))
     return EXIT_OK
 
 
@@ -272,10 +274,11 @@ def _cmd_construct_gk(args) -> int:
 
 
 def _cmd_construct_certify(args) -> int:
+    budget = ensure_budget(args.budget, DEFAULT_SOLVER_NODES, "construction certificate")
     report = constructions.certify_dicritical_composition(
         args.k,
         _construct_spec(args),
-        budget=args.budget,
+        budget=budget,
         witness_sample=args.sample,
         seed=args.seed or 0,
     )
@@ -285,7 +288,7 @@ def _cmd_construct_certify(args) -> int:
         f"{report.witnesses_checked}/{report.witnesses_total}"
         + (" sampled" if report.sampled else "")
     )
-    _emit(args, report.to_json(), text)
+    _emit(args, {**report.to_json(), "stats": {"nodes": budget.used}}, text)
     return EXIT_OK if report.ok() else EXIT_VIOLATION
 
 

@@ -12,6 +12,9 @@ a generated trace reproduces the digraph bit for bit.  Recognition returns
 a trace whose replay is isomorphic to the input (no uniqueness is implied:
 a 4-Ore digraph can admit many decompositions, and the search returns the
 lexicographically first one it finds).
+
+Composition, like recognition, works on the underlying graph's bitsets, and
+builds a Digraph only for its result (docs/decisions.md section 14).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .budget import Budget, DEFAULT_RECOGNITION_NODES, ensure_budget
 from .digraph import (
     Digraph,
     DigraphError,
-    bidirected_complete,
+    bidirected_from_edges,
     bits,
     digon_masks,
     restrict,
@@ -68,16 +71,17 @@ OreTrace = Union[OreLeaf, OreNode]
 
 def replay(trace: OreTrace) -> Digraph:
     """Rebuild the digraph a trace describes, bottom-up."""
+    adj = _replay(trace)
+    return bidirected_from_edges(len(adj), _edges(adj))
+
+
+def _replay(trace: OreTrace) -> Sequence[int]:
     if isinstance(trace, OreLeaf):
-        return bidirected_complete(4)
+        return _K4
     if trace.digon_side is None or trace.split_side is None:
         raise DigraphError("cannot replay a trace with missing sides")
-    d1 = replay(trace.digon_side)
-    d2 = replay(trace.split_side)
-    composed, _ = ore_compose(
-        d1, trace.digon, d2, trace.split_vertex, trace.z1, trace.z2
-    )
-    return composed
+    return _compose(_replay(trace.digon_side), trace.digon, _replay(trace.split_side),
+                    trace.split_vertex, set(trace.z1), set(trace.z2))
 
 
 def j_vertices(trace: OreTrace) -> tuple[int, int, int, int] | None:
@@ -113,6 +117,39 @@ def trace_to_json(trace: OreTrace | None) -> dict | None:
 # -- composition -----------------------------------------------------------
 
 
+#: The underlying bitsets of the bidirected K4 on vertices 0..3.
+_K4 = (0b1110, 0b1101, 0b1011, 0b0111)
+
+
+def _edges(adj: Sequence[int]) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, of the graph with bitsets ``adj``, in order."""
+    return [(u, v) for u, mask in enumerate(adj) for v in bits(mask >> u + 1 << u + 1)]
+
+
+def _compose(adj1: Sequence[int], digon, adj2: Sequence[int], z: int, z1, z2) -> list[int]:
+    """The underlying bitsets of :func:`ore_compose`'s digraph, from those of
+    its sides, with Z1 and Z2 as sets.  Split-side vertex w becomes n1 + w -
+    [w > z]: two shifts per bitset, which drop z (docs/decisions.md section 14)."""
+    x, y = digon
+    n1 = len(adj1)
+    if not (0 <= x < n1 and 0 <= y < n1 and adj1[x] >> y & 1):
+        raise DigraphError(f"[{x},{y}] is not a digon of the digon side")
+    if not 0 <= z < len(adj2):
+        raise DigraphError(f"split vertex {z} out of range")
+    if not z1 or not z2 or (z1 & z2) or (z1 | z2) != set(bits(adj2[z])):
+        raise DigraphError("(Z1, Z2) must partition N(z) into non-empty sets")
+    zx = sum(1 << w for w in z1)
+    zy = adj2[z] ^ zx
+    below = (1 << z) - 1
+    *moved, to_x, to_y = [(m & below) << n1 | m >> z + 1 << n1 + z for m in (*adj2, zx, zy)]
+    # x loses y and gains Z1, y loses x and gains Z2: no bit is in both.
+    adj = list(adj1)
+    adj[x] ^= 1 << y | to_x
+    adj[y] ^= 1 << x | to_y
+    return adj + [m | (zx >> w & 1) << x | (zy >> w & 1) << y
+                  for w, m in enumerate(moved) if w != z]
+
+
 def ore_compose(
     d1: Digraph,
     digon: tuple[int, int],
@@ -133,82 +170,41 @@ def ore_compose(
     x, y = digon
     if not d1.is_bidirected() or not d2.is_bidirected():
         raise DigraphError("Ore-composition requires bidirected sides")
-    if not d1.has_digon(x, y):
-        raise DigraphError(f"[{x},{y}] is not a digon of the digon side")
-    if not 0 <= z < d2.n:
-        raise DigraphError(f"split vertex {z} out of range")
-    set_z1, set_z2 = set(z1), set(z2)
-    nbrs = set(d2.neighbours(z))
-    if not set_z1 or not set_z2 or (set_z1 & set_z2) or (set_z1 | set_z2) != nbrs:
-        raise DigraphError("(Z1, Z2) must partition N(z) into non-empty sets")
-
-    offset = {w: d1.n + i for i, w in enumerate(sorted(v for v in d2.vertices() if v != z))}
-    arcs: set[tuple[int, int]] = set(d1.arcs) - {(x, y), (y, x)}
-    for u, v in d2.arcs:
-        if u != z and v != z:
-            arcs.add((offset[u], offset[v]))
-    for w in set_z1:
-        if d2.has_arc(z, w):
-            arcs.add((x, offset[w]))
-        if d2.has_arc(w, z):
-            arcs.add((offset[w], x))
-    for w in set_z2:
-        if d2.has_arc(z, w):
-            arcs.add((y, offset[w]))
-        if d2.has_arc(w, z):
-            arcs.add((offset[w], y))
-    composed = Digraph(d1.n + d2.n - 1, arcs)
-    node = OreNode(
-        digon_side=digon_trace,
-        split_side=split_trace,
-        digon=(x, y),
-        split_vertex=z,
-        z1=tuple(sorted(set_z1)),
-        z2=tuple(sorted(set_z2)),
-        j_preserving=j_preserving,
-    )
-    return composed, node
+    z1, z2 = set(z1), set(z2)
+    adj = _compose(underlying_masks(d1), (x, y), underlying_masks(d2), z, z1, z2)
+    node = OreNode(digon_trace, split_trace, (x, y), z, tuple(sorted(z1)), tuple(sorted(z2)),
+                   j_preserving)
+    return bidirected_from_edges(len(adj), _edges(adj)), node
 
 
 # -- generation ------------------------------------------------------------
 
 
-def _check_target(n_target: int) -> None:
-    if n_target < 4 or n_target % 3 != 1:
-        raise DigraphError(
-            f"no 4-Ore digraph has {n_target} vertices (orders are 4, 7, 10, ...)"
-        )
-
-
 def _random_composition(
-    d: Digraph,
-    trace: OreTrace,
-    side: Digraph,
-    side_trace: OreTrace,
-    rng: random.Random,
-    j_preserving: bool,
-) -> tuple[Digraph, OreNode]:
-    x, y = rng.choice(d.digons())
+    adj: Sequence[int], trace: OreTrace, side_n: int, rng: random.Random, j_preserving: bool
+) -> tuple[list[int], OreNode]:
+    """Compose a random split side of order ``side_n`` onto ``adj``, drawing from
+    the lists Digraph.digons() and .neighbours(z) give (docs/decisions.md section 14)."""
+    side, side_trace = _generate(side_n, rng)
+    x, y = rng.choice(_edges(adj))
     if rng.random() < 0.5:
         x, y = y, x
-    z = rng.randrange(side.n)
-    nbrs = list(side.neighbours(z))
+    z = rng.randrange(len(side))
+    nbrs = list(bits(side[z]))
     rng.shuffle(nbrs)
     cut = rng.randrange(1, len(nbrs))
-    return ore_compose(
-        d, (x, y), side, z, nbrs[:cut], nbrs[cut:],
-        digon_trace=trace, split_trace=side_trace, j_preserving=j_preserving,
-    )
+    z1, z2 = set(nbrs[:cut]), set(nbrs[cut:])
+    node = OreNode(trace, side_trace, (x, y), z, tuple(sorted(z1)), tuple(sorted(z2)),
+                   j_preserving)
+    return _compose(adj, (x, y), side, z, z1, z2), node
 
 
-def _generate(n_target: int, rng: random.Random) -> tuple[Digraph, OreTrace]:
+def _generate(n_target: int, rng: random.Random) -> tuple[Sequence[int], OreTrace]:
     if n_target == 4:
-        return bidirected_complete(4), OreLeaf()
+        return _K4, OreLeaf()
     n1 = 4 + 3 * rng.randrange((n_target - 4) // 3)
-    n2 = n_target + 1 - n1
-    d1, t1 = _generate(n1, rng)
-    d2, t2 = _generate(n2, rng)
-    return _random_composition(d1, t1, d2, t2, rng, j_preserving=False)
+    adj1, t1 = _generate(n1, rng)
+    return _random_composition(adj1, t1, n_target + 1 - n1, rng, j_preserving=False)
 
 
 def generate_4ore(
@@ -216,22 +212,25 @@ def generate_4ore(
 ) -> tuple[Digraph, OreTrace]:
     """A seeded random 4-Ore digraph on exactly ``n_target`` vertices.
 
-    With ``j_preserving`` the base K4 stays on the digon side at every
-    step, so its image is pinned to vertices 0..3 (see :func:`j_vertices`);
-    the composition shape is otherwise drawn uniformly from the valid
-    options under the seed.
+    A step to order n draws n1 uniformly from 4, 7, ..., n - 3, a uniform
+    digon, oriented by a fair coin, a uniform z, |Z1| uniformly from
+    1..d(z) - 1 and then a uniform subset of N(z) of that size.  With
+    ``j_preserving`` the base K4 stays on the digon side at every step, so
+    its image is pinned to vertices 0..3 (see :func:`j_vertices`).
     """
-    _check_target(n_target)
+    if n_target < 4 or n_target % 3 != 1:
+        raise DigraphError(
+            f"no 4-Ore digraph has {n_target} vertices (orders are 4, 7, 10, ...)"
+        )
     rng = random.Random(seed)
-    if not j_preserving:
-        return _generate(n_target, rng)
-    d, trace = bidirected_complete(4), OreLeaf()
-    while d.n < n_target:
-        remaining = n_target - d.n
-        side_n = 4 + 3 * rng.randrange(remaining // 3)
-        side, side_trace = _generate(side_n, rng)
-        d, trace = _random_composition(d, trace, side, side_trace, rng, j_preserving=True)
-    return d, trace
+    if j_preserving:
+        adj, trace = _K4, OreLeaf()
+        while len(adj) < n_target:
+            side_n = 4 + 3 * rng.randrange((n_target - len(adj)) // 3)
+            adj, trace = _random_composition(adj, trace, side_n, rng, j_preserving=True)
+    else:
+        adj, trace = _generate(n_target, rng)
+    return bidirected_from_edges(len(adj), _edges(adj)), trace
 
 
 # -- recognition -----------------------------------------------------------
@@ -271,9 +270,7 @@ def _splits(comps: list[int]) -> Iterator[tuple[int, int]]:
 def _labelling(adj: Sequence[int]) -> tuple:
     """The canonical form and labelling of the bidirected digraph with
     underlying bitsets ``adj``."""
-    return canonical_labelling(
-        Digraph(len(adj), [(u, v) for u, mask in enumerate(adj) for v in bits(mask)])
-    )
+    return canonical_labelling(bidirected_from_edges(len(adj), _edges(adj)))
 
 
 def _by_form(found, labelling: Sequence[int]):

@@ -20,10 +20,13 @@ chelou arcs by the reversal in their definition (the package reads both
 kinds off D in one pass), and the Ore-collapsible scan by testing subsets
 of every order (the package walks the splits of 2-cuts, orders 1 mod 3
 only).  The last is written with the package's ``boundary``, ``induced``
-and ``is_4ore``, so it checks how the scan finds R, not recognition.  The
-4-Ore classes of small orders come from every composition of smaller
-classes (recognition undoes compositions); they are deduplicated with the
-package's ``canonical_form``, so they check recognition, not isomorphism.
+and ``is_4ore``, so it checks how the scan finds R, not recognition.
+Ore-composition is computed on arc sets, relabelling the split side
+through a dictionary (the package shifts underlying bitsets), and traces
+are replayed with it.  The 4-Ore classes of small orders come from every
+such composition of smaller classes (recognition undoes compositions);
+they are deduplicated with the package's ``canonical_form``, so they check
+recognition, not isomorphism.
 4-Ore recognition is also checked against its definition, by trying
 every non-adjacent pair and every split of the components it leaves (the
 package decides each piece at its first cut, memoised by canonical form).
@@ -40,7 +43,7 @@ from typing import Iterator
 from dicrit.budget import Budget
 from dicrit.digraph import Digraph, bidirected_complete, boundary, induced
 from dicrit.iso import canonical_form
-from dicrit.ore import is_4ore, ore_compose
+from dicrit.ore import OreLeaf, is_4ore
 
 
 def reversed_digraph(d: Digraph) -> Digraph:
@@ -541,6 +544,37 @@ def oracle_ore_collapsible(
     return out
 
 
+def oracle_ore_compose(d1: Digraph, digon, d2: Digraph, z: int, z1, z2) -> Digraph:
+    """The Ore-composition of bidirected d1 (digon side, digon ``[x, y]``)
+    and d2 (split side, split vertex z, N(z) partitioned into z1 and z2),
+    under the package's label convention, from the arc sets.  Assumes the
+    input is valid."""
+    x, y = digon
+    offset = {w: d1.n + i for i, w in enumerate(sorted(v for v in d2.vertices() if v != z))}
+    arcs = set(d1.arcs) - {(x, y), (y, x)}
+    for u, v in d2.arcs:
+        if u != z and v != z:
+            arcs.add((offset[u], offset[v]))
+    for part, end in ((z1, x), (z2, y)):
+        for w in part:
+            if (z, w) in d2.arcs:
+                arcs.add((end, offset[w]))
+            if (w, z) in d2.arcs:
+                arcs.add((offset[w], end))
+    return Digraph(d1.n + d2.n - 1, arcs)
+
+
+def oracle_replay(trace) -> Digraph:
+    """The digraph an Ore trace describes, composed bottom-up by
+    :func:`oracle_ore_compose`."""
+    if isinstance(trace, OreLeaf):
+        return bidirected_complete(4)
+    return oracle_ore_compose(
+        oracle_replay(trace.digon_side), trace.digon, oracle_replay(trace.split_side),
+        trace.split_vertex, trace.z1, trace.z2,
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_4ore_forms(n: int) -> frozenset[tuple[tuple[int, int], ...]]:
     """The canonical forms of every 4-Ore digraph of order n: the bidirected
@@ -560,7 +594,7 @@ def oracle_4ore_forms(n: int) -> frozenset[tuple[tuple[int, int], ...]]:
                 for size in range(1, len(nbrs)):
                     for z1 in itertools.combinations(nbrs, size):
                         z2 = [w for w in nbrs if w not in z1]
-                        composed, _ = ore_compose(d1, digon, d2, z, z1, z2)
+                        composed = oracle_ore_compose(d1, digon, d2, z, z1, z2)
                         forms.add(canonical_form(composed))
     return frozenset(forms)
 

@@ -7,7 +7,9 @@ import pytest
 
 from dicrit import census as census_mod
 from dicrit.cli import build_parser, main
-from dicrit.constructions import ConstructionSpec, build_gk
+from dicrit.budget import Budget
+from dicrit.colouring import dichromatic_number
+from dicrit.constructions import ConstructionSpec, build_gk, certify_dicritical_composition
 from dicrit.digraph import Digraph, bidirected_complete, directed_cycle, parse, serialize
 from dicrit.ore import generate_4ore, is_4ore
 
@@ -93,6 +95,14 @@ class TestSubcommands:
         code, out, _ = run(capsys, "packing", k4_file, "--json")
         payload = json.loads(out)
         assert code == 0 and payload["value"] == 2 and payload["stats"] == {"nodes": 1}
+
+    def test_chi_json_stats(self, capsys, k4_file):
+        code, out, _ = run(capsys, "chi", k4_file, "--json")
+        budget = Budget()
+        assert dichromatic_number(bidirected_complete(4), budget) == 4
+        assert code == 0 and json.loads(out) == {
+            "dichromatic_number": 4, "stats": {"nodes": budget.used},
+        }
 
     def test_potential_json_stats(self, capsys, k4_file):
         code, out, _ = run(
@@ -270,6 +280,15 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["ok"] and payload["sampled"]
+
+    def test_certify_json_stats(self, capsys):
+        code, out, _ = run(
+            capsys, "construct", "certify", "--k", "4", "--sample", "12", "--json"
+        )
+        budget = Budget()
+        assert certify_dicritical_composition(4, budget=budget, witness_sample=12).ok()
+        assert code == 0 and budget.used > 0
+        assert json.loads(out)["stats"] == {"nodes": budget.used}
 
     def test_construct_with_a_tournament_file(self, capsys, tmp_path):
         # A 3-cycle 0 -> 1 -> 2 -> 0 dominated by 3: not the default

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from dicrit.digraph import (
     bidirected_complete,
     directed_cycle,
     induced,
+    serialize,
     two_cut_sides,
     underlying_masks,
 )
@@ -29,6 +32,7 @@ from dicrit.ore import (
     ore_compose,
     replay,
     split_vertex,
+    trace_to_json,
 )
 from dicrit.packing import max_packing
 from dicrit.potential import ZERO_PARAMS, check_4ore_arc_identity, potential
@@ -39,6 +43,7 @@ from .oracles import (
     oracle_find_emeralds,
     oracle_is_4ore,
     oracle_ore_collapsible,
+    oracle_replay,
     reversed_digraph,
     valid_dicolouring,
 )
@@ -155,7 +160,7 @@ class TestGenerate:
         assert isinstance(trace, OreNode)
 
     def test_replay_reproduces_exactly(self):
-        for n in (4, 7, 10, 13, 16):
+        for n in (4, 7, 10, 13, 16, 49, 100):
             for seed in (0, 1, 2):
                 d, trace = generate_4ore(n, seed=seed)
                 assert replay(trace) == d
@@ -183,10 +188,46 @@ class TestGenerate:
         assert a == b
 
     def test_j_preserving_pins_base(self):
-        for n in (4, 7, 10):
+        for n in (4, 7, 10, 49, 100):
             d, trace = generate_4ore(n, seed=3, j_preserving=True)
             assert j_vertices(trace) == (0, 1, 2, 3)
             assert replay(trace) == d
+
+    @pytest.mark.parametrize("j_preserving", [False, True])
+    def test_matches_the_arc_set_composition(self, j_preserving):
+        # Generation and ore_compose shift bitsets; the oracle composes arc
+        # sets, so a drift in the label convention shows as an inequality.
+        for n in range(4, 101, 3):
+            for seed in range(10):
+                d, trace = generate_4ore(n, seed=seed, j_preserving=j_preserving)
+                assert oracle_replay(trace) == d, (n, seed)
+                if isinstance(trace, OreNode):
+                    d1, d2 = oracle_replay(trace.digon_side), oracle_replay(trace.split_side)
+                    composed, node = ore_compose(
+                        d1, trace.digon, d2, trace.split_vertex, trace.z1, trace.z2,
+                        trace.digon_side, trace.split_side, trace.j_preserving,
+                    )
+                    assert composed == d and node == trace, (n, seed)
+
+    # SHA-256 of serialize(d) + json.dumps(trace_to_json(trace)) for
+    # generate_4ore(n, seed, j_preserving), recorded with the generator that
+    # built a Digraph at every step.  A change to the draws the generator
+    # makes, or to the label convention, changes them.
+    DIGESTS = {
+        (7, 0, False): "e4af651e627a42f9ca2f72d48aabe90825366fc37e04030821e5659aeec5217b",
+        (16, 3, True): "9d990bc94e34b60d47096c7b508d565ae70af2466f80026a8f71df793b3c4af4",
+        (25, 5, False): "461f4ac149fb5e27a0a017e03dd842018e290214f821cdb5f86c432f3c21072a",
+        (49, 1, True): "b2f2bb4ec0f996e01a2da0e78c9875881c0679383999c411a9232435c13476fc",
+        (100, 7, False): "d3d3e6695b2046acb53a4956733aebf0c1daf2e3ca3e0d8f9106ca6cc28a544d",
+        (100, 2, True): "cea0e7af1a9a0eaf89bf5d11e08877bb433ba31d6ae605bf7d6ebaeea76e008c",
+    }
+
+    @pytest.mark.parametrize("n, seed, j_preserving", sorted(DIGESTS))
+    def test_output_is_pinned(self, n, seed, j_preserving):
+        d, trace = generate_4ore(n, seed, j_preserving)
+        text = serialize(d) + json.dumps(trace_to_json(trace))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.DIGESTS[n, seed, j_preserving]
 
 
 class TestRecognition:
@@ -575,9 +616,11 @@ class TestNoCyclicGarbage:
     """The searches leave no reference cycles, so their data is freed as
     soon as they return rather than at the next cyclic collection."""
 
-    @pytest.mark.parametrize("search", ["max_packing", "is_4ore", "find_isomorphism"])
+    @pytest.mark.parametrize(
+        "search", ["max_packing", "is_4ore", "find_isomorphism", "generate_4ore", "replay"]
+    )
     def test_collector_finds_nothing(self, search):
-        d, _ = generate_4ore(16, seed=1)
+        d, trace = generate_4ore(16, seed=1)
         perm = list(range(d.n))
         random.Random(0).shuffle(perm)
         shuffled = Digraph(d.n, ((perm[u], perm[v]) for u, v in d.arcs))
@@ -585,6 +628,8 @@ class TestNoCyclicGarbage:
             "max_packing": lambda: max_packing(d),
             "is_4ore": lambda: is_4ore(shuffled),
             "find_isomorphism": lambda: find_isomorphism(d, shuffled),
+            "generate_4ore": lambda: generate_4ore(16, seed=1, j_preserving=True),
+            "replay": lambda: replay(trace),
         }[search]
         gc.collect()
         gc.disable()

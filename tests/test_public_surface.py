@@ -28,7 +28,6 @@ KEPT = {
     "iso.invariant_key": "bench/tracing.py patches it by name and BENCHMARK.json lists "
                          "its metrics; it goes with the next change to the benchmark",
     "digraph.bidirected_cycle": "a fixture builder",
-    "digraph.bidirected_from_edges": "a fixture builder",
     "digraph.Digraph.with_arcs": "a fixture builder",
 }
 
