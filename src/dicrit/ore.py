@@ -11,7 +11,9 @@ increasing order.  Generation follows this convention exactly, so replaying
 a generated trace reproduces the digraph bit for bit.  Recognition returns
 a trace whose replay is isomorphic to the input (no uniqueness is implied:
 a 4-Ore digraph can admit many decompositions, and the search returns the
-lexicographically first one it finds).
+one it finds by splitting each piece at its first cut).  It spends at most
+(4n - 13)/3 budget nodes on an input of order n (docs/decisions.md
+section 15).
 
 Composition, like recognition, works on the underlying graph's bitsets, and
 builds a Digraph only for its result (docs/decisions.md section 14).
@@ -35,7 +37,6 @@ from .digraph import (
     two_cut_sides,
     underlying_masks,
 )
-from .iso import canonical_labelling
 from .packing import bidirected_triangles
 
 
@@ -267,62 +268,17 @@ def _splits(comps: list[int]) -> Iterator[tuple[int, int]]:
         yield a0, b0
 
 
-def _labelling(adj: Sequence[int]) -> tuple:
-    """The canonical form and labelling of the bidirected digraph with
-    underlying bitsets ``adj``."""
-    return canonical_labelling(bidirected_from_edges(len(adj), _edges(adj)))
-
-
-def _by_form(found, labelling: Sequence[int]):
-    """A search result with its map phi composed with the inverse of a
-    canonical ``labelling``, so that it is indexed by canonical position."""
-    if not found:
-        return found
-    psi = [0] * len(labelling)
-    for v, p in enumerate(labelling):
-        psi[p] = found[1][v]
-    return found[0], psi
-
-
-def _recognition_search(
-    adj: tuple[int, ...], budget: Budget, memo: dict
-) -> tuple[OreTrace, list[int]] | None:
+def _recognition_search(adj: Sequence[int], budget: Budget) -> tuple[OreTrace, list[int]] | None:
     """A trace for the bidirected digraph with underlying bitsets ``adj`` and
-    a map phi from its vertices onto V(replay(trace)), or None.  ``memo``
-    maps each piece's bitsets to that result, and its canonical form to the
-    trace and phi composed with the inverse canonical labelling (or None).
-    Isomorphic pieces share their order and sorted degrees, so forms are
-    computed only for pieces that share those with an earlier piece
-    (docs/decisions.md section 12): ``memo`` maps the pair to the first
-    piece that has it until a second one comes, and then to None."""
+    a map phi from its vertices onto V(replay(trace)), or None.  Each call
+    spends one node and one or two more choosing the roles, and the two
+    pieces' orders are 1 (mod 3) and sum to n + 1, so at most (4n - 13)/3
+    nodes are spent in all (docs/decisions.md section 15)."""
     budget.spend()
     # Every input has passed _plausible: 3m = 10n - 4 gives n = 1 (mod 3),
     # and at n = 4 it gives m = 12, the bidirected K4.
     if len(adj) == 4:
         return OreLeaf(), [0, 1, 2, 3]
-    if adj in memo:
-        return memo[adj]
-    # Every digraph searched below this one is smaller, so none of them can
-    # read this piece's entries before they are final, and an earlier piece
-    # of this order has been searched to the end.
-    memo[adj] = None
-    key = len(adj), tuple(sorted(mask.bit_count() for mask in adj))
-    form = labelling = None
-    if key not in memo:
-        memo[key] = adj
-    else:
-        earlier, memo[key] = memo[key], None
-        if earlier is not None:
-            earlier_form, earlier_labelling = _labelling(earlier)
-            memo[earlier_form] = _by_form(memo[earlier], earlier_labelling)
-        form, labelling = _labelling(adj)
-        if form in memo:
-            found = memo[form]
-            if found:
-                found = found[0], [found[1][p] for p in labelling]
-            memo[adj] = found
-            return found
-        memo[form] = None
     # Above order 4 a 4-Ore digraph has the 2-cut of its last composition.
     # No 4-critical graph has a cut vertex, a 2-cut {x, y} with x ~ y, or a
     # 2-cut leaving three components (docs/decisions.md section 10).
@@ -363,10 +319,10 @@ def _recognition_search(
         d2[at[w]] |= 1 << len(side2)
     if not _plausible(d2):
         return None
-    found1 = _recognition_search(tuple(d1), budget, memo)
+    found1 = _recognition_search(d1, budget)
     if found1 is None:
         return None
-    found2 = _recognition_search(tuple(d2), budget, memo)
+    found2 = _recognition_search(d2, budget)
     if found2 is None:
         return None
     # phi1 and phi2 carry d1 and d2 onto the replays of their traces, so they
@@ -387,9 +343,6 @@ def _recognition_search(
         phi[v] = p
     for v, p in zip(side2, phi2):
         phi[v] = len(d1) + p - (p > z)
-    memo[adj] = (node, phi)
-    if form is not None:
-        memo[form] = _by_form(memo[adj], labelling)
     return node, phi
 
 
@@ -399,8 +352,7 @@ def is_4ore(d: Digraph, budget: Budget | int | None = None) -> OreTrace | None:
     The input must be bidirected with n = 1 (mod 3).  Decomposition search
     on the underlying graph's bitsets undoes a composition at the first cut
     of each piece, which decides the piece (docs/decisions.md sections 10
-    and 12).  Pieces are memoised by their bitsets, and by canonical form
-    once an earlier piece shares their order and sorted degrees.  Replaying
+    and 12), and spends at most (4n - 13)/3 nodes (section 15).  Replaying
     the returned trace yields a digraph isomorphic to the input.
     """
     if not d.is_bidirected():
@@ -408,8 +360,8 @@ def is_4ore(d: Digraph, budget: Budget | int | None = None) -> OreTrace | None:
     if d.n % 3 != 1:
         raise DigraphError("4-Ore orders are 4, 7, 10, ... (n = 1 mod 3)")
     budget = ensure_budget(budget, DEFAULT_RECOGNITION_NODES, "4-Ore recognition")
-    adj = tuple(underlying_masks(d))
-    found = _plausible(adj) and _recognition_search(adj, budget, {})
+    adj = underlying_masks(d)
+    found = _plausible(adj) and _recognition_search(adj, budget)
     return found[0] if found else None
 
 
@@ -466,7 +418,7 @@ def find_ore_collapsible(
             # R + [u, v] is bidirected iff its out- and in-masks agree.
             h, subset = _digon_piece(d.out_masks, a0, u, v)
             if h == _digon_piece(d.in_masks, a0, u, v)[0] and _plausible(h) and (
-                    _recognition_search(tuple(h), budget, {})):
+                    _recognition_search(h, budget)):
                 results.append((frozenset(subset), (u, v)))
     return sorted(results, key=lambda found: (len(found[0]), sorted(found[0])))
 
