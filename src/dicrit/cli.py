@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import census as census_mod
@@ -33,6 +32,7 @@ from .potential import (
     PotentialParams,
     audit_params,
     check_oriented_bound,
+    fraction_text,
     potential,
     surface_vertex_bound,
 )
@@ -45,10 +45,6 @@ EXIT_BUDGET = 3
 
 def _load(path: str):
     return parse(Path(path).read_text())
-
-
-def _frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _params(args) -> PotentialParams:
@@ -143,7 +139,7 @@ def _cmd_potential(args) -> int:
     d = _load(args.file)
     budget = ensure_budget(args.budget, DEFAULT_PACKING_NODES, "packing search")
     value = potential(d, _params(args), budget)
-    text = _frac(value)
+    text = fraction_text(value)
     _emit(args, {"potential": text, "stats": {"nodes": budget.used}}, text)
     return EXIT_OK
 
@@ -164,8 +160,9 @@ def _cmd_audit(args) -> int:
 def _cmd_bound_oriented(args) -> int:
     d = _load(args.file)
     ok, slack = check_oriented_bound(d)
-    text = f"m >= (10/3 + 1/51) n - 1: {'holds' if ok else 'VIOLATED'}, slack {_frac(slack)}"
-    _emit(args, {"holds": ok, "slack": _frac(slack)}, text)
+    slack_text = fraction_text(slack)
+    text = f"m >= (10/3 + 1/51) n - 1: {'holds' if ok else 'VIOLATED'}, slack {slack_text}"
+    _emit(args, {"holds": ok, "slack": slack_text}, text)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -201,7 +198,7 @@ def _cmd_discharge(args) -> int:
     total_i = ledger.total_initial()
     total_f = ledger.total_final()
     text = (
-        f"sum w = {_frac(total_i)}, sum w* = {_frac(total_f)}, "
+        f"sum w = {fraction_text(total_i)}, sum w* = {fraction_text(total_f)}, "
         f"{len(ledger.transfers)} transfers"
     )
     _emit(args, ledger.to_json(), text)

@@ -62,7 +62,7 @@ class Digraph:
     and safe to share between threads.
     """
 
-    __slots__ = ("n", "arcs", "out_masks", "in_masks", "_out", "_hash")
+    __slots__ = ("n", "arcs", "out_masks", "in_masks", "_out")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -90,7 +90,6 @@ class Digraph:
         self.out_masks = tuple(out)
         self.in_masks = tuple(inn)
         self._out = tuple(tuple(sorted(t)) for t in targets)
-        self._hash = hash((n, self.arcs))
 
     # -- basic accessors -------------------------------------------------
 
@@ -166,7 +165,7 @@ class Digraph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.arcs))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"

@@ -39,6 +39,12 @@ def as_fraction(value) -> Fraction:
     raise DigraphError(f"not an exact rational: {value!r} (floats are refused)")
 
 
+def fraction_text(q: Fraction) -> str:
+    """The ``num/den`` string of an exact rational, integers included
+    (``"2/1"``); :func:`as_fraction` reads it back."""
+    return f"{q.numerator}/{q.denominator}"
+
+
 @dataclass(frozen=True)
 class PotentialParams:
     """An (eps, delta) pair.  Construction only requires non-negativity;

@@ -5,6 +5,12 @@ collapsibility.
 Everything here runs on arbitrary digraphs; the rules and classifiers only
 fire where their degree guards hold, and properties that the theory proves
 for minimal counterexamples are *reported*, never assumed.
+
+Chelou arcs, D6, valencies and discharging read the vertex bitsets that
+every digraph stores (``out_masks``, ``in_masks``): a degree is two
+popcounts, D6 and the vertices of degree at least 8 are bitsets, and a D6
+component is classified by popcounts inside its own bitset, so no vertex
+pair is ever scanned.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .digraph import (
     mask_components,
     underlying_masks,
 )
-from .potential import PotentialParams, TEN_THIRDS
+from .potential import PotentialParams, TEN_THIRDS, fraction_text
 
 
 # -- chelou arcs -------------------------------------------------------------
@@ -66,26 +72,26 @@ def find_chelou_arcs(
 
 def d6_vertices(d: Digraph) -> list[int]:
     """Vertices of degree 6 incident to at least one digon."""
-    return [v for v in d.vertices() if d.degree(v) == 6 and d.digon_count_at(v) > 0]
+    out, inn = d.out_masks, d.in_masks
+    return [v for v in d.vertices() if d.degree(v) == 6 and out[v] & inn[v]]
 
 
 def valency8(d: Digraph, v: int) -> int:
-    """Number of arcs joining v to vertices of degree at least 8."""
-    count = 0
-    for u in d.out_neighbours(v):
-        if d.degree(u) >= 8:
-            count += 1
-    for u in d.in_neighbours(v):
-        if d.degree(u) >= 8:
-            count += 1
-    return count
+    """Number of arcs joining v to vertices of degree at least 8: a digon
+    counts twice, a single arc once."""
+    if not 0 <= v < d.n:
+        raise DigraphError(f"vertex {v} is not in the digraph")
+    out, inn = d.out_masks[v], d.in_masks[v]
+    heavy = sum(1 << u for u in bits(out | inn) if d.degree(u) >= 8)
+    return (out & heavy).bit_count() + (inn & heavy).bit_count()
 
 
 def neighbourhood_valency(d: Digraph, v: int) -> int:
     """Sum of the 8+-valencies of v's neighbours of degree at least 8."""
-    if not (0 <= v < d.n and d.degree(v) == 6 and d.digon_count_at(v)):
+    if not (0 <= v < d.n and d.degree(v) == 6 and d.out_masks[v] & d.in_masks[v]):
         raise DigraphError(f"vertex {v} is not in D6")
-    return sum(valency8(d, u) for u in d.neighbours(v) if d.degree(u) >= 8)
+    joined = d.out_masks[v] | d.in_masks[v]
+    return sum(valency8(d, u) for u in bits(joined) if d.degree(u) >= 8)
 
 
 @dataclass(frozen=True)
@@ -104,40 +110,33 @@ class D6Component:
         }
 
 
-def _classify_component(d: Digraph, comp: list[int]) -> D6Component:
-    verts = tuple(sorted(comp))
-    pairs = [
-        (u, v) for u, v in itertools.combinations(verts, 2)
-        if d.has_arc(u, v) or d.has_arc(v, u)
-    ]
-    all_digons = all(d.has_digon(u, v) for u, v in pairs)
-
-    if len(verts) == 1:
-        return D6Component(verts, "singleton")
-    if len(verts) == 2 and all_digons:
-        return D6Component(verts, "path2")
-    if len(verts) == 3 and all_digons and len(pairs) == 2:
-        deg_in_comp = {v: sum(1 for p in pairs if v in p) for v in verts}
-        ends = [v for v in verts if deg_in_comp[v] == 1]
-        cond = {v: neighbourhood_valency(d, v) >= 4 for v in ends}
-        return D6Component(verts, "path3", cond)
-    if len(verts) == 4 and all_digons and len(pairs) == 3:
-        deg_in_comp = {v: sum(1 for p in pairs if v in p) for v in verts}
-        if sorted(deg_in_comp.values()) == [1, 1, 1, 3]:
-            leaves = [v for v in verts if deg_in_comp[v] == 1]
-            cond = {v: neighbourhood_valency(d, v) >= 4 for v in leaves}
-            return D6Component(verts, "star4", cond)
-    return D6Component(verts, "other")
-
-
 def d6_components(d: Digraph) -> list[D6Component]:
     """Connected components of D6, classified against the shapes the theory
-    allows in a minimal counterexample ("other" is a first-class outcome)."""
+    allows in a minimal counterexample ("other" is a first-class outcome).
+
+    Each component C is flooded and classified on the host's bitsets.  C
+    is a tree of digons exactly when its inner degrees sum to 2(|C| - 1)
+    and no vertex of C meets another by a single arc; such a tree is a
+    singleton, a path2 or a path3 on up to 3 vertices, and a star4 on 4
+    vertices with 3 leaves.  Every other component is "other".
+    """
+    out, inn = d.out_masks, d.in_masks
+    adj = underlying_masks(d)
     d6 = sum(1 << v for v in d6_vertices(d))
-    return [
-        _classify_component(d, list(bits(comp)))
-        for comp in mask_components(underlying_masks(d), d6)
-    ]
+    found = []
+    for comp in mask_components(adj, d6):
+        verts = tuple(bits(comp))
+        inner = [(adj[v] & comp).bit_count() for v in verts]
+        leaves = [v for v, k in zip(verts, inner) if k == 1]
+        single = any((out[v] ^ inn[v]) & comp for v in verts)
+        digon_tree = sum(inner) == 2 * len(verts) - 2 and not single
+        klass, cond = "other", None
+        if digon_tree and (len(verts) < 4 or len(verts) == 4 and len(leaves) == 3):
+            klass = ("singleton", "path2", "path3", "star4")[len(verts) - 1]
+        if klass in ("path3", "star4"):
+            cond = {v: neighbourhood_valency(d, v) >= 4 for v in leaves}
+        found.append(D6Component(verts, klass, cond))
+    return found
 
 
 # -- discharging -------------------------------------------------------------
@@ -156,7 +155,7 @@ class Transfer:
             "rule": self.rule,
             "source": self.source,
             "target": self.target,
-            "amount": f"{self.amount.numerator}/{self.amount.denominator}",
+            "amount": fraction_text(self.amount),
             "note": self.note,
         }
 
@@ -181,14 +180,13 @@ class ChargeLedger:
         return sum(self.final.values(), Fraction(0))
 
     def to_json(self) -> dict:
-        frac = lambda q: f"{q.numerator}/{q.denominator}"
         return {
-            "eps": frac(self.params.eps),
-            "delta": frac(self.params.delta),
-            "sigma": {str(v): frac(q) for v, q in sorted(self.sigma.items())},
-            "initial": {str(v): frac(q) for v, q in sorted(self.initial.items())},
+            "eps": fraction_text(self.params.eps),
+            "delta": fraction_text(self.params.delta),
+            "sigma": {str(v): fraction_text(q) for v, q in sorted(self.sigma.items())},
+            "initial": {str(v): fraction_text(q) for v, q in sorted(self.initial.items())},
             "transfers": [t.to_json() for t in self.transfers],
-            "final": {str(v): frac(q) for v, q in sorted(self.final.items())},
+            "final": {str(v): fraction_text(q) for v, q in sorted(self.final.items())},
         }
 
 
@@ -210,41 +208,34 @@ def discharge(d: Digraph, params: PotentialParams) -> ChargeLedger:
         each in-neighbour (resp. out-neighbour).
     """
     eps, delta = params.eps, params.delta
-    sigma: dict[int, Fraction] = {v: Fraction(0) for v in d.vertices()}
+    out, inn = d.out_masks, d.in_masks
+    degree = [o.bit_count() + i.bit_count() for o, i in zip(out, inn)]
+    heavy = sum(1 << v for v, k in enumerate(degree) if k >= 8)
+    sigma = dict.fromkeys(d.vertices(), Fraction(0))
     for comp in d6_components(d):
         if len(comp.vertices) >= 2:
-            share = delta / len(comp.vertices)
-            for v in comp.vertices:
-                sigma[v] = share
-    initial = {
-        v: TEN_THIRDS + eps - Fraction(d.degree(v), 2) - sigma[v]
-        for v in d.vertices()
-    }
+            sigma.update(dict.fromkeys(comp.vertices, delta / len(comp.vertices)))
+    base = TEN_THIRDS + eps
+    initial = {v: base - Fraction(k, 2) - sigma[v] for v, k in enumerate(degree)}
     small_amount = Fraction(1, 12) - eps / 8
+    per_arc: dict[int, Fraction] = {}  # R2's amount depends on the receiver only
     transfers: list[Transfer] = []
 
-    for v in d.vertices():
-        deg = d.degree(v)
-        if deg == 6 and d.digon_count_at(v) == 0:
-            for u in d.neighbours(v):
-                transfers.append(Transfer("R1", v, u, small_amount))
-        elif deg == 6 and d.digon_count_at(v) > 0:
-            for u in d.neighbours(v):
-                du = d.degree(u)
-                if du < 8:
-                    continue
-                divisor = du - valency8(d, u)
-                n_arcs = int(d.has_arc(v, u)) + int(d.has_arc(u, v))
-                per_arc = (Fraction(-10, 3) + Fraction(du, 2) - eps) / divisor
-                note = None if n_arcs == 2 else "simple arc: per-arc amount sent once"
-                transfers.append(Transfer("R2", v, u, n_arcs * per_arc, note))
-        elif deg == 7:
-            if d.in_degree(v) == 3:
-                for u in d.in_neighbours(v):
-                    transfers.append(Transfer("R3", v, u, small_amount))
-            elif d.out_degree(v) == 3:
-                for u in d.out_neighbours(v):
-                    transfers.append(Transfer("R3", v, u, small_amount))
+    for v, k in enumerate(degree):
+        o, i = out[v], inn[v]
+        if k == 6 and not o & i:
+            transfers += (Transfer("R1", v, u, small_amount) for u in bits(o | i))
+        elif k == 6:
+            for u in bits((o | i) & heavy):
+                if u not in per_arc:
+                    excess = Fraction(degree[u], 2) - base
+                    per_arc[u] = excess / (degree[u] - valency8(d, u))
+                digon = (o & i) >> u & 1
+                note = None if digon else "simple arc: per-arc amount sent once"
+                transfers.append(Transfer("R2", v, u, (1 + digon) * per_arc[u], note))
+        elif k == 7:
+            targets = i if i.bit_count() == 3 else o if o.bit_count() == 3 else 0
+            transfers += (Transfer("R3", v, u, small_amount) for u in bits(targets))
 
     final = dict(initial)
     for t in transfers:

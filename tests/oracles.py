@@ -29,9 +29,13 @@ they are deduplicated with the package's ``canonical_form``, so they check
 recognition, not isomorphism.
 4-Ore recognition is also checked against its definition, by trying
 every non-adjacent pair and every split of the components it leaves (the
-package decides each piece at its first cut, memoised by canonical form).
+package decides each piece at its first cut).
 Adjacency is read off the arc set by its definitions (the package stores
-bitsets).
+bitsets), and so are D6 components, 8+-valencies and the discharging
+ledger: each component is classified by its joined vertex pairs and each
+rule is applied as stated (the package counts bits within a component
+and reads every degree once); the results are the package's record types,
+so that their ``to_json`` can be compared.
 """
 
 from __future__ import annotations
@@ -40,10 +44,14 @@ import functools
 import itertools
 from typing import Iterator
 
+from fractions import Fraction
+
 from dicrit.budget import Budget
 from dicrit.digraph import Digraph, bidirected_complete, boundary, induced
 from dicrit.iso import canonical_form
 from dicrit.ore import OreLeaf, is_4ore
+from dicrit.potential import PotentialParams
+from dicrit.structure import ChargeLedger, D6Component, Transfer
 
 
 def reversed_digraph(d: Digraph) -> Digraph:
@@ -475,6 +483,10 @@ def _digon(d: Digraph, u: int, v: int) -> bool:
     return (u, v) in d.arcs and (v, u) in d.arcs
 
 
+def _adjacent(d: Digraph, u: int, v: int) -> bool:
+    return (u, v) in d.arcs or (v, u) in d.arcs
+
+
 def oracle_find_emeralds(d: Digraph) -> list[tuple[int, int, int]]:
     """Every 3-set spanning three digons with all degrees 6, lexicographic."""
     return [
@@ -522,6 +534,92 @@ def oracle_find_chelou_arcs(
         [(x, y) for x, y in arcs if out_chelou(d, x, y)],
         [(x, y) for x, y in arcs if out_chelou(rev, y, x)],
     )
+
+
+def _oracle_valency8(d: Digraph, degree: list[int], v: int) -> int:
+    """Arcs joining v to a vertex of degree at least 8."""
+    return sum(1 for a in d.arcs if v in a and degree[a[0] + a[1] - v] >= 8)
+
+
+def oracle_d6_components(d: Digraph) -> list[D6Component]:
+    """The degree-6 vertices on a digon, flooded in the underlying graph,
+    each component classified by the vertex pairs it joins."""
+    degree = [_degree(d, v) for v in range(d.n)]
+    d6 = {
+        v for v in range(d.n)
+        if degree[v] == 6 and any(_digon(d, v, u) for u in range(d.n))
+    }
+    found = []
+    for comp in oracle_components(d, set(range(d.n)) - d6):
+        verts = tuple(sorted(comp))
+        pairs = [
+            (u, v) for u, v in itertools.combinations(verts, 2)
+            if (u, v) in d.arcs or (v, u) in d.arcs
+        ]
+        all_digons = all(_digon(d, u, v) for u, v in pairs)
+        inner = {v: sum(v in p for p in pairs) for v in verts}
+        ends = [v for v in verts if inner[v] == 1]
+        if len(verts) == 1:
+            klass = "singleton"
+        elif len(verts) == 2 and all_digons:
+            klass = "path2"
+        elif len(verts) == 3 and all_digons and len(pairs) == 2:
+            klass = "path3"
+        elif len(verts) == 4 and all_digons and len(pairs) == 3 and len(ends) == 3:
+            klass = "star4"
+        else:
+            klass = "other"
+        cond = None
+        if klass in ("path3", "star4"):
+            cond = {}
+            for v in ends:
+                heavy = [u for u in range(d.n) if _adjacent(d, u, v) and degree[u] >= 8]
+                cond[v] = sum(_oracle_valency8(d, degree, u) for u in heavy) >= 4
+        found.append(D6Component(verts, klass, cond))
+    return found
+
+
+def oracle_discharge(d: Digraph, params: PotentialParams) -> ChargeLedger:
+    """Rules R1-R3 applied as stated, source by source in increasing order
+    and each source's targets in increasing order."""
+    eps, delta = params.eps, params.delta
+    degree = [_degree(d, v) for v in range(d.n)]
+    sigma = {v: Fraction(0) for v in range(d.n)}
+    for comp in oracle_d6_components(d):
+        if len(comp.vertices) >= 2:
+            for v in comp.vertices:
+                sigma[v] = delta / len(comp.vertices)
+    initial = {
+        v: Fraction(10, 3) + eps - Fraction(degree[v], 2) - sigma[v] for v in range(d.n)
+    }
+    small = Fraction(1, 12) - eps / 8
+    transfers = []
+    for v in range(d.n):
+        ins = [u for u in range(d.n) if (u, v) in d.arcs]
+        outs = [u for u in range(d.n) if (v, u) in d.arcs]
+        joined = [u for u in range(d.n) if _adjacent(d, u, v)]
+        on_digon = any(_digon(d, u, v) for u in joined)
+        if degree[v] == 6 and not on_digon:
+            transfers += [Transfer("R1", v, u, small) for u in joined]
+        elif degree[v] == 6:
+            for u in joined:
+                if degree[u] < 8:
+                    continue
+                n_arcs = ((u, v) in d.arcs) + ((v, u) in d.arcs)
+                per_arc = (Fraction(-10, 3) + Fraction(degree[u], 2) - eps) / (
+                    degree[u] - _oracle_valency8(d, degree, u)
+                )
+                note = None if n_arcs == 2 else "simple arc: per-arc amount sent once"
+                transfers.append(Transfer("R2", v, u, n_arcs * per_arc, note))
+        elif degree[v] == 7 and len(ins) == 3:
+            transfers += [Transfer("R3", v, u, small) for u in ins]
+        elif degree[v] == 7 and len(outs) == 3:
+            transfers += [Transfer("R3", v, u, small) for u in outs]
+    final = dict(initial)
+    for t in transfers:
+        final[t.source] -= t.amount
+        final[t.target] += t.amount
+    return ChargeLedger(params, sigma, initial, transfers, final)
 
 
 def oracle_ore_collapsible(

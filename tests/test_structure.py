@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from dicrit.colouring import is_k_dicolourable
 from dicrit.digraph import Digraph, DigraphError, bidirected_complete, induced
@@ -10,6 +10,7 @@ from dicrit.packing import max_packing
 from dicrit.potential import (
     REFERENCE_PARAMS,
     ZERO_PARAMS,
+    PotentialParams,
     potential,
     potential_with_packing_value,
 )
@@ -29,6 +30,8 @@ from dicrit.ore import generate_4ore
 
 from .oracles import (
     oracle_components,
+    oracle_d6_components,
+    oracle_discharge,
     oracle_find_chelou_arcs,
     reversed_digraph,
     underlying_edges,
@@ -37,6 +40,15 @@ from .oracles import (
 from .test_digraph import digraphs, mixed_digraphs
 
 F = Fraction
+
+#: Feasible and infeasible pairs alike: the ledger is defined for any
+#: non-negative parameters.
+PARAMS = (
+    REFERENCE_PARAMS,
+    ZERO_PARAMS,
+    PotentialParams(F(1, 10), F(0)),
+    PotentialParams(F(1, 30), F(1, 5)),
+)
 
 
 def chelou_pattern() -> Digraph:
@@ -87,6 +99,53 @@ def path2_host() -> Digraph:
     arcs += [(0, 2), (0, 3), (4, 0), (5, 0)]
     arcs += [(1, 6), (1, 7), (8, 1), (9, 1)]
     return Digraph(10, arcs)
+
+
+@st.composite
+def digon_trees(draw):
+    """A path or star of digons on 2-4 vertices, each padded to degree 6 by
+    digons or single arcs to fresh light vertices or to up to three heavy
+    hubs.  The hubs are joined to one another at random and given pendant
+    arcs up to degree at least 8, so path3 and star4 components come with
+    both outcomes of the valency condition.  Labels are shuffled."""
+    size = draw(st.integers(2, 4))
+    star = size == 4 and draw(st.booleans())
+    edges = [(0, w) for w in (1, 2, 3)] if star else [(w, w + 1) for w in range(size - 1)]
+    hubs = range(size, size + draw(st.integers(0, 3)))
+    arcs = {a for u, v in edges for a in ((u, v), (v, u))}
+    for a, b in itertools.combinations(hubs, 2):
+        arcs.update(draw(st.sampled_from(((), [(a, b)], [(b, a)], [(a, b), (b, a)]))))
+    n = hubs.stop
+    for v in range(size):
+        need = 6 - 2 * sum(v in e for e in edges)
+        free = list(hubs)
+        while need:
+            w = draw(st.sampled_from(free + [n]))
+            if w == n:
+                n += 1
+            else:
+                free.remove(w)
+            if need >= 2 and draw(st.booleans()):
+                arcs.update(((v, w), (w, v)))
+                need -= 2
+            else:
+                arcs.add(draw(st.sampled_from(((v, w), (w, v)))))
+                need -= 1
+    for h in hubs:
+        pendants = max(0, 8 - sum(h in a for a in arcs)) + draw(st.integers(0, 1))
+        for w in range(n, n + pendants):
+            arcs.add(draw(st.sampled_from(((h, w), (w, h)))))
+        n += pendants
+    label = draw(st.permutations(range(n)))
+    return Digraph(n, [(label[u], label[v]) for u, v in arcs])
+
+
+def assert_matches_the_oracles(d: Digraph) -> None:
+    assert [c.to_json() for c in d6_components(d)] == [
+        c.to_json() for c in oracle_d6_components(d)
+    ]
+    for params in PARAMS:
+        assert discharge(d, params).to_json() == oracle_discharge(d, params).to_json()
 
 
 class TestD6:
@@ -144,6 +203,16 @@ class TestD6:
         found = [c.vertices for c in d6_components(d)]
         assert found == self._flooded_d6(d)
 
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_digraphs(max_n=9))
+    def test_components_and_ledgers_match_the_oracles(self, d):
+        assert_matches_the_oracles(d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(digon_trees())
+    def test_digon_trees_match_the_oracles(self, d):
+        assert_matches_the_oracles(d)
+
     @pytest.mark.parametrize("n", [7, 13, 19, 25])
     def test_matches_induced_flood_on_4ore(self, n):
         for seed in range(5):
@@ -190,6 +259,8 @@ class TestValencies:
         assert neighbourhood_valency(d, 6) == 0
         with pytest.raises(DigraphError):
             neighbourhood_valency(d, v)
+        with pytest.raises(DigraphError):
+            valency8(d, v)
 
 
 class TestDischarge:
@@ -242,13 +313,7 @@ class TestDischarge:
     @given(digraphs(max_n=7))
     def test_conservation_exact(self, d):
         # holds for any non-negative parameters, feasible or not
-        from dicrit.potential import PotentialParams
-        for params in (
-            REFERENCE_PARAMS,
-            ZERO_PARAMS,
-            PotentialParams(F(1, 10), F(0)),
-            PotentialParams(F(1, 30), F(1, 5)),
-        ):
+        for params in PARAMS:
             ledger = discharge(d, params)
             assert ledger.total_initial() == ledger.total_final()
 
