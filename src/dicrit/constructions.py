@@ -85,24 +85,28 @@ class Gadget:
 
 @dataclass(frozen=True)
 class G3Layout:
+    """The base construction's choices: the odd cycle on vertices
+    0..2 n0, by its sorted arcs.  Gadget i serves ``cycle_arcs[i]``, and its
+    triangle sits on vertices 2 n0 + 1 + 3i onwards."""
+
     n0: int
     cycle_arcs: tuple[tuple[int, int], ...]
-    gadgets: tuple[Gadget, ...]
-
-
-@dataclass(frozen=True)
-class CopyPlacement:
-    arc: tuple[int, int]
-    offset: int
 
 
 @dataclass(frozen=True)
 class GkLayout:
+    """The level-k construction's choices: the tournament on vertices
+    0..k-1, by its sorted arcs, and the level below.  Copy i of
+    ``sub_digraph`` replaces ``tournament_arcs[i]`` and sits on vertices
+    ``copy_offset(i)`` = k + i n_sub onwards, n_sub = ``sub_digraph.n``."""
+
     k: int
     tournament_arcs: tuple[tuple[int, int], ...]
-    copies: tuple[CopyPlacement, ...]
     sub_digraph: Digraph
     sub_layout: Union["GkLayout", G3Layout]
+
+    def copy_offset(self, i: int) -> int:
+        return self.k + i * self.sub_digraph.n
 
 
 Layout = Union[GkLayout, G3Layout]
@@ -133,16 +137,15 @@ def build_g3(
         if rng is not None and rng.random() < 0.5:
             u, v = v, u
         cycle_arcs.append((u, v))
+    cycle_arcs.sort()
     arcs = list(cycle_arcs)
-    gadgets = []
-    for idx, (x, y) in enumerate(sorted(cycle_arcs)):
-        base = length + 3 * idx
+    for i, (x, y) in enumerate(cycle_arcs):
+        base = length + 3 * i
         t = (base, base + 1, base + 2)
         arcs += [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])]
         arcs += [(y, g) for g in t]
         arcs += [(g, x) for g in t]
-        gadgets.append(Gadget(tail=x, head=y, triangle=t))
-    return Digraph(4 * length, arcs), G3Layout(n0, tuple(sorted(cycle_arcs)), tuple(gadgets))
+    return Digraph(4 * length, arcs), G3Layout(n0, tuple(cycle_arcs))
 
 
 def build_gk(k: int, spec: ConstructionSpec) -> tuple[Digraph, Layout]:
@@ -152,39 +155,28 @@ def build_gk(k: int, spec: ConstructionSpec) -> tuple[Digraph, Layout]:
     if k < 3:
         raise DigraphError("constructions start at k = 3")
     sub_digraph, sub_layout = build_gk(k - 1, spec)
-    t_arcs = spec.tournament_for(k)
+    t_arcs = tuple(sorted(spec.tournament_for(k)))
+    layout = GkLayout(k, t_arcs, sub_digraph, sub_layout)
     arcs: list[tuple[int, int]] = list(t_arcs)
-    copies = []
-    offset = k
-    for arc in sorted(t_arcs):
-        x, y = arc
+    for i, (x, y) in enumerate(t_arcs):
+        offset = layout.copy_offset(i)
+        block = range(offset, offset + sub_digraph.n)
         arcs += [(u + offset, v + offset) for (u, v) in sub_digraph.arcs]
-        arcs += [(y, offset + t) for t in sub_digraph.vertices()]
-        arcs += [(offset + t, x) for t in sub_digraph.vertices()]
-        copies.append(CopyPlacement(arc=arc, offset=offset))
-        offset += sub_digraph.n
-    layout = GkLayout(
-        k=k,
-        tournament_arcs=tuple(sorted(t_arcs)),
-        copies=tuple(copies),
-        sub_digraph=sub_digraph,
-        sub_layout=sub_layout,
-    )
-    return Digraph(offset, arcs), layout
+        arcs += [(y, t) for t in block]
+        arcs += [(t, x) for t in block]
+    return Digraph(layout.copy_offset(len(t_arcs)), arcs), layout
 
 
 def all_gadgets(layout: Layout, offset: int = 0):
     """Every embedded forcing gadget, in global vertex coordinates."""
     if isinstance(layout, G3Layout):
-        for g in layout.gadgets:
-            yield Gadget(
-                tail=g.tail + offset,
-                head=g.head + offset,
-                triangle=tuple(t + offset for t in g.triangle),
-            )
+        base = offset + 2 * layout.n0 + 1
+        for i, (x, y) in enumerate(layout.cycle_arcs):
+            t = base + 3 * i
+            yield Gadget(tail=x + offset, head=y + offset, triangle=(t, t + 1, t + 2))
         return
-    for copy in layout.copies:
-        yield from all_gadgets(layout.sub_layout, offset + copy.offset)
+    for i in range(len(layout.tournament_arcs)):
+        yield from all_gadgets(layout.sub_layout, offset + layout.copy_offset(i))
 
 
 def gadget_forces_distinct(d: Digraph, x: int, y: int, gadget_vertices) -> bool:
@@ -286,19 +278,19 @@ class _Level:
 def _compose(
     level: _Level,
     special: tuple[int, int],
-    offset: int | None,
+    copy: int | None,
     local: tuple[int, ...],
 ) -> Colouring:
     """A (chi-1)-colouring of the level's graph: distinct colours on the
     tournament except the pair ``special``, which shares chi-1; ``local`` in
-    the copy at ``offset`` and the sub-level's reference in every other
+    copy number ``copy`` and the sub-level's reference in every other
     copy."""
     k = level.chi
     others = iter(range(1, k - 1))
     colours = [k - 1 if w in special else next(others) for w in range(k)]
     reference = level.sub.reference
-    for copy in level.layout.copies:  # laid out back to back from vertex k
-        colours += local if copy.offset == offset else reference
+    for i in range(len(level.layout.tournament_arcs)):  # back to back from vertex k
+        colours += local if i == copy else reference
     return Colouring(k - 1, tuple(colours))
 
 
@@ -315,13 +307,13 @@ def _deletion_witness(level: _Level, arc: tuple[int, int]) -> Colouring:
     # Every other arc has an end in exactly one copy: inside it, or joining
     # it to the tournament.
     w = max(u, v)
-    copy = level.layout.copies[(w - k) // level.sub.digraph.n]
-    off = copy.offset
+    copy = (w - k) // level.sub.digraph.n
+    off = level.layout.copy_offset(copy)
     if min(u, v) >= k:
         local = _deletion_witness(level.sub, (u - off, v - off)).colours
     else:
         local = _gamma(level.sub, w - off)
-    return _compose(level, copy.arc, off, local)
+    return _compose(level, level.layout.tournament_arcs[copy], copy, local)
 
 
 def _gamma(sub: _Level, t: int) -> tuple[int, ...]:
@@ -368,18 +360,18 @@ def _certify_level(
     if not ok:
         raise AssertionError(f"reference colouring invalid: {cycle}")
 
-    # Structural premises of the pigeonhole lower bound: a complete
-    # tournament, and complete wiring from every arc head into its copy and
-    # from the copy back to the arc tail.
+    # Structural premises of the pigeonhole lower bound, on the bitsets: a
+    # complete tournament, and complete wiring from every arc head into its
+    # copy's vertex block and from the block back to the arc tail.
+    tournament = (1 << k) - 1
+    block = (1 << layout.sub_digraph.n) - 1
     structural_ok = all(
-        d.has_arc(a, b) or d.has_arc(b, a)
-        for a, b in itertools.combinations(range(k), 2)
+        tournament & ~(d.out_masks[a] | d.in_masks[a] | 1 << a) == 0
+        for a in range(k)
+    ) and all(
+        block << layout.copy_offset(i) & ~(d.out_masks[y] & d.in_masks[x]) == 0
+        for i, (x, y) in enumerate(layout.tournament_arcs)
     )
-    for copy in layout.copies:
-        x, y = copy.arc
-        for t in range(layout.sub_digraph.n):
-            if not d.has_arc(y, copy.offset + t) or not d.has_arc(copy.offset + t, x):
-                structural_ok = False
 
     report = CertificateReport(
         k=k,

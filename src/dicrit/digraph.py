@@ -36,7 +36,14 @@ from typing import Iterable, Iterator, Sequence
 
 
 class DigraphError(ValueError):
-    """Invalid digraph construction or operation input."""
+    """Invalid digraph construction or operation input.
+
+    ``index`` is the position of the rejected arc in the arcs handed to
+    :class:`Digraph`, when an arc is at fault, and None otherwise."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class ParseError(DigraphError):
@@ -70,22 +77,17 @@ class Digraph:
         arcs = tuple(arcs)
         out, inn = [0] * n, [0] * n
         targets: list[list[int]] = [[] for _ in range(n)]
-        for arc in arcs:
-            u, v = arc
+        for index, (u, v) in enumerate(arcs):
             if not (0 <= u < n and 0 <= v < n):
-                raise DigraphError(f"arc ({u}, {v}) out of range for n={n}")
+                raise DigraphError(f"arc ({u}, {v}) out of range for n={n}", index)
             if u == v:
-                raise DigraphError(f"self-loop at vertex {u}")
+                raise DigraphError(f"self-loop at vertex {u}", index)
+            if out[u] >> v & 1:
+                raise DigraphError(f"duplicate arc ({u}, {v})", index)
             out[u] |= 1 << v
             inn[v] |= 1 << u
             targets[u].append(v)
         self.arcs = frozenset(arcs)
-        if len(self.arcs) < len(arcs):
-            seen: set[tuple[int, int]] = set()
-            for u, v in arcs:
-                if (u, v) in seen:
-                    raise DigraphError(f"duplicate arc ({u}, {v})")
-                seen.add((u, v))
         self.n = n
         self.out_masks = tuple(out)
         self.in_masks = tuple(inn)
@@ -101,7 +103,7 @@ class Digraph:
         return range(self.n)
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
-        return sorted(self.arcs)
+        return [(u, v) for u, targets in enumerate(self._out) for v in targets]
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
@@ -206,12 +208,18 @@ def bidirected_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
 
 
 def parse(text: str) -> Digraph:
-    """Parse a DG-v1 string; every error carries its 1-based line number."""
+    """Parse a DG-v1 string; every error carries its 1-based line number.
+
+    The arcs are validated by :class:`Digraph`, whose error names the
+    position of the rejected arc; that position gives the line.  A line
+    that is no arc, or one arc too many, ends the reading, and is reported
+    unless an arc before it is at fault."""
     header = None
     header_line = 0
     arcs: list[tuple[int, int]] = []
+    lines: list[int] = []  # the line of each arc
     n = m = 0
-    seen: set[tuple[int, int]] = set()
+    fault = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -231,30 +239,29 @@ def parse(text: str) -> Digraph:
             header = (n, m)
             header_line = lineno
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected an arc line, got {line!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, line.split())
         except ValueError:
-            raise ParseError(f"expected an arc line, got {line!r}", lineno) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex index out of range in arc ({u}, {v})", lineno)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", lineno)
-        if (u, v) in seen:
-            raise ParseError(f"duplicate arc ({u}, {v})", lineno)
-        seen.add((u, v))
+            fault = ParseError(f"expected an arc line, got {line!r}", lineno)
+            break
         arcs.append((u, v))
+        lines.append(lineno)
         if len(arcs) > m:
-            raise ParseError(f"more than the {m} arcs announced in the header", lineno)
+            fault = ParseError(f"more than the {m} arcs announced in the header", lineno)
+            break
     if header is None:
         raise ParseError("missing header", 1)
-    if len(arcs) != m:
+    try:
+        d = Digraph(n, arcs)
+    except DigraphError as err:
+        raise ParseError(str(err), lines[err.index]) from None
+    if fault is not None:
+        raise fault
+    if len(arcs) < m:
         raise ParseError(
             f"header announced {m} arcs but {len(arcs)} were given", header_line
         )
-    return Digraph(n, arcs)
+    return d
 
 
 def serialize(d: Digraph) -> str:

@@ -349,16 +349,16 @@ def _recognition_search(adj: Sequence[int], budget: Budget) -> tuple[OreTrace, l
 def is_4ore(d: Digraph, budget: Budget | int | None = None) -> OreTrace | None:
     """A composition trace iff the digraph is 4-Ore, else None.
 
-    The input must be bidirected with n = 1 (mod 3).  Decomposition search
-    on the underlying graph's bitsets undoes a composition at the first cut
-    of each piece, which decides the piece (docs/decisions.md sections 10
-    and 12), and spends at most (4n - 13)/3 nodes (section 15).  Replaying
-    the returned trace yields a digraph isomorphic to the input.
+    Every digraph gets an answer: one that is not bidirected is None at
+    once, spending no node, and so is one whose order is not 1 (mod 3),
+    which fails the arc count (docs/decisions.md section 16).  Decomposition
+    search on the underlying graph's bitsets undoes a composition at the
+    first cut of each piece, which decides the piece (sections 10 and 12),
+    and spends at most (4n - 13)/3 nodes (section 15).  Replaying the
+    returned trace yields a digraph isomorphic to the input.
     """
     if not d.is_bidirected():
-        raise DigraphError("4-Ore digraphs are bidirected")
-    if d.n % 3 != 1:
-        raise DigraphError("4-Ore orders are 4, 7, 10, ... (n = 1 mod 3)")
+        return None
     budget = ensure_budget(budget, DEFAULT_RECOGNITION_NODES, "4-Ore recognition")
     adj = underlying_masks(d)
     found = _plausible(adj) and _recognition_search(adj, budget)

@@ -145,6 +145,13 @@ class TestSubcommands:
         code, out, _ = run(capsys, "ore", "check", str(path))
         assert code == 1 and "not 4-Ore" in out
 
+    def test_ore_check_directed_triangle_is_1(self, capsys, tmp_path):
+        # not bidirected is an answer, not an input error
+        path = tmp_path / "c3.dg"
+        path.write_text(serialize(directed_cycle(3)))
+        code, out, _ = run(capsys, "ore", "check", str(path))
+        assert code == 1 and "not 4-Ore" in out
+
     def test_ore_compose(self, capsys, k4_file):
         code, out, _ = run(
             capsys, "ore", "compose", k4_file, k4_file,

@@ -1,9 +1,13 @@
 import itertools
 import random
+from dataclasses import replace
+from math import comb, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dicrit import constructions
+from dicrit.budget import Budget
 from dicrit.colouring import dichromatic_number
 from dicrit.constructions import (
     ConstructionSpec,
@@ -14,7 +18,7 @@ from dicrit.constructions import (
     gadget_forces_distinct,
     predicted_counts,
 )
-from dicrit.digraph import Digraph, DigraphError
+from dicrit.digraph import Digraph, DigraphError, induced
 from dicrit.packing import max_packing
 
 from .oracles import valid_dicolouring
@@ -35,7 +39,7 @@ class TestBuildG3:
         g, layout = build_g3(2, orientation_seed=7)
         assert (g.n, g.m) == (20, 50)
         assert g.is_oriented()
-        assert len(layout.gadgets) == 5
+        assert len(list(all_gadgets(layout))) == 5
 
     def test_bad_n0(self):
         with pytest.raises(DigraphError):
@@ -47,7 +51,7 @@ class TestBuildGk:
         g, layout = build_gk(4, ConstructionSpec(k=4))
         assert (g.n, g.m) == (76, 330)
         assert g.is_oriented()
-        assert len(layout.copies) == 6
+        assert len(layout.tournament_arcs) == 6
 
     def test_g4_n0_2_counts(self):
         g, _ = build_gk(4, ConstructionSpec(k=4, n0=2))
@@ -77,6 +81,41 @@ class TestBuildGk:
         g, _ = build_gk(4, spec)  # level-3 override is ignored by level 4
         assert (g.n, g.m) == (76, 330)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(3, 5),
+        st.integers(1, 2),
+        st.none() | st.integers(0, 10_000),
+        st.integers(0, 10_000),
+    )
+    def test_layout_indexes_the_wiring(self, k, n0, orientation_seed, seed):
+        # gadget i and copy i are found by index alone; the arc set of the
+        # built digraph must wire each one as its arc says
+        spec = replace(_random_spec(k, seed), n0=n0, cycle_orientation_seed=orientation_seed)
+        g, layout = build_gk(k, spec)
+
+        gadgets = list(all_gadgets(layout))
+        assert len({v for gadget in gadgets for v in gadget.triangle}) == 3 * len(gadgets)
+        copies = prod(comb(level, 2) for level in range(4, k + 1))
+        assert len(gadgets) == (2 * n0 + 1) * copies
+        for gadget in gadgets:
+            a, b, c = gadget.triangle
+            assert g.has_arc(gadget.tail, gadget.head)
+            assert g.has_arc(a, b) and g.has_arc(b, c) and g.has_arc(c, a)
+            for t in gadget.triangle:
+                assert g.has_arc(gadget.head, t) and g.has_arc(t, gadget.tail)
+
+        if k == 3:
+            return
+        n_sub = layout.sub_digraph.n
+        assert layout.copy_offset(len(layout.tournament_arcs)) == g.n
+        for i, (x, y) in enumerate(layout.tournament_arcs):
+            block = range(k + i * n_sub, k + (i + 1) * n_sub)
+            assert layout.copy_offset(i) == block[0]
+            assert g.has_arc(x, y)
+            assert all(g.has_arc(y, t) and g.has_arc(t, x) for t in block)
+            assert induced(g, block)[0] == layout.sub_digraph
+
 
 class TestGadget:
     def test_every_gadget_in_g3_forces(self):
@@ -88,7 +127,7 @@ class TestGadget:
 
     def test_broken_gadget_fails(self):
         g, layout = build_g3(1)
-        gadget = layout.gadgets[0]
+        gadget = next(all_gadgets(layout))
         broken = g.without_arcs([(gadget.triangle[0], gadget.tail)])
         assert not gadget_forces_distinct(
             broken, gadget.tail, gadget.head, gadget.triangle
@@ -96,7 +135,7 @@ class TestGadget:
 
     def test_degenerate_inputs_rejected(self):
         g, layout = build_g3(1)
-        gadget = layout.gadgets[0]
+        gadget = next(all_gadgets(layout))
         with pytest.raises(DigraphError):
             gadget_forces_distinct(g, gadget.tail, gadget.tail, gadget.triangle)
         with pytest.raises(DigraphError):
@@ -163,6 +202,21 @@ class TestCertify:
     def test_level_below_3_is_rejected(self):
         with pytest.raises(DigraphError, match="constructions start at k = 3"):
             certify_dicritical_composition(2, ConstructionSpec(k=4))
+
+    @pytest.mark.parametrize("case", ["tournament", "head to copy", "copy to tail"])
+    def test_missing_wiring_fails_the_premises(self, case):
+        # every witness still checks on the digraph minus one more arc, so
+        # only the structural premises can catch the missing wiring
+        g, layout = build_gk(4, ConstructionSpec(k=4))
+        x, y = layout.tournament_arcs[2]
+        t = layout.copy_offset(2) + 5
+        arc = {"tournament": (x, y), "head to copy": (y, t), "copy to tail": (t, x)}[case]
+        report = constructions._certify_level(
+            g.without_arcs([arc]), layout, Budget(), None, random.Random(0)
+        ).report
+        assert not report.structural_ok and not report.lower_bound_ok
+        assert report.witness_failures == []
+        assert not report.ok()
 
     def test_g3_is_3_dicritical_end_to_end(self):
         g, _ = build_g3(1)

@@ -81,8 +81,8 @@ class TestConstruction:
     @settings(max_examples=150)
     @given(digraphs(max_n=9), st.data())
     def test_arc_deletion_matches_a_rebuild(self, d, data):
-        # the deletion builders skip re-validation; they must still produce
-        # exactly the digraph a full construction gives
+        # the deletion builders go through the one constructor; they must
+        # produce exactly the digraph a construction from the arc set gives
         def assert_rebuilt(fast, removed):
             slow = Digraph(d.n, d.arcs - set(removed))
             assert fast == slow and hash(fast) == hash(slow) and fast.m == slow.m
@@ -156,6 +156,7 @@ class TestParse:
             ("n 2 m 1\n0 5\n", 2),
             ("n 2 m 1\n1 1\n", 2),
             ("# lead\nn 2 m 2\n0 1\n0 1\n", 4),
+            ("n 3 m 3\n0 1\n1 2\n# note\n2 2\n", 5),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line):
@@ -171,6 +172,7 @@ class TestParse:
     @given(digraphs())
     def test_roundtrip(self, d):
         assert parse(serialize(d)) == d
+        assert d.sorted_arcs() == sorted(d.arcs)
 
 
 class TestInduced:
