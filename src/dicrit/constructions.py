@@ -16,7 +16,8 @@ argument.  The solver runs once, in the base level's criticality check;
 higher levels get a compositional lower-bound certificate.  Every colouring
 above that check, each level's reference and each arc-deletion witness, is
 composed from the construction by one composer and checked, the witnesses
-against the digraph minus their arc.
+against the digraph minus their arc: each level hands its witnesses to one
+``check_dicolourings`` call as they are composed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import comb
 from typing import Union
 
 from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
-from .colouring import Colouring, check_dicolouring, is_k_dicritical
+from .colouring import Colouring, check_dicolourings, is_k_dicritical
 from .digraph import Digraph, DigraphError, induced
 
 
@@ -190,13 +191,12 @@ def gadget_forces_distinct(d: Digraph, x: int, y: int, gadget_vertices) -> bool:
         raise DigraphError("x, y must be two vertices outside the gadget")
     sub, mapping = induced(d, (x, y) + triangle)
     xi, yi = mapping[x], mapping[y]
-    for assignment in itertools.product((1, 2), repeat=5):
-        if assignment[xi] != assignment[yi]:
-            continue
-        ok, _ = check_dicolouring(sub, Colouring(2, assignment))
-        if ok:
-            return False
-    return True
+    equal = [
+        (Colouring(2, assignment), None)
+        for assignment in itertools.product((1, 2), repeat=5)
+        if assignment[xi] == assignment[yi]
+    ]
+    return not any(ok for ok, _ in check_dicolourings(sub, equal))
 
 
 # -- certification ------------------------------------------------------------
@@ -356,7 +356,7 @@ def _certify_level(
     k = layout.k
     sub = _certify_level(layout.sub_digraph, layout.sub_layout, budget, witness_sample, rng)
     sub.reference = _gamma(sub, 0)
-    ok, cycle = check_dicolouring(sub.digraph, Colouring(sub.chi, sub.reference))
+    ((ok, cycle),) = check_dicolourings(sub.digraph, [(Colouring(sub.chi, sub.reference), None)])
     if not ok:
         raise AssertionError(f"reference colouring invalid: {cycle}")
 
@@ -390,9 +390,8 @@ def _certify_level(
     if witness_sample is not None and witness_sample < len(arcs):
         arcs = sorted(rng.sample(arcs, witness_sample))
         report.sampled = True
-    for arc in arcs:
-        witness = _deletion_witness(level, arc)
-        valid, _ = check_dicolouring(d, witness, arc)
+    checked = check_dicolourings(d, ((_deletion_witness(level, arc), arc) for arc in arcs))
+    for arc, (valid, _) in zip(arcs, checked):
         if valid:
             report.witnesses_checked += 1
         else:

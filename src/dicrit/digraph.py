@@ -17,8 +17,8 @@ Canonical serialization lists arcs in lexicographic order.
 A :class:`Digraph` stores its adjacency once, when it is built: the out-
 and in-neighbourhood of each vertex as a vertex bitset (``out_masks`` and
 ``in_masks``), plus the sorted out-neighbour tuples that the witness
-checker in :mod:`dicrit.colouring` walks.  Only this module builds them;
-every other module reads them.
+checker in :mod:`dicrit.colouring` peels over and walks.  Only this module
+builds them; every other module reads them.
 
 Every cut and component question is answered on vertex bitsets:
 :func:`underlying_masks` gives the underlying graph as one neighbourhood
@@ -62,8 +62,9 @@ class Digraph:
     are the out- and in-neighbourhoods of v.  Every adjacency question
     (neighbours, degrees, digons, the underlying and digon graphs) is read
     off them.  The sorted out-neighbour tuples stay as well, for
-    :meth:`out_neighbours` and the witness checker's DFS, which runs
-    1.6-2.1 times as fast on them as on bits.
+    :meth:`out_neighbours` and the witness checker: its peel ORs the
+    cells of each vertex's out-neighbours by one ``reduce`` over a tuple,
+    and its cycle DFS ran 1.6-2.1 times as fast on them as on bits.
 
     Empty digraphs (n = 0) are rejected everywhere.  Instances are hashable
     and safe to share between threads.

@@ -127,6 +127,18 @@ def _edges(adj: Sequence[int]) -> list[tuple[int, int]]:
     return [(u, v) for u, mask in enumerate(adj) for v in bits(mask >> u + 1 << u + 1)]
 
 
+def _nth_edge(adj: Sequence[int], i: int) -> tuple[int, int]:
+    """``_edges(adj)[i]``, found by counting bits rather than listing edges."""
+    for u, mask in enumerate(adj):
+        above = mask >> u + 1 << u + 1
+        count = above.bit_count()
+        if i < count:
+            for _ in range(i):
+                above &= above - 1
+            return u, (above & -above).bit_length() - 1
+        i -= count
+
+
 def _compose(adj1: Sequence[int], digon, adj2: Sequence[int], z: int, z1, z2) -> list[int]:
     """The underlying bitsets of :func:`ore_compose`'s digraph, from those of
     its sides, with Z1 and Z2 as sets.  Split-side vertex w becomes n1 + w -
@@ -187,7 +199,7 @@ def _random_composition(
     """Compose a random split side of order ``side_n`` onto ``adj``, drawing from
     the lists Digraph.digons() and .neighbours(z) give (docs/decisions.md section 14)."""
     side, side_trace = _generate(side_n, rng)
-    x, y = rng.choice(_edges(adj))
+    x, y = _nth_edge(adj, rng.randrange(sum(map(int.bit_count, adj)) // 2))
     if rng.random() < 0.5:
         x, y = y, x
     z = rng.randrange(len(side))

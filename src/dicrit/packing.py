@@ -85,7 +85,8 @@ def _search(
     """Branch on the triangles ``i..`` (vertex bitsets worth 2 each), then
     on digons.  ``used`` is the bitset of covered vertices and ``free`` the
     number left; ``best`` holds the incumbent value and items as bitsets,
-    so it survives :class:`BudgetExceeded`."""
+    so it survives :class:`BudgetExceeded`.  Each item taken costs one
+    budget node; a triangle that meets ``used`` is stepped over for free."""
     if value > best[0]:
         best[:] = value, chosen
     # Taking triangle i recurses; skipping it moves on in the loop, so the
@@ -96,8 +97,8 @@ def _search(
     while i < len(triangles) and (
         value + (free + min(len(triangles) - i, free // 3)) // 2 > best[0]
     ):
-        budget.spend()
         if not triangles[i] & used:
+            budget.spend()
             _search(triangles, digon, budget, best, i + 1, value + 2,
                     used | triangles[i], free - 3, chosen + (triangles[i],))
         i += 1

@@ -112,12 +112,12 @@ class TestSubcommands:
         assert code == 0 and payload == {"potential": "20/17", "stats": {"nodes": 1}}
 
     def test_packing_out_of_budget_is_3(self, capsys, tmp_path):
-        # K40 has 10,660 packing items and needs 9,877 nodes; the search
-        # must run out of budget, not out of stack
+        # K40 has 10,660 packing items and needs 13 nodes, one per triangle
+        # taken; the search must run out of budget, not out of stack
         path = tmp_path / "k40.dg"
         path.write_text(serialize(bidirected_complete(40)))
-        code, out, _ = run(capsys, "packing", str(path), "--budget", "5000")
-        assert code == 3 and "T(D) = 6 (NOT optimal)" in out
+        code, out, _ = run(capsys, "packing", str(path), "--budget", "10")
+        assert code == 3 and "T(D) = 20 (NOT optimal)" in out
 
     def test_ore_gen_check_roundtrip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "ore", "gen", "--n", "10", "--seed", "5")

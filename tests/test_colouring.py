@@ -11,12 +11,14 @@ from dicrit.colouring import (
     _branching,
     _colourable,
     _decide,
+    _find_monochromatic_cycle,
     _first_assignment,
     _reuse_fits,
     Colouring,
     ColouringError,
     RefutationStats,
     check_dicolouring,
+    check_dicolourings,
     dichromatic_number,
     is_k_dicolourable,
     is_k_dicritical,
@@ -79,6 +81,43 @@ class TestCheckDicolouring:
         )))
         rebuilt = Digraph(d.n, d.arcs - {arc})
         assert check_dicolouring(d, colouring, arc) == check_dicolouring(rebuilt, colouring)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_many_pairs_match_the_oracle(self, data):
+        # 1-100 pairs cross the 30- and 60-bit digit boundaries of the
+        # cells and, with a drawn chunk size, the chunk boundary.  Palettes
+        # above 8 colours take the wide cells.  Removed arcs are arcs of
+        # D, arcs not in D, or None.
+        d = data.draw(digraphs())
+        pairs = [(u, v) for u in range(d.n) for v in range(d.n) if u != v]
+        removals = [st.none()] + [st.sampled_from(sorted(s)) for s in
+                                  (d.arcs, set(pairs) - d.arcs) if s]
+        palette = st.sampled_from([(1,), (1, 2), (1, 2, 3), (1, 2, 9, 300)])
+        checks = []
+        for _ in range(data.draw(st.integers(1, 100))):
+            colours = data.draw(palette)
+            checks.append((
+                Colouring(max(colours), tuple(data.draw(
+                    st.lists(st.sampled_from(colours), min_size=d.n, max_size=d.n)
+                ))),
+                data.draw(st.one_of(removals)),
+            ))
+        chunk = data.draw(st.sampled_from([1, 7, 32, 128]))
+        with mock.patch.object(colouring, "_PAIRS_PER_PEEL", chunk):
+            results = check_dicolourings(d, iter(checks))
+        assert len(results) == len(checks)
+        for (c, arc), (ok, cycle) in zip(checks, results):
+            assert ok == valid_dicolouring(Digraph(d.n, d.arcs - {arc}), c.colours)
+            assert cycle == _find_monochromatic_cycle(d, c.colours, arc)
+
+    def test_no_pairs(self, c3):
+        assert check_dicolourings(c3, []) == []
+
+    def test_partial_assignment_rejected_in_a_batch(self, c3):
+        with pytest.raises(ColouringError):
+            check_dicolourings(c3, [(Colouring(2, (1, 1, 2)), None),
+                                    (Colouring(2, (1, 1)), None)])
 
     @pytest.mark.parametrize("colours", [(0, 1, 2), (1, 3, 2)])
     def test_colour_out_of_range_rejected(self, colours):
@@ -453,14 +492,34 @@ class TestWitnessReuse:
     @pytest.mark.parametrize("name", CASES)
     def test_one_check_per_witness(self, name):
         d, k = self.CASES[name]()
-        with mock.patch.object(
-            colouring, "check_dicolouring", wraps=check_dicolouring
-        ) as checker:
-            report = is_k_dicritical(d, k)
+        report, calls = _spied_criticality(d, k)
         assert report.verdict
-        assert checker.call_count == len(report.witnesses) == d.m
-        assert [call.args[1] for call in checker.call_args_list] == \
-            [report.witnesses[arc] for arc in d.sorted_arcs()]
+        assert len(report.witnesses) == d.m
+        assert calls == [(d, [(report.witnesses[arc], arc) for arc in d.sorted_arcs()])]
+
+    def test_one_check_before_a_failure(self):
+        # A 4-dicritical digraph plus an arc that comes late in arc order:
+        # the arcs before it get witnesses, which are checked in one call
+        # before the report names the failure arc.
+        d = generate_4ore(16, seed=0)[0].with_arcs([(15, 12)])
+        report, calls = _spied_criticality(d, 4)
+        assert not report.verdict and report.failure_arc == (15, 12)
+        before = d.sorted_arcs()[:d.sorted_arcs().index((15, 12))]
+        assert len(before) == len(report.witnesses) > 0
+        assert calls == [(d, [(report.witnesses[arc], arc) for arc in before])]
+
+
+def _spied_criticality(d: Digraph, k: int):
+    """``is_k_dicritical(d, k)`` and the (digraph, pairs) of every
+    ``check_dicolourings`` call it made."""
+    calls = []
+
+    def checker(digraph, checks):
+        calls.append((digraph, list(checks)))
+        return check_dicolourings(digraph, calls[-1][1])
+
+    with mock.patch.object(colouring, "check_dicolourings", checker):
+        return is_k_dicritical(d, k), calls
 
 
 def _relabelled(d: Digraph, seed: int) -> Digraph:

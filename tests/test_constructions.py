@@ -242,17 +242,19 @@ def _record_checks(monkeypatch):
     """Every (digraph, colouring) the certifier hands to its checker; a
     check of D minus an arc is recorded with that digraph rebuilt."""
     checked = []
-    real_check = constructions.check_dicolouring
+    real_check = constructions.check_dicolourings
 
-    def recording_check(d, colouring, removed=None):
-        if removed is None:
-            checked.append((d, colouring))
-        else:
-            assert d.has_arc(*removed)
-            checked.append((Digraph(d.n, d.arcs - {removed}), colouring))
-        return real_check(d, colouring, removed)
+    def recording_check(d, checks):
+        checks = list(checks)
+        for colouring, removed in checks:
+            if removed is None:
+                checked.append((d, colouring))
+            else:
+                assert d.has_arc(*removed)
+                checked.append((Digraph(d.n, d.arcs - {removed}), colouring))
+        return real_check(d, checks)
 
-    monkeypatch.setattr(constructions, "check_dicolouring", recording_check)
+    monkeypatch.setattr(constructions, "check_dicolourings", recording_check)
     return checked
 
 
@@ -305,3 +307,42 @@ class TestWitnessOracle:
             assert valid_dicolouring(Digraph(g.n, g.arcs), colours)
             assert set(colours) == set(range(1, chi + 1))
             assert [v for v, c in enumerate(colours) if c == chi] == [0]
+
+
+class TestWitnessMutation:
+    """A witness recoloured at one vertex so that it closes a monochromatic
+    cycle fails its check, and only that witness does."""
+
+    @pytest.mark.parametrize("k, sample", [(4, None), (5, 40)])
+    def test_recoloured_witness_fails(self, monkeypatch, k, sample):
+        spec = _random_spec(k, 1)
+        g, layout = build_gk(k, spec)
+        triangles = [gadget.triangle for gadget in all_gadgets(layout)]
+        real = constructions._deletion_witness
+        mutated = []
+
+        def recolouring(level, arc):
+            witness = real(level, arc)
+            if mutated or level.digraph.n != g.n:
+                return witness
+            colours = list(witness.colours)
+            # A gadget triangle t0 -> t1 -> t2 -> t0 that avoids the arc and
+            # has two ends of one colour: the third end takes that colour.
+            for t in triangles:
+                ends = {t[0]: t[1], t[1]: t[2], t[2]: t[0]}
+                if ends.get(arc[0]) == arc[1] or len({colours[v] for v in t}) != 2:
+                    continue
+                odd = next(v for v in t if [colours[w] for w in t].count(colours[v]) == 1)
+                colours[odd] = next(colours[v] for v in t if v != odd)
+                break
+            mutated.append(arc)
+            assert not valid_dicolouring(Digraph(g.n, g.arcs - {arc}), colours)
+            return replace(witness, colours=tuple(colours))
+
+        monkeypatch.setattr(constructions, "_deletion_witness", recolouring)
+        report = certify_dicritical_composition(k, spec, witness_sample=sample)
+        considered = sample or g.m
+        assert report.witness_failures == mutated
+        assert report.witnesses_checked == considered - 1
+        assert not report.ok()
+        assert report.sub_certificate.ok()

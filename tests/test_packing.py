@@ -44,18 +44,20 @@ class TestMaxPacking:
         assert verify_packing(seven_vertex_composition, p)
 
     def test_budget_exhaustion_flags_non_optimal(self):
+        # K6 needs 2 nodes, one per triangle taken.
         k6 = bidirected_complete(6)
-        p = max_packing(k6, Budget(3))
+        p = max_packing(k6, Budget(1))
         assert not p.optimal
         assert verify_packing(k6, p)
 
     def test_many_items_stay_shallow(self):
         # 9,880 triangles and 780 digons: skipping an item must not cost a
         # stack frame, or the search overflows the recursion limit.  K40
-        # needs 9,877 nodes, so 5,000 runs out with many items still open.
+        # needs 13 nodes, one per triangle taken, so 10 runs out with
+        # thousands of triangles skipped and many items still open.
         k40 = bidirected_complete(40)
-        p = max_packing(k40, Budget(5_000))
-        assert p.value == 6 and not p.optimal
+        p = max_packing(k40, Budget(10))
+        assert p.value == 20 and not p.optimal
         assert verify_packing(k40, p)
 
     def test_unverifiable_packing_raises(self, k4, monkeypatch):
@@ -79,7 +81,7 @@ class TestMaxPacking:
     # counts are ceilings: a later change may lower them, never raise them.
     @pytest.mark.parametrize(
         "seed, value, nodes",
-        [(0, 19, 106), (1, 19, 173), (2, 19, 141), (3, 20, 71), (4, 19, 226)],
+        [(0, 19, 67), (1, 19, 112), (2, 19, 90), (3, 20, 51), (4, 19, 127)],
     )
     def test_4ore_nodes_pinned(self, seed, value, nodes):
         d, _ = generate_4ore(31, seed=seed)
@@ -88,7 +90,7 @@ class TestMaxPacking:
         assert p.optimal and p.value == value
         assert budget.used <= nodes
 
-    @pytest.mark.parametrize("seed, value, nodes", [(11, 23, 767), (18, 24, 603), (26, 23, 457)])
+    @pytest.mark.parametrize("seed, value, nodes", [(11, 23, 603), (18, 24, 451), (26, 23, 401)])
     def test_4ore_40_within_default_budget(self, seed, value, nodes):
         d, _ = generate_4ore(40, seed=seed)
         budget = Budget()
@@ -108,7 +110,7 @@ class TestMaxPacking:
         budget = Budget()
         p = max_packing(bidirected_complete(12), budget)
         assert p.optimal and p.value == 8
-        assert budget.used <= 220
+        assert budget.used <= 4
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_cliques_match_closed_form(self, n):
