@@ -79,24 +79,30 @@ class TestMaxPacking:
 
     # Value and node count of the search on inputs that run fast.  The
     # counts are ceilings: a later change may lower them, never raise them.
+    # The third parameter is the ceiling from when a triangle that meets a
+    # covered vertex still cost a node; the tables below hold the current,
+    # lower ones.
+    NODES_31 = {0: 67, 1: 112, 2: 90, 3: 51, 4: 127}
+    NODES_40 = {11: 603, 18: 451, 26: 401}
+
     @pytest.mark.parametrize(
         "seed, value, nodes",
-        [(0, 19, 67), (1, 19, 112), (2, 19, 90), (3, 20, 51), (4, 19, 127)],
+        [(0, 19, 106), (1, 19, 173), (2, 19, 141), (3, 20, 71), (4, 19, 226)],
     )
     def test_4ore_nodes_pinned(self, seed, value, nodes):
         d, _ = generate_4ore(31, seed=seed)
         budget = Budget()
         p = max_packing(d, budget)
         assert p.optimal and p.value == value
-        assert budget.used <= nodes
+        assert budget.used <= self.NODES_31[seed] <= nodes
 
-    @pytest.mark.parametrize("seed, value, nodes", [(11, 23, 603), (18, 24, 451), (26, 23, 401)])
+    @pytest.mark.parametrize("seed, value, nodes", [(11, 23, 767), (18, 24, 603), (26, 23, 457)])
     def test_4ore_40_within_default_budget(self, seed, value, nodes):
         d, _ = generate_4ore(40, seed=seed)
         budget = Budget()
         p = max_packing(d, budget)
         assert p.optimal and p.value == value
-        assert budget.used <= nodes
+        assert budget.used <= self.NODES_40[seed] <= nodes
 
     @settings(max_examples=150, deadline=None)
     @given(sparse_bidirected())
