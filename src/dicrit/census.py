@@ -9,8 +9,18 @@ generated: vertex 0 has the largest out-degree d0 and the out-neighbours
 1..d0, and out-degrees do not increase along 1..d0, nor along d0 + 1..n - 1
 (docs/decisions.md, section 11).  Candidates are generated vertex by
 vertex, so arc sets that break the degree condition or the rule are never
-built, and each (n, m) stream is generated once.  The ``nshards`` argument
-of :func:`census` has no effect.
+built, and each (n, m) stream is generated once, from choice tables built
+once per order.  The ``nshards`` argument of :func:`census` has no effect.
+Orders up to 6 are supported (``MAX_CENSUS_N``).
+
+For k >= 3 a candidate is first decided on bitsets: the last
+(k - 1)-dicolouring the call found on this order settles it when its
+colour classes are acyclic there, and otherwise the candidate is decided
+as ``is_k_dicritical`` refutes, a found colouring becoming the stored one.
+Only a candidate that is not (k - 1)-dicolourable becomes a ``Digraph`` for
+``is_k_dicritical``, so the scan yields what a full check of every
+candidate would (docs/decisions.md, section 18).  For k = 2 every
+candidate contains a cycle and goes straight to ``is_k_dicritical``.
 
 The candidate set, and with it every minimum the census reports, rests on
 one lemma: every k-dicritical digraph D has minimum in- and out-degree at
@@ -39,11 +49,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
-from .colouring import is_k_dicritical
+from .colouring import (
+    RefutationStats,
+    _branching,
+    _classes_acyclic,
+    _decide,
+    is_k_dicritical,
+)
 from .digraph import Digraph, DigraphError, parse, serialize
 from .iso import canonical_form
 
-MAX_CENSUS_N = 5
+MAX_CENSUS_N = 6
 
 
 @dataclass(frozen=True)
@@ -73,6 +89,7 @@ class CensusTable:
     witnesses: dict[int, list[CensusRecord]]
     oriented_witnesses: dict[int, list[CensusRecord]]
     # candidates: arc sets tested; dicritical: digraphs found before dedupe;
+    # reused: candidates settled by the stored colouring with no search;
     # nodes: budget spent inside the call.  No wall time, so the tables of
     # two runs with the same arguments compare equal.
     stats: dict[str, int] = field(default_factory=dict)
@@ -106,8 +123,14 @@ def _candidate_arc_sets(n: int, m: int, k: int, oriented_only: bool):
     than w chose it.  In the oriented case v never chooses an earlier u that
     already chose v, so no digon is built.
     """
-    # choices[v][size]: (mask, chosen, arcs) for every out-neighbourhood of v
-    # of that size, in lexicographic order; sizes below k - 1 are never read.
+    return _stream(_choice_table(n), m, k, oriented_only)
+
+
+def _choice_table(n: int) -> list:
+    """choices[v][size]: (mask, chosen, arcs) for every out-neighbourhood of
+    v of that size, in lexicographic order, except that vertex 0 has only
+    the first of each size, {1, ..., size}.  Sizes below k - 1 are never
+    read, so one table serves every k, m and mode of order n."""
     choices = []
     for v in range(n):
         others = [w for w in range(n) if w != v]
@@ -116,8 +139,13 @@ def _candidate_arc_sets(n: int, m: int, k: int, oriented_only: bool):
              for chosen in itertools.combinations(others, size)]
             for size in range(n)
         ])
-    # Vertex 0 takes only {1, ..., size}, the first of each size.
     choices[0] = [by_size[:1] for by_size in choices[0]]
+    return choices
+
+
+def _stream(choices: list, m: int, k: int, oriented_only: bool):
+    """``_candidate_arc_sets`` for the order of the choice table ``choices``."""
+    n = len(choices)
     return _extend(
         choices, k - 1, oriented_only, 0, m, 0, n - 1, [0] * n, [0] * n, [()] * n
     )
@@ -191,19 +219,61 @@ def _extend(
                 indeg[w] -= 1
 
 
+def _dicolourable(
+    n: int, arcs: tuple, k: int, budget: Budget, classes: list[int], stats: Counter
+) -> bool:
+    """Is the candidate on ``range(n)`` with arcs ``arcs`` (k - 1)-dicolourable?
+
+    Decided on out- and in-bitsets, with no ``Digraph``.  ``classes`` holds
+    the last (k - 1)-dicolouring found on this order, one vertex bitset per
+    colour, or nothing: when its classes are acyclic on this candidate they
+    prove the answer "yes" with no search, and ``stats["reused"]`` counts it.
+    Otherwise the candidate is decided as the refutation step of
+    ``is_k_dicritical`` decides it (``_branching``, then ``_decide``, same
+    order and nodes), and a colouring found replaces ``classes``
+    (docs/decisions.md, section 18)."""
+    out, inn = [0] * n, [0] * n
+    for u, v in arcs:
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    if classes and _classes_acyclic(out, classes):
+        stats["reused"] += 1
+        return True
+    position, ordered_out, ordered_inn = _branching(out, inn, arcs)
+    found = _decide(out, ordered_out, ordered_inn, k - 1, budget, RefutationStats())
+    if found is None:
+        return False
+    # No census order exceeds the solver's base size, so ``_decide`` ran the
+    # plain search and a "yes" carries its assignment, in branching order.
+    classes[:] = [0] * (k - 1)
+    for v, depth in enumerate(position):
+        classes[found[depth] - 1] |= 1 << v
+    return True
+
+
 def _scan_arc_sets(
-    n: int,
+    choices: list,
     m: int,
     k: int,
     budget: Budget,
     oriented_only: bool,
     stats: Counter,
+    classes: list[int],
 ):
-    """The size-m candidate stream: yields the k-dicritical digraphs found,
-    in stream order, and adds the number of arc sets tested to
-    ``stats["candidates"]``."""
-    for arcs in _candidate_arc_sets(n, m, k, oriented_only):
+    """The size-m candidate stream of the order of the choice table
+    ``choices``: yields the k-dicritical digraphs found, in stream order,
+    and adds the number of arc sets tested to ``stats["candidates"]``.
+
+    For k >= 3 a candidate becomes a ``Digraph`` for ``is_k_dicritical``
+    only once ``_dicolourable`` has found it not (k - 1)-dicolourable, with
+    ``classes`` as its stored colouring.  For k = 2 every candidate has an
+    out-neighbour at every vertex, so a cycle, and none is 1-dicolourable:
+    each goes straight to ``is_k_dicritical``."""
+    n = len(choices)
+    for arcs in _stream(choices, m, k, oriented_only):
         stats["candidates"] += 1
+        if k > 2 and _dicolourable(n, arcs, k, budget, classes, stats):
+            continue
         d = Digraph(n, arcs)
         if is_k_dicritical(d, k, budget).verdict:
             yield d
@@ -221,11 +291,15 @@ def _dedupe(found: list[Digraph]) -> list[Digraph]:
 
 
 def _minimum_for(
-    n: int, k: int, budget: Budget, oriented_only: bool, stats: Counter
+    choices: list, k: int, budget: Budget, oriented_only: bool, stats: Counter,
+    classes: list[int],
 ) -> tuple[int | None, list[Digraph]]:
+    n = len(choices)
     max_m = n * (n - 1) // (2 if oriented_only else 1)
     for m in range(max(1, n * (k - 1)), max_m + 1):
-        found = list(_scan_arc_sets(n, m, k, budget, oriented_only, stats))
+        found = list(
+            _scan_arc_sets(choices, m, k, budget, oriented_only, stats, classes)
+        )
         if found:
             stats["dicritical"] += len(found)
             return m, _dedupe(found)
@@ -238,7 +312,7 @@ def census(
     budget: Budget | int | None = None,
     nshards: int = 1,
 ) -> CensusTable:
-    """Exact d_k(n) and o_k(n) for 2 <= n <= n_max (n_max at most 5).
+    """Exact d_k(n) and o_k(n) for 2 <= n <= n_max (n_max at most 6).
 
     Each candidate stream is scanned once, in stream order.  ``nshards`` has
     no effect; it must still be at least 1."""
@@ -250,11 +324,14 @@ def census(
         raise DigraphError(f"census needs at least one shard, got {nshards}")
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "census")
     start = budget.used
-    stats: Counter = Counter(candidates=0, dicritical=0)
+    stats: Counter = Counter(candidates=0, dicritical=0, reused=0)
     table = CensusTable(k, {}, {}, {}, {})
     for n in range(2, n_max + 1):
-        d_min, d_wit = _minimum_for(n, k, budget, oriented_only=False, stats=stats)
-        o_min, o_wit = _minimum_for(n, k, budget, oriented_only=True, stats=stats)
+        # Both modes of one order share the choice table and the stored
+        # colouring; neither outlives this call.
+        choices, classes = _choice_table(n), []
+        d_min, d_wit = _minimum_for(choices, k, budget, False, stats, classes)
+        o_min, o_wit = _minimum_for(choices, k, budget, True, stats, classes)
         table.d_min[n] = d_min
         table.o_min[n] = o_min
         table.witnesses[n] = [

@@ -47,7 +47,9 @@ keeps a bit exactly when its colour classes have a cycle in D minus its
 arc (docs/decisions.md, section 17).  The removed arc is skipped on D
 itself, so no per-arc digraph is rebuilt.  Only for a pair that fails
 does a DFS (``_find_monochromatic_cycle``) find the cycle, and the two
-must agree.  ``check_dicolouring`` is the same check for one pair.
+must agree.  ``check_dicolouring`` is the same check for one pair, and
+``_classes_acyclic`` the same peel for one colouring given as class
+bitsets, with no removed arc and no cycle (the census's pre-check).
 
 Budgets count decision nodes; an exhausted budget raises
 :class:`~dicrit.budget.BudgetExceeded` rather than returning a silent "no".
@@ -255,6 +257,28 @@ def check_dicolourings(
             results.append((False, cycle))
         chunk = list(islice(checks, _PAIRS_PER_PEEL))
     return results
+
+
+def _classes_acyclic(out: Sequence[int], classes: Iterable[int]) -> bool:
+    """Does every vertex bitset of ``classes`` induce an acyclic subdigraph
+    of the digraph with out-bitsets ``out``?  Each class is peeled as one
+    pair of ``_peel`` is (docs/decisions.md, section 17): a vertex with no
+    out-neighbour left in the class is dropped, until a pass drops nothing,
+    and the class is acyclic exactly when nothing is left."""
+    for cls in classes:
+        dropped = True
+        while cls and dropped:
+            dropped = False
+            rest = cls
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not out[low.bit_length() - 1] & cls:
+                    cls ^= low
+                    dropped = True
+        if cls:
+            return False
+    return True
 
 
 def _branching(

@@ -150,11 +150,14 @@ def build_g3(
 
 
 def build_gk(k: int, spec: ConstructionSpec) -> tuple[Digraph, Layout]:
-    """The level-k construction over the spec's tournament choices."""
-    if k == 3:
-        return build_g3(spec.n0, spec.cycle_orientation_seed)
+    """The level-k construction over the spec's tournament choices, for any
+    level from 3 up to ``spec.k``."""
     if k < 3:
         raise DigraphError("constructions start at k = 3")
+    if k > spec.k:
+        raise DigraphError(f"level {k} lies above the spec's k = {spec.k}")
+    if k == 3:
+        return build_g3(spec.n0, spec.cycle_orientation_seed)
     sub_digraph, sub_layout = build_gk(k - 1, spec)
     t_arcs = tuple(sorted(spec.tournament_for(k)))
     layout = GkLayout(k, t_arcs, sub_digraph, sub_layout)
@@ -420,6 +423,10 @@ def certify_dicritical_composition(
         raise DigraphError(
             f"witness_sample must be at least 1, got {witness_sample}"
         )
+    if k < 3:
+        raise DigraphError("constructions start at k = 3")
+    if spec is not None and spec.k != k:
+        raise DigraphError(f"certifying level {k} with a spec for k = {spec.k}")
     d, layout = build_gk(k, spec or ConstructionSpec(k=k))
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "construction certificate")
     return _certify_level(d, layout, budget, witness_sample, random.Random(seed)).report

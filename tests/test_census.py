@@ -1,15 +1,20 @@
+import itertools
 import json
+from collections import Counter
 
 import pytest
 
 from dicrit.budget import Budget
 from dicrit.census import (
+    MAX_CENSUS_N,
     _candidate_arc_sets,
+    _choice_table,
+    _scan_arc_sets,
     census,
     load_record,
     save_records,
 )
-from dicrit.colouring import is_k_dicritical
+from dicrit.colouring import _BASE_SIZE, is_k_dicritical
 from dicrit.digraph import Digraph, DigraphError, directed_cycle
 from dicrit.iso import canonical_form, find_isomorphism
 
@@ -17,6 +22,7 @@ from .oracles import (
     oracle_candidate_stream,
     oracle_census_candidates,
     oracle_follows_labelling_rule,
+    oracle_ie_is_k_dicritical,
     oracle_is_k_dicritical,
 )
 
@@ -27,7 +33,21 @@ TABLES_N5 = {
     4: ((None, None, 12, 17), (None,) * 4),
 }
 #: Budget.used ceilings for census(k, 5).  Later changes may only lower them.
-NODE_CEILINGS_N5 = {2: 212, 3: 531, 4: 1_145}
+NODE_CEILINGS_N5 = {2: 212, 3: 333, 4: 661}
+#: census(k, 6) per k: d_k(6), o_k(6), and the arcs of the one witness of
+#: each, in the census's labelling.  No oriented graph on fewer than 7
+#: vertices is 3-dichromatic (Neumann-Lara), hence o_3(6) = o_4(6) = None.
+CYCLE_6 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+TABLES_N6 = {
+    2: (6, 6, CYCLE_6, CYCLE_6),
+    3: (13, None, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (2, 0), (2, 4), (3, 0),
+                   (3, 5), (4, 1), (4, 5), (5, 3), (5, 4)], None),
+    4: (20, None, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 0), (1, 2), (1, 3),
+                   (2, 0), (2, 1), (2, 4), (3, 0), (3, 1), (3, 5), (4, 0), (4, 2),
+                   (4, 5), (5, 0), (5, 3), (5, 4)], None),
+}
+#: Budget.used ceilings for census(k, 6).  Later changes may only lower them.
+NODE_CEILINGS_N6 = {2: 1_118, 3: 13_747, 4: 45_213}
 
 
 def census_streams():
@@ -155,6 +175,26 @@ class TestCensus:
             len(recs) for recs in table.witnesses.values()
         )
 
+    # Every stream census(k, 5) scans, in census order: the scan yields
+    # exactly the candidates the oracle calls k-dicritical, while the stored
+    # colouring carries over from stream to stream within one order.
+    @pytest.mark.parametrize("k", (3, 4))
+    def test_scan_yields_the_oracle_dicritical(self, k):
+        stats = Counter()
+        streams = [s for s in census_streams() if s[2] == k]
+        for n, group in itertools.groupby(streams, key=lambda s: s[0]):
+            choices, classes = _choice_table(n), []
+            for _, m, _, oriented in group:
+                got = [d.sorted_arcs() for d in _scan_arc_sets(
+                    choices, m, k, Budget(10**6), oriented, stats, classes
+                )]
+                expected = [
+                    list(arcs) for arcs in _candidate_arc_sets(n, m, k, oriented)
+                    if oracle_ie_is_k_dicritical(Digraph(n, arcs), k)
+                ]
+                assert got == expected, (n, m, oriented)
+        assert 0 < stats["reused"] < stats["candidates"]
+
     def test_stats(self):
         table = census(2, 3)
         # n = 2: the digon; n = 3: the directed triangle 0 -> 1 -> 2 -> 0,
@@ -163,14 +203,46 @@ class TestCensus:
         assert table.stats["dicritical"] == 3
         assert table.stats["candidates"] >= table.stats["dicritical"]
         assert table.stats["nodes"] > 0
+        assert table.stats["reused"] == 0  # k = 2 has no stored colouring
         assert table.to_json()["stats"] == table.stats
         budget = Budget(10**6)
         budget.spend(100)
         assert census(2, 3, budget).stats == table.stats
 
+    @pytest.mark.parametrize("k", (2, 3, 4))
+    def test_n6_row(self, k):
+        budget = Budget(50_000_000)
+        table = census(k, 6, budget)
+        d_min, o_min = TABLES_N5[k]
+        assert [table.d_min[n] for n in range(2, 6)] == list(d_min)
+        assert [table.o_min[n] for n in range(2, 6)] == list(o_min)
+        d6, o6, d_arcs, o_arcs = TABLES_N6[k]
+        assert (table.d_min[6], table.o_min[6]) == (d6, o6)
+        for records, arcs in ((table.witnesses[6], d_arcs),
+                              (table.oriented_witnesses[6], o_arcs)):
+            assert [rec.digraph.sorted_arcs() for rec in records] == (
+                [arcs] if arcs else []
+            )
+            for rec in records:
+                assert oracle_ie_is_k_dicritical(rec.digraph, k)
+        assert budget.used <= NODE_CEILINGS_N6[k]
+
+    # Every stream below d_3(6) and d_4(6): m starts at 6(k - 1).  The
+    # labelling rule drops no class (docs/decisions.md, section 11), so no
+    # k-dicritical digraph on 6 vertices has fewer arcs.
+    @pytest.mark.parametrize("k, m", [(3, 12), (4, 18), (4, 19)])
+    def test_n6_minimum_agrees_with_the_oracle(self, k, m):
+        assert m < TABLES_N6[k][0]
+        assert not any(
+            oracle_ie_is_k_dicritical(Digraph(6, arcs), k)
+            for arcs in _candidate_arc_sets(6, m, k, False)
+        )
+
     def test_bounds_validated(self):
         with pytest.raises(DigraphError):
-            census(2, 6)
+            census(2, 7)
+        # the scan reads the plain search's assignment off every "yes"
+        assert MAX_CENSUS_N <= _BASE_SIZE
         with pytest.raises(DigraphError):
             census(1, 3)
 

@@ -336,11 +336,12 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["d"] == {"2": 2, "3": 3}
         stats = payload["stats"]
-        assert set(stats) == {"candidates", "dicritical", "nodes"}
+        assert set(stats) == {"candidates", "dicritical", "reused", "nodes"}
         # the digon, and the directed triangle 0 -> 1 -> 2 -> 0 plain and
         # oriented: its other labelling breaks the census's labelling rule
         assert stats["candidates"] >= stats["dicritical"] == 3
         assert stats["nodes"] > 0
+        assert stats["reused"] == 0  # k = 2 tries no stored colouring
 
     def test_census_checks_the_oriented_bound(self, capsys, monkeypatch):
         # A directed triangle has 3 < (10/3 + 1/51) 3 - 1 arcs.

@@ -9,6 +9,7 @@ from dicrit import colouring
 from dicrit.budget import Budget, BudgetExceeded
 from dicrit.colouring import (
     _branching,
+    _classes_acyclic,
     _colourable,
     _decide,
     _find_monochromatic_cycle,
@@ -110,6 +111,19 @@ class TestCheckDicolouring:
         for (c, arc), (ok, cycle) in zip(checks, results):
             assert ok == valid_dicolouring(Digraph(d.n, d.arcs - {arc}), c.colours)
             assert cycle == _find_monochromatic_cycle(d, c.colours, arc)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_classes_acyclic_matches_the_oracle(self, data):
+        # the one-colouring peel on out-bitsets, with its colour classes as
+        # vertex bitsets; colours left unused give empty classes
+        d = data.draw(digraphs(max_n=8))
+        k = data.draw(st.integers(1, 4))
+        colours = data.draw(st.lists(st.integers(1, k), min_size=d.n, max_size=d.n))
+        classes = [0] * k
+        for v, c in enumerate(colours):
+            classes[c - 1] |= 1 << v
+        assert _classes_acyclic(d.out_masks, classes) == valid_dicolouring(d, colours)
 
     def test_no_pairs(self, c3):
         assert check_dicolourings(c3, []) == []

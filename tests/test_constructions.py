@@ -203,6 +203,19 @@ class TestCertify:
         with pytest.raises(DigraphError, match="constructions start at k = 3"):
             certify_dicritical_composition(2, ConstructionSpec(k=4))
 
+    @pytest.mark.parametrize("k, spec_k", [(4, 5), (5, 4), (3, 4)])
+    def test_spec_for_another_level_is_rejected(self, k, spec_k):
+        with pytest.raises(DigraphError, match=f"with a spec for k = {spec_k}"):
+            certify_dicritical_composition(k, ConstructionSpec(k=spec_k))
+
+    def test_level_above_the_spec_is_rejected(self):
+        with pytest.raises(DigraphError, match="level 5 lies above the spec's k = 4"):
+            build_gk(5, ConstructionSpec(k=4))
+        with pytest.raises(DigraphError, match="constructions start at k = 3"):
+            build_gk(2, ConstructionSpec(k=4))
+        # levels below the spec's k are the ones its own recursion builds
+        assert build_gk(3, ConstructionSpec(k=4))[0] == build_g3(1)[0]
+
     @pytest.mark.parametrize("case", ["tournament", "head to copy", "copy to tail"])
     def test_missing_wiring_fails_the_premises(self, case):
         # every witness still checks on the digraph minus one more arc, so
