@@ -4,10 +4,11 @@ The packing value is d + 2t for d digons and t bidirected triangles; its
 maximum over all packings is the quantity every potential computation
 needs.  Every item is a clique of the digon graph, so triangles are read
 off :func:`~dicrit.digraph.digon_masks`.  The search is branch and bound
-over the triangles as vertex bitsets, in lexicographic order, and then
-over digons by the partner of the lowest vertex left that has one, each
-with an admissible optimistic bound (a triangle adds at most half a unit
-over the digon rate of one per two vertices), so the result is
+over the triangles in lexicographic order, the ones still available held
+as one bitset over their indices, and then over digons by the partner of
+the lowest vertex left that has one, each with an admissible optimistic
+bound (a triangle adds at most half a unit over the digon rate of one per
+two vertices), so the result is
 exhaustively optimal unless the node budget runs out, in which case the
 best packing found so far is returned flagged non-optimal.
 """
@@ -72,60 +73,98 @@ def bidirected_triangles(d: Digraph) -> list[tuple[int, int, int]]:
 
 
 def _search(
-    triangles: list[int],
+    corners: list[tuple[int, int, int]],
+    meets: list[int],
     digon: list[int],
     budget: Budget,
     best: list,
-    i: int,
+    avail: int,
     value: int,
     used: int,
     free: int,
     chosen: tuple[int, ...],
 ) -> None:
-    """Branch on the triangles ``i..`` (vertex bitsets worth 2 each), then
-    on digons.  ``used`` is the bitset of covered vertices and ``free`` the
-    number left; ``best`` holds the incumbent value and items as bitsets,
-    so it survives :class:`BudgetExceeded`.  Each item taken costs one
-    budget node; a triangle that meets ``used`` is stepped over for free."""
+    """Branch on the triangles in ``avail``, a bitset over the indices of
+    ``corners`` holding the triangles not yet decided that miss the covered
+    vertices ``used``, then on digons.  ``meets[v]`` is the bitset of the
+    triangles through v, and ``free`` is the number of vertices left;
+    ``best`` holds the incumbent value and items as vertex bitsets, so it
+    survives :class:`BudgetExceeded`.  Each item taken costs one budget
+    node."""
     if value > best[0]:
         best[:] = value, chosen
-    # Taking triangle i recurses; skipping it moves on in the loop, so the
-    # depth is the number of items taken, at most n/2.  The bound: a
+    # Taking the lowest triangle recurses; skipping it moves on in the loop,
+    # so the depth is the number of items taken, at most n/2.  The bound: a
     # completion with d digons and t triangles has 2d + 3t <= free, so it
-    # adds d + 2t <= (free + t) / 2, and t is at most the triangles left
-    # and at most free/3.  Admissible (docs/decisions.md section 13).
-    while i < len(triangles) and (
-        value + (free + min(len(triangles) - i, free // 3)) // 2 > best[0]
-    ):
-        if not triangles[i] & used:
-            budget.spend()
-            _search(triangles, digon, budget, best, i + 1, value + 2,
-                    used | triangles[i], free - 3, chosen + (triangles[i],))
-        i += 1
-    if i < len(triangles):
+    # adds d + 2t <= (free + t) / 2, and t is at most the triangles still
+    # available and at most free/3.  Admissible (docs/decisions.md section 13).
+    room = free // 3
+    while avail:
+        t = avail.bit_count()
+        if value + (free + (t if t < room else room)) // 2 <= best[0]:
+            return
+        low = avail & -avail
+        a, b, c = corners[low.bit_length() - 1]
+        triangle = 1 << a | 1 << b | 1 << c
+        budget.spend()
+        _search(corners, meets, digon, budget, best,
+                avail & ~(meets[a] | meets[b] | meets[c]), value + 2,
+                used | triangle, free - 3, chosen + (triangle,))
+        avail ^= low
+    # No triangle is left, so the bound is the one at t = 0.
+    if value + free // 2 <= best[0]:
         return
-    # Digons: the lowest uncovered vertex v with an uncovered partner takes
-    # each such partner w in turn and is never left out, since a best
-    # matching of the rest that misses v covers w, and swapping w's digon
-    # for vw keeps its size.  At most half of these vertices get a digon.
-    live = [v for v in range(len(digon)) if not used >> v & 1 and digon[v] & ~used]
-    for w in bits(digon[live[0]] & ~used) if live else ():
-        if value + len(live) // 2 <= best[0]:
+    rest = ~used & ((1 << len(digon)) - 1)
+    live = sum(1 << v for v in bits(rest) if digon[v] & rest)
+    _digons(digon, budget, best, live, value, used, chosen)
+
+
+def _digons(
+    digon: list[int],
+    budget: Budget,
+    best: list,
+    live: int,
+    value: int,
+    used: int,
+    chosen: tuple[int, ...],
+) -> None:
+    """Branch on digons: ``live`` is the bitset of uncovered vertices with an
+    uncovered digon partner.  The lowest live vertex v takes each such
+    partner w in turn and is never left out, since a best matching of the
+    rest that misses v covers w, and swapping w's digon for vw keeps its
+    size.  At most half of the live vertices get a digon."""
+    if value > best[0]:
+        best[:] = value, chosen
+    if not live:
+        return
+    v = (live & -live).bit_length() - 1
+    for w in bits(digon[v] & ~used):
+        if value + live.bit_count() // 2 <= best[0]:
             return
         budget.spend()
-        pair = 1 << live[0] | 1 << w
-        _search(triangles, digon, budget, best, i, value + 1, used | pair,
-                free - 2, chosen + (pair,))
+        pair = 1 << v | 1 << w
+        covered = used | pair
+        # Only v's and w's neighbours can lose their last uncovered partner.
+        rest = live & ~pair
+        for x in bits((digon[v] | digon[w]) & rest):
+            if not digon[x] & ~covered:
+                rest ^= 1 << x
+        _digons(digon, budget, best, rest, value + 1, covered, chosen + (pair,))
 
 
 def max_packing(d: Digraph, budget: Budget | int | None = None) -> Packing:
     """A maximum packing, exhaustively optimal within the node budget."""
     budget = ensure_budget(budget, DEFAULT_PACKING_NODES, "packing search")
-    triangles = [sum(1 << v for v in t) for t in bidirected_triangles(d)]
+    corners = bidirected_triangles(d)
+    meets = [0] * d.n
+    for i, triangle in enumerate(corners):
+        for v in triangle:
+            meets[v] |= 1 << i
     best: list = [0, ()]
     optimal = True
     try:
-        _search(triangles, digon_masks(d), budget, best, 0, 0, 0, d.n, ())
+        _search(corners, meets, digon_masks(d), budget, best,
+                (1 << len(corners)) - 1, 0, 0, d.n, ())
     except BudgetExceeded:
         optimal = False
     items = [tuple(bits(item)) for item in best[1]]

@@ -16,6 +16,7 @@ pair is ever scanned.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -206,42 +207,84 @@ def discharge(d: Digraph, params: PotentialParams) -> ChargeLedger:
         in d(v) but not in nu(v), as the sender has degree 6 < 8.
     R3: a degree-7 vertex with d- = 3 (resp. d+ = 3) sends 1/12 - eps/8 to
         each in-neighbour (resp. out-neighbour).
+
+    Each distinct rational is computed once and put over L, the lcm of
+    their denominators; the charges are then integer numerators over L, and
+    each distinct charge becomes a ``Fraction`` once (docs/decisions.md
+    section 19).
     """
     eps, delta = params.eps, params.delta
     out, inn = d.out_masks, d.in_masks
     degree = [o.bit_count() + i.bit_count() for o, i in zip(out, inn)]
     heavy = sum(1 << v for v, k in enumerate(degree) if k >= 8)
-    sigma = dict.fromkeys(d.vertices(), Fraction(0))
-    for comp in d6_components(d):
-        if len(comp.vertices) >= 2:
-            sigma.update(dict.fromkeys(comp.vertices, delta / len(comp.vertices)))
+    d6 = sum(1 << v for v, k in enumerate(degree) if k == 6 and out[v] & inn[v])
+    adj = underlying_masks(d)
+    # The distinct rationals: base, small, delta/|C| per component size and
+    # R2's per-arc amount per (d(u), nu(u)) of a receiver u: only a receiver,
+    # a neighbour of a degree-6 vertex, is sure to have d(u) - nu(u) >= 1.
     base = TEN_THIRDS + eps
-    initial = {v: base - Fraction(k, 2) - sigma[v] for v, k in enumerate(degree)}
-    small_amount = Fraction(1, 12) - eps / 8
-    per_arc: dict[int, Fraction] = {}  # R2's amount depends on the receiver only
+    small = Fraction(1, 12) - eps / 8
+    shared = [comp for comp in mask_components(adj, d6) if comp.bit_count() >= 2]
+    share = {size: delta / size for size in {comp.bit_count() for comp in shared}}
+    sigma = dict.fromkeys(d.vertices(), Fraction(0))
+    for comp in shared:
+        sigma.update(dict.fromkeys(bits(comp), share[comp.bit_count()]))
+    receivers = 0
+    for v in bits(d6):
+        receivers |= adj[v]
+    key_of = {
+        u: (degree[u], (out[u] & heavy).bit_count() + (inn[u] & heavy).bit_count())
+        for u in bits(receivers & heavy)
+    }
+    rate = {key: (Fraction(key[0], 2) - base) / (key[0] - key[1])
+            for key in set(key_of.values())}
+    scale = math.lcm(2, base.denominator, small.denominator,
+                     *(q.denominator for q in share.values()),
+                     *(q.denominator for q in rate.values()))
+
+    def over_scale(q: Fraction) -> int:
+        return q.numerator * (scale // q.denominator)
+
+    # R2 amounts by receiver key and digon bit: (Fraction, numerator over L).
+    r2 = {key: ((q, over_scale(q)), (2 * q, 2 * over_scale(q))) for key, q in rate.items()}
+    small_n = over_scale(small)
+    initial_n = [over_scale(base) - k * (scale // 2) for k in degree]
+    for comp in shared:
+        share_n = over_scale(share[comp.bit_count()])
+        for v in bits(comp):
+            initial_n[v] -= share_n
+    final_n = list(initial_n)
     transfers: list[Transfer] = []
 
     for v, k in enumerate(degree):
         o, i = out[v], inn[v]
-        if k == 6 and not o & i:
-            transfers += (Transfer("R1", v, u, small_amount) for u in bits(o | i))
-        elif k == 6:
+        targets = 0
+        if k == 6 and o & i:
             for u in bits((o | i) & heavy):
-                if u not in per_arc:
-                    excess = Fraction(degree[u], 2) - base
-                    per_arc[u] = excess / (degree[u] - valency8(d, u))
                 digon = (o & i) >> u & 1
                 note = None if digon else "simple arc: per-arc amount sent once"
-                transfers.append(Transfer("R2", v, u, (1 + digon) * per_arc[u], note))
+                amount, amount_n = r2[key_of[u]][digon]
+                transfers.append(Transfer("R2", v, u, amount, note))
+                final_n[v] -= amount_n
+                final_n[u] += amount_n
+        elif k == 6:
+            targets = o | i
         elif k == 7:
             targets = i if i.bit_count() == 3 else o if o.bit_count() == 3 else 0
-            transfers += (Transfer("R3", v, u, small_amount) for u in bits(targets))
+        for u in bits(targets):
+            transfers.append(Transfer("R1" if k == 6 else "R3", v, u, small))
+            final_n[u] += small_n
+        final_n[v] -= targets.bit_count() * small_n
 
-    final = dict(initial)
-    for t in transfers:
-        final[t.source] -= t.amount
-        final[t.target] += t.amount
-    return ChargeLedger(params, sigma, initial, transfers, final)
+    made: dict[int, Fraction] = {}  # each distinct charge becomes one Fraction
+
+    def charges(numerators: list[int]) -> dict[int, Fraction]:
+        for num in numerators:
+            if num not in made:
+                made[num] = Fraction(num, scale)
+        return dict(enumerate(made[num] for num in numerators))
+
+    return ChargeLedger(params, sigma, charges(initial_n), transfers, charges(final_n))
 
 
 # -- phi-identification and dicritical extensions ----------------------------

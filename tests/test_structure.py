@@ -38,6 +38,7 @@ from .oracles import (
     valid_dicolouring,
 )
 from .test_digraph import digraphs, mixed_digraphs
+from .test_ore import swapped_4ore
 
 F = Fraction
 
@@ -273,6 +274,15 @@ class TestDischarge:
         assert ledger.total_initial() == F(22, 17)
         assert ledger.total_initial() >= potential(k4, REFERENCE_PARAMS) == F(20, 17)
 
+    def test_heavy_vertices_without_a_d6_neighbour(self):
+        # Every vertex of bidirected K5..K8 has degree at least 8 and only
+        # such neighbours, so d(u) - nu(u) = 0: no R2 amount may be computed.
+        for n in range(5, 9):
+            d = bidirected_complete(n)
+            ledger = discharge(d, REFERENCE_PARAMS)
+            assert ledger.transfers == []
+            assert ledger.to_json() == oracle_discharge(d, REFERENCE_PARAMS).to_json()
+
     def test_low_degree_no_transfers(self, c5_bi):
         ledger = discharge(c5_bi, REFERENCE_PARAMS)
         assert ledger.transfers == []
@@ -308,6 +318,18 @@ class TestDischarge:
         ledger = discharge(d, REFERENCE_PARAMS)
         r3 = [t for t in ledger.transfers if t.rule == "R3"]
         assert sorted(t.target for t in r3) == [1, 2, 3]
+
+    @pytest.mark.parametrize("n", range(13, 32, 3))
+    def test_4ore_ledgers_match_the_oracle(self, n):
+        # Inputs the size of the analyse and negative benchmark jobs, under
+        # PARAMS and a pair whose denominators 7 and 11 divide none of the
+        # others, so that L is no denominator of the inputs' own.
+        for seed in range(10):
+            for d in (generate_4ore(n, seed=seed)[0], swapped_4ore(n, seed)):
+                for params in (*PARAMS, PotentialParams(F(1, 7), F(3, 11))):
+                    ledger = discharge(d, params)
+                    assert ledger.to_json() == oracle_discharge(d, params).to_json()
+                    assert ledger.total_initial() == ledger.total_final()
 
     @settings(max_examples=60)
     @given(digraphs(max_n=7))
