@@ -8,10 +8,10 @@ nor dicriticality, so only candidates whose labels follow one rule are
 generated: vertex 0 has the largest out-degree d0 and the out-neighbours
 1..d0, and out-degrees do not increase along 1..d0, nor along d0 + 1..n - 1
 (docs/decisions.md, section 11).  Candidates are generated vertex by
-vertex, so arc sets that break the degree condition or the rule are never
-built, and each (n, m) stream is generated once, from choice tables built
-once per order.  The ``nshards`` argument of :func:`census` has no effect.
-Orders up to 6 are supported (``MAX_CENSUS_N``).
+vertex as out-bitsets, so digraphs that break the degree condition or the
+rule are never built, and each (n, m) stream is generated once, from choice
+tables built once per order.  The ``nshards`` argument of :func:`census`
+has no effect.  Orders up to 6 are supported (``MAX_CENSUS_N``).
 
 For k >= 3 a candidate is first decided on bitsets: the last
 (k - 1)-dicolouring the call found on this order settles it when its
@@ -54,9 +54,10 @@ from .colouring import (
     _branching,
     _classes_acyclic,
     _decide,
+    _in_masks,
     is_k_dicritical,
 )
-from .digraph import Digraph, DigraphError, parse, serialize
+from .digraph import Digraph, DigraphError, bits, parse, serialize
 from .iso import canonical_form
 
 MAX_CENSUS_N = 6
@@ -64,12 +65,21 @@ MAX_CENSUS_N = 6
 
 @dataclass(frozen=True)
 class CensusRecord:
-    n: int
     k: int
     digraph: Digraph
-    arc_count: int
-    oriented: bool
     verified_dicritical: bool
+
+    @property
+    def n(self) -> int:
+        return self.digraph.n
+
+    @property
+    def arc_count(self) -> int:
+        return self.digraph.m
+
+    @property
+    def oriented(self) -> bool:
+        return self.digraph.is_oriented()
 
     def to_json(self) -> dict:
         return {
@@ -88,7 +98,7 @@ class CensusTable:
     o_min: dict[int, int | None]  # n -> o_k(n) over oriented graphs
     witnesses: dict[int, list[CensusRecord]]
     oriented_witnesses: dict[int, list[CensusRecord]]
-    # candidates: arc sets tested; dicritical: digraphs found before dedupe;
+    # candidates: digraphs tested; dicritical: digraphs found before dedupe;
     # reused: candidates settled by the stored colouring with no search;
     # nodes: budget spent inside the call.  No wall time, so the tables of
     # two runs with the same arguments compare equal.
@@ -103,15 +113,32 @@ class CensusTable:
         }
 
 
-def _candidate_arc_sets(n: int, m: int, k: int, oriented_only: bool):
-    """The m-arc digraphs on ``range(n)`` whose in- and out-degrees are all
-    at least k - 1 and whose labels follow the census's rule, each once, as
-    tuples of arcs in lexicographic order; with ``oriented_only``, only
-    those without a digon.  The rule: vertex 0 has the largest out-degree d0
-    and the out-neighbourhood {1, ..., d0}, and out-degrees do not increase
-    along 1..d0, nor along d0 + 1..n - 1.  Every isomorphism class of such
-    digraphs has at least one labelling that follows it, often several
-    (docs/decisions.md, section 11).
+def _choice_table(n: int) -> list:
+    """choices[v][size]: (mask, chosen) for every out-neighbourhood of
+    v of that size, in lexicographic order, except that vertex 0 has only
+    the first of each size, {1, ..., size}.  Sizes below k - 1 are never
+    read, so one table serves every k, m and mode of order n."""
+    choices = []
+    for v in range(n):
+        others = [w for w in range(n) if w != v]
+        choices.append([
+            [(sum(1 << w for w in chosen), chosen)
+             for chosen in itertools.combinations(others, size)]
+            for size in range(n)
+        ])
+    choices[0] = [by_size[:1] for by_size in choices[0]]
+    return choices
+
+
+def _stream(choices: list, m: int, k: int, oriented_only: bool):
+    """The m-arc digraphs on ``range(n)``, n the order of the choice table
+    ``choices``, whose in- and out-degrees are all at least k - 1 and whose
+    labels follow the census's rule, each once, as tuples of out-bitsets;
+    with ``oriented_only``, only those without a digon.  The rule: vertex 0
+    has the largest out-degree d0 and the out-neighbourhood {1, ..., d0},
+    and out-degrees do not increase along 1..d0, nor along d0 + 1..n - 1.
+    Every isomorphism class of such digraphs has at least one labelling
+    that follows it, often several (docs/decisions.md, section 11).
 
     Vertices choose their out-neighbourhoods (of size at least k - 1) in the
     order 0, 1, ..., n - 1, and the stream follows that order; vertex 0 takes
@@ -123,32 +150,8 @@ def _candidate_arc_sets(n: int, m: int, k: int, oriented_only: bool):
     than w chose it.  In the oriented case v never chooses an earlier u that
     already chose v, so no digon is built.
     """
-    return _stream(_choice_table(n), m, k, oriented_only)
-
-
-def _choice_table(n: int) -> list:
-    """choices[v][size]: (mask, chosen, arcs) for every out-neighbourhood of
-    v of that size, in lexicographic order, except that vertex 0 has only
-    the first of each size, {1, ..., size}.  Sizes below k - 1 are never
-    read, so one table serves every k, m and mode of order n."""
-    choices = []
-    for v in range(n):
-        others = [w for w in range(n) if w != v]
-        choices.append([
-            [(sum(1 << w for w in chosen), chosen, tuple((v, w) for w in chosen))
-             for chosen in itertools.combinations(others, size)]
-            for size in range(n)
-        ])
-    choices[0] = [by_size[:1] for by_size in choices[0]]
-    return choices
-
-
-def _stream(choices: list, m: int, k: int, oriented_only: bool):
-    """``_candidate_arc_sets`` for the order of the choice table ``choices``."""
     n = len(choices)
-    return _extend(
-        choices, k - 1, oriented_only, 0, m, 0, n - 1, [0] * n, [0] * n, [()] * n
-    )
+    return _extend(choices, k - 1, oriented_only, 0, m, 0, n - 1, [0] * n, [0] * n)
 
 
 def _extend(
@@ -161,16 +164,15 @@ def _extend(
     cap: int,
     indeg: list[int],
     masks: list[int],
-    picked: list[tuple],
 ):
-    """The arc tuples that give vertices v, v + 1, ... their out-neighbourhoods
-    with ``left`` arcs in all.  ``cap`` is the most arcs v may choose and,
-    for v > 0, ``top`` is vertex 0's out-degree d0.  For each u < v,
-    ``masks[u]`` and ``picked[u]`` are the bitset and arcs of the
-    out-neighbourhood u chose, and ``indeg[w]`` counts the u < v that chose
-    w; the lists are updated in place and restored on the way back.  A plain
-    function, not a closure over the tables, so that no reference cycle keeps
-    them alive until the next collection."""
+    """The out-bitset tuples that give vertices v, v + 1, ... their
+    out-neighbourhoods with ``left`` arcs in all.  ``cap`` is the most arcs
+    v may choose and, for v > 0, ``top`` is vertex 0's out-degree d0.  For
+    each u < v, ``masks[u]`` is the out-neighbourhood u chose, and
+    ``indeg[w]`` counts the u < v that chose w; the lists are updated in
+    place and restored on the way back.  A plain function, not a closure
+    over the tables, so that no reference cycle keeps them alive until the
+    next collection."""
     n = len(choices)
     rest = n - 1 - v
     # After v chooses, every w needs in-degree at least low - rest, one more
@@ -201,28 +203,27 @@ def _extend(
             top = size
         # Vertex d0 + 1 starts the second group, capped by d0 again.
         nxt = top if v == top else size
-        for mask, chosen, arcs in by_size[size]:
+        for mask, chosen in by_size[size]:
             if mask & required != required or mask & banned:
                 continue
-            picked[v] = arcs
-            if not rest:
-                yield sum(picked, ())
-                continue
             masks[v] = mask
+            if not rest:
+                yield tuple(masks)
+                continue
             for w in chosen:
                 indeg[w] += 1
             yield from _extend(
                 choices, low, oriented_only, v + 1, left - size, top, nxt,
-                indeg, masks, picked,
+                indeg, masks,
             )
             for w in chosen:
                 indeg[w] -= 1
 
 
 def _dicolourable(
-    n: int, arcs: tuple, k: int, budget: Budget, classes: list[int], stats: Counter
+    out: tuple, k: int, budget: Budget, classes: list[int], stats: Counter
 ) -> bool:
-    """Is the candidate on ``range(n)`` with arcs ``arcs`` (k - 1)-dicolourable?
+    """Is the candidate with out-bitsets ``out`` (k - 1)-dicolourable?
 
     Decided on out- and in-bitsets, with no ``Digraph``.  ``classes`` holds
     the last (k - 1)-dicolouring found on this order, one vertex bitset per
@@ -232,14 +233,10 @@ def _dicolourable(
     ``is_k_dicritical`` decides it (``_branching``, then ``_decide``, same
     order and nodes), and a colouring found replaces ``classes``
     (docs/decisions.md, section 18)."""
-    out, inn = [0] * n, [0] * n
-    for u, v in arcs:
-        out[u] |= 1 << v
-        inn[v] |= 1 << u
     if classes and _classes_acyclic(out, classes):
         stats["reused"] += 1
         return True
-    position, ordered_out, ordered_inn = _branching(out, inn, arcs)
+    position, ordered_out, ordered_inn = _branching(out, _in_masks(out))
     found = _decide(out, ordered_out, ordered_inn, k - 1, budget, RefutationStats())
     if found is None:
         return False
@@ -262,19 +259,19 @@ def _scan_arc_sets(
 ):
     """The size-m candidate stream of the order of the choice table
     ``choices``: yields the k-dicritical digraphs found, in stream order,
-    and adds the number of arc sets tested to ``stats["candidates"]``.
+    and adds the number of candidates tested to ``stats["candidates"]``.
 
     For k >= 3 a candidate becomes a ``Digraph`` for ``is_k_dicritical``
     only once ``_dicolourable`` has found it not (k - 1)-dicolourable, with
     ``classes`` as its stored colouring.  For k = 2 every candidate has an
     out-neighbour at every vertex, so a cycle, and none is 1-dicolourable:
     each goes straight to ``is_k_dicritical``."""
-    n = len(choices)
-    for arcs in _stream(choices, m, k, oriented_only):
+    for out in _stream(choices, m, k, oriented_only):
         stats["candidates"] += 1
-        if k > 2 and _dicolourable(n, arcs, k, budget, classes, stats):
+        if k > 2 and _dicolourable(out, k, budget, classes, stats):
             continue
-        d = Digraph(n, arcs)
+        arcs = [(u, v) for u, targets in enumerate(out) for v in bits(targets)]
+        d = Digraph(len(out), arcs)
         if is_k_dicritical(d, k, budget).verdict:
             yield d
 
@@ -334,12 +331,8 @@ def census(
         o_min, o_wit = _minimum_for(choices, k, budget, True, stats, classes)
         table.d_min[n] = d_min
         table.o_min[n] = o_min
-        table.witnesses[n] = [
-            CensusRecord(n, k, w, w.m, w.is_oriented(), True) for w in d_wit
-        ]
-        table.oriented_witnesses[n] = [
-            CensusRecord(n, k, w, w.m, w.is_oriented(), True) for w in o_wit
-        ]
+        table.witnesses[n] = [CensusRecord(k, w, True) for w in d_wit]
+        table.oriented_witnesses[n] = [CensusRecord(k, w, True) for w in o_wit]
     table.stats = {**stats, "nodes": budget.used - start}
     return table
 
@@ -392,11 +385,4 @@ def load_record(
             f"{blob_path}: stored digraph no longer verifies as "
             f"{k}-dicritical ({report.failure_reason})"
         )
-    return CensusRecord(
-        n=d.n,
-        k=k,
-        digraph=d,
-        arc_count=d.m,
-        oriented=d.is_oriented(),
-        verified_dicritical=True,
-    )
+    return CensusRecord(k, d, verified_dicritical=True)

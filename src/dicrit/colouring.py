@@ -192,7 +192,10 @@ def _peel(d: Digraph, order: list[int], chunk: list) -> list[bool]:
             raise ColouringError(
                 f"assignment covers {len(colouring.colours)} vertices, digraph has {n}"
             )
-    alive, width = _cells([colouring.colours for colouring, _ in chunk], n)
+    try:
+        alive, width = _cells([colouring.colours for colouring, _ in chunk], n)
+    except TypeError:
+        raise ColouringError("colours must be integers") from None
     full = (1 << width) - 1
     # A removed arc ab no longer passes to a the bit of its pair at a's
     # colour: b leaves a's plain out-neighbours and passes to a masked.
@@ -282,10 +285,10 @@ def _classes_acyclic(out: Sequence[int], classes: Iterable[int]) -> bool:
 
 
 def _branching(
-    out: Sequence[int], inn: Sequence[int], arcs: Iterable[tuple[int, int]]
+    out: Sequence[int], inn: Sequence[int]
 ) -> tuple[list[int], list[int], list[int]]:
-    """The digraph with out- and in-bitsets ``out``/``inn`` and arc list
-    ``arcs`` relabelled into its connectivity order, for the kernel.
+    """The digraph with out- and in-bitsets ``out``/``inn`` relabelled into
+    its connectivity order, for the kernel.
 
     The order puts a vertex of highest degree first, then always the vertex
     with the most neighbours already placed (ties by degree, then id).  Each
@@ -297,8 +300,7 @@ def _branching(
 
     Returns ``position``, where ``position[v]`` is the depth of vertex v,
     and the out- and in-bitsets with depth i as vertex i, both built in one
-    pass over ``arcs``: on the census's digraphs of at most 5 vertices that
-    is cheaper than walking the bits of ``out``.
+    pass over the bits of ``out``.
     """
     n = len(out)
     score = [
@@ -318,10 +320,12 @@ def _branching(
             score[low.bit_length() - 1] += step
             ahead ^= low
     ordered_out, ordered_inn = [0] * n, [0] * n
-    for u, v in arcs:
-        i, j = position[u], position[v]
-        ordered_out[i] |= 1 << j
-        ordered_inn[j] |= 1 << i
+    for u, targets in enumerate(out):
+        i = position[u]
+        for v in bits(targets):
+            j = position[v]
+            ordered_out[i] |= 1 << j
+            ordered_inn[j] |= 1 << i
     return position, ordered_out, ordered_inn
 
 
@@ -581,8 +585,7 @@ def _colourable(out: Sequence[int], c: int, budget: Budget, stats: RefutationSta
         for u, v, gadget in gadgets:
             _attach(out, index[u], index[v], gadget, c)
     stats.piece_solves += 1
-    arcs = [(u, v) for u, targets in enumerate(out) for v in bits(targets)]
-    _, ordered_out, ordered_inn = _branching(out, _in_masks(out), arcs)
+    _, ordered_out, ordered_inn = _branching(out, _in_masks(out))
     return _first_assignment(ordered_out, ordered_inn, c, budget) is not None
 
 
@@ -632,7 +635,7 @@ def is_k_dicolourable(
     if k < 1:
         raise ColouringError("k must be at least 1")
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "dicolouring search")
-    position, out, inn = _branching(d.out_masks, d.in_masks, d.arcs)
+    position, out, inn = _branching(d.out_masks, d.in_masks)
     found = _decide(d.out_masks, out, inn, k, budget, RefutationStats())
     if found is True:
         found = _first_assignment(out, inn, k, budget)
@@ -643,7 +646,7 @@ def dichromatic_number(d: Digraph, budget: Budget | int | None = None) -> int:
     """The least k for which D is k-dicolourable, each k decided like the
     refutation step of :func:`is_k_dicritical`."""
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "dichromatic number")
-    _, ordered_out, ordered_inn = _branching(d.out_masks, d.in_masks, d.arcs)
+    _, ordered_out, ordered_inn = _branching(d.out_masks, d.in_masks)
     stats = RefutationStats()
     for k in range(1, d.n + 1):
         if _decide(d.out_masks, ordered_out, ordered_inn, k, budget, stats):
@@ -766,7 +769,7 @@ def is_k_dicritical(
                     failure_reason=f"vertex {v} is isolated, so D-{v} is a proper "
                     f"subdigraph with the same dichromatic number",
                 )
-    position, ordered_out, ordered_inn = _branching(out, inn, d.arcs)
+    position, ordered_out, ordered_inn = _branching(out, inn)
     refutation = RefutationStats()
     if _decide(out, ordered_out, ordered_inn, k - 1, budget, refutation):
         return CriticalityReport(

@@ -315,8 +315,8 @@ def phi_identify(
         raise DigraphError("phi-identification needs 4 <= |R| < n(D)")
     if set(phi) != set(r):
         raise DigraphError("phi must colour exactly the vertices of R")
-    if any(c not in (1, 2, 3) for c in phi.values()):
-        raise DigraphError("phi must use colours 1..3")
+    if any(type(c) is not int or c not in (1, 2, 3) for c in phi.values()):
+        raise DigraphError("phi must use the integer colours 1..3")
     sub, sub_map = induced(d, r)
     sub_colours = [0] * sub.n
     for v in r:

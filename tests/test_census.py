@@ -7,15 +7,15 @@ import pytest
 from dicrit.budget import Budget
 from dicrit.census import (
     MAX_CENSUS_N,
-    _candidate_arc_sets,
     _choice_table,
     _scan_arc_sets,
+    _stream,
     census,
     load_record,
     save_records,
 )
 from dicrit.colouring import _BASE_SIZE, is_k_dicritical
-from dicrit.digraph import Digraph, DigraphError, directed_cycle
+from dicrit.digraph import Digraph, DigraphError, bits, directed_cycle
 from dicrit.iso import canonical_form, find_isomorphism
 
 from .oracles import (
@@ -34,6 +34,10 @@ TABLES_N5 = {
 }
 #: Budget.used ceilings for census(k, 5).  Later changes may only lower them.
 NODE_CEILINGS_N5 = {2: 212, 3: 333, 4: 661}
+#: census(k, 5).stats per k as (candidates, dicritical, reused, nodes).  A
+#: change to the candidate stream or the search shows here as a diff, even
+#: one that stays under the ceilings.
+STATS_N5 = {2: (25, 19, 0, 212), 3: (55, 5, 32, 333), 4: (97, 3, 54, 661)}
 #: census(k, 6) per k: d_k(6), o_k(6), and the arcs of the one witness of
 #: each, in the census's labelling.  No oriented graph on fewer than 7
 #: vertices is 3-dichromatic (Neumann-Lara), hence o_3(6) = o_4(6) = None.
@@ -48,6 +52,20 @@ TABLES_N6 = {
 }
 #: Budget.used ceilings for census(k, 6).  Later changes may only lower them.
 NODE_CEILINGS_N6 = {2: 1_118, 3: 13_747, 4: 45_213}
+#: census(k, 6).stats per k, as ``STATS_N5``.
+STATS_N6 = {
+    2: (110, 67, 0, 1_118),
+    3: (4_709, 17, 3_555, 13_747),
+    4: (28_073, 15, 24_391, 45_213),
+}
+STATS_KEYS = ("candidates", "dicritical", "reused", "nodes")
+
+
+def candidate_arc_sets(n, m, k, oriented):
+    """The census's candidate stream of order n, each candidate as a tuple
+    of arcs in lexicographic order."""
+    for out in _stream(_choice_table(n), m, k, oriented):
+        yield tuple((u, v) for u, targets in enumerate(out) for v in bits(targets))
 
 
 def census_streams():
@@ -62,7 +80,7 @@ def census_streams():
 
 
 def assert_candidates_match(n, m, k, oriented):
-    got = [frozenset(arcs) for arcs in _candidate_arc_sets(n, m, k, oriented)]
+    got = [frozenset(arcs) for arcs in candidate_arc_sets(n, m, k, oriented)]
     assert len(got) == len(set(got)), f"an arc set was generated twice at m={m}"
     expected = {
         arcs for arcs in oracle_census_candidates(n, m, k, oriented)
@@ -93,7 +111,7 @@ class TestCandidates:
     @pytest.mark.parametrize("oriented", (False, True))
     def test_stream_order_is_pinned(self, n, k, oriented):
         for m in range(n * (k - 1), n * (k - 1) + 4):
-            got = list(_candidate_arc_sets(n, m, k, oriented))
+            got = list(candidate_arc_sets(n, m, k, oriented))
             expected = [
                 arcs for arcs in oracle_candidate_stream(n, m, k, oriented)
                 if oracle_follows_labelling_rule(n, arcs)
@@ -110,7 +128,7 @@ class TestCandidates:
             return {canonical_form(Digraph(n, arcs)) for arcs in stream}
 
         oracle = oracle_census_candidates if n <= 5 else oracle_candidate_stream
-        got = forms(_candidate_arc_sets(n, m, k, oriented))
+        got = forms(candidate_arc_sets(n, m, k, oriented))
         assert got == forms(oracle(n, m, k, oriented))
 
 class TestCensus:
@@ -170,6 +188,7 @@ class TestCensus:
         assert all(rec.oriented for recs in table.oriented_witnesses.values()
                    for rec in recs)
         assert budget.used <= NODE_CEILINGS_N5[k]
+        assert table.stats == dict(zip(STATS_KEYS, STATS_N5[k]))
         assert table.stats["nodes"] == budget.used
         assert table.stats["dicritical"] >= sum(
             len(recs) for recs in table.witnesses.values()
@@ -189,7 +208,7 @@ class TestCensus:
                     choices, m, k, Budget(10**6), oriented, stats, classes
                 )]
                 expected = [
-                    list(arcs) for arcs in _candidate_arc_sets(n, m, k, oriented)
+                    list(arcs) for arcs in candidate_arc_sets(n, m, k, oriented)
                     if oracle_ie_is_k_dicritical(Digraph(n, arcs), k)
                 ]
                 assert got == expected, (n, m, oriented)
@@ -226,6 +245,7 @@ class TestCensus:
             for rec in records:
                 assert oracle_ie_is_k_dicritical(rec.digraph, k)
         assert budget.used <= NODE_CEILINGS_N6[k]
+        assert table.stats == dict(zip(STATS_KEYS, STATS_N6[k]))
 
     # Every stream below d_3(6) and d_4(6): m starts at 6(k - 1).  The
     # labelling rule drops no class (docs/decisions.md, section 11), so no
@@ -235,7 +255,7 @@ class TestCensus:
         assert m < TABLES_N6[k][0]
         assert not any(
             oracle_ie_is_k_dicritical(Digraph(6, arcs), k)
-            for arcs in _candidate_arc_sets(6, m, k, False)
+            for arcs in candidate_arc_sets(6, m, k, False)
         )
 
     def test_bounds_validated(self):

@@ -348,7 +348,7 @@ class TestSubcommands:
         triangle = directed_cycle(3)
         table = census_mod.CensusTable(
             4, {3: None}, {3: 3}, {3: []},
-            {3: [census_mod.CensusRecord(3, 4, triangle, 3, True, True)]},
+            {3: [census_mod.CensusRecord(4, triangle, True)]},
         )
         monkeypatch.setattr(census_mod, "census", lambda *args: table)
         code, out, _ = run(capsys, "census", "--k", "4", "--n-max", "3", "--json")

@@ -133,6 +133,13 @@ class TestCheckDicolouring:
             check_dicolourings(c3, [(Colouring(2, (1, 1, 2)), None),
                                     (Colouring(2, (1, 1)), None)])
 
+    # A colour that is no integer passes Colouring's range check; the checker
+    # rejects it in both cell layouts, one byte per cell and wider.
+    @pytest.mark.parametrize("colouring", [Colouring(2, (1, 1.5, 2)), Colouring(9, (1, 2, 9.0))])
+    def test_non_integer_colour_rejected(self, c3, colouring):
+        with pytest.raises(ColouringError, match="colours must be integers"):
+            check_dicolouring(c3, colouring)
+
     @pytest.mark.parametrize("colours", [(0, 1, 2), (1, 3, 2)])
     def test_colour_out_of_range_rejected(self, colours):
         with pytest.raises(ColouringError, match="colours must lie in 1..k"):
@@ -303,7 +310,7 @@ class TestPinnedSearch:
         if d.n < 2:
             return
         u, v = data.draw(st.lists(st.integers(0, d.n - 1), min_size=2, max_size=2, unique=True))
-        position, out, inn = _branching(d.out_masks, d.in_masks, d.arcs)
+        position, out, inn = _branching(d.out_masks, d.in_masks)
         pin = tuple(sorted((position[u], position[v])))
         found = _first_assignment(out, inn, k, Budget(1_000_000), pin)
         if found is not None:
@@ -322,7 +329,7 @@ def _run_kernel(d: Digraph, k: int, pin, limit: int):
     ``Budget(limit)``: its assignment mapped back to d's labels (None if it
     refutes or runs out), the budget it used, and the message it ran out
     with (None if it finished)."""
-    position, out, inn = _branching(d.out_masks, d.in_masks, d.arcs)
+    position, out, inn = _branching(d.out_masks, d.in_masks)
     if pin is not None:
         pin = (position[pin[0]], position[pin[1]])
     budget = Budget(limit, "kernel")
@@ -337,7 +344,7 @@ def _run_kernel(d: Digraph, k: int, pin, limit: int):
 
 def _order(d: Digraph) -> list[int]:
     """The vertices of ``d`` in branching order."""
-    position = _branching(d.out_masks, d.in_masks, d.arcs)[0]
+    position = _branching(d.out_masks, d.in_masks)[0]
     return sorted(d.vertices(), key=position.__getitem__)
 
 
@@ -638,7 +645,7 @@ class TestReduction:
         out, inn = d.out_masks, d.in_masks
         stats = RefutationStats()
         budget = Budget(61_268)
-        assert not _decide(out, *_branching(out, inn, d.arcs)[1:], 3, budget, stats)
+        assert not _decide(out, *_branching(out, inn)[1:], 3, budget, stats)
         # 2 c n^2 = 60,000 nodes of plain search, then the reduction.
         assert stats.reduced and stats.plain_nodes == 60_001
         assert budget.used == stats.plain_nodes + 1_267
@@ -648,13 +655,13 @@ class TestReduction:
         out, inn = g3.out_masks, g3.in_masks
         stats = RefutationStats()
         budget = Budget(5_400)
-        assert not _decide(out, *_branching(out, inn, g3.arcs)[1:], 2, budget, stats)
+        assert not _decide(out, *_branching(out, inn)[1:], 2, budget, stats)
         assert stats.reduced and stats.sides_replaced > 0
 
     def test_caller_budget_still_runs_out_loudly(self):
         g3, _ = build_g3(2)
         out, inn = g3.out_masks, g3.in_masks
-        _, ordered_out, ordered_inn = _branching(out, inn, g3.arcs)
+        _, ordered_out, ordered_inn = _branching(out, inn)
         # The caller's limit binds inside the plain search ...
         budget = Budget(500)
         with pytest.raises(BudgetExceeded):
@@ -702,7 +709,7 @@ class TestDecisionPath:
     def test_budget_runs_out_loudly_on_either_side_of_the_reduction(self):
         d, k = bidirected_cycle(7), 3
         witness = Budget()
-        _first_assignment(*_branching(d.out_masks, d.in_masks, d.arcs)[1:], k, witness)
+        _first_assignment(*_branching(d.out_masks, d.in_masks)[1:], k, witness)
         with _reduction_first():
             budget = Budget()
             expected = is_k_dicolourable(d, k, budget)

@@ -397,6 +397,12 @@ class TestPhiIdentify:
             # 2 and 3 share a digon, same colour is not a dicolouring
             phi_identify(seven_vertex_composition, [0, 1, 2, 3], {0: 1, 1: 2, 2: 3, 3: 3})
 
+    def test_non_integer_colour_rejected(self, seven_vertex_composition):
+        # 1.0 == 1, so only its type tells it from a colour in 1..3
+        phi = {0: 1.0, 1: 1, 2: 2, 3: 3}
+        with pytest.raises(DigraphError, match="integer colours"):
+            phi_identify(seven_vertex_composition, [0, 1, 2, 3], phi)
+
     def test_vertex_count_formula(self, seven_vertex_composition):
         d = seven_vertex_composition
         for r_size in (4, 5):
