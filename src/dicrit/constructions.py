@@ -13,23 +13,29 @@ same way.  Exact counts:
 
 The certification pipeline mirrors the structure of the dicriticality
 argument.  The solver runs once, in the base level's criticality check;
-higher levels get a compositional lower-bound certificate.  Every colouring
-above that check, each level's reference and each arc-deletion witness, is
-composed from the construction by one composer and checked, the witnesses
-against the digraph minus their arc: each level hands its witnesses to one
-``check_dicolourings`` call as they are composed.
+higher levels get a compositional lower-bound certificate.  The
+certifier peels the solver's witnesses itself, with a ``_gamma``
+colouring per base vertex, in one ``check_dicolourings`` call, and peels
+each sub-level's reference, which one composer builds from the
+construction.  Above the base, an arc-deletion witness is the tournament's
+colouring, one copy's local colouring and the reference in every other
+copy; it is decided without being composed, by the lemma of
+docs/decisions.md, section 20: from the sub-level's verdict on the local
+colouring, the reference's check and a k-vertex quotient per colour, under
+premises that fix every vertex's out-arcs to build_gk's wiring.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import comb
 from typing import Union
 
 from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
-from .colouring import Colouring, check_dicolourings, is_k_dicritical
+from .colouring import Colouring, _classes_acyclic, check_dicolourings, is_k_dicritical
 from .digraph import Digraph, DigraphError, induced
 
 
@@ -111,15 +117,6 @@ class GkLayout:
 
 
 Layout = Union[GkLayout, G3Layout]
-
-
-def predicted_counts(k: int, n0: int) -> tuple[int, int]:
-    """(n_k, m_k) from the recurrences, exactly."""
-    n, m = 4 * (2 * n0 + 1), 10 * (2 * n0 + 1)
-    for level in range(4, k + 1):
-        pairs = comb(level, 2)
-        n, m = level + pairs * n, pairs + pairs * 2 * n + pairs * m
-    return n, m
 
 
 def build_g3(
@@ -211,9 +208,11 @@ class CertificateReport:
 
     ``lower_bound_method`` is "solver" when the dichromatic-number lower
     bound comes from exhaustive refutation and "compositional" when it rests
-    on the structural premises plus the sub-certificate.  Every witness is
-    constructed and checked, so ``assumed`` is always empty; it stays in the
-    report and its JSON for readers that still look for it.
+    on the structural premises plus the sub-certificate.  Every witness
+    considered is decided (above level 3 by the lemma of
+    docs/decisions.md, section 20), so ``assumed`` is always empty; it stays
+    in the report and its JSON for readers that still look for it.  A
+    level whose premises fail decides, and counts, no witness.
     """
 
     k: int
@@ -262,9 +261,17 @@ class CertificateReport:
 class _Level:
     """Internal: one certified level plus the data its parent reuses.
 
-    Level 3 keeps the solver's deletion witnesses; a higher level keeps its
-    sub-level.  ``reference`` is set only on a level that has a parent, to
-    ``_gamma(level, 0)``."""
+    Level 3 keeps the solver's deletion witnesses and, per vertex t, the
+    peel's verdict on ``_gamma(level, t)`` in ``gammas``; a higher level
+    keeps its sub-level.  ``verdicts`` maps an arc to the verdict on its
+    deletion witness and that witness's palette (bit c set when some
+    vertex has colour c): level 3 fills it from the peel, a higher level
+    lazily, arc by arc, by the lemma of docs/decisions.md, section 20, and
+    ``quotients`` memoises that lemma's quotient condition.  ``palette`` is
+    what every composed witness of a higher level shows outside its one
+    local copy: the tournament's colours and the reference's.
+    ``reference`` is set only on a level that has a parent, to
+    ``_gamma(level, 0)``, and ``reference_ok`` to its check."""
 
     digraph: Digraph
     layout: Layout
@@ -272,10 +279,27 @@ class _Level:
     witnesses: dict[tuple[int, int], Colouring] | None = None
     sub: "_Level | None" = None
     reference: tuple[int, ...] = ()
+    reference_ok: bool = False
+    palette: int = 0
+    verdicts: dict[tuple[int, int], tuple[bool, int]] = field(default_factory=dict)
+    gammas: dict[int, bool] = field(default_factory=dict)
+    quotients: dict[tuple[int, bool, int], bool] = field(default_factory=dict)
 
     @property
     def chi(self) -> int:
         return self.report.k
+
+
+def _palette(colours) -> int:
+    """Bit c set for every colour c in ``colours``."""
+    return sum(1 << c for c in set(colours))
+
+
+def _tournament_colours(k: int, special: tuple[int, int]) -> list[int]:
+    """Colour k-1 on both ends of the tournament arc ``special`` and the
+    colours 1..k-2, in vertex order, on the other tournament vertices."""
+    others = iter(range(1, k - 1))
+    return [k - 1 if w in special else next(others) for w in range(k)]
 
 
 def _compose(
@@ -288,13 +312,11 @@ def _compose(
     tournament except the pair ``special``, which shares chi-1; ``local`` in
     copy number ``copy`` and the sub-level's reference in every other
     copy."""
-    k = level.chi
-    others = iter(range(1, k - 1))
-    colours = [k - 1 if w in special else next(others) for w in range(k)]
+    colours = _tournament_colours(level.chi, special)
     reference = level.sub.reference
     for i in range(len(level.layout.tournament_arcs)):  # back to back from vertex k
         colours += local if i == copy else reference
-    return Colouring(k - 1, tuple(colours))
+    return Colouring(level.chi - 1, tuple(colours))
 
 
 def _deletion_witness(level: _Level, arc: tuple[int, int]) -> Colouring:
@@ -334,6 +356,95 @@ def _gamma(sub: _Level, t: int) -> tuple[int, ...]:
     return tuple(colours)
 
 
+def _gamma_ok(level: _Level, t: int) -> bool:
+    """Is ``_gamma(level, t)`` a dicolouring of the level's graph?  Above
+    level 3 it is exactly when the sub-level's reference is and, for t in a
+    copy, the sub-level's ``_gamma`` of t's local vertex is
+    (docs/decisions.md, section 20)."""
+    while level.sub is not None:
+        if not level.sub.reference_ok:
+            return False
+        k = level.chi
+        if t < k:
+            return True
+        t = (t - k) % level.sub.digraph.n
+        level = level.sub
+    return level.gammas.get(t, False)
+
+
+def _quotients_acyclic(level: _Level, special: int, cut: bool, palette: int) -> bool:
+    """Condition (ii) of docs/decisions.md, section 20, for a composed
+    colouring: the ends of tournament arc number ``special`` share colour
+    k-1 and that arc is deleted when ``cut``; copy ``special`` shows the
+    colours ``palette`` on the vertices wired to both its ends, and every
+    other copy the reference's colours.  True iff the quotient of every
+    colour is acyclic."""
+    key = special, cut, palette
+    found = level.quotients.get(key)
+    if found is None:
+        k = level.chi
+        arcs = level.layout.tournament_arcs
+        colours = _tournament_colours(k, arcs[special])
+        reference = _palette(level.sub.reference)
+        out = [0] * k
+        for j, (x, y) in enumerate(arcs):
+            c = colours[x]
+            if colours[y] == c:
+                if not (cut and j == special):
+                    out[x] |= 1 << y
+                if (palette if j == special else reference) >> c & 1:
+                    out[y] |= 1 << x
+        classes = [sum(1 << w for w in range(k) if colours[w] == c) for c in set(colours)]
+        found = level.quotients[key] = _classes_acyclic(out, classes)
+    return found
+
+
+def _verdict(level: _Level, arc: tuple[int, int]) -> tuple[bool, int]:
+    """Is the deletion witness of ``arc`` a dicolouring of the level's
+    graph minus ``arc``, and which colours does it show (a superset of
+    them)?  Decided without composing the witness, by the lemma of
+    docs/decisions.md, section 20, and memoised per level.  Level 3 answers
+    False for an arc the solver gave no witness."""
+    found = level.verdicts.get(arc)
+    if found is not None:
+        return found
+    sub = level.sub
+    k = level.chi
+    u, v = arc
+    if sub is None:
+        found = False, 0
+    elif u < k and v < k:
+        # Every copy holds the reference; the tournament arc is the one cut.
+        special = level.layout.tournament_arcs.index(arc)
+        ok = _quotients_acyclic(level, special, True, _palette(sub.reference))
+        found = sub.reference_ok and ok, level.palette
+    else:
+        w = max(u, v)
+        copy, t = divmod(w - k, sub.digraph.n)
+        if u >= k and v >= k:
+            ok, local = _verdict(sub, (u - w + t, v - w + t))
+        else:
+            # The copy holds _gamma(sub, t), which off t is the witness for
+            # t's first out-arc, and t has lost a wiring arc.
+            ok = _gamma_ok(sub, t)
+            local = _verdict(sub, (t, sub.digraph.out_neighbours(t)[0]))[1]
+        ok = ok and sub.reference_ok and _quotients_acyclic(level, copy, False, local)
+        found = ok, level.palette | local
+    level.verdicts[arc] = found
+    return found
+
+
+def _arcs_at(d: Digraph, indices) -> list[tuple[int, int]]:
+    """``d.sorted_arcs()[j]`` for each j of ``indices``, without listing
+    the arcs."""
+    starts = list(itertools.accumulate(map(int.bit_count, d.out_masks), initial=0))
+    found = []
+    for j in indices:
+        u = bisect_right(starts, j) - 1
+        found.append((u, d.out_neighbours(u)[j - starts[u]]))
+    return found
+
+
 def _certify_level(
     d: Digraph,
     layout: Layout,
@@ -351,29 +462,55 @@ def _certify_level(
             lower_bound_ok=crit.verdict,
             structural_ok=True,
             witnesses_total=d.m,
-            witnesses_checked=len(crit.witnesses),
+            witnesses_checked=0,
             witness_failures=[crit.failure_arc] if crit.failure_arc else [],
         )
-        return _Level(d, layout, report, witnesses=crit.witnesses)
+        level = _Level(d, layout, report, witnesses=crit.witnesses)
+        # The leaves: the certifier peels every solver witness on D minus
+        # its arc and, for the parent's wiring arcs, every _gamma on D.
+        pairs = [(w, arc) for arc, w in crit.witnesses.items()]
+        if crit.verdict:
+            pairs += [(Colouring(3, _gamma(level, t)), None) for t in range(d.n)]
+        results = [ok for ok, _ in check_dicolourings(d, pairs)]
+        for (arc, w), ok in zip(crit.witnesses.items(), results):
+            level.verdicts[arc] = ok, _palette(w.colours)
+            if ok:
+                report.witnesses_checked += 1
+            else:
+                report.witness_failures.append(arc)
+        level.gammas = dict(enumerate(results[len(crit.witnesses):]))
+        return level
 
     k = layout.k
     sub = _certify_level(layout.sub_digraph, layout.sub_layout, budget, witness_sample, rng)
     sub.reference = _gamma(sub, 0)
-    ((ok, cycle),) = check_dicolourings(sub.digraph, [(Colouring(sub.chi, sub.reference), None)])
-    if not ok:
-        raise AssertionError(f"reference colouring invalid: {cycle}")
+    ((sub.reference_ok, _),) = check_dicolourings(
+        sub.digraph, [(Colouring(sub.chi, sub.reference), None)]
+    )
 
-    # Structural premises of the pigeonhole lower bound, on the bitsets: a
-    # complete tournament, and complete wiring from every arc head into its
-    # copy's vertex block and from the block back to the arc tail.
-    tournament = (1 << k) - 1
+    # The premises, on the bitsets: the lower bound's complete tournament,
+    # and for the lemma of docs/decisions.md, section 20, every vertex's
+    # out-arcs exactly as build_gk wires them, which fixes the arc set.
+    t_arcs = layout.tournament_arcs
     block = (1 << layout.sub_digraph.n) - 1
-    structural_ok = all(
-        tournament & ~(d.out_masks[a] | d.in_masks[a] | 1 << a) == 0
-        for a in range(k)
-    ) and all(
-        block << layout.copy_offset(i) & ~(d.out_masks[y] & d.in_masks[x]) == 0
-        for i, (x, y) in enumerate(layout.tournament_arcs)
+    wired = [0] * k
+    for i, (x, y) in enumerate(t_arcs):
+        wired[x] |= 1 << y
+        wired[y] |= block << layout.copy_offset(i)
+    tournament = (1 << k) - 1
+    structural_ok = (
+        d.n == layout.copy_offset(len(t_arcs))
+        and d.out_masks[:k] == tuple(wired)
+        and all(
+            tournament & ~(d.out_masks[a] | d.in_masks[a] | 1 << a) == 0
+            for a in range(k)
+        )
+        and all(
+            d.out_masks[off + w] == mask << off | 1 << x
+            for i, (x, _) in enumerate(t_arcs)
+            for off in (layout.copy_offset(i),)
+            for w, mask in enumerate(layout.sub_digraph.out_masks)
+        )
     )
 
     report = CertificateReport(
@@ -387,18 +524,20 @@ def _certify_level(
         witnesses_checked=0,
         sub_certificate=sub.report,
     )
-
-    level = _Level(d, layout, report, sub=sub)
-    arcs = d.sorted_arcs()
-    if witness_sample is not None and witness_sample < len(arcs):
-        arcs = sorted(rng.sample(arcs, witness_sample))
+    palette = _palette(_tournament_colours(k, t_arcs[0])) | _palette(sub.reference)
+    level = _Level(d, layout, report, sub=sub, palette=palette)
+    if witness_sample is not None and witness_sample < d.m:
+        # The same draws as sampling the list of sorted arcs.
+        arcs = _arcs_at(d, sorted(rng.sample(range(d.m), witness_sample)))
         report.sampled = True
-    checked = check_dicolourings(d, ((_deletion_witness(level, arc), arc) for arc in arcs))
-    for arc, (valid, _) in zip(arcs, checked):
-        if valid:
-            report.witnesses_checked += 1
-        else:
-            report.witness_failures.append(arc)
+    else:
+        arcs = d.sorted_arcs()
+    if structural_ok:
+        for arc in arcs:
+            if _verdict(level, arc)[0]:
+                report.witnesses_checked += 1
+            else:
+                report.witness_failures.append(arc)
     return level
 
 
@@ -416,8 +555,10 @@ def certify_dicritical_composition(
     dichromatic lower bound inherited from the sub-certificate), (b) a
     constructed (k-1)-dicolouring of the graph minus each arc, for all arcs,
     or a seeded sample when ``witness_sample`` is given (the report flags
-    sampling), and (c) a check of every such witness against the digraph
-    minus its arc, so nothing is assumed.
+    sampling), and (c) a decision on every such witness against the
+    digraph minus its arc, so nothing is assumed: the solver's witnesses by
+    the certifier's own peel, those above by the lemma of
+    docs/decisions.md, section 20.
     """
     if witness_sample is not None and witness_sample < 1:
         raise DigraphError(

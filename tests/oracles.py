@@ -733,7 +733,7 @@ def _oracle_4ore(vertices: frozenset, edges: frozenset) -> bool:
             zx, zy = adj[x] & b, adj[y] & b
             if not zx or not zy or zx & zy:
                 continue
-            z = -1
+            z = min(vertices) - 1  # a label no vertex of either side has
             d1 = frozenset(e for e in edges if set(e) <= a | {x, y}) | {(x, y)}
             d2 = frozenset(e for e in edges if set(e) <= b)
             d2 |= {(z, w) for w in zx | zy}

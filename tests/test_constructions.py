@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dicrit import constructions
 from dicrit.budget import Budget
-from dicrit.colouring import dichromatic_number
+from dicrit.colouring import Colouring, check_dicolourings, dichromatic_number
 from dicrit.constructions import (
     ConstructionSpec,
     all_gadgets,
@@ -16,12 +16,21 @@ from dicrit.constructions import (
     build_gk,
     certify_dicritical_composition,
     gadget_forces_distinct,
-    predicted_counts,
 )
 from dicrit.digraph import Digraph, DigraphError, induced
 from dicrit.packing import max_packing
 
 from .oracles import valid_dicolouring
+
+
+def predicted_counts(k, n0):
+    """(n_k, m_k) from the recurrences of the constructions module's
+    docstring, exactly."""
+    n, m = 4 * (2 * n0 + 1), 10 * (2 * n0 + 1)
+    for level in range(4, k + 1):
+        pairs = comb(level, 2)
+        n, m = level + pairs * n, pairs + pairs * 2 * n + pairs * m
+    return n, m
 
 
 class TestBuildG3:
@@ -164,6 +173,15 @@ class TestCertify:
         assert report.sampled
         assert report.witnesses_checked == 30
 
+    def test_sample_draws_the_listed_arcs(self):
+        # the sample is drawn by index, with the draws that sampling the
+        # list of sorted arcs makes
+        g, layout = build_gk(4, ConstructionSpec(k=4))
+        arcs = g.sorted_arcs()
+        for seed in range(40):
+            level = constructions._certify_level(g, layout, Budget(), 30, random.Random(seed))
+            assert sorted(level.verdicts) == sorted(random.Random(seed).sample(arcs, 30))
+
     @pytest.mark.parametrize("sample", [0, -3])
     def test_sample_must_be_positive(self, sample):
         # a sample of 0 would check no witness above level 3 and still be ok
@@ -251,58 +269,101 @@ def _random_spec(k, seed):
     return ConstructionSpec(k=k, cycle_orientation_seed=seed, tournaments=tournaments)
 
 
-def _record_checks(monkeypatch):
-    """Every (digraph, colouring) the certifier hands to its checker; a
-    check of D minus an arc is recorded with that digraph rebuilt."""
-    checked = []
+def _record_calls(monkeypatch):
+    """Every call the certifier makes to its checker, as the digraph and
+    the list of (colouring, removed arc) pairs it was handed."""
+    calls = []
     real_check = constructions.check_dicolourings
 
     def recording_check(d, checks):
         checks = list(checks)
-        for colouring, removed in checks:
-            if removed is None:
-                checked.append((d, colouring))
-            else:
-                assert d.has_arc(*removed)
-                checked.append((Digraph(d.n, d.arcs - {removed}), colouring))
+        calls.append((d, checks))
         return real_check(d, checks)
 
     monkeypatch.setattr(constructions, "check_dicolourings", recording_check)
-    return checked
+    return calls
+
+
+def _certify(k, spec, sample=None):
+    """The certified top level, with every level below it."""
+    d, layout = build_gk(k, spec)
+    return constructions._certify_level(d, layout, Budget(), sample, random.Random(0))
+
+
+def _levels(top):
+    """The levels of a certificate from the top down to level 3."""
+    level = top
+    while level is not None:
+        yield level
+        level = level.sub
+
+
+def _considered(top, sample):
+    """Level -> the arcs its witness loop considers, drawn as the certifier
+    has always drawn them: a sample of the listed sorted arcs, bottom up,
+    from one generator seeded 0."""
+    rng = random.Random(0)
+    arcs = {}
+    for level in reversed(list(_levels(top))[:-1]):
+        g = level.digraph
+        arcs[level.chi] = (
+            sorted(rng.sample(g.sorted_arcs(), sample))
+            if sample is not None and sample < g.m
+            else g.sorted_arcs()
+        )
+    return arcs
+
+
+def _full_failures(level, arcs):
+    """The arcs whose composed witness the full check rejects on the
+    level's graph minus the arc."""
+    checked = check_dicolourings(
+        level.digraph, [(constructions._deletion_witness(level, arc), arc) for arc in arcs]
+    )
+    return [arc for arc, (ok, _) in zip(arcs, checked) if not ok]
+
+
+def _close_a_triangle(colours, triangle):
+    """The colours with the odd end of the two-coloured ``triangle`` given
+    the colour of its other two ends, which makes it monochromatic."""
+    colours = list(colours)
+    odd = next(v for v in triangle if [colours[w] for w in triangle].count(colours[v]) == 1)
+    colours[odd] = next(colours[v] for v in triangle if v != odd)
+    return tuple(colours)
 
 
 class TestWitnessOracle:
-    """Every deletion witness the certifier checks also passes the
-    Kahn-peeling oracle, which shares no code with the package's cycle
-    search, on the digraph minus exactly one arc."""
+    """Every deletion witness the certifier decides is also a dicolouring
+    by the Kahn-peeling oracle, which shares no code with the package, on
+    the digraph minus exactly one arc."""
 
     @pytest.mark.parametrize(
         "k, seed, sample", [(4, 1, None), (4, 2, None), (4, 3, None), (5, 4, 40)]
     )
-    def test_witnesses_pass_the_oracle(self, monkeypatch, k, seed, sample):
+    def test_witnesses_pass_the_oracle(self, k, seed, sample):
         spec = _random_spec(k, seed)
-        checked = _record_checks(monkeypatch)
-        report = certify_dicritical_composition(k, spec, witness_sample=sample)
-        assert report.ok()
-
-        for d, colouring in checked:
-            assert valid_dicolouring(Digraph(d.n, d.arcs), colouring.colours)
-        level = report
-        while level.k > 3:
-            g, _ = build_gk(level.k, spec)
-            deleted = []
-            for d, colouring in checked:
-                if d.n == g.n and d != g:
-                    assert colouring.k == level.k - 1
-                    (arc,) = g.arcs - d.arcs
-                    assert d.arcs == g.arcs - {arc}
-                    deleted.append(arc)
-            considered = sample if level.sampled else g.m
-            assert len(set(deleted)) == len(deleted) == considered
-            assert level.witnesses_checked == considered
-            assert level.assumed == []
-            level = level.sub_certificate
-        assert level.assumed == [] and level.witnesses_checked == 30
+        top = _certify(k, spec, sample)
+        assert top.report.ok()
+        considered = _considered(top, sample)
+        for level in _levels(top):
+            g = level.digraph
+            report = level.report
+            assert report.assumed == [] and report.witness_failures == []
+            if level.sub is None:
+                assert report.witnesses_checked == 30
+                for arc, witness in level.witnesses.items():
+                    assert valid_dicolouring(Digraph(g.n, g.arcs - {arc}), witness.colours)
+                break
+            arcs = considered[level.chi]
+            assert len(set(arcs)) == len(arcs) == (sample if report.sampled else g.m)
+            assert report.witnesses_checked == len(arcs)
+            for arc in arcs:
+                witness = constructions._deletion_witness(level, arc)
+                assert witness.k == level.chi - 1
+                assert valid_dicolouring(Digraph(g.n, g.arcs - {arc}), witness.colours)
+                assert level.verdicts[arc][0]
+            if level is top:
+                assert sorted(level.verdicts) == arcs
 
     @pytest.mark.parametrize("k", [4, 5])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -310,52 +371,203 @@ class TestWitnessOracle:
         # every level below the top gets one reference, checked once on its
         # own graph: a chi-dicolouring with vertex 0 alone in colour chi
         spec = _random_spec(k, seed)
-        checked = _record_checks(monkeypatch)
+        calls = _record_calls(monkeypatch)
         assert certify_dicritical_composition(k, spec, witness_sample=40).ok()
         for chi in range(3, k):
             g, _ = build_gk(chi, spec)
-            (reference,) = [colouring for d, colouring in checked if d == g]
+            ((reference, removed),) = [pairs[0] for d, pairs in calls if d == g and len(pairs) == 1]
             colours = reference.colours
-            assert reference.k == chi
+            assert removed is None and reference.k == chi
             assert valid_dicolouring(Digraph(g.n, g.arcs), colours)
             assert set(colours) == set(range(1, chi + 1))
             assert [v for v, c in enumerate(colours) if c == chi] == [0]
 
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_checker_sees_only_references_and_leaves(self, monkeypatch, k):
+        # above level 3 no witness reaches check_dicolourings: the lemma
+        # decides them; it peels each sub-level's reference and, in one
+        # call, level 3's solver witnesses and its _gamma colourings
+        spec = _random_spec(k, 5)
+        calls = _record_calls(monkeypatch)
+        report = certify_dicritical_composition(k, spec)
+        assert report.ok() and report.witnesses_checked == report.m
+        assert len(calls) == k - 2
+        g3, _ = build_gk(3, spec)
+        ((d, leaves),) = [(d, pairs) for d, pairs in calls if len(pairs) > 1]
+        assert d == g3
+        witnesses = {arc: colouring.colours for colouring, arc in leaves if arc}
+        assert sorted(witnesses) == g3.sorted_arcs()
+        gammas = [colouring.colours for colouring, arc in leaves if arc is None]
+        for t, colours in enumerate(gammas):
+            first = witnesses[t, g3.out_neighbours(t)[0]]
+            assert colours == first[:t] + (3,) + first[t + 1:]
+        assert len(gammas) == g3.n
+        references = [d for d, pairs in calls if len(pairs) == 1 and pairs[0][1] is None]
+        assert references == [build_gk(chi, spec)[0] for chi in range(3, k)]
+
+
+class TestLemma:
+    """The lemma's verdict on every arc equals the full check: the composed
+    witness handed to check_dicolourings on the graph minus the arc."""
+
+    @pytest.mark.parametrize("k, n0, seed", [(4, 1, 1), (4, 1, 2), (4, 2, 3), (4, 2, 4), (5, 1, 6)])
+    def test_verdicts_match_the_full_check(self, k, n0, seed):
+        spec = replace(_random_spec(k, seed), n0=n0)
+        top = _certify(k, spec)
+        assert top.report.ok()
+        rng = random.Random(seed)
+        for level in list(_levels(top))[:-1]:
+            g = level.digraph
+            arcs = g.sorted_arcs()
+            assert sorted(level.verdicts) == arcs
+            assert _full_failures(level, arcs) == []
+            assert all(level.verdicts[arc][0] for arc in arcs)
+            for arc in rng.sample(arcs, 20):
+                witness = constructions._deletion_witness(level, arc).colours
+                # the palette over-approximates the witness's colours
+                palette = constructions._palette(witness)
+                assert level.verdicts[arc][1] & palette == palette
+                assert valid_dicolouring(Digraph(g.n, g.arcs - {arc}), witness)
+        for level in list(_levels(top))[1:]:
+            gammas = [Colouring(level.chi, constructions._gamma(level, t)) for t in range(level.digraph.n)]
+            full = [ok for ok, _ in check_dicolourings(level.digraph, [(c, None) for c in gammas])]
+            assert full == [constructions._gamma_ok(level, t) for t in range(level.digraph.n)]
+            assert all(full)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_quotients_match_the_full_check(self, k):
+        # a colouring that puts the reference, which shows colour k - 1, in
+        # the copy between the two tournament vertices of colour k - 1
+        # closes a cycle through that copy, unless their arc is deleted
+        top = _certify(k, _random_spec(k, 7), 40)
+        reference = top.sub.reference
+        for copy, arc in enumerate(top.layout.tournament_arcs):
+            colouring = constructions._compose(top, arc, copy, reference)
+            for removed in (None, arc):
+                ((full, _),) = check_dicolourings(top.digraph, [(colouring, removed)])
+                palette = constructions._palette(reference)
+                assert constructions._quotients_acyclic(top, copy, bool(removed), palette) == full
+                assert full == bool(removed)
+
+    def test_k6_every_witness_decided(self):
+        report = certify_dicritical_composition(6)
+        assert report.ok()
+        assert (report.n, report.m) == (11_481, 95_415) == predicted_counts(6, 1)
+        assert report.witnesses_checked == report.witnesses_total == 95_415
+        assert not report.sampled and report.assumed == []
+
 
 class TestWitnessMutation:
-    """A witness recoloured at one vertex so that it closes a monochromatic
-    cycle fails its check, and only that witness does."""
+    """A level-3 solver witness recoloured so that it closes a
+    monochromatic triangle fails the certifier's own peel, and only that
+    witness does; at every level above, exactly the arcs whose composed
+    witness the full check rejects fail."""
 
-    @pytest.mark.parametrize("k, sample", [(4, None), (5, 40)])
+    @pytest.mark.parametrize("k, sample", [(4, None), (5, 40), (5, None)])
     def test_recoloured_witness_fails(self, monkeypatch, k, sample):
         spec = _random_spec(k, 1)
-        g, layout = build_gk(k, spec)
-        triangles = [gadget.triangle for gadget in all_gadgets(layout)]
-        real = constructions._deletion_witness
-        mutated = []
+        g3, layout3 = build_gk(3, spec)
+        gadgets = list(all_gadgets(layout3))
+        t0, t1, t2 = gadgets[0].triangle
+        first = gadgets[1].triangle[0]
+        cases = {
+            # a triangle arc, with another gadget's triangle closed: no
+            # _gamma colouring comes from its witness
+            "triangle arc": ((t0, t1), gadgets[1].triangle),
+            # a vertex's first out-arc, with its own triangle closed:
+            # _gamma moves the vertex to a colour of its own and opens the
+            # triangle again, so the copies' wiring arcs at it still pass
+            "first out-arc": ((first, g3.out_neighbours(first)[0]), gadgets[1].triangle),
+            # vertex 0's first out-arc: its _gamma is the reference, which
+            # every composed witness above holds in some copy
+            "reference arc": ((0, g3.out_neighbours(0)[0]), gadgets[0].triangle),
+        }
+        real = constructions.is_k_dicritical
+        for case, (leaf, triangle) in cases.items():
 
-        def recolouring(level, arc):
-            witness = real(level, arc)
-            if mutated or level.digraph.n != g.n:
-                return witness
-            colours = list(witness.colours)
-            # A gadget triangle t0 -> t1 -> t2 -> t0 that avoids the arc and
-            # has two ends of one colour: the third end takes that colour.
-            for t in triangles:
-                ends = {t[0]: t[1], t[1]: t[2], t[2]: t[0]}
-                if ends.get(arc[0]) == arc[1] or len({colours[v] for v in t}) != 2:
-                    continue
-                odd = next(v for v in t if [colours[w] for w in t].count(colours[v]) == 1)
-                colours[odd] = next(colours[v] for v in t if v != odd)
-                break
-            mutated.append(arc)
-            assert not valid_dicolouring(Digraph(g.n, g.arcs - {arc}), colours)
-            return replace(witness, colours=tuple(colours))
+            def patched(d, chi, budget):
+                crit = real(d, chi, budget)
+                witnesses = dict(crit.witnesses)
+                colours = _close_a_triangle(witnesses[leaf].colours, triangle)
+                witnesses[leaf] = Colouring(2, colours)
+                return replace(crit, witnesses=witnesses)
 
-        monkeypatch.setattr(constructions, "_deletion_witness", recolouring)
-        report = certify_dicritical_composition(k, spec, witness_sample=sample)
-        considered = sample or g.m
-        assert report.witness_failures == mutated
-        assert report.witnesses_checked == considered - 1
+            monkeypatch.setattr(constructions, "is_k_dicritical", patched)
+            top = _certify(k, spec, sample)
+            assert not top.report.ok(), case
+            considered = _considered(top, sample)
+            *above, base = _levels(top)
+            assert base.report.witness_failures == [leaf]
+            assert base.report.witnesses_checked == 29
+            for level in above:
+                arcs = considered[level.chi]
+                failures = _full_failures(level, arcs)
+                # a sample of 40 may miss the few arcs derived from a leaf
+                assert failures or sample and case != "reference arc", case
+                assert level.report.witness_failures == failures
+                assert level.report.witnesses_checked == len(arcs) - len(failures)
+                # every verdict the lemma reached, sampled or not, is exact
+                reached = sorted(level.verdicts)
+                assert _full_failures(level, reached) == [
+                    arc for arc in reached if not level.verdicts[arc][0]
+                ]
+            # in every copy the leaf's image fails and the wiring arcs at its
+            # tail pass
+            level4 = above[-1]
+            if case == "first out-arc" and sample is None:
+                for i, (x, y) in enumerate(level4.layout.tournament_arcs):
+                    t = level4.layout.copy_offset(i) + first
+                    assert (t, x) not in level4.report.witness_failures
+                    assert (y, t) not in level4.report.witness_failures
+                    assert (t, t - first + leaf[1]) in level4.report.witness_failures
+            top_arcs = considered[k]
+            if case == "reference arc":
+                assert top.report.witness_failures == top_arcs
+            elif sample is None:
+                assert len(top.report.witness_failures) < len(top_arcs)
+
+    @pytest.mark.parametrize("k, sample", [(4, None), (5, 40)])
+    def test_recoloured_reference_fails(self, monkeypatch, k, sample):
+        # the reference of level k - 1 with a gadget triangle closed: every
+        # composed witness holds it in some copy, so every one fails
+        spec = _random_spec(k, 2)
+        real = constructions._gamma
+        triangle = next(all_gadgets(build_gk(k - 1, spec)[1])).triangle
+
+        def recolouring(sub, t):
+            colours = real(sub, t)
+            if t == 0 and sub.chi == k - 1:
+                colours = _close_a_triangle(colours, triangle)
+            return colours
+
+        monkeypatch.setattr(constructions, "_gamma", recolouring)
+        top = _certify(k, spec, sample)
+        assert not top.sub.reference_ok
+        for t in range(0, top.digraph.n, 7):
+            gamma = Colouring(k, constructions._gamma(top, t))
+            assert not check_dicolourings(top.digraph, [(gamma, None)])[0][0]
+            assert not constructions._gamma_ok(top, t)
+        arcs = _considered(top, sample)[k]
+        assert top.report.witness_failures == _full_failures(top, arcs) == arcs
+        assert top.report.witnesses_checked == 0
+        assert top.report.sub_certificate.ok() and not top.report.ok()
+
+    @pytest.mark.parametrize("case", ["copy to copy", "copy to tournament", "tournament to copy"])
+    def test_extra_arc_fails_the_premises(self, case):
+        # the lemma needs every copy wired to the rest through its two ends
+        # only; a level whose premises fail decides no witness
+        g, layout = build_gk(4, ConstructionSpec(k=4))
+        (x, y), (x1, _) = layout.tournament_arcs[0], layout.tournament_arcs[1]
+        t = layout.copy_offset(0) + 5
+        z = next(w for w in range(4) if w not in (x, y))
+        arc = {
+            "copy to copy": (t, layout.copy_offset(1) + 5),
+            "copy to tournament": (t, z),
+            "tournament to copy": (z, t),
+        }[case]
+        report = constructions._certify_level(
+            g.with_arcs([arc]), layout, Budget(), None, random.Random(0)
+        ).report
+        assert not report.structural_ok and not report.lower_bound_ok
+        assert report.witnesses_checked == 0 and report.witness_failures == []
         assert not report.ok()
-        assert report.sub_certificate.ok()

@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dicrit.budget import Budget
 from dicrit.digraph import (
@@ -360,6 +360,16 @@ class TestRecognition:
             class_members(),
         )
     )
+    # 4-Ore, but its split side splits again at the vertex that stood for
+    # the first split vertex, which the oracle once relabelled to a label
+    # in use
+    @example(Digraph(16, [
+        (u, v) for u, vs in enumerate(
+            [(9, 13, 14), (3, 4, 6), (7, 10, 11, 13), (1, 4, 5, 15), (1, 3, 6), (3, 11, 12),
+             (1, 4, 8, 13), (2, 9, 10), (6, 14, 15), (0, 7, 10, 12), (2, 7, 9), (2, 5, 12),
+             (5, 9, 11), (0, 2, 6), (0, 8, 15), (3, 8, 14)])
+        for v in vs
+    ]))
     def test_verdict_matches_the_definition(self, d):
         # The oracle tries every pair and every split, with no rule about
         # which cuts can occur (docs/decisions.md sections 10 and 12).

@@ -23,7 +23,6 @@ KEPT = {
     "ore.find_emeralds": "a paper object; the tests check its lemmas",
     "ore.split_vertex": "a paper object (the Ore split); the tests check its lemmas",
     "structure.is_collapsible": "a paper definition; the tests check its lemmas",
-    "constructions.predicted_counts": "the reference that build_gk is compared against",
     "census.load_record": "it validates the files that `census --out` writes",
     "iso.invariant_key": "bench/tracing.py patches it by name and BENCHMARK.json lists "
                          "its metrics; it goes with the next change to the benchmark",
