@@ -201,7 +201,7 @@ def _peel(d: Digraph, order: list[int], chunk: list) -> list[bool]:
     # colour: b leaves a's plain out-neighbours and passes to a masked.
     cut: dict[int, dict[int, int]] = {}
     for p, (_, removed) in enumerate(chunk):
-        if removed is not None and tuple(removed) in d.arcs:
+        if removed is not None and d.has_arc(*removed):
             a, b = removed
             heads = cut.setdefault(a, {})
             heads[b] = heads.get(b, 0) | alive[a] & full << p * width

@@ -155,17 +155,32 @@ def build_gk(k: int, spec: ConstructionSpec) -> tuple[Digraph, Layout]:
         raise DigraphError(f"level {k} lies above the spec's k = {spec.k}")
     if k == 3:
         return build_g3(spec.n0, spec.cycle_orientation_seed)
-    sub_digraph, sub_layout = build_gk(k - 1, spec)
+    sub, sub_layout = build_gk(k - 1, spec)
     t_arcs = tuple(sorted(spec.tournament_for(k)))
-    layout = GkLayout(k, t_arcs, sub_digraph, sub_layout)
-    arcs: list[tuple[int, int]] = list(t_arcs)
+    layout = GkLayout(k, t_arcs, sub, sub_layout)
+    # Row by row, the digraph on the tournament arcs, every copy's arcs and
+    # its wiring (docs/decisions.md, section 21).  The sub-level and the
+    # tournament are validated and the copies' offsets disjoint, so the
+    # rows need no check of their own.
+    block = (1 << sub.n) - 1
+    out_masks, in_masks = [0] * k, [0] * k
+    t_out: list[list[int]] = [[] for _ in range(k)]  # tournament out-neighbours
+    copied: list[list[int]] = [[] for _ in range(k)]  # vertices of the copies headed
     for i, (x, y) in enumerate(t_arcs):
-        offset = layout.copy_offset(i)
-        block = range(offset, offset + sub_digraph.n)
-        arcs += [(u + offset, v + offset) for (u, v) in sub_digraph.arcs]
-        arcs += [(y, t) for t in block]
-        arcs += [(t, x) for t in block]
-    return Digraph(layout.copy_offset(len(t_arcs)), arcs), layout
+        off = layout.copy_offset(i)
+        out_masks[x] |= 1 << y
+        in_masks[y] |= 1 << x
+        out_masks[y] |= block << off  # y sends an arc to every vertex of copy i
+        in_masks[x] |= block << off  # and every vertex of copy i one to x
+        t_out[x].append(y)
+        copied[y] += range(off, off + sub.n)
+    out = [tuple(t_out[v] + copied[v]) for v in range(k)]
+    for i, (x, y) in enumerate(t_arcs):
+        off, x_bit, y_bit = layout.copy_offset(i), 1 << x, 1 << y
+        out_masks += [mask << off | x_bit for mask in sub.out_masks]
+        in_masks += [mask << off | y_bit for mask in sub.in_masks]
+        out += [(x,) + tuple([v + off for v in row]) for row in sub._out]
+    return Digraph._from_rows(out_masks, in_masks, out), layout
 
 
 def all_gadgets(layout: Layout, offset: int = 0):

@@ -18,7 +18,8 @@ A :class:`Digraph` stores its adjacency once, when it is built: the out-
 and in-neighbourhood of each vertex as a vertex bitset (``out_masks`` and
 ``in_masks``), plus the sorted out-neighbour tuples that the witness
 checker in :mod:`dicrit.colouring` peels over and walks.  Only this module
-builds them; every other module reads them.
+builds them; every other module reads them.  The arc set is built when it
+is first read.
 
 Every cut and component question is answered on vertex bitsets:
 :func:`underlying_masks` gives the underlying graph as one neighbourhood
@@ -57,20 +58,25 @@ class ParseError(DigraphError):
 class Digraph:
     """A loopless digraph on vertices ``0..n-1`` with a frozen arc set.
 
-    Besides the arc set it stores its adjacency once, as vertex bitsets
-    (Python ints, bit w for vertex w): ``out_masks[v]`` and ``in_masks[v]``
-    are the out- and in-neighbourhoods of v.  Every adjacency question
-    (neighbours, degrees, digons, the underlying and digon graphs) is read
+    It stores its adjacency once, as vertex bitsets (Python ints, bit w for
+    vertex w): ``out_masks[v]`` and ``in_masks[v]`` are the out- and
+    in-neighbourhoods of v.  Every adjacency question (arcs, neighbours,
+    degrees, digons, the underlying and digon graphs) and equality are read
     off them.  The sorted out-neighbour tuples stay as well, for
-    :meth:`out_neighbours` and the witness checker: its peel ORs the
-    cells of each vertex's out-neighbours by one ``reduce`` over a tuple,
-    and its cycle DFS ran 1.6-2.1 times as fast on them as on bits.
+    :meth:`out_neighbours`, :meth:`sorted_arcs` and the witness checker:
+    its peel ORs the cells of each vertex's out-neighbours by one
+    ``reduce`` over a tuple, and its cycle DFS ran 1.6-2.1 times as fast on
+    them as on bits.  The frozenset ``arcs`` is built on first read and
+    kept: from the arcs handed to the constructor, which it keeps until
+    then, or from the tuples for a digraph built from its rows.  Code that
+    only walks the arcs reads :meth:`sorted_arcs` instead.
 
     Empty digraphs (n = 0) are rejected everywhere.  Instances are hashable
-    and safe to share between threads.
+    and safe to share between threads: two threads that both read ``arcs``
+    first store equal sets.
     """
 
-    __slots__ = ("n", "arcs", "out_masks", "in_masks", "_out")
+    __slots__ = ("n", "m", "out_masks", "in_masks", "_out", "_arcs")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -88,17 +94,40 @@ class Digraph:
             out[u] |= 1 << v
             inn[v] |= 1 << u
             targets[u].append(v)
-        self.arcs = frozenset(arcs)
         self.n = n
+        self.m = len(arcs)
         self.out_masks = tuple(out)
         self.in_masks = tuple(inn)
         self._out = tuple(tuple(sorted(t)) for t in targets)
+        self._arcs = arcs
 
-    # -- basic accessors -------------------------------------------------
+    @classmethod
+    def _from_rows(
+        cls, out_masks: Sequence[int], in_masks: Sequence[int], out: Sequence[tuple[int, ...]]
+    ) -> "Digraph":
+        """The digraph whose vertex v has the out-bitset ``out_masks[v]``,
+        the in-bitset ``in_masks[v]`` and the sorted out-neighbours
+        ``out[v]``, taken as they are.  Nothing is checked: the caller
+        vouches that the three agree and describe a loopless digraph."""
+        d = object.__new__(cls)
+        d.n = len(out)
+        d.m = sum(map(len, out))
+        d.out_masks = tuple(out_masks)
+        d.in_masks = tuple(in_masks)
+        d._out = tuple(out)
+        d._arcs = None
+        return d
 
     @property
-    def m(self) -> int:
-        return len(self.arcs)
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        # Until the first read, _arcs holds the arcs handed to __init__,
+        # or None for a digraph built from its rows.
+        arcs = self._arcs
+        if type(arcs) is not frozenset:
+            arcs = self._arcs = frozenset(self.sorted_arcs() if arcs is None else arcs)
+        return arcs
+
+    # -- basic accessors -------------------------------------------------
 
     def vertices(self) -> range:
         return range(self.n)
@@ -107,7 +136,8 @@ class Digraph:
         return [(u, v) for u, targets in enumerate(self._out) for v in targets]
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        # The range test first: out_masks[-1] would read vertex n - 1.
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.out_masks[u] >> v & 1)
 
     def out_neighbours(self, v: int) -> tuple[int, ...]:
         return self._out[v]
@@ -130,8 +160,7 @@ class Digraph:
     # -- digons ----------------------------------------------------------
 
     def has_digon(self, u: int, v: int) -> bool:
-        # The arc-set test first: vertices outside the digraph give False.
-        return (u, v) in self.arcs and bool(self.in_masks[u] >> v & 1)
+        return self.has_arc(u, v) and bool(self.in_masks[u] >> v & 1)
 
     def digons(self) -> list[tuple[int, int]]:
         """All digons as pairs (u, v) with u < v, in lexicographic order."""
@@ -164,11 +193,11 @@ class Digraph:
         return (
             isinstance(other, Digraph)
             and self.n == other.n
-            and self.arcs == other.arcs
+            and self.out_masks == other.out_masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
+        return hash((self.n, self.out_masks))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
@@ -288,7 +317,7 @@ def induced(d: Digraph, subset: Iterable[int]) -> tuple[Digraph, dict[int, int]]
     mapping = {v: i for i, v in enumerate(vs)}
     arcs = [
         (mapping[u], mapping[v])
-        for (u, v) in d.arcs
+        for (u, v) in d.sorted_arcs()
         if u in mapping and v in mapping
     ]
     return Digraph(len(vs), arcs), mapping

@@ -154,7 +154,7 @@ def canonical_labelling(d: Digraph) -> tuple[tuple[tuple[int, int], ...], tuple[
     the sorted tuple of relabelled arcs."""
     rows = _typed_rows(d)
     best: list = []
-    _search(rows, d.arcs, *_refine(rows, [0] * d.n, [list(d.vertices())]), [], best, [])
+    _search(rows, d.sorted_arcs(), *_refine(rows, [0] * d.n, [list(d.vertices())]), [], best, [])
     return best[0], tuple(best[1])
 
 

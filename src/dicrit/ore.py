@@ -455,7 +455,7 @@ def split_vertex(
     if i1 & i2 or (i1 | i2) != set(d.in_neighbours(v)):
         raise DigraphError("(I1, I2) must partition the in-neighbourhood of v")
     v1, v2 = v, d.n
-    arcs = [(a, b) for (a, b) in d.arcs if a != v and b != v]
+    arcs = [(a, b) for (a, b) in d.sorted_arcs() if a != v and b != v]
     arcs += [(v1, w) for w in o1]
     arcs += [(v2, w) for w in o2]
     arcs += [(w, v1) for w in i1]

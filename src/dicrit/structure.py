@@ -331,7 +331,7 @@ def phi_identify(
     for v in r:
         mapping[v] = xs[phi[v] - 1]
     arcs = {
-        (mapping[u], mapping[v]) for (u, v) in d.arcs if mapping[u] != mapping[v]
+        (mapping[u], mapping[v]) for (u, v) in d.sorted_arcs() if mapping[u] != mapping[v]
     }
     for a, b in itertools.combinations(xs, 2):
         arcs.add((a, b))

@@ -36,6 +36,9 @@ ledger: each component is classified by its joined vertex pairs and each
 rule is applied as stated (the package counts bits within a component
 and reads every degree once); the results are the package's record types,
 so that their ``to_json`` can be compared.
+A construction level above 3 is listed arc by arc: the tournament, every
+copy's arcs shifted to its block and its wiring (the package shifts the
+sub-level's bitsets and out-neighbour tuples, row by row).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from typing import Iterator
 from fractions import Fraction
 
 from dicrit.budget import Budget
+from dicrit.constructions import ConstructionSpec, build_g3
 from dicrit.digraph import Digraph, bidirected_complete, boundary, induced
 from dicrit.iso import canonical_form
 from dicrit.ore import OreLeaf, is_4ore
@@ -671,6 +675,27 @@ def oracle_replay(trace) -> Digraph:
         oracle_replay(trace.digon_side), trace.digon, oracle_replay(trace.split_side),
         trace.split_vertex, trace.z1, trace.z2,
     )
+
+
+def oracle_build_gk(k: int, spec: ConstructionSpec) -> tuple[int, list[tuple[int, int]]]:
+    """The order and the arcs of the level-k construction over the spec's
+    choices, listed: the tournament's arcs in sorted order, then for the
+    copy that replaces the i-th of them, xy, on vertices k + i n_sub
+    onwards, the level below's arcs shifted there, y to every vertex of the
+    copy and every vertex of the copy to x."""
+    if k == 3:
+        g, _ = build_g3(spec.n0, spec.cycle_orientation_seed)
+        return g.n, g.sorted_arcs()
+    n_sub, sub_arcs = oracle_build_gk(k - 1, spec)
+    t_arcs = sorted(spec.tournament_for(k))
+    arcs = list(t_arcs)
+    for i, (x, y) in enumerate(t_arcs):
+        offset = k + i * n_sub
+        block = range(offset, offset + n_sub)
+        arcs += [(u + offset, v + offset) for (u, v) in sub_arcs]
+        arcs += [(y, t) for t in block]
+        arcs += [(t, x) for t in block]
+    return k + len(t_arcs) * n_sub, arcs
 
 
 @functools.lru_cache(maxsize=None)

@@ -125,6 +125,20 @@ class TestCheckDicolouring:
             classes[c - 1] |= 1 << v
         assert _classes_acyclic(d.out_masks, classes) == valid_dicolouring(d, colours)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_removed_pair_outside_the_digraph_is_ignored(self, n):
+        # a directed n-cycle (one vertex for n = 1), monochromatic: a pair
+        # that wrapped round to vertex n - 1 would cut its only cycle
+        d = directed_cycle(n) if n > 1 else Digraph(1)
+        colouring = Colouring(1, (1,) * n)
+        expected = check_dicolouring(d, colouring)
+        assert expected[0] == (n == 1)
+        outside = [(-1, 0), (n, 0), (0, -1), (0, n), (n - 1, -1), (-1, -1), (n + 2, n)]
+        for removed in outside:
+            assert check_dicolouring(d, colouring, removed) == expected, removed
+        pairs = [(colouring, removed) for removed in outside]
+        assert check_dicolourings(d, pairs) == [expected] * len(outside)
+
     def test_no_pairs(self, c3):
         assert check_dicolourings(c3, []) == []
 

@@ -20,7 +20,7 @@ from dicrit.constructions import (
 from dicrit.digraph import Digraph, DigraphError, induced
 from dicrit.packing import max_packing
 
-from .oracles import valid_dicolouring
+from .oracles import oracle_build_gk, valid_dicolouring
 
 
 def predicted_counts(k, n0):
@@ -125,6 +125,29 @@ class TestBuildGk:
             assert all(g.has_arc(y, t) and g.has_arc(t, x) for t in block)
             assert induced(g, block)[0] == layout.sub_digraph
 
+    @pytest.mark.parametrize("seed", [None, 3, 11])
+    @pytest.mark.parametrize("n0", [1, 2])
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_rows_equal_the_listed_arcs(self, k, n0, seed):
+        # build_gk shifts the sub-level's rows; the digraph must be the one
+        # its arcs, listed copy by copy, give to the validating constructor
+        spec = ConstructionSpec(k=k, n0=n0)
+        if seed is not None:
+            spec = replace(_random_spec(k, seed), n0=n0)
+        built, _ = build_gk(k, spec)
+        n, arcs = oracle_build_gk(k, spec)
+        listed = Digraph(n, arcs)
+        assert built.n == listed.n == n
+        assert built.m == listed.m == len(arcs)
+        assert built.sorted_arcs() == listed.sorted_arcs() == sorted(arcs)
+        assert built.out_masks == listed.out_masks
+        assert built.in_masks == listed.in_masks
+        assert [built.out_neighbours(v) for v in range(n)] == [
+            listed.out_neighbours(v) for v in range(n)
+        ]
+        assert built.arcs == listed.arcs == frozenset(arcs)
+        assert built == listed and hash(built) == hash(listed)
+
 
 class TestGadget:
     def test_every_gadget_in_g3_forces(self):
@@ -216,6 +239,32 @@ class TestCertify:
         monkeypatch.setattr(constructions, "build_g3", counting_build)
         assert certify_dicritical_composition(5, witness_sample=40, seed=2).ok()
         assert len(calls) == 1
+
+    def test_levels_above_3_list_no_arcs(self, monkeypatch):
+        # every level above 3 is composed from the rows below it, and
+        # neither build_gk nor the certifier reads its arc set
+        built = []
+        real_build = constructions.build_gk
+
+        def recording_build(level, spec):
+            d, layout = real_build(level, spec)
+            built.append(d)
+            return d, layout
+
+        sizes = []
+        real_init = Digraph.__init__
+
+        def counting_init(self, n, arcs=()):
+            sizes.append(n)
+            real_init(self, n, arcs)
+
+        monkeypatch.setattr(constructions, "build_gk", recording_build)
+        monkeypatch.setattr(Digraph, "__init__", counting_init)
+        report = certify_dicritical_composition(5)
+        assert report.ok() and report.witnesses_checked == 4830
+        assert [d.n for d in built] == [12, 76, 765]
+        assert all(d._arcs is None for d in built[1:])
+        assert sizes and set(sizes) == {12}
 
     def test_level_below_3_is_rejected(self):
         with pytest.raises(DigraphError, match="constructions start at k = 3"):

@@ -1,4 +1,7 @@
 import itertools
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -96,6 +99,57 @@ class TestConstruction:
         absent = [a for a in pairs if a not in d.arcs]
         for r in (removed, [], absent, absent + sorted(d.arcs)[:2]):
             assert_rebuilt(d.without_arcs(r), r)
+
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda a: a[0] != a[1]),
+            unique=True,
+        ))
+    ))
+    def test_arc_set_is_the_arcs_given(self, case):
+        # the arc set is derived from the out-neighbour tuples on first read
+        n, arcs = case
+        d = Digraph(n, arcs)
+        assert d.m == len(arcs)
+        assert d.arcs == frozenset(arcs)
+        assert d.arcs is d.arcs
+        assert d.sorted_arcs() == sorted(arcs)
+
+    def test_arc_set_read_from_many_threads(self):
+        # threads that race on the first read of arcs may each build the
+        # set; every one of them must see the digraph's arcs
+        rng = random.Random(5)
+        pool = [(u, v) for u in range(12) for v in range(12) if u != v]
+        graphs = [Digraph(12, rng.sample(pool, 40)) for _ in range(300)]
+        seen = [[] for _ in range(8)]
+        threads = [threading.Thread(target=lambda out=out: out.extend(d.arcs for d in graphs))
+                   for out in seen]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        expected = [frozenset(d.sorted_arcs()) for d in graphs]
+        assert all(out == expected for out in seen)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_vertices_outside_have_no_arcs(self, n):
+        # out_masks[-1] would read vertex n - 1, which in the bidirected
+        # complete digraph has an arc and a digon to every other vertex
+        d = bidirected_complete(n)
+        outside = [-n - 1, -1, n, n + 2]
+        for u, v in itertools.product(outside + list(range(n)), repeat=2):
+            if u in outside or v in outside:
+                assert not d.has_arc(u, v), (u, v)
+                assert not d.has_digon(u, v), (u, v)
+        assert all(d.has_digon(u, v) for u, v in itertools.permutations(range(n), 2))
 
 
 def assert_adjacency_matches_the_arcs(d):
