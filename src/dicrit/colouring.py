@@ -37,6 +37,14 @@ be replaced.  The proof is in docs/decisions.md, section 6.  After a "yes"
 from the reduction, ``is_k_dicolourable`` runs the plain search to the end
 for its witness.
 
+On a bidirected digraph, ``is_k_dicritical`` expands each fresh per-arc
+witness by Kempe swaps: for each other colour, one pass along a path of
+the bichromatic chain between the two ends of the deleted digon finds the
+chain's bridges between them, and exchanging the two colours on one side
+of a bridge gives the witness for that bridge's digon.  Each derived
+witness is expanded in turn, so one fresh search usually serves every arc
+(docs/decisions.md, section 22).
+
 The witness checker shares no code with the solver, so every witness the
 solver returns is checked independently.  ``check_dicolourings`` takes
 many (colouring, removed arc) pairs on one digraph and decides them
@@ -61,7 +69,7 @@ from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import filterfalse, islice
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, BudgetExceeded, DEFAULT_SOLVER_NODES, ensure_budget
 from .digraph import Digraph, bits, restrict, serialize, two_cut_sides
@@ -659,9 +667,9 @@ class CriticalityReport:
     """Outcome of a k-dicriticality check with per-arc witness colourings.
 
     ``nodes`` is the budget spent inside the check.  Of the witnesses,
-    ``solved`` came from a fresh search and ``reused`` were taken from an
-    earlier arc.  ``refutation`` tells how "D is not (k-1)-dicolourable"
-    was decided.
+    ``solved`` came from a fresh search, ``swapped`` from Kempe swaps on a
+    bidirected D, and ``reused`` were taken from an earlier arc.
+    ``refutation`` tells how "D is not (k-1)-dicolourable" was decided.
     """
 
     digraph: Digraph
@@ -672,11 +680,12 @@ class CriticalityReport:
     failure_reason: str | None = None
     nodes: int = 0
     solved: int = 0
+    swapped: int = 0
     refutation: RefutationStats = field(default_factory=RefutationStats)
 
     @property
     def reused(self) -> int:
-        return len(self.witnesses) - self.solved
+        return len(self.witnesses) - self.solved - self.swapped
 
     def to_json(self) -> dict:
         return {
@@ -689,8 +698,8 @@ class CriticalityReport:
             "failure_arc": list(self.failure_arc) if self.failure_arc else None,
             "failure_reason": self.failure_reason,
             "stats": {
-                "nodes": self.nodes, "solved": self.solved, "reused": self.reused,
-                **asdict(self.refutation),
+                "nodes": self.nodes, "solved": self.solved, "swapped": self.swapped,
+                "reused": self.reused, **asdict(self.refutation),
             },
         }
 
@@ -724,6 +733,104 @@ def _reuse_fits(out: list[int], cls: int, x: int, y: int, u: int, v: int) -> boo
     return True
 
 
+def _kempe_sides(
+    adj: Sequence[int], classes: Sequence[int], a: int, u: int, v: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """The Kempe swaps that turn a witness for D - uv, of a bidirected D
+    that is not c-dicolourable, into witnesses for other arcs.
+
+    ``adj`` holds the neighbour bitsets of D's underlying graph G, and
+    ``classes[1..c]`` the colour classes of the witness as bitsets (entry 0
+    is unused): a proper c-colouring of G - uv with c(u) = c(v) = a, which
+    raises ``AssertionError`` if c(v) != a.  For
+    each other colour b, a breadth-first search finds a v-u path P in v's
+    a/b chain (its component in G - uv restricted to colours a and b), and
+    one pass along P floods the pieces of the chain minus P's edges: an edge
+    pq of P (p nearer v) separates v from u exactly when no piece met before
+    q reaches past p.  Yields (p, q, side, b) for each such edge, ``side``
+    the bitset of v's part of the chain: exchanging a and b on it gives a
+    proper colouring of G - pq with c(p) = c(q), a witness for D - pq and
+    D - qp (docs/decisions.md, section 22).
+    """
+    if not classes[a] >> v & 1:
+        raise AssertionError(f"the witness for D - ({u}, {v}) colours {u} and {v} apart")
+    for b in range(1, len(classes)):
+        if b == a:
+            continue
+        both = classes[a] | classes[b]
+        # Breadth-first layers from v, of colour a at even depths.
+        across = (classes[b], classes[a])
+        layers = [1 << v]
+        seen = 1 << v
+        while not seen >> u & 1:
+            ahead = reduce(or_, map(adj.__getitem__, bits(layers[-1])))
+            ahead &= across[len(layers) % 2 - 1] & ~seen
+            if not ahead:
+                raise AssertionError(f"the {a}/{b} chain of {v} misses {u}, so D is dicolourable")
+            seen |= ahead
+            layers.append(ahead)
+        path = [u]
+        for layer in reversed(layers[:-1]):
+            near = adj[path[-1]] & layer
+            path.append((near & -near).bit_length() - 1)
+        path.reverse()
+        # G - uv has no edge inside a colour class, so within ``both`` a
+        # vertex's neighbours are its chain neighbours, once the path
+        # vertices' rows lose P's edges and the edge uv.
+        keep = {x: ~(1 << y | 1 << z) for x, y, z in zip(path, [u, *path], [*path[1:], v])}
+        index = {x: i for i, x in enumerate(path)}
+        side = reach = 0
+        for i, x in enumerate(path[:-1]):
+            if not side >> x & 1:
+                piece = frontier = 1 << x
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    w = low.bit_length() - 1
+                    step = adj[w] & both & ~piece
+                    if w in keep:
+                        step &= keep[w]
+                        if index[w] > reach:
+                            reach = index[w]
+                    piece |= step
+                    frontier |= step
+                side |= piece
+            if reach == i:
+                yield x, path[i + 1], side, b
+
+
+def _kempe_closure(
+    adj: Sequence[int], m: int, found: tuple[int, ...], u: int, v: int, c: int,
+    position: list[int], derived: dict[tuple[int, int], Colouring],
+) -> None:
+    """Expand the assignment ``found`` for D - uv by the swaps of
+    ``_kempe_sides``, then each witness so derived in turn, newest first,
+    until all m arcs of D have a witness in ``derived`` or none is left to
+    expand.  ``found``, u, v and the keys of ``derived`` are in branching
+    order (``position`` maps D's labels into it); the witnesses are in D's
+    labels, one object for both arcs of a digon."""
+    classes = [0] * (c + 1)
+    for x, colour in enumerate(found):
+        classes[colour] |= 1 << x
+    stack = [(found, classes, u, v)]
+    while stack:
+        colours, classes, x, y = stack.pop()
+        a = colours[x]
+        for p, q, side, b in _kempe_sides(adj, classes, a, x, y):
+            if (p, q) in derived:
+                continue
+            swapped = list(colours)
+            for z in bits(side):
+                swapped[z] = a + b - swapped[z]
+            derived[p, q] = derived[q, p] = Colouring(c, tuple(map(swapped.__getitem__, position)))
+            if len(derived) == m:
+                return
+            moved = classes.copy()
+            moved[a] ^= side
+            moved[b] ^= side
+            stack.append((swapped, moved, p, q))
+
+
 def is_k_dicritical(
     d: Digraph, k: int, budget: Budget | int | None = None
 ) -> CriticalityReport:
@@ -751,8 +858,22 @@ def is_k_dicritical(
     x's colour class C and D[C] - uv has no y->x path: since D is not
     (k-1)-dicolourable, every monochromatic cycle of D under w runs through
     xy (docs/decisions.md, section 7).  ``_reuse_fits`` tests that with one
-    search on bitsets.  Every witness in every report, fresh or reused, is
-    checked once on D minus its arc: the arc loop collects them, and one
+    search on bitsets.
+
+    When D is bidirected, a witness w for D - uv properly colours the
+    underlying graph minus uv with w(u) = w(v) = a.  For each other colour
+    b, the a/b chain of v reaches u, and exchanging a and b on v's side of
+    a chain edge pq that separates v from u gives a witness for D - pq and
+    D - qp.  ``_kempe_closure`` expands each fresh witness so, and each
+    witness it derives, newest first, until every arc has one
+    (docs/decisions.md, section 22).  An arc takes a derived witness
+    first, then the screen, then a fresh search.  The arcs are still
+    visited in sorted order, so ``failure_arc`` and the witness keys are
+    those of the plain loop.  ``swapped`` counts the derived witnesses a
+    report holds.
+
+    Every witness in every report, fresh, derived or reused, is checked
+    once on D minus its arc: the arc loop collects them, and one
     ``check_dicolourings`` call checks them all before any report with
     witnesses is returned, a report with a ``failure_arc`` included.
     """
@@ -780,32 +901,48 @@ def is_k_dicritical(
     # Each fresh witness with the arc xy it was found for and x's colour
     # class; the arc and the class are in branching order.
     fresh: list[tuple[Colouring, int, int, int]] = []
+    # Witnesses for arcs not visited yet, keyed in branching order: the
+    # reverse arc of a fresh witness's arc, and the arcs of Kempe swaps.
+    # Only a bidirected D gets them.
+    derived: dict[tuple[int, int], Colouring] = {}
+    bidirected = out == inn
+    swapped = 0
     failure_arc = None
     for arc in d.sorted_arcs():
         u, v = position[arc[0]], position[arc[1]]
-        for w, x, y, cls in reversed(fresh):
-            if _reuse_fits(ordered_out, cls, x, y, u, v):
-                break
+        w = derived.get((u, v))
+        if w is not None:
+            # One derived witness serves both arcs of its digon: it counts
+            # at the first of them, and a fresh one's second arc is reused.
+            swapped += arc[::-1] not in witnesses
         else:
-            out_minus, inn_minus = ordered_out.copy(), ordered_inn.copy()
-            out_minus[u] &= ~(1 << v)
-            inn_minus[v] &= ~(1 << u)
-            pin = (u, v) if u < v else (v, u)
-            found = _first_assignment(out_minus, inn_minus, k - 1, budget, pin)
-            if found is None:
-                failure_arc = arc
-                break
-            w = Colouring(k - 1, tuple(map(found.__getitem__, position)))
-            cls = sum(1 << x for x, c in enumerate(found) if c == found[u])
-            fresh.append((w, u, v, cls))
+            for w, x, y, cls in reversed(fresh):
+                if _reuse_fits(ordered_out, cls, x, y, u, v):
+                    break
+            else:
+                out_minus, inn_minus = ordered_out.copy(), ordered_inn.copy()
+                out_minus[u] &= ~(1 << v)
+                inn_minus[v] &= ~(1 << u)
+                pin = (u, v) if u < v else (v, u)
+                found = _first_assignment(out_minus, inn_minus, k - 1, budget, pin)
+                if found is None:
+                    failure_arc = arc
+                    break
+                w = Colouring(k - 1, tuple(map(found.__getitem__, position)))
+                cls = sum(1 << x for x, c in enumerate(found) if c == found[u])
+                fresh.append((w, u, v, cls))
+                if bidirected:  # then ordered_out is the underlying graph too
+                    derived[u, v] = derived[v, u] = w
+                    _kempe_closure(ordered_out, d.m, found, u, v, k - 1, position, derived)
         witnesses[arc] = w
     checked = check_dicolourings(d, [(w, arc) for arc, w in witnesses.items()])
     for arc, (ok, _) in zip(witnesses, checked):
-        if not ok:  # pragma: no cover - the search and the screen are exact
+        if not ok:  # only a wrong search, swap or screen gets here
             raise AssertionError(f"witness for arc {arc} fails check_dicolourings")
     return CriticalityReport(
         d, k, failure_arc is None, witnesses, failure_arc=failure_arc,
         failure_reason=None if failure_arc is None else
         f"deleting arc {failure_arc} keeps the dichromatic number at {k}",
-        nodes=budget.used - start, solved=len(fresh), refutation=refutation,
+        nodes=budget.used - start, solved=len(fresh), swapped=swapped,
+        refutation=refutation,
     )

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from dicrit.budget import Budget
 from dicrit.census import census
 from dicrit.colouring import is_k_dicolourable, is_k_dicritical
 from dicrit.constructions import (
@@ -31,6 +32,7 @@ from dicrit.constructions import (
     gadget_forces_distinct,
 )
 from dicrit.digraph import (
+    Digraph,
     bidirected_complete,
     directed_cycle,
     induced,
@@ -230,6 +232,22 @@ def test_criterion_3_solver_confirms_corpus_dicriticality(ore_corpus):
             checked += 1
     assert checked >= 50
     _pass("3", t0, f"solver confirmed 4-dicriticality of {checked} instances (n <= 11)")
+
+
+def test_criterion_3_shuffled_4ore_100_within_200k_nodes():
+    # Labels permuted by random.Random(1).shuffle; the per-arc phase once
+    # took 166 fresh searches and 35.5M nodes here.  One fresh witness and
+    # its Kempe swaps now serve every arc (docs/decisions.md, section 22).
+    t0 = time.time()
+    d = generate_4ore(100, seed=3)[0]
+    perm = list(range(d.n))
+    random.Random(1).shuffle(perm)
+    d = Digraph(d.n, [(perm[u], perm[v]) for u, v in d.sorted_arcs()])
+    budget = Budget(200_000)
+    report = is_k_dicritical(d, 4, budget)
+    assert report.verdict and set(report.witnesses) == d.arcs
+    assert report.solved == 1
+    _pass("3 (n = 100)", t0, f"shuffled 4-Ore n = 100 is 4-dicritical in {budget.used} nodes")
 
 
 def test_criterion_4_packing_lemma_suite():

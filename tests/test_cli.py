@@ -66,7 +66,10 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["verdict"] and len(payload["witnesses"]) == 12
         stats = payload["stats"]
-        assert stats["solved"] + stats["reused"] == 12 and stats["nodes"] > 0
+        assert stats["solved"] + stats["swapped"] + stats["reused"] == 12
+        # One fresh witness; Kempe swaps give the other five digons theirs.
+        assert (stats["solved"], stats["swapped"]) == (1, 5)
+        assert stats["nodes"] > 0
         # K4 is below the size where the 2-separator reduction can run.
         assert stats["plain_nodes"] > 0 and stats["reduced"] is False
         assert stats["sides_replaced"] == stats["piece_solves"] == 0

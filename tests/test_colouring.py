@@ -256,9 +256,12 @@ class TestIsKDicritical:
         for arc, witness in report.witnesses.items():
             ok, _ = check_dicolouring(k4.without_arcs([arc]), witness)
             assert ok and witness.k == 3
-        assert report.solved + report.reused == len(report.witnesses)
-        # A reused witness is the very object an earlier fresh search made.
-        assert len({id(w) for w in report.witnesses.values()}) == report.solved
+        assert report.solved + report.swapped + report.reused == len(report.witnesses)
+        # A reused witness is the very object an earlier fresh search or
+        # Kempe swap made.
+        assert len({id(w) for w in report.witnesses.values()}) == (
+            report.solved + report.swapped
+        )
 
     def test_k3(self, k3):
         assert is_k_dicritical(k3, 3).verdict
@@ -289,13 +292,17 @@ class TestIsKDicritical:
         budget = Budget(10_000_000)
         report = is_k_dicritical(g3, 3, budget)
         assert report.verdict
-        assert report.solved + report.reused == len(report.witnesses) == g3.m
+        assert report.solved + report.swapped + report.reused == len(report.witnesses) == g3.m
         assert report.solved > 0 and report.reused > 0
-        assert len({id(w) for w in report.witnesses.values()}) == report.solved
+        assert len({id(w) for w in report.witnesses.values()}) == (
+            report.solved + report.swapped
+        )
         assert report.nodes == budget.used
-        # g3-1 is refuted by the plain search alone, within its allowance.
+        # g3-1 is refuted by the plain search alone, within its allowance;
+        # it is oriented, so no witness comes from a Kempe swap.
         assert report.to_json()["stats"] == {
-            "nodes": report.nodes, "solved": report.solved, "reused": report.reused,
+            "nodes": report.nodes, "solved": report.solved, "swapped": 0,
+            "reused": report.reused,
             "plain_nodes": report.refutation.plain_nodes, "reduced": False,
             "sides_replaced": 0, "piece_solves": 0,
         }
@@ -309,7 +316,7 @@ class TestIsKDicritical:
     def test_agrees_with_the_oracle(self, d, k):
         report = is_k_dicritical(d, k)
         assert report.verdict == oracle_is_k_dicritical(d, k)
-        assert report.solved + report.reused == len(report.witnesses)
+        assert report.solved + report.swapped + report.reused == len(report.witnesses)
         for arc, witness in report.witnesses.items():
             assert witness.k == k - 1
             assert valid_dicolouring(Digraph(d.n, d.arcs - {arc}), witness.colours)
@@ -516,7 +523,7 @@ class TestWitnessReuse:
         report = is_k_dicritical(d, k)
         assert report.verdict
         fresh = _fresh_witnesses(report)
-        assert len(fresh) == report.solved
+        assert len(fresh) == report.solved + report.swapped
         out = d.out_masks
         for (x, y), w in fresh:
             cls = sum(1 << z for z, c in enumerate(w.colours) if c == w.colours[x])
@@ -542,6 +549,153 @@ class TestWitnessReuse:
         before = d.sorted_arcs()[:d.sorted_arcs().index((15, 12))]
         assert len(before) == len(report.witnesses) > 0
         assert calls == [(d, [(report.witnesses[arc], arc) for arc in before])]
+
+
+@st.composite
+def bidirected_graphs(draw, max_n=10):
+    """Bidirected digraphs on 2..max_n vertices, each edge drawn on its own.
+    Half of them are pruned to a critical graph first (each edge in a drawn
+    order is dropped if the chromatic number stays, then isolated vertices
+    go), and may get one edge back."""
+    n = draw(st.integers(2, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    if edges and draw(st.booleans()):
+        chi = oracle_chromatic_number(n, edges)
+        for edge in draw(st.permutations(edges)):
+            rest = [e for e in edges if e != edge]
+            if oracle_chromatic_number(n, rest) == chi:
+                edges = rest
+        used = sorted({v for edge in edges for v in edge})
+        index = {v: i for i, v in enumerate(used)}
+        n, edges = len(used), [(index[a], index[b]) for a, b in edges]
+        missing = [pair for pair in itertools.combinations(range(n), 2) if pair not in edges]
+        if missing and draw(st.booleans()):
+            edges.append(draw(st.sampled_from(missing)))
+    return bidirected_from_edges(n, edges)
+
+
+#: The odd wheel W5: a hub 0 joined to the 5-cycle 1..5; 4-critical.
+WHEEL_5 = bidirected_from_edges(
+    6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
+)
+
+
+def _arc_order_failure(d: Digraph, k: int, colourable):
+    """The failure arc and the witness keys that visiting D's arcs in sorted
+    order gives: every arc gets a witness until the first whose deletion
+    leaves D not (k-1)-dicolourable, as ``colourable`` decides."""
+    arcs = d.sorted_arcs()
+    for i, arc in enumerate(arcs):
+        if not colourable(Digraph(d.n, d.arcs - {arc}), k - 1):
+            return arc, arcs[:i]
+    return None, arcs
+
+
+class TestKempeWitnesses:
+    """Per-arc witnesses of bidirected digraphs derived by Kempe swaps
+    (docs/decisions.md, section 22)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bidirected_graphs())
+    @example(bidirected_complete(4))
+    @example(bidirected_complete(5))
+    @example(WHEEL_5)
+    @example(generate_4ore(10, seed=0)[0])
+    def test_agrees_with_the_oracle(self, d):
+        k = max(2, oracle_ie_dichromatic_number(d))
+        report = is_k_dicritical(d, k)
+        assert report.verdict == oracle_ie_is_k_dicritical(d, k)
+        assert report.solved + report.swapped + report.reused == len(report.witnesses)
+        assert len({id(w) for w in report.witnesses.values()}) == (
+            report.solved + report.swapped
+        )
+        for arc, witness in report.witnesses.items():
+            assert witness.k == k - 1
+            assert valid_dicolouring(Digraph(d.n, d.arcs - {arc}), witness.colours)
+        if all(map(int.__or__, d.out_masks, d.in_masks)):
+            expected = _arc_order_failure(d, k, oracle_ie_is_k_dicolourable)
+            assert (report.failure_arc, sorted(report.witnesses)) == expected
+
+    @pytest.mark.parametrize(
+        "build, k, nodes",
+        [
+            (lambda: bidirected_complete(4), 4, 16),
+            (lambda: bidirected_complete(5), 5, 25),
+            (lambda: WHEEL_5, 4, 27),
+            *[
+                (lambda n=n, s=s: generate_4ore(n, seed=s)[0], 4, nodes)
+                for n, counts in ((16, (244, 205, 325)), (25, (1_998, 818, 1_564)),
+                                  (49, (16_892, 13_950, 17_007)))
+                for s, nodes in enumerate(counts)
+            ],
+        ],
+        ids=["k4", "k5", "w5", *[f"4ore-{n}-s{s}" for n in (16, 25, 49) for s in range(3)]],
+    )
+    def test_pins(self, build, k, nodes):
+        # Regression counts: one fresh search, every other digon by a swap,
+        # and the second arc of each digon reused.
+        d = build()
+        budget = Budget(10 * nodes)
+        report = is_k_dicritical(d, k, budget)
+        assert report.verdict
+        assert (report.solved, report.swapped, report.reused) == (1, d.m // 2 - 1, d.m // 2)
+        assert report.nodes == budget.used == nodes
+
+    @pytest.mark.parametrize(
+        "d, k, message",
+        [
+            # One expansion covers every digon of an odd cycle, so the wrong
+            # witnesses reach the report's check.
+            (bidirected_cycle(5), 3, "fails check_dicolourings"),
+            (bidirected_cycle(7), 3, "fails check_dicolourings"),
+            # Here a wrong witness is expanded first, and its premise fails.
+            (bidirected_complete(4), 4, "colours .* apart"),
+            (generate_4ore(16, seed=0)[0], 4, "colours .* apart"),
+        ],
+        ids=["c5", "c7", "k4", "4ore-16-s0"],
+    )
+    def test_a_wrong_swap_raises(self, d, k, message):
+        real = colouring._kempe_sides
+
+        def wrong(adj, classes, a, u, v):
+            # The swap also recolours u, on u's side of the bridge, so u and
+            # v share a colour again and the digon uv is monochromatic.
+            for p, q, side, b in real(adj, classes, a, u, v):
+                yield p, q, side | 1 << u, b
+
+        with mock.patch.object(colouring, "_kempe_sides", wrong):
+            with pytest.raises(AssertionError, match=message):
+                is_k_dicritical(d, k)
+
+    def test_failure_follows_the_arc_order(self):
+        # K4 on {0, 1, 3, 4} with vertex 2 hung on 3 by a digon.  The first
+        # fresh witness derives witnesses for K4's arcs after the failure arc
+        # (2, 3) too; the report keeps only the arcs before it.
+        d = bidirected_from_edges(5, [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (3, 4), (2, 3)])
+        report = is_k_dicritical(d, 4)
+        assert not report.verdict and report.failure_arc == (2, 3)
+        assert sorted(report.witnesses) == [(0, 1), (0, 3), (0, 4), (1, 0), (1, 3), (1, 4)]
+        assert (report.solved, report.swapped, report.reused) == (1, 4, 1)
+        assert (report.failure_arc, sorted(report.witnesses)) == _arc_order_failure(
+            d, 4, oracle_ie_is_k_dicolourable
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_failure_on_a_4ore_plus_a_digon(self, seed):
+        d = generate_4ore(16, seed=seed)[0]
+        rng = random.Random(seed)
+        x, y = rng.choice([(x, y) for x, y in itertools.combinations(d.vertices(), 2)
+                           if not d.has_arc(x, y)])
+        plus = d.with_arcs([(x, y), (y, x)])
+        report = is_k_dicritical(plus, 4)
+        assert not report.verdict
+        expected = _arc_order_failure(
+            plus, 4, lambda g, c: is_k_dicolourable(g, c) is not None
+        )
+        assert expected[0] is not None
+        assert (report.failure_arc, sorted(report.witnesses)) == expected
 
 
 def _spied_criticality(d: Digraph, k: int):
@@ -747,15 +901,20 @@ class TestNodeCeilings:
     @pytest.mark.parametrize(
         "build, k, ceiling",
         [
-            (lambda: generate_4ore(25, seed=3)[0], 4, 5_649),
+            # 5,649 nodes with a fresh search per digon, before Kempe swaps.
+            (lambda: generate_4ore(25, seed=3)[0], 4, 1_154),
             (lambda: build_g3(1)[0], 3, 623),
             (lambda: build_g3(2)[0], 3, 5_146),
             (lambda: build_g3(3)[0], 3, 44_321),
             # Labels permuted by random.Random(1).shuffle: 170,362,028 nodes
-            # under chronological backtracking.
-            (lambda: _relabelled(generate_4ore(49, seed=3)[0], 1), 4, 285_443),
+            # under chronological backtracking, 285,443 with a fresh search
+            # per digon.
+            (lambda: _relabelled(generate_4ore(49, seed=3)[0], 1), 4, 21_547),
+            # 35,504,588 nodes with a fresh search per digon.
+            (lambda: _relabelled(generate_4ore(100, seed=3)[0], 1), 4, 76_432),
         ],
-        ids=["4ore-25-seed3", "g3-1", "g3-2", "g3-3", "4ore-49-seed3-shuffled"],
+        ids=["4ore-25-seed3", "g3-1", "g3-2", "g3-3", "4ore-49-seed3-shuffled",
+             "4ore-100-seed3-shuffled"],
     )
     def test_ceiling(self, build, k, ceiling):
         budget = Budget(10 * ceiling)
