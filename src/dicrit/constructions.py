@@ -12,17 +12,20 @@ same way.  Exact counts:
     m_k = C(k,2) + 2 C(k,2) n_{k-1} + C(k,2) m_{k-1}
 
 The certification pipeline mirrors the structure of the dicriticality
-argument.  The solver runs once, in the base level's criticality check;
-higher levels get a compositional lower-bound certificate.  The
-certifier peels the solver's witnesses itself, with a ``_gamma``
-colouring per base vertex, in one ``check_dicolourings`` call, and peels
-each sub-level's reference, which one composer builds from the
-construction.  Above the base, an arc-deletion witness is the tournament's
-colouring, one copy's local colouring and the reference in every other
-copy; it is decided without being composed, by the lemma of
-docs/decisions.md, section 20: from the sub-level's verdict on the local
-colouring, the reference's check and a k-vertex quotient per colour, under
-premises that fix every vertex's out-arcs to build_gk's wiring.
+argument, and nothing in it searches.  The base level's lower bound
+comes from its gadgets and its odd cycle, under premises that fix every
+vertex's out-arcs to build_g3's wiring, and each of its arcs gets a
+deletion witness by one rule of docs/decisions.md, section 23; higher
+levels get a compositional lower-bound certificate.  The certifier peels
+the base witnesses, with a ``_gamma`` colouring per base vertex, in one
+``check_dicolourings`` call, and peels each sub-level's reference, which
+one composer builds from the construction.  Above the base, an
+arc-deletion witness is the tournament's colouring, one copy's local
+colouring and the reference in every other copy; it is decided without
+being composed, by the lemma of docs/decisions.md, section 20: from the
+sub-level's verdict on the local colouring, the reference's check and a
+k-vertex quotient per colour, under premises that fix every vertex's
+out-arcs to build_gk's wiring.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from math import comb
 from typing import Union
 
 from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
-from .colouring import Colouring, _classes_acyclic, check_dicolourings, is_k_dicritical
+from .colouring import Colouring, _classes_acyclic, check_dicolourings
 from .digraph import Digraph, DigraphError, induced
 
 
@@ -198,7 +201,7 @@ def all_gadgets(layout: Layout, offset: int = 0):
 def gadget_forces_distinct(d: Digraph, x: int, y: int, gadget_vertices) -> bool:
     """True iff every 2-colouring of {x, y} + gadget with x, y equal leaves
     a monochromatic directed cycle inside the induced subdigraph.
-    Exhaustive over the 32 assignments."""
+    Exhaustive over the 16 assignments with c(x) = c(y)."""
     triangle = tuple(sorted(set(gadget_vertices)))
     if len(triangle) != 3:
         raise DigraphError("gadget must consist of exactly three vertices")
@@ -221,13 +224,15 @@ def gadget_forces_distinct(d: Digraph, x: int, y: int, gadget_vertices) -> bool:
 class CertificateReport:
     """A dicriticality certificate for one constructed level.
 
-    ``lower_bound_method`` is "solver" when the dichromatic-number lower
-    bound comes from exhaustive refutation and "compositional" when it rests
-    on the structural premises plus the sub-certificate.  Every witness
-    considered is decided (above level 3 by the lemma of
-    docs/decisions.md, section 20), so ``assumed`` is always empty; it stays
-    in the report and its JSON for readers that still look for it.  A
-    level whose premises fail decides, and counts, no witness.
+    ``lower_bound_method`` is "gadgets" at level 3, where the
+    dichromatic-number lower bound comes from the gadgets and the odd cycle
+    under the premises of docs/decisions.md, section 23, and
+    "compositional" above it, where it rests on the structural premises
+    plus the sub-certificate.  Every witness considered is decided (above
+    level 3 by the lemma of docs/decisions.md, section 20), so ``assumed``
+    is always empty; it stays in the report and its JSON for readers that
+    still look for it.  A level whose premises fail, or that sits above
+    one whose premises fail, decides, and counts, no witness.
     """
 
     k: int
@@ -276,7 +281,7 @@ class CertificateReport:
 class _Level:
     """Internal: one certified level plus the data its parent reuses.
 
-    Level 3 keeps the solver's deletion witnesses and, per vertex t, the
+    Level 3 keeps its constructed deletion witnesses and, per vertex t, the
     peel's verdict on ``_gamma(level, t)`` in ``gammas``; a higher level
     keeps its sub-level.  ``verdicts`` maps an arc to the verdict on its
     deletion witness and that witness's palette (bit c set when some
@@ -285,8 +290,9 @@ class _Level:
     ``quotients`` memoises that lemma's quotient condition.  ``palette`` is
     what every composed witness of a higher level shows outside its one
     local copy: the tournament's colours and the reference's.
-    ``reference`` is set only on a level that has a parent, to
-    ``_gamma(level, 0)``, and ``reference_ok`` to its check."""
+    ``reference`` is set only on a level that has a parent and whose
+    lower bound holds, to ``_gamma(level, 0)``, and ``reference_ok`` to its
+    check."""
 
     digraph: Digraph
     layout: Layout
@@ -336,7 +342,7 @@ def _compose(
 
 def _deletion_witness(level: _Level, arc: tuple[int, int]) -> Colouring:
     """A (chi-1)-dicolouring of the level's graph minus one arc, built the
-    way the dicriticality argument does, down to the solver's level-3
+    way the dicriticality argument does, down to the constructed level-3
     witnesses."""
     if level.sub is None:
         return level.witnesses[arc]
@@ -419,7 +425,7 @@ def _verdict(level: _Level, arc: tuple[int, int]) -> tuple[bool, int]:
     graph minus ``arc``, and which colours does it show (a superset of
     them)?  Decided without composing the witness, by the lemma of
     docs/decisions.md, section 20, and memoised per level.  Level 3 answers
-    False for an arc the solver gave no witness."""
+    False for an arc it holds no witness for."""
     found = level.verdicts.get(arc)
     if found is not None:
         return found
@@ -460,6 +466,63 @@ def _arcs_at(d: Digraph, indices) -> list[tuple[int, int]]:
     return found
 
 
+def _g3_premises(d: Digraph, layout: G3Layout) -> bool:
+    """The premises of docs/decisions.md, section 23, on the bitsets: L =
+    2 n0 + 1 vertices on an odd cycle whose arcs join exactly the pairs i,
+    i + 1 mod L, 4L vertices in all, and every vertex's out-arcs as
+    build_g3 wires them, which fixes the arc set."""
+    length = 2 * layout.n0 + 1
+    cycle = layout.cycle_arcs
+    if not (
+        length >= 3
+        and length % 2
+        and d.n == 4 * length
+        and len(cycle) == length
+        and set(map(frozenset, cycle))
+        == {frozenset((i, (i + 1) % length)) for i in range(length)}
+    ):
+        return False
+    wired = [0] * d.n
+    for i, (x, y) in enumerate(cycle):
+        t = length + 3 * i
+        wired[x] |= 1 << y
+        wired[y] |= 0b111 << t
+        for j in range(3):
+            wired[t + j] = 1 << (t + (j + 1) % 3) | 1 << x
+    return d.out_masks == tuple(wired)
+
+
+def _g3_witnesses(layout: G3Layout) -> dict[tuple[int, int], Colouring]:
+    """A 2-colouring of the base construction per arc, in sorted arc
+    order, by the rules of docs/decisions.md, section 23: each is a
+    dicolouring of the digraph minus its arc when the premises hold.  The
+    ten arcs of gadget i share five colourings, which colour the cycle by
+    distance from x along the path that avoids the edge {x, y}, so x and y
+    both get colour 1, and every other gadget's triangle (1, 2, 2)."""
+    length = 2 * layout.n0 + 1
+    witnesses = {}
+    for i, (x, y) in enumerate(layout.cycle_arcs):
+        step = 1 if y == (x - 1) % length else -1  # away from y
+        cycle = [0] * length
+        for dist in range(length):
+            cycle[(x + step * dist) % length] = 1 + dist % 2
+        before, after = cycle + [1, 2, 2] * i, [1, 2, 2] * (length - 1 - i)
+
+        def colouring(own: list[int]) -> Colouring:
+            return Colouring(2, tuple(before + own + after))
+
+        witnesses[x, y] = colouring([1, 2, 2])
+        t = length + 3 * i
+        triangle = colouring([2, 2, 2])  # no triangle arc closes a cycle
+        for j in range(3):
+            witnesses[t + j, t + (j + 1) % 3] = triangle
+            # t + j alone in x's and y's colour: neither arc at it closes one
+            witnesses[y, t + j] = witnesses[t + j, x] = colouring(
+                [1 if h == j else 2 for h in range(3)]
+            )
+    return dict(sorted(witnesses.items()))
+
+
 def _certify_level(
     d: Digraph,
     layout: Layout,
@@ -468,40 +531,44 @@ def _certify_level(
     rng: random.Random,
 ) -> _Level:
     if isinstance(layout, G3Layout):
-        crit = is_k_dicritical(d, 3, budget)
+        premises_ok = _g3_premises(d, layout)
         report = CertificateReport(
             k=3,
             n=d.n,
             m=d.m,
-            lower_bound_method="solver",
-            lower_bound_ok=crit.verdict,
-            structural_ok=True,
+            lower_bound_method="gadgets",
+            lower_bound_ok=premises_ok,
+            structural_ok=premises_ok,
             witnesses_total=d.m,
             witnesses_checked=0,
-            witness_failures=[crit.failure_arc] if crit.failure_arc else [],
         )
-        level = _Level(d, layout, report, witnesses=crit.witnesses)
-        # The leaves: the certifier peels every solver witness on D minus
-        # its arc and, for the parent's wiring arcs, every _gamma on D.
-        pairs = [(w, arc) for arc, w in crit.witnesses.items()]
-        if crit.verdict:
-            pairs += [(Colouring(3, _gamma(level, t)), None) for t in range(d.n)]
+        level = _Level(d, layout, report, witnesses={})
+        if not premises_ok:
+            return level
+        level.witnesses = _g3_witnesses(layout)
+        # The leaves: the certifier peels every constructed witness on D
+        # minus its arc and, for the parent's wiring arcs, every _gamma on D.
+        pairs = [(w, arc) for arc, w in level.witnesses.items()]
+        pairs += [(Colouring(3, _gamma(level, t)), None) for t in range(d.n)]
         results = [ok for ok, _ in check_dicolourings(d, pairs)]
-        for (arc, w), ok in zip(crit.witnesses.items(), results):
+        for (arc, w), ok in zip(level.witnesses.items(), results):
             level.verdicts[arc] = ok, _palette(w.colours)
             if ok:
                 report.witnesses_checked += 1
             else:
                 report.witness_failures.append(arc)
-        level.gammas = dict(enumerate(results[len(crit.witnesses):]))
+        level.gammas = dict(enumerate(results[len(level.witnesses):]))
         return level
 
     k = layout.k
     sub = _certify_level(layout.sub_digraph, layout.sub_layout, budget, witness_sample, rng)
-    sub.reference = _gamma(sub, 0)
-    ((sub.reference_ok, _),) = check_dicolourings(
-        sub.digraph, [(Colouring(sub.chi, sub.reference), None)]
-    )
+    # A sub-level's lower bound holds only with the premises of every level
+    # at and below it, and only then has it witnesses to compose from.
+    if sub.report.lower_bound_ok:
+        sub.reference = _gamma(sub, 0)
+        ((sub.reference_ok, _),) = check_dicolourings(
+            sub.digraph, [(Colouring(sub.chi, sub.reference), None)]
+        )
 
     # The premises, on the bitsets: the lower bound's complete tournament,
     # and for the lemma of docs/decisions.md, section 20, every vertex's
@@ -547,7 +614,7 @@ def _certify_level(
         report.sampled = True
     else:
         arcs = d.sorted_arcs()
-    if structural_ok:
+    if report.lower_bound_ok:
         for arc in arcs:
             if _verdict(level, arc)[0]:
                 report.witnesses_checked += 1
@@ -565,15 +632,19 @@ def certify_dicritical_composition(
 ) -> CertificateReport:
     """Certify that the constructed level-k graph is k-dicritical.
 
-    Level 3 is certified exhaustively by the solver.  Higher levels combine
+    Level 3 is certified from the construction's own argument, with no
+    search: premises checked on the bitsets, the lower bound from the
+    gadgets and the odd cycle, and one constructed witness per arc
+    (docs/decisions.md, section 23).  Higher levels combine
     (a) the compositional lower bound (structural premises checked here, the
     dichromatic lower bound inherited from the sub-certificate), (b) a
     constructed (k-1)-dicolouring of the graph minus each arc, for all arcs,
     or a seeded sample when ``witness_sample`` is given (the report flags
     sampling), and (c) a decision on every such witness against the
-    digraph minus its arc, so nothing is assumed: the solver's witnesses by
+    digraph minus its arc, so nothing is assumed: level 3's witnesses by
     the certifier's own peel, those above by the lemma of
-    docs/decisions.md, section 20.
+    docs/decisions.md, section 20.  ``budget`` is still accepted, and
+    nothing charges it.
     """
     if witness_sample is not None and witness_sample < 1:
         raise DigraphError(

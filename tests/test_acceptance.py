@@ -316,8 +316,9 @@ def test_criterion_6_constructions():
     g3, layout3 = build_g3(1)
     assert (g3.n, g3.m) == (12, 30)
     base_report = certify_dicritical_composition(3)
-    assert base_report.ok() and base_report.lower_bound_method == "solver"
+    assert base_report.ok() and base_report.lower_bound_method == "gadgets"
     assert base_report.witnesses_checked == 30
+    assert is_k_dicritical(g3, 3).verdict
 
     g4, layout4 = build_gk(4, ConstructionSpec(k=4))
     assert (g4.n, g4.m) == (76, 330)
@@ -336,7 +337,7 @@ def test_criterion_6_constructions():
     assert not report.assumed
     _pass(
         "6", t0,
-        "G3 fully solver-certified; G4 = 76/330, slack 1295/17, 18 gadgets "
+        "G3 certified from its gadgets and by the solver; G4 = 76/330, slack 1295/17, 18 gadgets "
         "force, compositional certificate + 30 sampled witnesses",
     )
 

@@ -297,7 +297,7 @@ class TestSubcommands:
         )
         budget = Budget()
         assert certify_dicritical_composition(4, budget=budget, witness_sample=12).ok()
-        assert code == 0 and budget.used > 0
+        assert code == 0 and budget.used == 0
         assert json.loads(out)["stats"] == {"nodes": budget.used}
 
     def test_construct_with_a_tournament_file(self, capsys, tmp_path):

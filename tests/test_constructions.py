@@ -6,11 +6,13 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dicrit import constructions
+from dicrit import colouring, constructions
 from dicrit.budget import Budget
-from dicrit.colouring import Colouring, check_dicolourings, dichromatic_number
+from dicrit.colouring import Colouring, check_dicolourings, dichromatic_number, is_k_dicritical
 from dicrit.constructions import (
     ConstructionSpec,
+    G3Layout,
+    GkLayout,
     all_gadgets,
     build_g3,
     build_gk,
@@ -178,7 +180,7 @@ class TestCertify:
     def test_k3_full_solver_certificate(self):
         report = certify_dicritical_composition(3)
         assert report.ok()
-        assert report.lower_bound_method == "solver"
+        assert report.lower_bound_method == "gadgets"
         assert report.witnesses_checked == report.witnesses_total == 30
         assert not report.sampled and not report.assumed
 
@@ -188,7 +190,7 @@ class TestCertify:
         assert report.lower_bound_method == "compositional"
         assert report.witnesses_checked == report.witnesses_total == 330
         assert not report.sampled and not report.assumed
-        assert report.sub_certificate.lower_bound_method == "solver"
+        assert report.sub_certificate.lower_bound_method == "gadgets"
 
     def test_k4_sampled_certificate_flags_sampling(self):
         report = certify_dicritical_composition(4, witness_sample=30, seed=1)
@@ -302,6 +304,145 @@ class TestCertify:
         g, _ = build_g3(1)
         assert dichromatic_number(g) == 3
         assert certify_dicritical_composition(3).witness_failures == []
+
+
+def _wired_g3(n0, cycle_arcs):
+    """The base construction's digraph over any ``cycle_arcs``, wired as
+    build_g3 wires its own: gadget i on vertices 2 n0 + 1 + 3i onwards."""
+    length = 2 * n0 + 1
+    arcs = list(cycle_arcs)
+    for i, (x, y) in enumerate(cycle_arcs):
+        t = [length + 3 * i + j for j in range(3)]
+        arcs += [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])]
+        arcs += [(y, w) for w in t] + [(w, x) for w in t]
+    return Digraph(4 * length, arcs)
+
+
+def _wired_gk(k, tournament_arcs, sub):
+    """The level-k construction over any ``sub`` digraph, wired as
+    build_gk wires its copies."""
+    arcs = list(tournament_arcs)
+    for i, (x, y) in enumerate(tournament_arcs):
+        block = range(k + i * sub.n, k + (i + 1) * sub.n)
+        arcs += [(u + block[0], v + block[0]) for u, v in sub.sorted_arcs()]
+        arcs += [(y, w) for w in block] + [(w, x) for w in block]
+    return Digraph(k + len(tournament_arcs) * sub.n, arcs)
+
+
+class TestGadgetCertificate:
+    """Level 3 is certified from the construction's own argument: the
+    premises on the bitsets, the lower bound from the gadgets and the odd
+    cycle, and one constructed witness per arc, each still peeled."""
+
+    @pytest.mark.parametrize("n0", [1, 2, 3, 4])
+    def test_witnesses_agree_with_the_solver(self, n0):
+        for seed in [None, *range(10)]:
+            g, layout = build_g3(n0, seed)
+            assert is_k_dicritical(g, 3).verdict
+            assert constructions._g3_premises(g, layout)
+            witnesses = constructions._g3_witnesses(layout)
+            assert list(witnesses) == g.sorted_arcs()
+            for arc, witness in witnesses.items():
+                assert witness.k == 2
+                assert valid_dicolouring(Digraph(g.n, g.arcs - {arc}), witness.colours)
+            for gadget in all_gadgets(layout):
+                assert gadget_forces_distinct(g, gadget.tail, gadget.head, gadget.triangle)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_certify_runs_no_search(self, monkeypatch, k):
+        def no_search(*args):
+            raise AssertionError("the solver searched")
+
+        monkeypatch.setattr(colouring, "_first_assignment", no_search)
+        budget = Budget()
+        report = certify_dicritical_composition(k, budget=budget)
+        assert report.ok() and budget.used == 0
+        while report.k > 3:
+            report = report.sub_certificate
+        assert report.lower_bound_method == "gadgets"
+
+    @pytest.mark.parametrize("n0, seed", [(1, None), (2, 3)])
+    @pytest.mark.parametrize(
+        "case", ["extra arc", "cycle arc", "triangle arc", "head to triangle", "triangle to tail"]
+    )
+    def test_broken_premises_decide_nothing(self, n0, seed, case):
+        g, layout = build_g3(n0, seed)
+        gadget = next(all_gadgets(layout))
+        x, y, (t0, t1, _) = gadget.tail, gadget.head, gadget.triangle
+        if case == "extra arc":
+            # from x into a triangle of a gadget it does not serve: (0, 6)
+            # on build_g3(1)
+            other = next(h for h in all_gadgets(layout) if x not in (h.tail, h.head))
+            broken = g.with_arcs([(x, other.triangle[0])])
+        else:
+            arc = {
+                "cycle arc": (x, y),
+                "triangle arc": (t0, t1),
+                "head to triangle": (y, t0),
+                "triangle to tail": (t0, x),
+            }[case]
+            broken = g.without_arcs([arc])
+        report = constructions._certify_level(
+            broken, layout, Budget(), None, random.Random(0)
+        ).report
+        assert not report.structural_ok and not report.lower_bound_ok
+        assert report.witnesses_checked == 0 and report.witness_failures == []
+        assert not report.ok()
+
+    def test_cycle_that_is_not_the_labelled_one_fails(self):
+        # wired exactly as its layout says, but the arc on {3, 4} moved to
+        # the chord {1, 3}: the arcs no longer join i and i + 1 mod L
+        arcs = tuple(sorted([(0, 1), (1, 2), (2, 3), (1, 3), (4, 0)]))
+        report = constructions._certify_level(
+            _wired_g3(2, arcs), G3Layout(2, arcs), Budget(), None, random.Random(0)
+        ).report
+        assert not report.structural_ok and report.witnesses_checked == 0
+        assert not report.ok()
+        # the same wiring over the labelled cycle passes
+        good = tuple(sorted([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
+        assert _wired_g3(2, good) == build_g3(2)[0]
+        assert constructions._certify_level(
+            _wired_g3(2, good), G3Layout(2, good), Budget(), None, random.Random(0)
+        ).report.ok()
+
+    def test_layout_of_another_order_fails(self):
+        g, _ = build_g3(1)
+        _, layout = build_g3(2)
+        report = constructions._certify_level(g, layout, Budget(), None, random.Random(0)).report
+        assert not report.structural_ok and not report.ok()
+
+    def test_failed_sub_level_fails_its_parent(self):
+        # the sub-level's premises fail, so it has no witness to compose a
+        # reference from: the parent decides no witness and raises nothing
+        g3, l3 = build_g3(1)
+        g4, l4 = build_gk(4, ConstructionSpec(k=4))
+        layout = GkLayout(4, l4.tournament_arcs, g3.without_arcs([(0, 1)]), l3)
+        level = constructions._certify_level(g4, layout, Budget(), None, random.Random(0))
+        assert not level.sub.report.structural_ok
+        assert level.sub.reference == () and not level.sub.reference_ok
+        report = level.report
+        assert report.witnesses_checked == 0 and report.witness_failures == []
+        assert not report.lower_bound_ok and not report.ok()
+
+    @pytest.mark.parametrize("sample", [None, 40])
+    def test_failed_level_3_fails_every_level_above(self, sample):
+        # level 4 is built over a level 3 missing a triangle arc, so its own
+        # premises hold; neither it nor level 5 decides a witness
+        _, l5 = build_gk(5, ConstructionSpec(k=5))
+        l4 = l5.sub_layout
+        g3, l3 = l4.sub_digraph, l4.sub_layout
+        t0, t1, _ = next(all_gadgets(l3)).triangle
+        bad3 = g3.without_arcs([(t0, t1)])
+        bad4 = _wired_gk(4, l4.tournament_arcs, bad3)
+        layout = GkLayout(5, l5.tournament_arcs, bad4, GkLayout(4, l4.tournament_arcs, bad3, l3))
+        top = constructions._certify_level(
+            _wired_gk(5, l5.tournament_arcs, bad4), layout, Budget(), sample, random.Random(0)
+        )
+        assert [lv.report.structural_ok for lv in _levels(top)] == [True, True, False]
+        for lv in _levels(top):
+            assert lv.report.witnesses_checked == 0 and lv.report.witness_failures == []
+            assert not lv.report.lower_bound_ok and not lv.report.ok()
+            assert not lv.reference_ok
 
 
 def _random_spec(k, seed):
@@ -435,7 +576,7 @@ class TestWitnessOracle:
     def test_checker_sees_only_references_and_leaves(self, monkeypatch, k):
         # above level 3 no witness reaches check_dicolourings: the lemma
         # decides them; it peels each sub-level's reference and, in one
-        # call, level 3's solver witnesses and its _gamma colourings
+        # call, level 3's constructed witnesses and its _gamma colourings
         spec = _random_spec(k, 5)
         calls = _record_calls(monkeypatch)
         report = certify_dicritical_composition(k, spec)
@@ -507,7 +648,7 @@ class TestLemma:
 
 
 class TestWitnessMutation:
-    """A level-3 solver witness recoloured so that it closes a
+    """A constructed level-3 witness recoloured so that it closes a
     monochromatic triangle fails the certifier's own peel, and only that
     witness does; at every level above, exactly the arcs whose composed
     witness the full check rejects fail."""
@@ -531,17 +672,16 @@ class TestWitnessMutation:
             # every composed witness above holds in some copy
             "reference arc": ((0, g3.out_neighbours(0)[0]), gadgets[0].triangle),
         }
-        real = constructions.is_k_dicritical
+        real = constructions._g3_witnesses
         for case, (leaf, triangle) in cases.items():
 
-            def patched(d, chi, budget):
-                crit = real(d, chi, budget)
-                witnesses = dict(crit.witnesses)
+            def patched(layout):
+                witnesses = dict(real(layout))
                 colours = _close_a_triangle(witnesses[leaf].colours, triangle)
                 witnesses[leaf] = Colouring(2, colours)
-                return replace(crit, witnesses=witnesses)
+                return witnesses
 
-            monkeypatch.setattr(constructions, "is_k_dicritical", patched)
+            monkeypatch.setattr(constructions, "_g3_witnesses", patched)
             top = _certify(k, spec, sample)
             assert not top.report.ok(), case
             considered = _considered(top, sample)
