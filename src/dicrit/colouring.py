@@ -37,13 +37,15 @@ be replaced.  The proof is in docs/decisions.md, section 6.  After a "yes"
 from the reduction, ``is_k_dicolourable`` runs the plain search to the end
 for its witness.
 
-On a bidirected digraph, ``is_k_dicritical`` expands each fresh per-arc
-witness by Kempe swaps: for each other colour, one pass along a path of
-the bichromatic chain between the two ends of the deleted digon finds the
-chain's bridges between them, and exchanging the two colours on one side
-of a bridge gives the witness for that bridge's digon.  Each derived
-witness is expanded in turn, so one fresh search usually serves every arc
-(docs/decisions.md, section 22).
+``is_k_dicritical`` derives most per-arc witnesses from a few fresh ones,
+on every digraph (docs/decisions.md, section 24).  A witness w for D - uv
+colours u and v alike, say a, and serves every arc on every v->u path
+inside the class A of a (rule 1).  For each other colour b, exchanging a
+and b on v's side of an arc on every v->u path of the arcs between A and
+the class of b gives the witness for that arc (rule 2, a directed Kempe
+swap).  ``_bridges`` finds those arcs and v's sides in one pass along one
+path, and each witness so derived is expanded in turn, so a few fresh
+searches usually serve every arc.
 
 The witness checker shares no code with the solver, so every witness the
 solver returns is checked independently.  ``check_dicolourings`` takes
@@ -666,9 +668,11 @@ def dichromatic_number(d: Digraph, budget: Budget | int | None = None) -> int:
 class CriticalityReport:
     """Outcome of a k-dicriticality check with per-arc witness colourings.
 
-    ``nodes`` is the budget spent inside the check.  Of the witnesses,
-    ``solved`` came from a fresh search, ``swapped`` from Kempe swaps on a
-    bidirected D, and ``reused`` were taken from an earlier arc.
+    ``nodes`` is the budget spent inside the check.  Of the distinct
+    witnesses, ``solved`` came from a fresh search and ``swapped`` from a
+    directed Kempe swap (rule 2 of docs/decisions.md, section 24).
+    ``reused`` counts the arcs whose witness an earlier arc already holds:
+    when every arc has a witness, the arcs that rule 1 served.
     ``refutation`` tells how "D is not (k-1)-dicolourable" was decided.
     """
 
@@ -704,131 +708,135 @@ class CriticalityReport:
         }
 
 
-def _reuse_fits(out: list[int], cls: int, x: int, y: int, u: int, v: int) -> bool:
-    """Does the witness found for D - xy, whose class of x is the bitset
-    ``cls``, also dicolour D - uv?  ``out`` holds D's out-bitsets, in any
-    labelling that ``cls`` and the four vertices share.  Valid
-    when D is not dicoloured by the witness: then every monochromatic cycle
-    of D runs through xy, so for uv != xy the answer is yes iff u and v lie
-    in ``cls`` and D[cls] - uv has no y->x path (docs/decisions.md,
-    section 7)."""
-    if not (cls >> u & 1 and cls >> v & 1):
-        return False
-    if u == x and v == y:
-        return True
-    target = 1 << x
-    frontier = seen = 1 << y
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        w = low.bit_length() - 1
-        step = out[w] & cls
-        if w == u:
-            step &= ~(1 << v)
-        if step & target:
-            return False
-        step &= ~seen
-        seen |= step
-        frontier |= step
-    return True
+def _bridges(
+    out: Sequence[int], inn: Sequence[int], one: int, two: int, v: int, u: int
+) -> Iterator[tuple[int, int, int]]:
+    """The arcs pq on every v->u path of H, each with v's reach set in
+    H - pq, as (p, q, side) in path order.
 
-
-def _kempe_sides(
-    adj: Sequence[int], classes: Sequence[int], a: int, u: int, v: int
-) -> Iterator[tuple[int, int, int, int]]:
-    """The Kempe swaps that turn a witness for D - uv, of a bidirected D
-    that is not c-dicolourable, into witnesses for other arcs.
-
-    ``adj`` holds the neighbour bitsets of D's underlying graph G, and
-    ``classes[1..c]`` the colour classes of the witness as bitsets (entry 0
-    is unused): a proper c-colouring of G - uv with c(u) = c(v) = a, which
-    raises ``AssertionError`` if c(v) != a.  For
-    each other colour b, a breadth-first search finds a v-u path P in v's
-    a/b chain (its component in G - uv restricted to colours a and b), and
-    one pass along P floods the pieces of the chain minus P's edges: an edge
-    pq of P (p nearer v) separates v from u exactly when no piece met before
-    q reaches past p.  Yields (p, q, side, b) for each such edge, ``side``
-    the bitset of v's part of the chain: exchanging a and b on it gives a
-    proper colouring of G - pq with c(p) = c(q), a witness for D - pq and
-    D - qp (docs/decisions.md, section 22).
+    H holds D's arcs from the vertex bitset ``one`` to ``two`` and from
+    ``two`` to ``one``; ``out``/``inn`` are D's out- and in-bitsets and v
+    lies in ``one``.  A breadth-first search from v finds one v->u path
+    P = x_0 .. x_m of H, walked back from u through the in-bitsets, and
+    raises ``AssertionError`` if there is none.  Then one flood along P:
+    T, the reach of x_0 .. x_i in H minus P's arcs, only grows with i, and
+    x_i x_{i+1} lies on every v->u path exactly when T holds no later
+    vertex of P; T is then v's reach set in H - x_i x_{i+1}
+    (docs/decisions.md, section 24).
     """
-    if not classes[a] >> v & 1:
-        raise AssertionError(f"the witness for D - ({u}, {v}) colours {u} and {v} apart")
-    for b in range(1, len(classes)):
-        if b == a:
-            continue
-        both = classes[a] | classes[b]
-        # Breadth-first layers from v, of colour a at even depths.
-        across = (classes[b], classes[a])
-        layers = [1 << v]
-        seen = 1 << v
-        while not seen >> u & 1:
-            ahead = reduce(or_, map(adj.__getitem__, bits(layers[-1])))
-            ahead &= across[len(layers) % 2 - 1] & ~seen
-            if not ahead:
-                raise AssertionError(f"the {a}/{b} chain of {v} misses {u}, so D is dicolourable")
-            seen |= ahead
-            layers.append(ahead)
-        path = [u]
-        for layer in reversed(layers[:-1]):
-            near = adj[path[-1]] & layer
-            path.append((near & -near).bit_length() - 1)
-        path.reverse()
-        # G - uv has no edge inside a colour class, so within ``both`` a
-        # vertex's neighbours are its chain neighbours, once the path
-        # vertices' rows lose P's edges and the edge uv.
-        keep = {x: ~(1 << y | 1 << z) for x, y, z in zip(path, [u, *path], [*path[1:], v])}
-        index = {x: i for i, x in enumerate(path)}
-        side = reach = 0
-        for i, x in enumerate(path[:-1]):
-            if not side >> x & 1:
-                piece = frontier = 1 << x
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    w = low.bit_length() - 1
-                    step = adj[w] & both & ~piece
-                    if w in keep:
-                        step &= keep[w]
-                        if index[w] > reach:
-                            reach = index[w]
-                    piece |= step
-                    frontier |= step
-                side |= piece
-            if reach == i:
-                yield x, path[i + 1], side, b
+    # Breadth-first layers from v; H alternates between the two sets.
+    across = (one, two)
+    layers = [1 << v]
+    seen = 1 << v
+    while not seen >> u & 1:
+        layer = layers[-1]
+        ahead = 0
+        while layer:
+            low = layer & -layer
+            ahead |= out[low.bit_length() - 1]
+            layer ^= low
+        ahead &= across[len(layers) & 1] & ~seen
+        if not ahead:
+            raise AssertionError(f"no path from {v} to {u}, so D is dicolourable")
+        seen |= ahead
+        layers.append(ahead)
+    # P, walked back from u: ``nxt`` maps each vertex of P but u to the next.
+    nxt = {}
+    x, rest = u, 0  # rest: the vertices of P after x_i
+    for layer in reversed(layers[:-1]):
+        rest |= 1 << x
+        near = inn[x] & layer
+        p = (near & -near).bit_length() - 1
+        nxt[p] = x
+        x = p
+    side = 0
+    while x != u:
+        q = nxt[x]
+        if not side >> x & 1:
+            side |= 1 << x
+            frontier = 1 << x
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                w = low.bit_length() - 1
+                step = out[w] & (two if one >> w & 1 else one) & ~side
+                if w in nxt:
+                    step &= ~(1 << nxt[w])
+                side |= step
+                frontier |= step
+        if not side & rest:
+            yield x, q, side
+        elif side >> u & 1:
+            return
+        rest ^= 1 << q
+        x = q
 
 
-def _kempe_closure(
-    adj: Sequence[int], m: int, found: tuple[int, ...], u: int, v: int, c: int,
-    position: list[int], derived: dict[tuple[int, int], Colouring],
+def _closure(
+    out: Sequence[int], inn: Sequence[int], found: tuple[int, ...], u: int, v: int,
+    position: list[int], derived: dict[tuple[int, int], Colouring], m: int,
 ) -> None:
-    """Expand the assignment ``found`` for D - uv by the swaps of
-    ``_kempe_sides``, then each witness so derived in turn, newest first,
-    until all m arcs of D have a witness in ``derived`` or none is left to
-    expand.  ``found``, u, v and the keys of ``derived`` are in branching
-    order (``position`` maps D's labels into it); the witnesses are in D's
-    labels, one object for both arcs of a digon."""
+    """Expand the assignment ``found`` for D - uv, whose witness is
+    ``derived[u, v]``, by the rules of docs/decisions.md, section 24, until
+    all m arcs of D have a witness in ``derived`` or none is left to expand.
+    D must not be c-dicolourable, c the witness's ``k``.
+
+    Let w be a witness for D - xy, with w(x) = w(y) = a and A the class of
+    a.  Rule 1 gives w every arc of D[A] on every y->x path; rule 2, for
+    each other colour b, exchanges a and b on y's side of each arc that
+    ``_bridges`` finds between A and B, and gives that arc the new witness.
+    Each new witness takes its rule-1 arcs at once and is expanded by rule
+    2, newest first, except on the two colours of the swap that made it:
+    there it would find only its parent's arc and the arcs of the pass
+    that found it, which all have witnesses.  When x is y's only
+    out-neighbour in A, as on every bidirected D, yx is the only rule-1
+    arc and needs no pass; the pair (w, yx) is then expanded as well, once
+    no swap witness is left.
+    ``found``, u, v and the keys of ``derived`` are in branching order
+    (``position`` maps D's labels into it); the witnesses are in D's
+    labels.
+    """
+    c = derived[u, v].k
     classes = [0] * (c + 1)
     for x, colour in enumerate(found):
         classes[colour] |= 1 << x
-    stack = [(found, classes, u, v)]
-    while stack:
-        colours, classes, x, y = stack.pop()
+    swaps, reverses = [], []
+
+    def take(colours, classes, x, y, w, skip=0) -> None:
+        cls = classes[colours[x]]
+        if out[y] & cls == 1 << x:
+            if (y, x) not in derived:
+                derived[y, x] = w
+                reverses.append((colours, classes, y, x, 0))
+        else:
+            for p, q, _ in _bridges(out, inn, cls, cls, y, x):
+                derived.setdefault((p, q), w)
+        swaps.append((colours, classes, x, y, skip))
+
+    take(found, classes, u, v, derived[u, v])
+    while len(derived) < m and (swaps or reverses):
+        colours, classes, x, y, skip = (swaps or reverses).pop()
         a = colours[x]
-        for p, q, side, b in _kempe_sides(adj, classes, a, x, y):
-            if (p, q) in derived:
+        for b in range(1, c + 1):
+            if b == a or b == skip:
                 continue
-            swapped = list(colours)
-            for z in bits(side):
-                swapped[z] = a + b - swapped[z]
-            derived[p, q] = derived[q, p] = Colouring(c, tuple(map(swapped.__getitem__, position)))
-            if len(derived) == m:
-                return
-            moved = classes.copy()
-            moved[a] ^= side
-            moved[b] ^= side
-            stack.append((swapped, moved, p, q))
+            for p, q, side in _bridges(out, inn, classes[a], classes[b], y, x):
+                if (p, q) in derived:
+                    continue
+                swapped = list(colours)
+                rest = side
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    z = low.bit_length() - 1
+                    swapped[z] = a + b - swapped[z]
+                w = derived[p, q] = Colouring(c, tuple(map(swapped.__getitem__, position)))
+                moved = classes.copy()
+                moved[a] ^= side
+                moved[b] ^= side
+                take(swapped, moved, p, q, w, a + b - swapped[p])
+                if len(derived) == m:
+                    return
 
 
 def is_k_dicritical(
@@ -846,31 +854,25 @@ def is_k_dicritical(
 
     Every search runs in one connectivity order computed for D, on D
     relabelled into it once; each fresh witness is mapped back to D's
-    labels, and the screen below runs in the relabelled digraph.  Once D is
+    labels, and the closure below runs in the relabelled digraph.  Once D is
     known not to be (k-1)-dicolourable, the search for D - uv only tries
     colourings with c(u) = c(v), which loses nothing: a (k-1)-dicolouring c
     of D - uv with c(u) != c(v) would also dicolour D, because every cycle
     of D that is not a cycle of D - uv uses the arc uv and so meets both
     colours.
 
-    Earlier fresh witnesses are tried before a search, newest first.  A
-    witness w found for D - xy serves D - uv exactly when u and v lie in
-    x's colour class C and D[C] - uv has no y->x path: since D is not
-    (k-1)-dicolourable, every monochromatic cycle of D under w runs through
-    xy (docs/decisions.md, section 7).  ``_reuse_fits`` tests that with one
-    search on bitsets.
-
-    When D is bidirected, a witness w for D - uv properly colours the
-    underlying graph minus uv with w(u) = w(v) = a.  For each other colour
-    b, the a/b chain of v reaches u, and exchanging a and b on v's side of
-    a chain edge pq that separates v from u gives a witness for D - pq and
-    D - qp.  ``_kempe_closure`` expands each fresh witness so, and each
-    witness it derives, newest first, until every arc has one
-    (docs/decisions.md, section 22).  An arc takes a derived witness
-    first, then the screen, then a fresh search.  The arcs are still
-    visited in sorted order, so ``failure_arc`` and the witness keys are
-    those of the plain loop.  ``swapped`` counts the derived witnesses a
-    report holds.
+    ``_closure`` expands each fresh witness into witnesses for other arcs
+    (docs/decisions.md, section 24).  Under a witness w for D - uv with
+    w(u) = w(v) = a, every monochromatic cycle of D is uv and a v->u path
+    of D[A], A the class of a, so w also serves each arc on every such path
+    (rule 1).  For each other colour b, v reaches u in the digraph H of D's
+    arcs between A and B, and exchanging a and b on v's reach set in
+    H - pq, for an arc pq on every v->u path of H, gives a witness for
+    D - pq (rule 2).  Each rule-2 witness is expanded in turn, newest
+    first, until every arc has a witness.  An arc takes a derived witness
+    if it has one, else a fresh pinned search.  The arcs are still visited
+    in sorted order, so ``failure_arc`` and the witness keys are those of
+    a fresh search per arc.
 
     Every witness in every report, fresh, derived or reused, is checked
     once on D minus its arc: the arc loop collects them, and one
@@ -898,51 +900,35 @@ def is_k_dicritical(
             nodes=budget.used - start, refutation=refutation,
         )
     witnesses: dict[tuple[int, int], Colouring] = {}
-    # Each fresh witness with the arc xy it was found for and x's colour
-    # class; the arc and the class are in branching order.
-    fresh: list[tuple[Colouring, int, int, int]] = []
-    # Witnesses for arcs not visited yet, keyed in branching order: the
-    # reverse arc of a fresh witness's arc, and the arcs of Kempe swaps.
-    # Only a bidirected D gets them.
+    # Every witness so far, fresh or derived, keyed by its arc in branching order.
     derived: dict[tuple[int, int], Colouring] = {}
-    bidirected = out == inn
-    swapped = 0
+    solved = 0
     failure_arc = None
     for arc in d.sorted_arcs():
         u, v = position[arc[0]], position[arc[1]]
         w = derived.get((u, v))
-        if w is not None:
-            # One derived witness serves both arcs of its digon: it counts
-            # at the first of them, and a fresh one's second arc is reused.
-            swapped += arc[::-1] not in witnesses
-        else:
-            for w, x, y, cls in reversed(fresh):
-                if _reuse_fits(ordered_out, cls, x, y, u, v):
-                    break
-            else:
-                out_minus, inn_minus = ordered_out.copy(), ordered_inn.copy()
-                out_minus[u] &= ~(1 << v)
-                inn_minus[v] &= ~(1 << u)
-                pin = (u, v) if u < v else (v, u)
-                found = _first_assignment(out_minus, inn_minus, k - 1, budget, pin)
-                if found is None:
-                    failure_arc = arc
-                    break
-                w = Colouring(k - 1, tuple(map(found.__getitem__, position)))
-                cls = sum(1 << x for x, c in enumerate(found) if c == found[u])
-                fresh.append((w, u, v, cls))
-                if bidirected:  # then ordered_out is the underlying graph too
-                    derived[u, v] = derived[v, u] = w
-                    _kempe_closure(ordered_out, d.m, found, u, v, k - 1, position, derived)
+        if w is None:
+            out_minus, inn_minus = ordered_out.copy(), ordered_inn.copy()
+            out_minus[u] &= ~(1 << v)
+            inn_minus[v] &= ~(1 << u)
+            pin = (u, v) if u < v else (v, u)
+            found = _first_assignment(out_minus, inn_minus, k - 1, budget, pin)
+            if found is None:
+                failure_arc = arc
+                break
+            solved += 1
+            w = derived[u, v] = Colouring(k - 1, tuple(map(found.__getitem__, position)))
+            _closure(ordered_out, ordered_inn, found, u, v, position, derived, d.m)
         witnesses[arc] = w
     checked = check_dicolourings(d, [(w, arc) for arc, w in witnesses.items()])
     for arc, (ok, _) in zip(witnesses, checked):
-        if not ok:  # only a wrong search, swap or screen gets here
+        if not ok:  # only a wrong search or a wrong rule gets here
             raise AssertionError(f"witness for arc {arc} fails check_dicolourings")
     return CriticalityReport(
         d, k, failure_arc is None, witnesses, failure_arc=failure_arc,
         failure_reason=None if failure_arc is None else
         f"deleting arc {failure_arc} keeps the dichromatic number at {k}",
-        nodes=budget.used - start, solved=len(fresh), swapped=swapped,
+        nodes=budget.used - start, solved=solved,
+        swapped=len(set(map(id, witnesses.values()))) - solved,
         refutation=refutation,
     )

@@ -526,7 +526,6 @@ def _g3_witnesses(layout: G3Layout) -> dict[tuple[int, int], Colouring]:
 def _certify_level(
     d: Digraph,
     layout: Layout,
-    budget: Budget,
     witness_sample: int | None,
     rng: random.Random,
 ) -> _Level:
@@ -561,7 +560,7 @@ def _certify_level(
         return level
 
     k = layout.k
-    sub = _certify_level(layout.sub_digraph, layout.sub_layout, budget, witness_sample, rng)
+    sub = _certify_level(layout.sub_digraph, layout.sub_layout, witness_sample, rng)
     # A sub-level's lower bound holds only with the premises of every level
     # at and below it, and only then has it witnesses to compose from.
     if sub.report.lower_bound_ok:
@@ -655,5 +654,5 @@ def certify_dicritical_composition(
     if spec is not None and spec.k != k:
         raise DigraphError(f"certifying level {k} with a spec for k = {spec.k}")
     d, layout = build_gk(k, spec or ConstructionSpec(k=k))
-    budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "construction certificate")
-    return _certify_level(d, layout, budget, witness_sample, random.Random(seed)).report
+    ensure_budget(budget, DEFAULT_SOLVER_NODES, "construction certificate")
+    return _certify_level(d, layout, witness_sample, random.Random(seed)).report

@@ -35,6 +35,26 @@ def c5_bi():
     return bidirected_cycle(5)
 
 
+def quadratic_residue_tournament(p: int) -> Digraph:
+    """QR_p for a prime p = 3 (mod 4): the arc i -> j whenever j - i is a
+    nonzero square mod p.  -1 is then a non-square, so exactly one of
+    j - i and i - j is a square, and QR_p is a tournament."""
+    squares = {x * x % p for x in range(1, p)}
+    return Digraph(p, [(i, j) for i in range(p) for j in range(p) if (j - i) % p in squares])
+
+
+@pytest.fixture(scope="session")
+def qr7():
+    """QR_7, 3-dicritical with 21 arcs."""
+    return quadratic_residue_tournament(7)
+
+
+@pytest.fixture(scope="session")
+def qr11():
+    """QR_11, 4-dicritical with 55 arcs."""
+    return quadratic_residue_tournament(11)
+
+
 @pytest.fixture(scope="session")
 def seven_vertex_composition(k4):
     """The smallest proper Ore-composition: two K4s, |Z1| = 1."""

@@ -9,12 +9,12 @@ from dicrit import colouring
 from dicrit.budget import Budget, BudgetExceeded
 from dicrit.colouring import (
     _branching,
+    _bridges,
     _classes_acyclic,
     _colourable,
     _decide,
     _find_monochromatic_cycle,
     _first_assignment,
-    _reuse_fits,
     Colouring,
     ColouringError,
     RefutationStats,
@@ -34,6 +34,7 @@ from dicrit.digraph import (
 )
 from dicrit.ore import generate_4ore
 
+from .conftest import quadratic_residue_tournament
 from .oracles import (
     oracle_chromatic_number,
     oracle_dichromatic_number,
@@ -299,9 +300,10 @@ class TestIsKDicritical:
         )
         assert report.nodes == budget.used
         # g3-1 is refuted by the plain search alone, within its allowance;
-        # it is oriented, so no witness comes from a Kempe swap.
+        # it is oriented, and 9 of its witnesses come from directed Kempe
+        # swaps.
         assert report.to_json()["stats"] == {
-            "nodes": report.nodes, "solved": report.solved, "swapped": 0,
+            "nodes": report.nodes, "solved": report.solved, "swapped": 9,
             "reused": report.reused,
             "plain_nodes": report.refutation.plain_nodes, "reduced": False,
             "sides_replaced": 0, "piece_solves": 0,
@@ -498,9 +500,11 @@ class TestInclusionExclusion:
             assert valid_dicolouring(Digraph(d.n, d.arcs - {arc}), witness.colours)
 
 
-def _fresh_witnesses(report):
-    """Each fresh witness of a report with the arc it was found for: the
-    first arc, in the order checked, that it serves."""
+def _distinct_witnesses(report):
+    """Each distinct witness of a report, fresh or swapped, with the first
+    arc, in the order checked, that it serves.  Every arc a witness serves
+    lies on every monochromatic cycle of D under it, so any of them gives
+    the same rule-1 arcs (docs/decisions.md, section 24)."""
     first = {}
     for arc in sorted(report.witnesses):
         first.setdefault(id(report.witnesses[arc]), (arc, report.witnesses[arc]))
@@ -519,17 +523,21 @@ class TestWitnessReuse:
 
     @pytest.mark.parametrize("name", CASES)
     def test_screen_is_exact(self, name):
+        # Rule 1 of docs/decisions.md, section 24: a witness w for D - xy
+        # dicolours D - uv exactly when uv is xy or an arc on every y->x
+        # path of D[A], A the class of x and y.
         d, k = self.CASES[name]()
         report = is_k_dicritical(d, k)
         assert report.verdict
-        fresh = _fresh_witnesses(report)
-        assert len(fresh) == report.solved + report.swapped
-        out = d.out_masks
-        for (x, y), w in fresh:
+        distinct = _distinct_witnesses(report)
+        assert len(distinct) == report.solved + report.swapped
+        out, inn = d.out_masks, d.in_masks
+        for (x, y), w in distinct:
             cls = sum(1 << z for z, c in enumerate(w.colours) if c == w.colours[x])
-            for u, v in d.sorted_arcs():
-                minus = Digraph(d.n, d.arcs - {(u, v)})
-                assert _reuse_fits(out, cls, x, y, u, v) == valid_dicolouring(minus, w.colours)
+            fits = {(x, y)} | {(p, q) for p, q, _ in _bridges(out, inn, cls, cls, y, x)}
+            assert {arc for arc in d.sorted_arcs()
+                    if valid_dicolouring(Digraph(d.n, d.arcs - {arc}), w.colours)} == fits
+            assert {arc for arc, v in report.witnesses.items() if v is w} <= fits
 
     @pytest.mark.parametrize("name", CASES)
     def test_one_check_per_witness(self, name):
@@ -594,17 +602,21 @@ def _arc_order_failure(d: Digraph, k: int, colourable):
 
 
 class TestKempeWitnesses:
-    """Per-arc witnesses of bidirected digraphs derived by Kempe swaps
-    (docs/decisions.md, section 22)."""
+    """Per-arc witnesses derived by the closure of docs/decisions.md,
+    section 24: class cut arcs and directed Kempe swaps, on bidirected
+    (section 22), oriented and mixed digraphs."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(bidirected_graphs())
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(bidirected_graphs(), digraphs(max_n=8), mixed_digraphs(max_n=8)))
     @example(bidirected_complete(4))
     @example(bidirected_complete(5))
     @example(WHEEL_5)
     @example(generate_4ore(10, seed=0)[0])
+    @example(quadratic_residue_tournament(7))
+    @example(build_g3(1)[0])
     def test_agrees_with_the_oracle(self, d):
-        k = max(2, oracle_ie_dichromatic_number(d))
+        chi = oracle_ie_dichromatic_number(d)
+        k = max(2, chi)
         report = is_k_dicritical(d, k)
         assert report.verdict == oracle_ie_is_k_dicritical(d, k)
         assert report.solved + report.swapped + report.reused == len(report.witnesses)
@@ -614,7 +626,8 @@ class TestKempeWitnesses:
         for arc, witness in report.witnesses.items():
             assert witness.k == k - 1
             assert valid_dicolouring(Digraph(d.n, d.arcs - {arc}), witness.colours)
-        if all(map(int.__or__, d.out_masks, d.in_masks)):
+        # An acyclic D (chi = 1) stops at the first step, with no arc loop.
+        if chi == k and all(map(int.__or__, d.out_masks, d.in_masks)):
             expected = _arc_order_failure(d, k, oracle_ie_is_k_dicolourable)
             assert (report.failure_arc, sorted(report.witnesses)) == expected
 
@@ -643,29 +656,60 @@ class TestKempeWitnesses:
         assert (report.solved, report.swapped, report.reused) == (1, d.m // 2 - 1, d.m // 2)
         assert report.nodes == budget.used == nodes
 
+    def test_quadratic_residue_fixtures(self, qr7, qr11):
+        for d, n, chi in ((qr7, 7, 3), (qr11, 11, 4)):
+            assert d.n == n and d.m == n * (n - 1) // 2
+            assert all(d.has_arc(u, v) != d.has_arc(v, u)
+                       for u, v in itertools.combinations(range(n), 2))
+            assert oracle_ie_dichromatic_number(d) == chi
+
+    @pytest.mark.parametrize(
+        "build, k, solved, nodes",
+        [
+            (lambda: quadratic_residue_tournament(7), 3, 3, 117),
+            (lambda: quadratic_residue_tournament(11), 4, 10, 3_724),
+            *[(lambda n0=n0: build_g3(n0)[0], 3, 4, nodes)
+              for n0, nodes in enumerate((332, 1_969, 3_621, 5_785, 8_570), 1)],
+        ],
+        ids=["qr7", "qr11", *[f"g3-{n0}" for n0 in range(1, 6)]],
+    )
+    def test_oriented_pins(self, build, k, solved, nodes):
+        # Regression counts on oriented inputs, where every derived witness
+        # comes from a directed swap or a class cut arc.  Before the closure,
+        # QR7 took 21 fresh searches and 520 nodes, QR11 33 and 6,099, and
+        # build_g3(1..5) 13..49 and 623..12,480,434.
+        d = build()
+        budget = Budget(10 * nodes)
+        report = is_k_dicritical(d, k, budget)
+        assert report.verdict
+        assert report.solved == solved
+        assert report.nodes == budget.used == nodes
+
     @pytest.mark.parametrize(
         "d, k, message",
         [
-            # One expansion covers every digon of an odd cycle, so the wrong
-            # witnesses reach the report's check.
+            # Here the wrong witnesses reach the report's check.
             (bidirected_cycle(5), 3, "fails check_dicolourings"),
             (bidirected_cycle(7), 3, "fails check_dicolourings"),
-            # Here a wrong witness is expanded first, and its premise fails.
-            (bidirected_complete(4), 4, "colours .* apart"),
-            (generate_4ore(16, seed=0)[0], 4, "colours .* apart"),
+            (quadratic_residue_tournament(7), 3, "fails check_dicolourings"),
+            # Here a pass on a wrong witness finds no path between the two
+            # ends of its arc first.
+            (bidirected_complete(4), 4, "no path from"),
+            (generate_4ore(16, seed=0)[0], 4, "no path from"),
+            (build_g3(1)[0], 3, "no path from"),
         ],
-        ids=["c5", "c7", "k4", "4ore-16-s0"],
+        ids=["c5", "c7", "qr7", "k4", "4ore-16-s0", "g3-1"],
     )
     def test_a_wrong_swap_raises(self, d, k, message):
-        real = colouring._kempe_sides
+        real = colouring._bridges
 
-        def wrong(adj, classes, a, u, v):
-            # The swap also recolours u, on u's side of the bridge, so u and
-            # v share a colour again and the digon uv is monochromatic.
-            for p, q, side, b in real(adj, classes, a, u, v):
-                yield p, q, side | 1 << u, b
+        def wrong(out, inn, one, two, v, u):
+            # Rule 2's swap also recolours u, on u's side of the bridge, so
+            # u and v share a colour again and the arc uv closes a cycle.
+            for p, q, side in real(out, inn, one, two, v, u):
+                yield p, q, side | 1 << u
 
-        with mock.patch.object(colouring, "_kempe_sides", wrong):
+        with mock.patch.object(colouring, "_bridges", wrong):
             with pytest.raises(AssertionError, match=message):
                 is_k_dicritical(d, k)
 
@@ -903,9 +947,11 @@ class TestNodeCeilings:
         [
             # 5,649 nodes with a fresh search per digon, before Kempe swaps.
             (lambda: generate_4ore(25, seed=3)[0], 4, 1_154),
-            (lambda: build_g3(1)[0], 3, 623),
-            (lambda: build_g3(2)[0], 3, 5_146),
-            (lambda: build_g3(3)[0], 3, 44_321),
+            # 623, 5,146 and 44,321 nodes with a fresh search for every arc
+            # that the reuse screen of docs/decisions.md, section 7, missed.
+            (lambda: build_g3(1)[0], 3, 332),
+            (lambda: build_g3(2)[0], 3, 1_969),
+            (lambda: build_g3(3)[0], 3, 3_621),
             # Labels permuted by random.Random(1).shuffle: 170,362,028 nodes
             # under chronological backtracking, 285,443 with a fresh search
             # per digon.

@@ -204,7 +204,7 @@ class TestCertify:
         g, layout = build_gk(4, ConstructionSpec(k=4))
         arcs = g.sorted_arcs()
         for seed in range(40):
-            level = constructions._certify_level(g, layout, Budget(), 30, random.Random(seed))
+            level = constructions._certify_level(g, layout, 30, random.Random(seed))
             assert sorted(level.verdicts) == sorted(random.Random(seed).sample(arcs, 30))
 
     @pytest.mark.parametrize("sample", [0, -3])
@@ -294,7 +294,7 @@ class TestCertify:
         t = layout.copy_offset(2) + 5
         arc = {"tournament": (x, y), "head to copy": (y, t), "copy to tail": (t, x)}[case]
         report = constructions._certify_level(
-            g.without_arcs([arc]), layout, Budget(), None, random.Random(0)
+            g.without_arcs([arc]), layout, None, random.Random(0)
         ).report
         assert not report.structural_ok and not report.lower_bound_ok
         assert report.witness_failures == []
@@ -383,7 +383,7 @@ class TestGadgetCertificate:
             }[case]
             broken = g.without_arcs([arc])
         report = constructions._certify_level(
-            broken, layout, Budget(), None, random.Random(0)
+            broken, layout, None, random.Random(0)
         ).report
         assert not report.structural_ok and not report.lower_bound_ok
         assert report.witnesses_checked == 0 and report.witness_failures == []
@@ -394,7 +394,7 @@ class TestGadgetCertificate:
         # the chord {1, 3}: the arcs no longer join i and i + 1 mod L
         arcs = tuple(sorted([(0, 1), (1, 2), (2, 3), (1, 3), (4, 0)]))
         report = constructions._certify_level(
-            _wired_g3(2, arcs), G3Layout(2, arcs), Budget(), None, random.Random(0)
+            _wired_g3(2, arcs), G3Layout(2, arcs), None, random.Random(0)
         ).report
         assert not report.structural_ok and report.witnesses_checked == 0
         assert not report.ok()
@@ -402,13 +402,13 @@ class TestGadgetCertificate:
         good = tuple(sorted([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
         assert _wired_g3(2, good) == build_g3(2)[0]
         assert constructions._certify_level(
-            _wired_g3(2, good), G3Layout(2, good), Budget(), None, random.Random(0)
+            _wired_g3(2, good), G3Layout(2, good), None, random.Random(0)
         ).report.ok()
 
     def test_layout_of_another_order_fails(self):
         g, _ = build_g3(1)
         _, layout = build_g3(2)
-        report = constructions._certify_level(g, layout, Budget(), None, random.Random(0)).report
+        report = constructions._certify_level(g, layout, None, random.Random(0)).report
         assert not report.structural_ok and not report.ok()
 
     def test_failed_sub_level_fails_its_parent(self):
@@ -417,7 +417,7 @@ class TestGadgetCertificate:
         g3, l3 = build_g3(1)
         g4, l4 = build_gk(4, ConstructionSpec(k=4))
         layout = GkLayout(4, l4.tournament_arcs, g3.without_arcs([(0, 1)]), l3)
-        level = constructions._certify_level(g4, layout, Budget(), None, random.Random(0))
+        level = constructions._certify_level(g4, layout, None, random.Random(0))
         assert not level.sub.report.structural_ok
         assert level.sub.reference == () and not level.sub.reference_ok
         report = level.report
@@ -436,7 +436,7 @@ class TestGadgetCertificate:
         bad4 = _wired_gk(4, l4.tournament_arcs, bad3)
         layout = GkLayout(5, l5.tournament_arcs, bad4, GkLayout(4, l4.tournament_arcs, bad3, l3))
         top = constructions._certify_level(
-            _wired_gk(5, l5.tournament_arcs, bad4), layout, Budget(), sample, random.Random(0)
+            _wired_gk(5, l5.tournament_arcs, bad4), layout, sample, random.Random(0)
         )
         assert [lv.report.structural_ok for lv in _levels(top)] == [True, True, False]
         for lv in _levels(top):
@@ -477,7 +477,7 @@ def _record_calls(monkeypatch):
 def _certify(k, spec, sample=None):
     """The certified top level, with every level below it."""
     d, layout = build_gk(k, spec)
-    return constructions._certify_level(d, layout, Budget(), sample, random.Random(0))
+    return constructions._certify_level(d, layout, sample, random.Random(0))
 
 
 def _levels(top):
@@ -755,7 +755,7 @@ class TestWitnessMutation:
             "tournament to copy": (z, t),
         }[case]
         report = constructions._certify_level(
-            g.with_arcs([arc]), layout, Budget(), None, random.Random(0)
+            g.with_arcs([arc]), layout, None, random.Random(0)
         ).report
         assert not report.structural_ok and not report.lower_bound_ok
         assert report.witnesses_checked == 0 and report.witness_failures == []
