@@ -273,17 +273,12 @@ def _cmd_construct_gk(args) -> int:
 def _cmd_construct_certify(args) -> int:
     budget = ensure_budget(args.budget, DEFAULT_SOLVER_NODES, "construction certificate")
     report = constructions.certify_dicritical_composition(
-        args.k,
-        _construct_spec(args),
-        budget=budget,
-        witness_sample=args.sample,
-        seed=args.seed or 0,
+        args.k, _construct_spec(args), budget=budget
     )
     text = (
         f"k={report.k}: lower bound {report.lower_bound_method} "
         f"({'ok' if report.lower_bound_ok else 'FAILED'}), witnesses "
         f"{report.witnesses_checked}/{report.witnesses_total}"
-        + (" sampled" if report.sampled else "")
     )
     _emit(args, {**report.to_json(), "stats": {"nodes": budget.used}}, text)
     return EXIT_OK if report.ok() else EXIT_VIOLATION
@@ -444,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n0", type=int, default=1)
     p.add_argument("--tournament", default=None)
-    p.add_argument("--sample", type=int, default=None, help="validate a witness sample")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=None, help="orientation/sampling seed")
+    p.add_argument("--seed", type=int, default=None, help="cycle orientation seed")
     p.set_defaults(handler=_cmd_construct_certify)
 
     p = sub.add_parser("census", help="exact d_k(n), o_k(n) for tiny n")

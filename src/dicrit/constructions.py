@@ -16,16 +16,16 @@ argument, and nothing in it searches.  The base level's lower bound
 comes from its gadgets and its odd cycle, under premises that fix every
 vertex's out-arcs to build_g3's wiring, and each of its arcs gets a
 deletion witness by one rule of docs/decisions.md, section 23; higher
-levels get a compositional lower-bound certificate.  The certifier peels
-the base witnesses, with a ``_gamma`` colouring per base vertex, in one
-``check_dicolourings`` call, and peels each sub-level's reference, which
-one composer builds from the construction.  Above the base, an
-arc-deletion witness is the tournament's colouring, one copy's local
-colouring and the reference in every other copy; it is decided without
-being composed, by the lemma of docs/decisions.md, section 20: from the
-sub-level's verdict on the local colouring, the reference's check and a
-k-vertex quotient per colour, under premises that fix every vertex's
-out-arcs to build_gk's wiring.
+levels get a compositional lower-bound certificate.  The certifier's one
+``check_dicolourings`` call peels the base witnesses and a ``_gamma``
+colouring per base vertex.  Above the base, an arc-deletion witness is
+the tournament's colouring, one copy's local colouring and the
+sub-level's reference ``_gamma(sub, 0)`` in every other copy; it is
+decided without being composed, by the lemma of docs/decisions.md,
+section 20: from the sub-level's verdict on the local colouring, the
+base's verdict on its reference, which every level's reference shares,
+and a k-vertex quotient per colour, under premises that fix every
+vertex's out-arcs to build_gk's wiring.
 """
 
 from __future__ import annotations
@@ -228,11 +228,11 @@ class CertificateReport:
     dichromatic-number lower bound comes from the gadgets and the odd cycle
     under the premises of docs/decisions.md, section 23, and
     "compositional" above it, where it rests on the structural premises
-    plus the sub-certificate.  Every witness considered is decided (above
-    level 3 by the lemma of docs/decisions.md, section 20), so ``assumed``
-    is always empty; it stays in the report and its JSON for readers that
-    still look for it.  A level whose premises fail, or that sits above
-    one whose premises fail, decides, and counts, no witness.
+    plus the sub-certificate.  Every witness considered is decided: level
+    3's by the certifier's one peel, those above from its verdicts by the
+    lemma of docs/decisions.md, section 20.  ``assumed`` is always empty
+    and stays for readers that still look for it.  A level whose premises
+    fail, or that sits above one whose premises fail, decides no witness.
     """
 
     k: int
@@ -281,39 +281,26 @@ class CertificateReport:
 class _Level:
     """Internal: one certified level plus the data its parent reuses.
 
-    Level 3 keeps its constructed deletion witnesses and, per vertex t, the
-    peel's verdict on ``_gamma(level, t)`` in ``gammas``; a higher level
-    keeps its sub-level.  ``verdicts`` maps an arc to the verdict on its
-    deletion witness and that witness's palette (bit c set when some
-    vertex has colour c): level 3 fills it from the peel, a higher level
+    Level 3 keeps its constructed deletion witnesses, their ``palettes``
+    (bit c for each colour c shown) and the peel's verdict on each
+    ``_gamma(level, t)`` in ``gammas``; a higher level keeps its sub-level.  ``verdicts`` maps an arc to the verdict on its
+    deletion witness: level 3 fills it from the peel, a higher level
     lazily, arc by arc, by the lemma of docs/decisions.md, section 20, and
-    ``quotients`` memoises that lemma's quotient condition.  ``palette`` is
-    what every composed witness of a higher level shows outside its one
-    local copy: the tournament's colours and the reference's.
-    ``reference`` is set only on a level that has a parent and whose
-    lower bound holds, to ``_gamma(level, 0)``, and ``reference_ok`` to its
-    check."""
+    ``quotients`` memoises that lemma's quotient condition."""
 
     digraph: Digraph
     layout: Layout
     report: CertificateReport
     witnesses: dict[tuple[int, int], Colouring] | None = None
     sub: "_Level | None" = None
-    reference: tuple[int, ...] = ()
-    reference_ok: bool = False
-    palette: int = 0
-    verdicts: dict[tuple[int, int], tuple[bool, int]] = field(default_factory=dict)
+    verdicts: dict[tuple[int, int], bool] = field(default_factory=dict)
+    palettes: dict[tuple[int, int], int] = field(default_factory=dict)
     gammas: dict[int, bool] = field(default_factory=dict)
     quotients: dict[tuple[int, bool, int], bool] = field(default_factory=dict)
 
     @property
     def chi(self) -> int:
         return self.report.k
-
-
-def _palette(colours) -> int:
-    """Bit c set for every colour c in ``colours``."""
-    return sum(1 << c for c in set(colours))
 
 
 def _tournament_colours(k: int, special: tuple[int, int]) -> list[int]:
@@ -331,10 +318,10 @@ def _compose(
 ) -> Colouring:
     """A (chi-1)-colouring of the level's graph: distinct colours on the
     tournament except the pair ``special``, which shares chi-1; ``local`` in
-    copy number ``copy`` and the sub-level's reference in every other
-    copy."""
+    copy number ``copy`` and the sub-level's reference ``_gamma(sub, 0)`` in
+    every other copy."""
     colours = _tournament_colours(level.chi, special)
-    reference = level.sub.reference
+    reference = _gamma(level.sub, 0)
     for i in range(len(level.layout.tournament_arcs)):  # back to back from vertex k
         colours += local if i == copy else reference
     return Colouring(level.chi - 1, tuple(colours))
@@ -379,18 +366,21 @@ def _gamma(sub: _Level, t: int) -> tuple[int, ...]:
 
 def _gamma_ok(level: _Level, t: int) -> bool:
     """Is ``_gamma(level, t)`` a dicolouring of the level's graph?  Above
-    level 3 it is exactly when the sub-level's reference is and, for t in a
-    copy, the sub-level's ``_gamma`` of t's local vertex is
-    (docs/decisions.md, section 20)."""
-    while level.sub is not None:
-        if not level.sub.reference_ok:
-            return False
-        k = level.chi
-        if t < k:
-            return True
-        t = (t - k) % level.sub.digraph.n
-        level = level.sub
-    return level.gammas.get(t, False)
+    level 3, exactly when the base's ``_gamma`` of vertex 0 and of the base
+    vertex under t (0 when t lies on a tournament) are (docs/decisions.md,
+    section 20): the walk goes straight down to the base's peel."""
+    base = level
+    while base.sub is not None:
+        k = base.chi
+        t = (t - k) % base.sub.digraph.n if t >= k else 0
+        base = base.sub
+    return base.gammas.get(t, False) and (base is level or base.gammas.get(0, False))
+
+
+def _shown(level: _Level, arc: tuple[int, int]) -> int:
+    """Bit c set for each colour c that the deletion witness of ``arc`` shows: above
+    level 3, all of 1..chi-1, on the tournament alone (docs/decisions.md, section 20)."""
+    return level.palettes[arc] if level.sub is None else (1 << level.chi) - 2
 
 
 def _quotients_acyclic(level: _Level, special: int, cut: bool, palette: int) -> bool:
@@ -398,15 +388,15 @@ def _quotients_acyclic(level: _Level, special: int, cut: bool, palette: int) -> 
     colouring: the ends of tournament arc number ``special`` share colour
     k-1 and that arc is deleted when ``cut``; copy ``special`` shows the
     colours ``palette`` on the vertices wired to both its ends, and every
-    other copy the reference's colours.  True iff the quotient of every
-    colour is acyclic."""
+    other copy the reference's colours, which are all of 1..k-1.  True iff
+    the quotient of every colour is acyclic."""
     key = special, cut, palette
     found = level.quotients.get(key)
     if found is None:
         k = level.chi
         arcs = level.layout.tournament_arcs
         colours = _tournament_colours(k, arcs[special])
-        reference = _palette(level.sub.reference)
+        reference = (1 << k) - 2
         out = [0] * k
         for j, (x, y) in enumerate(arcs):
             c = colours[x]
@@ -420,12 +410,11 @@ def _quotients_acyclic(level: _Level, special: int, cut: bool, palette: int) -> 
     return found
 
 
-def _verdict(level: _Level, arc: tuple[int, int]) -> tuple[bool, int]:
+def _verdict(level: _Level, arc: tuple[int, int]) -> bool:
     """Is the deletion witness of ``arc`` a dicolouring of the level's
-    graph minus ``arc``, and which colours does it show (a superset of
-    them)?  Decided without composing the witness, by the lemma of
-    docs/decisions.md, section 20, and memoised per level.  Level 3 answers
-    False for an arc it holds no witness for."""
+    graph minus ``arc``?  Decided without composing the witness, by the
+    lemma of docs/decisions.md, section 20, and memoised per level.  Level
+    3 answers False for an arc it holds no witness for."""
     found = level.verdicts.get(arc)
     if found is not None:
         return found
@@ -433,24 +422,25 @@ def _verdict(level: _Level, arc: tuple[int, int]) -> tuple[bool, int]:
     k = level.chi
     u, v = arc
     if sub is None:
-        found = False, 0
+        found = False
     elif u < k and v < k:
         # Every copy holds the reference; the tournament arc is the one cut.
         special = level.layout.tournament_arcs.index(arc)
-        ok = _quotients_acyclic(level, special, True, _palette(sub.reference))
-        found = sub.reference_ok and ok, level.palette
+        found = _gamma_ok(sub, 0) and _quotients_acyclic(level, special, True, (1 << k) - 2)
     else:
         w = max(u, v)
         copy, t = divmod(w - k, sub.digraph.n)
         if u >= k and v >= k:
-            ok, local = _verdict(sub, (u - w + t, v - w + t))
+            local = u - w + t, v - w + t
+            ok = _verdict(sub, local)
         else:
             # The copy holds _gamma(sub, t), which off t is the witness for
             # t's first out-arc, and t has lost a wiring arc.
+            local = t, sub.digraph.out_neighbours(t)[0]
             ok = _gamma_ok(sub, t)
-            local = _verdict(sub, (t, sub.digraph.out_neighbours(t)[0]))[1]
-        ok = ok and sub.reference_ok and _quotients_acyclic(level, copy, False, local)
-        found = ok, level.palette | local
+        # The other copies hold the reference; above level 4 ``ok`` includes its verdict.
+        ok = ok and (sub.sub is not None or sub.gammas.get(0, False))
+        found = ok and _quotients_acyclic(level, copy, False, _shown(sub, local))
     level.verdicts[arc] = found
     return found
 
@@ -542,32 +532,20 @@ def _certify_level(
             witnesses_checked=0,
         )
         level = _Level(d, layout, report, witnesses={})
-        if not premises_ok:
-            return level
-        level.witnesses = _g3_witnesses(layout)
-        # The leaves: the certifier peels every constructed witness on D
-        # minus its arc and, for the parent's wiring arcs, every _gamma on D.
-        pairs = [(w, arc) for arc, w in level.witnesses.items()]
-        pairs += [(Colouring(3, _gamma(level, t)), None) for t in range(d.n)]
-        results = [ok for ok, _ in check_dicolourings(d, pairs)]
-        for (arc, w), ok in zip(level.witnesses.items(), results):
-            level.verdicts[arc] = ok, _palette(w.colours)
-            if ok:
-                report.witnesses_checked += 1
-            else:
-                report.witness_failures.append(arc)
-        level.gammas = dict(enumerate(results[len(level.witnesses):]))
-        return level
+        if premises_ok:
+            level.witnesses = _g3_witnesses(layout)
+            # The certifier's one peel: every constructed witness on D minus
+            # its arc and, for the wiring arcs above, every _gamma on D.
+            pairs = [(w, arc) for arc, w in level.witnesses.items()]
+            pairs += [(Colouring(3, _gamma(level, t)), None) for t in range(d.n)]
+            results = [ok for ok, _ in check_dicolourings(d, pairs)]
+            level.verdicts = dict(zip(level.witnesses, results))
+            level.palettes = {a: sum(1 << c for c in set(w.colours)) for w, a in pairs if a}
+            level.gammas = dict(enumerate(results[len(level.witnesses):]))
+        return _decide_witnesses(level, list(level.witnesses))
 
     k = layout.k
     sub = _certify_level(layout.sub_digraph, layout.sub_layout, witness_sample, rng)
-    # A sub-level's lower bound holds only with the premises of every level
-    # at and below it, and only then has it witnesses to compose from.
-    if sub.report.lower_bound_ok:
-        sub.reference = _gamma(sub, 0)
-        ((sub.reference_ok, _),) = check_dicolourings(
-            sub.digraph, [(Colouring(sub.chi, sub.reference), None)]
-        )
 
     # The premises, on the bitsets: the lower bound's complete tournament,
     # and for the lemma of docs/decisions.md, section 20, every vertex's
@@ -605,17 +583,21 @@ def _certify_level(
         witnesses_checked=0,
         sub_certificate=sub.report,
     )
-    palette = _palette(_tournament_colours(k, t_arcs[0])) | _palette(sub.reference)
-    level = _Level(d, layout, report, sub=sub, palette=palette)
     if witness_sample is not None and witness_sample < d.m:
         # The same draws as sampling the list of sorted arcs.
         arcs = _arcs_at(d, sorted(rng.sample(range(d.m), witness_sample)))
         report.sampled = True
     else:
         arcs = d.sorted_arcs()
+    return _decide_witnesses(_Level(d, layout, report, sub=sub), arcs)
+
+
+def _decide_witnesses(level: _Level, arcs) -> _Level:
+    """Count ``arcs`` checked or failing by their verdicts, if the lower bound holds."""
+    report = level.report
     if report.lower_bound_ok:
         for arc in arcs:
-            if _verdict(level, arc)[0]:
+            if _verdict(level, arc):
                 report.witnesses_checked += 1
             else:
                 report.witness_failures.append(arc)
@@ -641,14 +623,13 @@ def certify_dicritical_composition(
     or a seeded sample when ``witness_sample`` is given (the report flags
     sampling), and (c) a decision on every such witness against the
     digraph minus its arc, so nothing is assumed: level 3's witnesses by
-    the certifier's own peel, those above by the lemma of
-    docs/decisions.md, section 20.  ``budget`` is still accepted, and
-    nothing charges it.
+    the certifier's one peel, the only ``check_dicolourings`` call for any
+    k, and those above by the lemma of docs/decisions.md, section 20, from
+    that peel's verdicts.  ``budget`` is still accepted, and nothing
+    charges it.
     """
     if witness_sample is not None and witness_sample < 1:
-        raise DigraphError(
-            f"witness_sample must be at least 1, got {witness_sample}"
-        )
+        raise DigraphError(f"witness_sample must be at least 1, got {witness_sample}")
     if k < 3:
         raise DigraphError("constructions start at k = 3")
     if spec is not None and spec.k != k:

@@ -23,8 +23,10 @@ from fractions import Fraction
 from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
 from .colouring import (
     Colouring,
+    RefutationStats,
+    _branching,
+    _decide,
     check_dicolouring,
-    is_k_dicolourable,
 )
 from .digraph import (
     Digraph,
@@ -33,6 +35,7 @@ from .digraph import (
     boundary,
     induced,
     mask_components,
+    restrict,
     underlying_masks,
 )
 from .potential import PotentialParams, TEN_THIRDS, fraction_text
@@ -364,24 +367,36 @@ def dicritical_extension(
 
     W is found by greedy arc-peeling in lexicographic order: delete any arc
     whose removal keeps the identification non-3-dicolourable, then drop
-    isolated vertices.  For a 4-dicritical host the core is never empty
-    (the extender cannot be a subdigraph of the host); this is asserted,
-    not assumed.
+    isolated vertices.  Each trial clears one bit of the out- and in-bitsets
+    and is decided by ``colouring._decide``, with no witness colouring; only
+    the extender becomes a ``Digraph``.  For a 4-dicritical host the core is
+    never empty (the extender cannot be a subdigraph of the host); this is
+    asserted, not assumed.
     """
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "dicritical extension")
     ident = phi_identify(d, subset, phi)
     h = ident.digraph
-    if is_k_dicolourable(h, 3, budget) is not None:
+    out, inn = list(h.out_masks), list(h.in_masks)
+
+    def colourable() -> bool:
+        _, ordered_out, ordered_inn = _branching(out, inn)
+        return _decide(out, ordered_out, ordered_inn, 3, budget, RefutationStats()) is not None
+
+    if colourable():
         raise DigraphError(
             "identification is 3-dicolourable; the host cannot be 4-dicritical"
         )
-    current = h
-    for arc in h.sorted_arcs():
-        trial = current.without_arcs([arc])
-        if is_k_dicolourable(trial, 3, budget) is None:
-            current = trial
-    w_vertices = tuple(v for v in current.vertices() if current.degree(v) > 0)
-    extender, _ = induced(current, w_vertices)
+    for u, v in h.sorted_arcs():
+        out[u] ^= 1 << v
+        inn[v] ^= 1 << u
+        if colourable():  # the arc is needed: put it back
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+    w_vertices = tuple(v for v in h.vertices() if out[v] | inn[v])
+    extender = Digraph(
+        len(w_vertices),
+        [(i, j) for i, row in enumerate(restrict(out, w_vertices)) for j in bits(row)],
+    )
     core = frozenset(x for x in ident.class_vertices if x in w_vertices)
     if not 1 <= len(core) <= 3:
         raise DigraphError(

@@ -284,19 +284,16 @@ class TestSubcommands:
         assert code == 0 and parse(out).n == 12
         code, out, _ = run(capsys, "construct", "gk", "--k", "4", "--n0", "1")
         assert code == 0 and parse(out).n == 76
-        code, out, _ = run(
-            capsys, "construct", "certify", "--k", "4", "--sample", "12", "--json"
-        )
+        code, out, _ = run(capsys, "construct", "certify", "--k", "4", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["ok"] and payload["sampled"]
+        assert payload["ok"] and not payload["sampled"]
+        assert payload["witnesses_checked"] == payload["witnesses_total"] == 330
 
     def test_certify_json_stats(self, capsys):
-        code, out, _ = run(
-            capsys, "construct", "certify", "--k", "4", "--sample", "12", "--json"
-        )
+        code, out, _ = run(capsys, "construct", "certify", "--k", "4", "--json")
         budget = Budget()
-        assert certify_dicritical_composition(4, budget=budget, witness_sample=12).ok()
+        assert certify_dicritical_composition(4, budget=budget).ok()
         assert code == 0 and budget.used == 0
         assert json.loads(out)["stats"] == {"nodes": budget.used}
 
@@ -312,12 +309,12 @@ class TestSubcommands:
         assert parse(out) == expected
         assert expected != build_gk(4, ConstructionSpec(k=4))[0]
         code, out, _ = run(
-            capsys, "construct", "certify", "--k", "4", "--tournament", str(path),
-            "--sample", "12", "--json",
+            capsys, "construct", "certify", "--k", "4", "--tournament", str(path), "--json"
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["ok"] and payload["n"] == expected.n and payload["m"] == expected.m
+        assert payload["witnesses_checked"] == expected.m
 
     def test_census(self, capsys, tmp_path):
         out_dir = tmp_path / "corpus"
@@ -328,10 +325,15 @@ class TestSubcommands:
         assert "d_2(n) = 2" in out and "d_2(n) = 3" in out
         assert list(out_dir.glob("*.dg"))
 
-    @pytest.mark.parametrize("sample", ["0", "-3"])
-    def test_certify_sample_must_be_positive(self, capsys, sample):
-        code, out, err = run(capsys, "construct", "certify", "--k", "4", "--sample", sample)
-        assert code == 2 and out == "" and f"got {sample}" in err
+    def test_certify_checks_every_witness(self, capsys):
+        # the certificate is always the full one: there is no option to
+        # check a sample of the witnesses instead
+        code, out, _ = run(capsys, "construct", "certify", "--k", "5", "--seed", "3")
+        assert code == 0 and out.strip() == (
+            "k=5: lower bound compositional (ok), witnesses 4830/4830"
+        )
+        code, out, err = run(capsys, "construct", "certify", "--k", "4", "--sample", "12")
+        assert code == 2 and out == "" and "unrecognized arguments: --sample 12" in err
 
     def test_census_json(self, capsys):
         code, out, _ = run(capsys, "census", "--k", "2", "--n-max", "3", "--json")

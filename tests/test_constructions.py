@@ -419,7 +419,7 @@ class TestGadgetCertificate:
         layout = GkLayout(4, l4.tournament_arcs, g3.without_arcs([(0, 1)]), l3)
         level = constructions._certify_level(g4, layout, None, random.Random(0))
         assert not level.sub.report.structural_ok
-        assert level.sub.reference == () and not level.sub.reference_ok
+        assert level.sub.witnesses == {} and not constructions._gamma_ok(level.sub, 0)
         report = level.report
         assert report.witnesses_checked == 0 and report.witness_failures == []
         assert not report.lower_bound_ok and not report.ok()
@@ -442,7 +442,7 @@ class TestGadgetCertificate:
         for lv in _levels(top):
             assert lv.report.witnesses_checked == 0 and lv.report.witness_failures == []
             assert not lv.report.lower_bound_ok and not lv.report.ok()
-            assert not lv.reference_ok
+            assert not constructions._gamma_ok(lv, 0)
 
 
 def _random_spec(k, seed):
@@ -551,39 +551,48 @@ class TestWitnessOracle:
                 witness = constructions._deletion_witness(level, arc)
                 assert witness.k == level.chi - 1
                 assert valid_dicolouring(Digraph(g.n, g.arcs - {arc}), witness.colours)
-                assert level.verdicts[arc][0]
+                assert level.verdicts[arc]
             if level is top:
                 assert sorted(level.verdicts) == arcs
 
     @pytest.mark.parametrize("k", [4, 5])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_references_are_composed(self, monkeypatch, k, seed):
-        # every level below the top gets one reference, checked once on its
-        # own graph: a chi-dicolouring with vertex 0 alone in colour chi
-        spec = _random_spec(k, seed)
-        calls = _record_calls(monkeypatch)
-        assert certify_dicritical_composition(k, spec, witness_sample=40).ok()
-        for chi in range(3, k):
-            g, _ = build_gk(chi, spec)
-            ((reference, removed),) = [pairs[0] for d, pairs in calls if d == g and len(pairs) == 1]
-            colours = reference.colours
-            assert removed is None and reference.k == chi
+    def test_references_are_composed(self, k, seed):
+        # every level below the top composes one reference, _gamma(sub, 0):
+        # a chi-dicolouring with vertex 0 alone in colour chi, which the
+        # lemma accepts
+        top = _certify(k, _random_spec(k, seed), 40)
+        assert top.report.ok()
+        for level in list(_levels(top))[1:]:
+            chi, g = level.chi, level.digraph
+            colours = constructions._gamma(level, 0)
             assert valid_dicolouring(Digraph(g.n, g.arcs), colours)
             assert set(colours) == set(range(1, chi + 1))
             assert [v for v, c in enumerate(colours) if c == chi] == [0]
+            assert constructions._gamma_ok(level, 0)
 
-    @pytest.mark.parametrize("k", [4, 5])
-    def test_checker_sees_only_references_and_leaves(self, monkeypatch, k):
-        # above level 3 no witness reaches check_dicolourings: the lemma
-        # decides them; it peels each sub-level's reference and, in one
-        # call, level 3's constructed witnesses and its _gamma colourings
-        spec = _random_spec(k, 5)
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_checker_sees_only_the_base(self, monkeypatch, k, seed):
+        # above level 3 no colouring is built and none reaches
+        # check_dicolourings: the lemma decides every witness and every
+        # reference from one call, which peels level 3's constructed
+        # witnesses and its _gamma colourings
+        spec = ConstructionSpec(k=k) if seed is None else _random_spec(k, seed)
+        g3, _ = build_gk(3, spec)
         calls = _record_calls(monkeypatch)
+        sizes = []
+        real_colouring = constructions.Colouring
+
+        def recording_colouring(k, colours):
+            sizes.append(len(colours))
+            return real_colouring(k, colours)
+
+        monkeypatch.setattr(constructions, "Colouring", recording_colouring)
         report = certify_dicritical_composition(k, spec)
         assert report.ok() and report.witnesses_checked == report.m
-        assert len(calls) == k - 2
-        g3, _ = build_gk(3, spec)
-        ((d, leaves),) = [(d, pairs) for d, pairs in calls if len(pairs) > 1]
+        assert sizes and set(sizes) == {g3.n}
+        ((d, leaves),) = calls
         assert d == g3
         witnesses = {arc: colouring.colours for colouring, arc in leaves if arc}
         assert sorted(witnesses) == g3.sorted_arcs()
@@ -592,8 +601,6 @@ class TestWitnessOracle:
             first = witnesses[t, g3.out_neighbours(t)[0]]
             assert colours == first[:t] + (3,) + first[t + 1:]
         assert len(gammas) == g3.n
-        references = [d for d, pairs in calls if len(pairs) == 1 and pairs[0][1] is None]
-        assert references == [build_gk(chi, spec)[0] for chi in range(3, k)]
 
 
 class TestLemma:
@@ -611,12 +618,12 @@ class TestLemma:
             arcs = g.sorted_arcs()
             assert sorted(level.verdicts) == arcs
             assert _full_failures(level, arcs) == []
-            assert all(level.verdicts[arc][0] for arc in arcs)
+            assert all(level.verdicts[arc] for arc in arcs)
             for arc in rng.sample(arcs, 20):
                 witness = constructions._deletion_witness(level, arc).colours
-                # the palette over-approximates the witness's colours
-                palette = constructions._palette(witness)
-                assert level.verdicts[arc][1] & palette == palette
+                # the palette the lemma reads is the witness's own
+                palette = sum(1 << c for c in set(witness))
+                assert constructions._shown(level, arc) == palette
                 assert valid_dicolouring(Digraph(g.n, g.arcs - {arc}), witness)
         for level in list(_levels(top))[1:]:
             gammas = [Colouring(level.chi, constructions._gamma(level, t)) for t in range(level.digraph.n)]
@@ -630,14 +637,27 @@ class TestLemma:
         # the copy between the two tournament vertices of colour k - 1
         # closes a cycle through that copy, unless their arc is deleted
         top = _certify(k, _random_spec(k, 7), 40)
-        reference = top.sub.reference
+        reference = constructions._gamma(top.sub, 0)
+        palette = sum(1 << c for c in set(reference))
+        assert palette == (1 << k) - 2  # the reference shows every colour 1..k-1
         for copy, arc in enumerate(top.layout.tournament_arcs):
             colouring = constructions._compose(top, arc, copy, reference)
             for removed in (None, arc):
                 ((full, _),) = check_dicolourings(top.digraph, [(colouring, removed)])
-                palette = constructions._palette(reference)
                 assert constructions._quotients_acyclic(top, copy, bool(removed), palette) == full
                 assert full == bool(removed)
+
+    @pytest.mark.parametrize("k, seed", [(4, 1), (5, 2)])
+    def test_witnesses_above_the_base_show_every_colour(self, k, seed):
+        # a deletion witness at a level S >= 4 shows all of 1..S-1, from its
+        # tournament alone, which is the palette the lemma reads above level 3
+        top = _certify(k, _random_spec(k, seed))
+        for level in list(_levels(top))[:-1]:
+            full = set(range(1, level.chi))
+            for arc in level.digraph.sorted_arcs():
+                colours = constructions._deletion_witness(level, arc).colours
+                assert set(colours[:level.chi]) == set(colours) == full
+                assert constructions._shown(level, arc) == (1 << level.chi) - 2
 
     def test_k6_every_witness_decided(self):
         report = certify_dicritical_composition(6)
@@ -698,7 +718,7 @@ class TestWitnessMutation:
                 # every verdict the lemma reached, sampled or not, is exact
                 reached = sorted(level.verdicts)
                 assert _full_failures(level, reached) == [
-                    arc for arc in reached if not level.verdicts[arc][0]
+                    arc for arc in reached if not level.verdicts[arc]
                 ]
             # in every copy the leaf's image fails and the wiring arcs at its
             # tail pass
@@ -717,29 +737,33 @@ class TestWitnessMutation:
 
     @pytest.mark.parametrize("k, sample", [(4, None), (5, 40)])
     def test_recoloured_reference_fails(self, monkeypatch, k, sample):
-        # the reference of level k - 1 with a gadget triangle closed: every
-        # composed witness holds it in some copy, so every one fails
+        # the base's reference _gamma(base, 0) with a gadget triangle closed:
+        # every level's reference unrolls to it, and every composed witness
+        # above the base holds a reference in some copy, so every one fails
         spec = _random_spec(k, 2)
         real = constructions._gamma
-        triangle = next(all_gadgets(build_gk(k - 1, spec)[1])).triangle
+        triangle = next(all_gadgets(build_gk(3, spec)[1])).triangle
 
         def recolouring(sub, t):
             colours = real(sub, t)
-            if t == 0 and sub.chi == k - 1:
+            if t == 0 and sub.chi == 3:
                 colours = _close_a_triangle(colours, triangle)
             return colours
 
         monkeypatch.setattr(constructions, "_gamma", recolouring)
         top = _certify(k, spec, sample)
-        assert not top.sub.reference_ok
+        *above, base = _levels(top)
+        assert base.report.ok() and not constructions._gamma_ok(base, 0)
+        considered = _considered(top, sample)
+        for level in above:
+            assert not constructions._gamma_ok(level, 0)
+            arcs = considered[level.chi]
+            assert level.report.witness_failures == _full_failures(level, arcs) == arcs
+            assert level.report.witnesses_checked == 0 and not level.report.ok()
         for t in range(0, top.digraph.n, 7):
             gamma = Colouring(k, constructions._gamma(top, t))
             assert not check_dicolourings(top.digraph, [(gamma, None)])[0][0]
             assert not constructions._gamma_ok(top, t)
-        arcs = _considered(top, sample)[k]
-        assert top.report.witness_failures == _full_failures(top, arcs) == arcs
-        assert top.report.witnesses_checked == 0
-        assert top.report.sub_certificate.ok() and not top.report.ok()
 
     @pytest.mark.parametrize("case", ["copy to copy", "copy to tournament", "tournament to copy"])
     def test_extra_arc_fails_the_premises(self, case):

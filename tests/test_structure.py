@@ -462,6 +462,32 @@ class TestDicriticalExtension:
         assert ext.extension_vertices == frozenset(range(d.n))
 
 
+    @pytest.mark.parametrize("n, seed", [(10, 0), (13, 1)])
+    def test_peel_matches_a_digraph_per_trial(self, monkeypatch, n, seed):
+        # the peel clears one bit of the bitsets per trial; its extender is
+        # the one that rebuilding a Digraph per trial and asking
+        # is_k_dicolourable gives, and it rebuilds none
+        d = generate_4ore(n, seed)[0]
+        r = list(range(6))
+        sub, mapping = induced(d, r)
+        col = is_k_dicolourable(sub, 3)
+        phi = {v: col.colours[mapping[v]] for v in r}
+        current = h = phi_identify(d, r, phi).digraph
+        for arc in h.sorted_arcs():
+            trial = current.without_arcs([arc])
+            if is_k_dicolourable(trial, 3) is None:
+                current = trial
+        kept = tuple(v for v in current.vertices() if current.degree(v) > 0)
+
+        def no_rebuild(*args):
+            raise AssertionError("the peel rebuilt a digraph")
+
+        monkeypatch.setattr(Digraph, "without_arcs", no_rebuild)
+        ext = dicritical_extension(d, r, phi)
+        assert ext.extender_vertices == kept
+        assert ext.extender == induced(current, kept)[0]
+
+
 class TestCollapsible:
     def test_bidirected_p4_in_seven_vertex_host(self, seven_vertex_composition):
         d = seven_vertex_composition
