@@ -332,8 +332,15 @@ class TestSubcommands:
         assert code == 0 and out.strip() == (
             "k=5: lower bound compositional (ok), witnesses 4830/4830"
         )
-        code, out, err = run(capsys, "construct", "certify", "--k", "4", "--sample", "12")
-        assert code == 2 and out == "" and "unrecognized arguments: --sample 12" in err
+
+    @pytest.mark.parametrize("sample", ["0", "-3"])
+    def test_certify_sample_must_be_positive(self, capsys, sample):
+        # the CLI has no sampling option, so a sample size is rejected
+        # whether it is positive or not
+        for given in (sample, "12"):
+            code, out, err = run(capsys, "construct", "certify", "--k", "4", "--sample", given)
+            assert code == 2 and out == ""
+            assert f"unrecognized arguments: --sample {given}" in err
 
     def test_census_json(self, capsys):
         code, out, _ = run(capsys, "census", "--k", "2", "--n-max", "3", "--json")
