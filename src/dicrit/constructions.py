@@ -22,10 +22,10 @@ colouring per base vertex.  Above the base, an arc-deletion witness is
 the tournament's colouring, one copy's local colouring and the
 sub-level's reference ``_gamma(sub, 0)`` in every other copy; it is
 decided without being composed, by the lemma of docs/decisions.md,
-section 20: from the sub-level's verdict on the local colouring, the
-base's verdict on its reference, which every level's reference shares,
-and a k-vertex quotient per colour, under premises that fix every
-vertex's out-arcs to build_gk's wiring.
+section 20, under premises that fix every vertex's out-arcs to
+build_gk's wiring: one walk down to the base reads the peel's verdict on
+the arc's image there, or on a ``_gamma`` colouring, and on the base's
+reference, which every level's reference shares.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import comb
 from typing import Union
 
 from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
-from .colouring import Colouring, _classes_acyclic, check_dicolourings
+from .colouring import Colouring, check_dicolourings
 from .digraph import Digraph, DigraphError, induced
 
 
@@ -229,9 +229,9 @@ class CertificateReport:
     under the premises of docs/decisions.md, section 23, and
     "compositional" above it, where it rests on the structural premises
     plus the sub-certificate.  Every witness considered is decided: level
-    3's by the certifier's one peel, those above from its verdicts by the
-    lemma of docs/decisions.md, section 20.  ``assumed`` is always empty
-    and stays for readers that still look for it.  A level whose premises
+    3's by the certifier's one peel, each one above by a walk down to its
+    verdicts (the lemma of docs/decisions.md, section 20).  ``assumed`` is
+    always empty and stays for readers that still look for it.  A level whose premises
     fail, or that sits above one whose premises fail, decides no witness.
     """
 
@@ -281,12 +281,10 @@ class CertificateReport:
 class _Level:
     """Internal: one certified level plus the data its parent reuses.
 
-    Level 3 keeps its constructed deletion witnesses, their ``palettes``
-    (bit c for each colour c shown) and the peel's verdict on each
-    ``_gamma(level, t)`` in ``gammas``; a higher level keeps its sub-level.  ``verdicts`` maps an arc to the verdict on its
-    deletion witness: level 3 fills it from the peel, a higher level
-    lazily, arc by arc, by the lemma of docs/decisions.md, section 20, and
-    ``quotients`` memoises that lemma's quotient condition."""
+    Level 3 keeps its constructed deletion witnesses, the peel's verdict
+    on each of them in ``verdicts``, by arc, and on each
+    ``_gamma(level, t)`` in ``gammas``, by t; a higher level keeps only
+    its sub-level, and ``_verdict`` walks down to level 3 for each arc."""
 
     digraph: Digraph
     layout: Layout
@@ -294,9 +292,7 @@ class _Level:
     witnesses: dict[tuple[int, int], Colouring] | None = None
     sub: "_Level | None" = None
     verdicts: dict[tuple[int, int], bool] = field(default_factory=dict)
-    palettes: dict[tuple[int, int], int] = field(default_factory=dict)
     gammas: dict[int, bool] = field(default_factory=dict)
-    quotients: dict[tuple[int, bool, int], bool] = field(default_factory=dict)
 
     @property
     def chi(self) -> int:
@@ -377,72 +373,31 @@ def _gamma_ok(level: _Level, t: int) -> bool:
     return base.gammas.get(t, False) and (base is level or base.gammas.get(0, False))
 
 
-def _shown(level: _Level, arc: tuple[int, int]) -> int:
-    """Bit c set for each colour c that the deletion witness of ``arc`` shows: above
-    level 3, all of 1..chi-1, on the tournament alone (docs/decisions.md, section 20)."""
-    return level.palettes[arc] if level.sub is None else (1 << level.chi) - 2
-
-
-def _quotients_acyclic(level: _Level, special: int, cut: bool, palette: int) -> bool:
-    """Condition (ii) of docs/decisions.md, section 20, for a composed
-    colouring: the ends of tournament arc number ``special`` share colour
-    k-1 and that arc is deleted when ``cut``; copy ``special`` shows the
-    colours ``palette`` on the vertices wired to both its ends, and every
-    other copy the reference's colours, which are all of 1..k-1.  True iff
-    the quotient of every colour is acyclic."""
-    key = special, cut, palette
-    found = level.quotients.get(key)
-    if found is None:
-        k = level.chi
-        arcs = level.layout.tournament_arcs
-        colours = _tournament_colours(k, arcs[special])
-        reference = (1 << k) - 2
-        out = [0] * k
-        for j, (x, y) in enumerate(arcs):
-            c = colours[x]
-            if colours[y] == c:
-                if not (cut and j == special):
-                    out[x] |= 1 << y
-                if (palette if j == special else reference) >> c & 1:
-                    out[y] |= 1 << x
-        classes = [sum(1 << w for w in range(k) if colours[w] == c) for c in set(colours)]
-        found = level.quotients[key] = _classes_acyclic(out, classes)
-    return found
-
-
 def _verdict(level: _Level, arc: tuple[int, int]) -> bool:
     """Is the deletion witness of ``arc`` a dicolouring of the level's
     graph minus ``arc``?  Decided without composing the witness, by the
-    lemma of docs/decisions.md, section 20, and memoised per level.  Level
+    lemma of docs/decisions.md, section 20: above level 3, iff a base
+    answer and the base peel's verdict on ``_gamma(base, 0)`` hold.  The
+    walk maps an arc inside a copy to its image in the sub-level; from a
+    wiring arc at local vertex t it follows t down as ``_gamma_ok`` does,
+    and from a tournament arc, whose base answer is True, vertex 0.  Level
     3 answers False for an arc it holds no witness for."""
-    found = level.verdicts.get(arc)
-    if found is not None:
-        return found
-    sub = level.sub
-    k = level.chi
+    if level.sub is None:
+        return level.verdicts.get(arc, False)
     u, v = arc
-    if sub is None:
-        found = False
-    elif u < k and v < k:
-        # Every copy holds the reference; the tournament arc is the one cut.
-        special = level.layout.tournament_arcs.index(arc)
-        found = _gamma_ok(sub, 0) and _quotients_acyclic(level, special, True, (1 << k) - 2)
-    else:
-        w = max(u, v)
-        copy, t = divmod(w - k, sub.digraph.n)
-        if u >= k and v >= k:
-            local = u - w + t, v - w + t
-            ok = _verdict(sub, local)
+    t = None  # the local vertex whose _gamma the walk follows
+    while level.sub is not None:
+        k, n_sub = level.chi, level.sub.digraph.n
+        if t is not None:
+            t = (t - k) % n_sub if t >= k else 0
+        elif u < k or v < k:
+            w = max(u, v)
+            t = (w - k) % n_sub if w >= k else 0
         else:
-            # The copy holds _gamma(sub, t), which off t is the witness for
-            # t's first out-arc, and t has lost a wiring arc.
-            local = t, sub.digraph.out_neighbours(t)[0]
-            ok = _gamma_ok(sub, t)
-        # The other copies hold the reference; above level 4 ``ok`` includes its verdict.
-        ok = ok and (sub.sub is not None or sub.gammas.get(0, False))
-        found = ok and _quotients_acyclic(level, copy, False, _shown(sub, local))
-    level.verdicts[arc] = found
-    return found
+            u, v = (u - k) % n_sub, (v - k) % n_sub
+        level = level.sub
+    found = level.verdicts.get((u, v), False) if t is None else level.gammas.get(t, False)
+    return found and level.gammas.get(0, False)
 
 
 def _arcs_at(d: Digraph, indices) -> list[tuple[int, int]]:
@@ -540,7 +495,6 @@ def _certify_level(
             pairs += [(Colouring(3, _gamma(level, t)), None) for t in range(d.n)]
             results = [ok for ok, _ in check_dicolourings(d, pairs)]
             level.verdicts = dict(zip(level.witnesses, results))
-            level.palettes = {a: sum(1 << c for c in set(w.colours)) for w, a in pairs if a}
             level.gammas = dict(enumerate(results[len(level.witnesses):]))
         return _decide_witnesses(level, list(level.witnesses))
 
@@ -624,9 +578,9 @@ def certify_dicritical_composition(
     sampling), and (c) a decision on every such witness against the
     digraph minus its arc, so nothing is assumed: level 3's witnesses by
     the certifier's one peel, the only ``check_dicolourings`` call for any
-    k, and those above by the lemma of docs/decisions.md, section 20, from
-    that peel's verdicts.  ``budget`` is still accepted, and nothing
-    charges it.
+    k, and each one above by a walk down to that peel's verdicts (the
+    lemma of docs/decisions.md, section 20).  ``budget`` is still
+    accepted, and nothing charges it.
     """
     if witness_sample is not None and witness_sample < 1:
         raise DigraphError(f"witness_sample must be at least 1, got {witness_sample}")

@@ -296,6 +296,10 @@ class TestSubcommands:
         assert certify_dicritical_composition(4, budget=budget).ok()
         assert code == 0 and budget.used == 0
         assert json.loads(out)["stats"] == {"nodes": budget.used}
+        # nothing searches, so the command has no budget to take
+        code, out, err = run(capsys, "construct", "certify", "--k", "4", "--budget", "5")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --budget 5" in err
 
     def test_construct_with_a_tournament_file(self, capsys, tmp_path):
         # A 3-cycle 0 -> 1 -> 2 -> 0 dominated by 3: not the default

@@ -198,14 +198,16 @@ class TestCertify:
         assert report.sampled
         assert report.witnesses_checked == 30
 
-    def test_sample_draws_the_listed_arcs(self):
+    def test_sample_draws_the_listed_arcs(self, monkeypatch):
         # the sample is drawn by index, with the draws that sampling the
         # list of sorted arcs makes
         g, layout = build_gk(4, ConstructionSpec(k=4))
         arcs = g.sorted_arcs()
+        decided = _spy_verdicts(monkeypatch)
         for seed in range(40):
-            level = constructions._certify_level(g, layout, 30, random.Random(seed))
-            assert sorted(level.verdicts) == sorted(random.Random(seed).sample(arcs, 30))
+            decided.clear()
+            constructions._certify_level(g, layout, 30, random.Random(seed))
+            assert decided[4] == sorted(random.Random(seed).sample(arcs, 30))
 
     @pytest.mark.parametrize("sample", [0, -3])
     def test_sample_must_be_positive(self, sample):
@@ -474,6 +476,19 @@ def _record_calls(monkeypatch):
     return calls
 
 
+def _spy_verdicts(monkeypatch):
+    """Level -> the arcs the certifier asks ``_verdict`` about, in order."""
+    decided = {}
+    real_verdict = constructions._verdict
+
+    def recording_verdict(level, arc):
+        decided.setdefault(level.chi, []).append(arc)
+        return real_verdict(level, arc)
+
+    monkeypatch.setattr(constructions, "_verdict", recording_verdict)
+    return decided
+
+
 def _certify(k, spec, sample=None):
     """The certified top level, with every level below it."""
     d, layout = build_gk(k, spec)
@@ -530,8 +545,9 @@ class TestWitnessOracle:
     @pytest.mark.parametrize(
         "k, seed, sample", [(4, 1, None), (4, 2, None), (4, 3, None), (5, 4, 40)]
     )
-    def test_witnesses_pass_the_oracle(self, k, seed, sample):
+    def test_witnesses_pass_the_oracle(self, monkeypatch, k, seed, sample):
         spec = _random_spec(k, seed)
+        decided = _spy_verdicts(monkeypatch)
         top = _certify(k, spec, sample)
         assert top.report.ok()
         considered = _considered(top, sample)
@@ -551,9 +567,8 @@ class TestWitnessOracle:
                 witness = constructions._deletion_witness(level, arc)
                 assert witness.k == level.chi - 1
                 assert valid_dicolouring(Digraph(g.n, g.arcs - {arc}), witness.colours)
-                assert level.verdicts[arc]
-            if level is top:
-                assert sorted(level.verdicts) == arcs
+            assert decided[level.chi] == arcs
+            assert all(constructions._verdict(level, arc) for arc in g.sorted_arcs())
 
     @pytest.mark.parametrize("k", [4, 5])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -608,17 +623,18 @@ class TestLemma:
     witness handed to check_dicolourings on the graph minus the arc."""
 
     @pytest.mark.parametrize("k, n0, seed", [(4, 1, 1), (4, 1, 2), (4, 2, 3), (4, 2, 4), (5, 1, 6)])
-    def test_verdicts_match_the_full_check(self, k, n0, seed):
+    def test_verdicts_match_the_full_check(self, monkeypatch, k, n0, seed):
         spec = replace(_random_spec(k, seed), n0=n0)
+        decided = _spy_verdicts(monkeypatch)
         top = _certify(k, spec)
         assert top.report.ok()
         rng = random.Random(seed)
         for level in list(_levels(top))[:-1]:
             g = level.digraph
             arcs = g.sorted_arcs()
-            assert sorted(level.verdicts) == arcs
+            assert decided[level.chi] == arcs
             assert _full_failures(level, arcs) == []
-            assert all(level.verdicts[arc] for arc in arcs)
+            assert all(constructions._verdict(level, arc) for arc in arcs)
             for arc in rng.sample(arcs, 20):
                 witness = constructions._deletion_witness(level, arc).colours
                 assert valid_dicolouring(Digraph(g.n, g.arcs - {arc}), witness)
@@ -632,29 +648,55 @@ class TestLemma:
     def test_quotients_match_the_full_check(self, k):
         # a colouring that puts the reference, which shows colour k - 1, in
         # the copy between the two tournament vertices of colour k - 1
-        # closes a cycle through that copy, unless their arc is deleted
+        # closes a cycle through that copy, unless their arc is deleted; the
+        # proof that condition (ii) always holds rests on this
         top = _certify(k, _random_spec(k, 7), 40)
         reference = constructions._gamma(top.sub, 0)
-        palette = sum(1 << c for c in set(reference))
-        assert palette == (1 << k) - 2  # the reference shows every colour 1..k-1
+        assert set(reference) == set(range(1, k))
         for copy, arc in enumerate(top.layout.tournament_arcs):
             colouring = constructions._compose(top, arc, copy, reference)
             for removed in (None, arc):
                 ((full, _),) = check_dicolourings(top.digraph, [(colouring, removed)])
-                assert constructions._quotients_acyclic(top, copy, bool(removed), palette) == full
                 assert full == bool(removed)
 
     @pytest.mark.parametrize("k, seed", [(4, 1), (5, 2)])
     def test_witnesses_above_the_base_show_every_colour(self, k, seed):
         # a deletion witness at a level S >= 4 shows all of 1..S-1, from its
-        # tournament alone, which is the palette the lemma reads above level 3
+        # tournament alone
         top = _certify(k, _random_spec(k, seed))
         for level in list(_levels(top))[:-1]:
             full = set(range(1, level.chi))
             for arc in level.digraph.sorted_arcs():
                 colours = constructions._deletion_witness(level, arc).colours
                 assert set(colours[:level.chi]) == set(colours) == full
-                assert constructions._shown(level, arc) == (1 << level.chi) - 2
+
+    @pytest.mark.parametrize("k, seed", [(4, 1), (4, 2), (5, 3)])
+    def test_no_copy_joins_the_special_pair(self, k, seed):
+        # the proof that condition (ii) of the lemma always holds, read off
+        # the digraph and the composed colouring alone: the tournament shows
+        # colour chi - 1 on two vertices x -> y and every other colour on
+        # one, and a vertex of colour chi - 1 with both arcs y -> w -> x
+        # left in G minus the arc appears exactly when x -> y is the arc
+        top = _certify(k, _random_spec(k, seed))
+        for level in list(_levels(top))[:-1]:
+            g, chi = level.digraph, level.chi
+            for arc in g.sorted_arcs():
+                colours = constructions._deletion_witness(level, arc).colours
+                pair = [w for w in range(chi) if colours[w] == chi - 1]
+                assert len(pair) == 2 and len(set(colours[:chi])) == chi - 1
+                x, y = pair if g.has_arc(*pair) else pair[::-1]
+                # the vertices off the tournament with y -> w -> x in G minus the arc
+                between = g.out_masks[y] & g.in_masks[x] & ~((1 << chi) - 1)
+                if arc[0] == y:
+                    between &= ~(1 << arc[1])
+                if arc[1] == x:
+                    between &= ~(1 << arc[0])
+                shown = set()
+                while between:
+                    w = (between & -between).bit_length() - 1
+                    shown.add(colours[w])
+                    between &= between - 1
+                assert (chi - 1 in shown) == (arc == (x, y)), arc
 
     def test_k6_every_witness_decided(self):
         report = certify_dicritical_composition(6)
@@ -688,6 +730,11 @@ class TestWitnessMutation:
             # vertex 0's first out-arc: its _gamma is the reference, which
             # every composed witness above holds in some copy
             "reference arc": ((0, g3.out_neighbours(0)[0]), gadgets[0].triangle),
+            # cycle vertex 1's first out-arc, with a gadget's triangle
+            # closed: its _gamma fails too, and with it the copies' wiring
+            # arcs at the vertex, while the tournament arcs, which follow
+            # vertex 0, pass
+            "gamma arc": ((1, g3.out_neighbours(1)[0]), gadgets[0].triangle),
         }
         real = constructions._g3_witnesses
         for case, (leaf, triangle) in cases.items():
@@ -706,26 +753,29 @@ class TestWitnessMutation:
             assert base.report.witness_failures == [leaf]
             assert base.report.witnesses_checked == 29
             for level in above:
-                arcs = considered[level.chi]
-                failures = _full_failures(level, arcs)
+                # the lemma's verdict on every arc of the level, considered
+                # or not, is exact
+                every = level.digraph.sorted_arcs()
+                rejected = _full_failures(level, every)
+                assert rejected == [arc for arc in every if not constructions._verdict(level, arc)]
+                arcs, failing = considered[level.chi], set(rejected)
+                failures = [arc for arc in arcs if arc in failing]
                 # a sample of 40 may miss the few arcs derived from a leaf
                 assert failures or sample and case != "reference arc", case
                 assert level.report.witness_failures == failures
                 assert level.report.witnesses_checked == len(arcs) - len(failures)
-                # every verdict the lemma reached, sampled or not, is exact
-                reached = sorted(level.verdicts)
-                assert _full_failures(level, reached) == [
-                    arc for arc in reached if not level.verdicts[arc]
-                ]
             # in every copy the leaf's image fails and the wiring arcs at its
-            # tail pass
+            # tail pass, unless the tail's _gamma fails too
             level4 = above[-1]
-            if case == "first out-arc" and sample is None:
+            if case in ("first out-arc", "gamma arc") and sample is None:
+                wiring_fails = case == "gamma arc"
                 for i, (x, y) in enumerate(level4.layout.tournament_arcs):
-                    t = level4.layout.copy_offset(i) + first
-                    assert (t, x) not in level4.report.witness_failures
-                    assert (y, t) not in level4.report.witness_failures
-                    assert (t, t - first + leaf[1]) in level4.report.witness_failures
+                    off = level4.layout.copy_offset(i)
+                    t = off + leaf[0]
+                    assert ((t, x) in level4.report.witness_failures) == wiring_fails
+                    assert ((y, t) in level4.report.witness_failures) == wiring_fails
+                    assert (t, off + leaf[1]) in level4.report.witness_failures
+                    assert (x, y) not in level4.report.witness_failures
             top_arcs = considered[k]
             if case == "reference arc":
                 assert top.report.witness_failures == top_arcs
