@@ -773,13 +773,13 @@ def _bridges(
 
 
 def _closure(
-    out: Sequence[int], inn: Sequence[int], found: tuple[int, ...], u: int, v: int,
-    position: list[int], derived: dict[tuple[int, int], Colouring], m: int,
+    out: Sequence[int], inn: Sequence[int], u: int, v: int,
+    derived: dict[tuple[int, int], Colouring], m: int,
 ) -> None:
-    """Expand the assignment ``found`` for D - uv, whose witness is
-    ``derived[u, v]``, by the rules of docs/decisions.md, section 24, until
-    all m arcs of D have a witness in ``derived`` or none is left to expand.
-    D must not be c-dicolourable, c the witness's ``k``.
+    """Expand the witness ``derived[u, v]`` for D - uv by the rules of
+    docs/decisions.md, section 24, until all m arcs of D have a witness in
+    ``derived`` or none is left to expand.  D must not be c-dicolourable,
+    c the witness's ``k``.
 
     Let w be a witness for D - xy, with w(x) = w(y) = a and A the class of
     a.  Rule 1 gives w every arc of D[A] on every y->x path; rule 2, for
@@ -792,13 +792,11 @@ def _closure(
     out-neighbour in A, as on every bidirected D, yx is the only rule-1
     arc and needs no pass; the pair (w, yx) is then expanded as well, once
     no swap witness is left.
-    ``found``, u, v and the keys of ``derived`` are in branching order
-    (``position`` maps D's labels into it); the witnesses are in D's
-    labels.
     """
-    c = derived[u, v].k
+    first = derived[u, v]
+    c = first.k
     classes = [0] * (c + 1)
-    for x, colour in enumerate(found):
+    for x, colour in enumerate(first.colours):
         classes[colour] |= 1 << x
     swaps, reverses = [], []
 
@@ -813,7 +811,7 @@ def _closure(
                 derived.setdefault((p, q), w)
         swaps.append((colours, classes, x, y, skip))
 
-    take(found, classes, u, v, derived[u, v])
+    take(first.colours, classes, u, v, first)
     while len(derived) < m and (swaps or reverses):
         colours, classes, x, y, skip = (swaps or reverses).pop()
         a = colours[x]
@@ -830,7 +828,7 @@ def _closure(
                     rest ^= low
                     z = low.bit_length() - 1
                     swapped[z] = a + b - swapped[z]
-                w = derived[p, q] = Colouring(c, tuple(map(swapped.__getitem__, position)))
+                w = derived[p, q] = Colouring(c, tuple(swapped))
                 moved = classes.copy()
                 moved[a] ^= side
                 moved[b] ^= side
@@ -854,8 +852,8 @@ def is_k_dicritical(
 
     Every search runs in one connectivity order computed for D, on D
     relabelled into it once; each fresh witness is mapped back to D's
-    labels, and the closure below runs in the relabelled digraph.  Once D is
-    known not to be (k-1)-dicolourable, the search for D - uv only tries
+    labels, and the closure below runs in D's own labels.  Once D is known
+    not to be (k-1)-dicolourable, the search for D - uv only tries
     colourings with c(u) = c(v), which loses nothing: a (k-1)-dicolouring c
     of D - uv with c(u) != c(v) would also dicolour D, because every cycle
     of D that is not a cycle of D - uv uses the arc uv and so meets both
@@ -900,14 +898,14 @@ def is_k_dicritical(
             nodes=budget.used - start, refutation=refutation,
         )
     witnesses: dict[tuple[int, int], Colouring] = {}
-    # Every witness so far, fresh or derived, keyed by its arc in branching order.
+    # Every witness so far, fresh or derived, keyed by its arc.
     derived: dict[tuple[int, int], Colouring] = {}
     solved = 0
     failure_arc = None
     for arc in d.sorted_arcs():
-        u, v = position[arc[0]], position[arc[1]]
-        w = derived.get((u, v))
+        w = derived.get(arc)
         if w is None:
+            u, v = position[arc[0]], position[arc[1]]
             out_minus, inn_minus = ordered_out.copy(), ordered_inn.copy()
             out_minus[u] &= ~(1 << v)
             inn_minus[v] &= ~(1 << u)
@@ -917,8 +915,8 @@ def is_k_dicritical(
                 failure_arc = arc
                 break
             solved += 1
-            w = derived[u, v] = Colouring(k - 1, tuple(map(found.__getitem__, position)))
-            _closure(ordered_out, ordered_inn, found, u, v, position, derived, d.m)
+            w = derived[arc] = Colouring(k - 1, tuple(map(found.__getitem__, position)))
+            _closure(out, inn, *arc, derived, d.m)
         witnesses[arc] = w
     checked = check_dicolourings(d, [(w, arc) for arc, w in witnesses.items()])
     for arc, (ok, _) in zip(witnesses, checked):

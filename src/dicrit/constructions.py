@@ -23,9 +23,10 @@ the tournament's colouring, one copy's local colouring and the
 sub-level's reference ``_gamma(sub, 0)`` in every other copy; it is
 decided without being composed, by the lemma of docs/decisions.md,
 section 20, under premises that fix every vertex's out-arcs to
-build_gk's wiring: one walk down to the base reads the peel's verdict on
-the arc's image there, or on a ``_gamma`` colouring, and on the base's
-reference, which every level's reference shares.
+build_gk's wiring.  Each level lifts the sub-level's rejected arcs and
+cold vertices (those whose ``_gamma`` fails) into its copies once, and a
+witness fails when its arc is rejected or the base's reference, which
+every level's reference shares, is cold.
 """
 
 from __future__ import annotations
@@ -229,10 +230,11 @@ class CertificateReport:
     under the premises of docs/decisions.md, section 23, and
     "compositional" above it, where it rests on the structural premises
     plus the sub-certificate.  Every witness considered is decided: level
-    3's by the certifier's one peel, each one above by a walk down to its
-    verdicts (the lemma of docs/decisions.md, section 20).  ``assumed`` is
-    always empty and stays for readers that still look for it.  A level whose premises
-    fail, or that sits above one whose premises fail, decides no witness.
+    3's by the certifier's one peel, each one above by one lookup in the
+    arcs that the peel's failures reject there (the lemma of
+    docs/decisions.md, section 20).  ``assumed`` is always empty and stays
+    for readers that still look for it.  A level whose premises fail, or
+    that sits above one whose premises fail, decides no witness.
     """
 
     k: int
@@ -281,18 +283,21 @@ class CertificateReport:
 class _Level:
     """Internal: one certified level plus the data its parent reuses.
 
-    Level 3 keeps its constructed deletion witnesses, the peel's verdict
-    on each of them in ``verdicts``, by arc, and on each
-    ``_gamma(level, t)`` in ``gammas``, by t; a higher level keeps only
-    its sub-level, and ``_verdict`` walks down to level 3 for each arc."""
+    Level 3 keeps its constructed deletion witnesses; a higher level keeps
+    its sub-level.  ``rejected`` holds the arcs whose deletion witness
+    fails and ``cold`` the vertices t whose ``_gamma(level, t)`` fails, as
+    the peel found them at level 3 and as lifted from the sub-level above
+    it.  The lift leaves out the base's reference: when vertex 0 is cold
+    at level 3, every witness above fails (docs/decisions.md, section
+    20)."""
 
     digraph: Digraph
     layout: Layout
     report: CertificateReport
     witnesses: dict[tuple[int, int], Colouring] | None = None
     sub: "_Level | None" = None
-    verdicts: dict[tuple[int, int], bool] = field(default_factory=dict)
-    gammas: dict[int, bool] = field(default_factory=dict)
+    rejected: set[tuple[int, int]] = field(default_factory=set)
+    cold: set[int] = field(default_factory=set)
 
     @property
     def chi(self) -> int:
@@ -358,46 +363,6 @@ def _gamma(sub: _Level, t: int) -> tuple[int, ...]:
     colours = list(_deletion_witness(sub, arc).colours)
     colours[t] = sub.chi
     return tuple(colours)
-
-
-def _gamma_ok(level: _Level, t: int) -> bool:
-    """Is ``_gamma(level, t)`` a dicolouring of the level's graph?  Above
-    level 3, exactly when the base's ``_gamma`` of vertex 0 and of the base
-    vertex under t (0 when t lies on a tournament) are (docs/decisions.md,
-    section 20): the walk goes straight down to the base's peel."""
-    base = level
-    while base.sub is not None:
-        k = base.chi
-        t = (t - k) % base.sub.digraph.n if t >= k else 0
-        base = base.sub
-    return base.gammas.get(t, False) and (base is level or base.gammas.get(0, False))
-
-
-def _verdict(level: _Level, arc: tuple[int, int]) -> bool:
-    """Is the deletion witness of ``arc`` a dicolouring of the level's
-    graph minus ``arc``?  Decided without composing the witness, by the
-    lemma of docs/decisions.md, section 20: above level 3, iff a base
-    answer and the base peel's verdict on ``_gamma(base, 0)`` hold.  The
-    walk maps an arc inside a copy to its image in the sub-level; from a
-    wiring arc at local vertex t it follows t down as ``_gamma_ok`` does,
-    and from a tournament arc, whose base answer is True, vertex 0.  Level
-    3 answers False for an arc it holds no witness for."""
-    if level.sub is None:
-        return level.verdicts.get(arc, False)
-    u, v = arc
-    t = None  # the local vertex whose _gamma the walk follows
-    while level.sub is not None:
-        k, n_sub = level.chi, level.sub.digraph.n
-        if t is not None:
-            t = (t - k) % n_sub if t >= k else 0
-        elif u < k or v < k:
-            w = max(u, v)
-            t = (w - k) % n_sub if w >= k else 0
-        else:
-            u, v = (u - k) % n_sub, (v - k) % n_sub
-        level = level.sub
-    found = level.verdicts.get((u, v), False) if t is None else level.gammas.get(t, False)
-    return found and level.gammas.get(0, False)
 
 
 def _arcs_at(d: Digraph, indices) -> list[tuple[int, int]]:
@@ -494,8 +459,8 @@ def _certify_level(
             pairs = [(w, arc) for arc, w in level.witnesses.items()]
             pairs += [(Colouring(3, _gamma(level, t)), None) for t in range(d.n)]
             results = [ok for ok, _ in check_dicolourings(d, pairs)]
-            level.verdicts = dict(zip(level.witnesses, results))
-            level.gammas = dict(enumerate(results[len(level.witnesses):]))
+            level.rejected = {arc for arc, ok in zip(level.witnesses, results) if not ok}
+            level.cold = {t for t, ok in enumerate(results[len(level.witnesses):]) if not ok}
         return _decide_witnesses(level, list(level.witnesses))
 
     k = layout.k
@@ -543,18 +508,34 @@ def _certify_level(
         report.sampled = True
     else:
         arcs = d.sorted_arcs()
-    return _decide_witnesses(_Level(d, layout, report, sub=sub), arcs)
+    # The sub-level's rejected arcs and cold vertices in every copy, and the
+    # wiring arcs at each cold vertex (docs/decisions.md, section 20).
+    level = _Level(d, layout, report, sub=sub)
+    for i, (x, y) in enumerate(t_arcs):
+        off = layout.copy_offset(i)
+        level.rejected.update((u + off, v + off) for u, v in sub.rejected)
+        for t in sub.cold:
+            level.rejected.update(((y, t + off), (t + off, x)))
+        level.cold.update(t + off for t in sub.cold)
+    return _decide_witnesses(level, arcs)
 
 
 def _decide_witnesses(level: _Level, arcs) -> _Level:
-    """Count ``arcs`` checked or failing by their verdicts, if the lower bound holds."""
+    """Count ``arcs`` checked or failing, if the lower bound holds: an arc
+    fails when the level rejects it and, above the base, every arc fails
+    when vertex 0 is cold at the base, whose reference every witness
+    above it holds in some copy (docs/decisions.md, section 20)."""
     report = level.report
     if report.lower_bound_ok:
+        base = level
+        while base.sub is not None:
+            base = base.sub
+        every = base is not level and 0 in base.cold
         for arc in arcs:
-            if _verdict(level, arc):
-                report.witnesses_checked += 1
-            else:
+            if every or arc in level.rejected:
                 report.witness_failures.append(arc)
+            else:
+                report.witnesses_checked += 1
     return level
 
 
@@ -578,9 +559,9 @@ def certify_dicritical_composition(
     sampling), and (c) a decision on every such witness against the
     digraph minus its arc, so nothing is assumed: level 3's witnesses by
     the certifier's one peel, the only ``check_dicolourings`` call for any
-    k, and each one above by a walk down to that peel's verdicts (the
-    lemma of docs/decisions.md, section 20).  ``budget`` is still
-    accepted, and nothing charges it.
+    k, and each one above by the failures of that peel, lifted through
+    the copies once per level (the lemma of docs/decisions.md, section
+    20).  ``budget`` is still accepted, and nothing charges it.
     """
     if witness_sample is not None and witness_sample < 1:
         raise DigraphError(f"witness_sample must be at least 1, got {witness_sample}")

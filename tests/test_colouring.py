@@ -713,6 +713,44 @@ class TestKempeWitnesses:
             with pytest.raises(AssertionError, match=message):
                 is_k_dicritical(d, k)
 
+    @pytest.mark.parametrize(
+        "build, k",
+        [
+            (lambda: quadratic_residue_tournament(7), 3),
+            (lambda: quadratic_residue_tournament(11), 4),
+            (lambda: build_g3(2)[0], 3),
+            (lambda: _relabelled(generate_4ore(25, seed=3)[0], 1), 4),
+        ],
+        ids=["qr7", "qr11", "g3-2", "4ore-25-shuffled"],
+    )
+    def test_closure_commutes_with_relabelling(self, build, k):
+        # The closure runs in D's own labels, and the bridges it follows lie
+        # on every path, so relabelling D relabels every witness it derives,
+        # in the same order.  Each distinct witness of D seeds it once.
+        d = build()
+        perm = list(range(d.n))
+        random.Random(k).shuffle(perm)
+        e = Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
+
+        def moved(w):
+            colours = [0] * d.n
+            for x, c in enumerate(w.colours):
+                colours[perm[x]] = c
+            return Colouring(w.k, tuple(colours))
+
+        seeds = _distinct_witnesses(is_k_dicritical(d, k))
+        grown = 0
+        for (u, v), w in seeds:
+            derived = {(u, v): w}
+            colouring._closure(d.out_masks, d.in_masks, u, v, derived, d.m)
+            image = {(perm[u], perm[v]): moved(w)}
+            colouring._closure(e.out_masks, e.in_masks, perm[u], perm[v], image, e.m)
+            assert list(image.items()) == [
+                ((perm[p], perm[q]), moved(x)) for (p, q), x in derived.items()
+            ]
+            grown += len(derived) - 1
+        assert grown > 0
+
     def test_failure_follows_the_arc_order(self):
         # K4 on {0, 1, 3, 4} with vertex 2 hung on 3 by a digon.  The first
         # fresh witness derives witnesses for K4's arcs after the failure arc

@@ -203,7 +203,7 @@ class TestCertify:
         # list of sorted arcs makes
         g, layout = build_gk(4, ConstructionSpec(k=4))
         arcs = g.sorted_arcs()
-        decided = _spy_verdicts(monkeypatch)
+        decided = _spy_decided(monkeypatch)
         for seed in range(40):
             decided.clear()
             constructions._certify_level(g, layout, 30, random.Random(seed))
@@ -415,13 +415,14 @@ class TestGadgetCertificate:
 
     def test_failed_sub_level_fails_its_parent(self):
         # the sub-level's premises fail, so it has no witness to compose a
-        # reference from: the parent decides no witness and raises nothing
+        # reference from and peels nothing: the parent decides no witness
+        # and raises nothing
         g3, l3 = build_g3(1)
         g4, l4 = build_gk(4, ConstructionSpec(k=4))
         layout = GkLayout(4, l4.tournament_arcs, g3.without_arcs([(0, 1)]), l3)
         level = constructions._certify_level(g4, layout, None, random.Random(0))
         assert not level.sub.report.structural_ok
-        assert level.sub.witnesses == {} and not constructions._gamma_ok(level.sub, 0)
+        assert level.sub.witnesses == {} and level.sub.rejected == level.sub.cold == set()
         report = level.report
         assert report.witnesses_checked == 0 and report.witness_failures == []
         assert not report.lower_bound_ok and not report.ok()
@@ -444,7 +445,7 @@ class TestGadgetCertificate:
         for lv in _levels(top):
             assert lv.report.witnesses_checked == 0 and lv.report.witness_failures == []
             assert not lv.report.lower_bound_ok and not lv.report.ok()
-            assert not constructions._gamma_ok(lv, 0)
+            assert lv.rejected == lv.cold == set()
 
 
 def _random_spec(k, seed):
@@ -476,16 +477,16 @@ def _record_calls(monkeypatch):
     return calls
 
 
-def _spy_verdicts(monkeypatch):
-    """Level -> the arcs the certifier asks ``_verdict`` about, in order."""
+def _spy_decided(monkeypatch):
+    """Level -> the arcs the certifier hands ``_decide_witnesses``, in order."""
     decided = {}
-    real_verdict = constructions._verdict
+    real_decide = constructions._decide_witnesses
 
-    def recording_verdict(level, arc):
-        decided.setdefault(level.chi, []).append(arc)
-        return real_verdict(level, arc)
+    def recording_decide(level, arcs):
+        decided[level.chi] = arcs = list(arcs)
+        return real_decide(level, arcs)
 
-    monkeypatch.setattr(constructions, "_verdict", recording_verdict)
+    monkeypatch.setattr(constructions, "_decide_witnesses", recording_decide)
     return decided
 
 
@@ -519,6 +520,34 @@ def _considered(top, sample):
     return arcs
 
 
+def _reference_cold(level):
+    """Does the base's reference fail, and with it every witness of this
+    level, which lies above the base?"""
+    *_, base = _levels(level)
+    return base is not level and 0 in base.cold
+
+
+def _rejected(level, arcs):
+    """The arcs whose witness the level's sets fail: rejected, or above a
+    base whose reference is cold."""
+    every = _reference_cold(level)
+    return [arc for arc in arcs if every or arc in level.rejected]
+
+
+def _cold(level):
+    """The vertices t whose ``_gamma(level, t)`` the level's sets fail."""
+    every = _reference_cold(level)
+    return [t for t in range(level.digraph.n) if every or t in level.cold]
+
+
+def _cold_by_peel(level):
+    """The vertices t whose ``_gamma(level, t)`` a peel on the level's
+    graph rejects."""
+    g, chi = level.digraph, level.chi
+    gammas = [(Colouring(chi, constructions._gamma(level, t)), None) for t in range(g.n)]
+    return [t for t, (ok, _) in enumerate(check_dicolourings(g, gammas)) if not ok]
+
+
 def _full_failures(level, arcs):
     """The arcs whose composed witness the full check rejects on the
     level's graph minus the arc."""
@@ -547,7 +576,7 @@ class TestWitnessOracle:
     )
     def test_witnesses_pass_the_oracle(self, monkeypatch, k, seed, sample):
         spec = _random_spec(k, seed)
-        decided = _spy_verdicts(monkeypatch)
+        decided = _spy_decided(monkeypatch)
         top = _certify(k, spec, sample)
         assert top.report.ok()
         considered = _considered(top, sample)
@@ -555,6 +584,7 @@ class TestWitnessOracle:
             g = level.digraph
             report = level.report
             assert report.assumed == [] and report.witness_failures == []
+            assert level.rejected == level.cold == set()
             if level.sub is None:
                 assert report.witnesses_checked == 30
                 for arc, witness in level.witnesses.items():
@@ -568,7 +598,6 @@ class TestWitnessOracle:
                 assert witness.k == level.chi - 1
                 assert valid_dicolouring(Digraph(g.n, g.arcs - {arc}), witness.colours)
             assert decided[level.chi] == arcs
-            assert all(constructions._verdict(level, arc) for arc in g.sorted_arcs())
 
     @pytest.mark.parametrize("k", [4, 5])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -584,7 +613,7 @@ class TestWitnessOracle:
             assert valid_dicolouring(Digraph(g.n, g.arcs), colours)
             assert set(colours) == set(range(1, chi + 1))
             assert [v for v, c in enumerate(colours) if c == chi] == [0]
-            assert constructions._gamma_ok(level, 0)
+            assert 0 not in level.cold and not _reference_cold(level)
 
     @pytest.mark.parametrize("k", [4, 5, 6])
     @pytest.mark.parametrize("seed", [None, 5])
@@ -625,24 +654,19 @@ class TestLemma:
     @pytest.mark.parametrize("k, n0, seed", [(4, 1, 1), (4, 1, 2), (4, 2, 3), (4, 2, 4), (5, 1, 6)])
     def test_verdicts_match_the_full_check(self, monkeypatch, k, n0, seed):
         spec = replace(_random_spec(k, seed), n0=n0)
-        decided = _spy_verdicts(monkeypatch)
+        decided = _spy_decided(monkeypatch)
         top = _certify(k, spec)
         assert top.report.ok()
         rng = random.Random(seed)
-        for level in list(_levels(top))[:-1]:
+        for level in _levels(top):
             g = level.digraph
             arcs = g.sorted_arcs()
             assert decided[level.chi] == arcs
-            assert _full_failures(level, arcs) == []
-            assert all(constructions._verdict(level, arc) for arc in arcs)
+            assert _rejected(level, arcs) == _full_failures(level, arcs) == []
+            assert _cold(level) == _cold_by_peel(level) == []
             for arc in rng.sample(arcs, 20):
                 witness = constructions._deletion_witness(level, arc).colours
                 assert valid_dicolouring(Digraph(g.n, g.arcs - {arc}), witness)
-        for level in list(_levels(top))[1:]:
-            gammas = [Colouring(level.chi, constructions._gamma(level, t)) for t in range(level.digraph.n)]
-            full = [ok for ok, _ in check_dicolourings(level.digraph, [(c, None) for c in gammas])]
-            assert full == [constructions._gamma_ok(level, t) for t in range(level.digraph.n)]
-            assert all(full)
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_quotients_match_the_full_check(self, k):
@@ -750,14 +774,16 @@ class TestWitnessMutation:
             assert not top.report.ok(), case
             considered = _considered(top, sample)
             *above, base = _levels(top)
-            assert base.report.witness_failures == [leaf]
+            assert base.report.witness_failures == [leaf] == list(base.rejected)
             assert base.report.witnesses_checked == 29
+            assert _cold(base) == _cold_by_peel(base)
             for level in above:
-                # the lemma's verdict on every arc of the level, considered
-                # or not, is exact
+                # the sets' verdict on every arc and every _gamma of the
+                # level, considered or not, is exact
                 every = level.digraph.sorted_arcs()
                 rejected = _full_failures(level, every)
-                assert rejected == [arc for arc in every if not constructions._verdict(level, arc)]
+                assert rejected == _rejected(level, every)
+                assert _cold(level) == _cold_by_peel(level)
                 arcs, failing = considered[level.chi], set(rejected)
                 failures = [arc for arc in arcs if arc in failing]
                 # a sample of 40 may miss the few arcs derived from a leaf
@@ -800,17 +826,15 @@ class TestWitnessMutation:
         monkeypatch.setattr(constructions, "_gamma", recolouring)
         top = _certify(k, spec, sample)
         *above, base = _levels(top)
-        assert base.report.ok() and not constructions._gamma_ok(base, 0)
+        assert base.report.ok() and base.rejected == set() and base.cold == {0}
         considered = _considered(top, sample)
         for level in above:
-            assert not constructions._gamma_ok(level, 0)
+            assert _reference_cold(level)
             arcs = considered[level.chi]
             assert level.report.witness_failures == _full_failures(level, arcs) == arcs
             assert level.report.witnesses_checked == 0 and not level.report.ok()
-        for t in range(0, top.digraph.n, 7):
-            gamma = Colouring(k, constructions._gamma(top, t))
-            assert not check_dicolourings(top.digraph, [(gamma, None)])[0][0]
-            assert not constructions._gamma_ok(top, t)
+        every = list(range(top.digraph.n))
+        assert _cold(top) == _cold_by_peel(top) == every
 
     @pytest.mark.parametrize("case", ["copy to copy", "copy to tournament", "tournament to copy"])
     def test_extra_arc_fails_the_premises(self, case):
