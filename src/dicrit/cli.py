@@ -3,6 +3,10 @@
 Exit codes: 0 all checks pass, 1 a property is violated (the report names
 it), 2 input error, 3 budget exceeded.  Rationals are always given as
 ``num/den`` strings.  Digraphs travel as DG-v1 text files.
+
+Every command takes ``--json``; each argument that several commands share
+is declared once, in a parent parser, and ``construct g3`` runs as
+``construct gk --k 3``.
 """
 
 from __future__ import annotations
@@ -21,11 +25,7 @@ from .budget import (
     BudgetExceeded,
     ensure_budget,
 )
-from .colouring import (
-    ColouringError,
-    dichromatic_number,
-    is_k_dicritical,
-)
+from .colouring import dichromatic_number, is_k_dicritical
 from .digraph import DigraphError, parse, serialize
 from .packing import max_packing
 from .potential import (
@@ -52,10 +52,7 @@ def _params(args) -> PotentialParams:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+    print(json.dumps(payload, indent=2) if args.json else text)
 
 
 def _int_list(raw: str) -> list[int]:
@@ -98,11 +95,8 @@ def _cmd_ore_check(args) -> int:
     if trace is None:
         _emit(args, {"is_4ore": False, "stats": stats}, "not 4-Ore")
         return EXIT_VIOLATION
-    _emit(
-        args,
-        {"is_4ore": True, "trace": ore.trace_to_json(trace), "stats": stats},
-        "4-Ore (decomposition trace found)",
-    )
+    payload = {"is_4ore": True, "trace": ore.trace_to_json(trace), "stats": stats}
+    _emit(args, payload, "4-Ore (decomposition trace found)")
     return EXIT_OK
 
 
@@ -247,15 +241,9 @@ def _cmd_extend(args) -> int:
     return EXIT_OK
 
 
-def _cmd_construct_g3(args) -> int:
-    d, _ = constructions.build_g3(args.n0, args.seed)
-    _emit(args, {"digraph": serialize(d)}, serialize(d).rstrip("\n"))
-    return EXIT_OK
-
-
 def _construct_spec(args) -> constructions.ConstructionSpec:
     tournaments = None
-    if getattr(args, "tournament", None):
+    if args.tournament:
         t = _load(args.tournament)
         tournaments = {args.k: tuple(t.sorted_arcs())}
     return constructions.ConstructionSpec(
@@ -317,12 +305,11 @@ def _cmd_census(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, budget=True, seed=False) -> None:
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    if budget:
-        p.add_argument("--budget", type=int, default=None, help="search node budget")
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
+def _parent(*flags, **options) -> argparse.ArgumentParser:
+    """A parent parser declaring an argument that several commands take."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **options)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,122 +318,77 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact toolkit for dicolouring, 4-Ore digraphs, packings, "
         "potentials, discharging and the sparse dicritical constructions.",
     )
+    json_out = _parent("--json", action="store_true", help="machine-readable output")
+    budget = _parent("--budget", type=int, help="search node budget")
+    file_ = _parent("file")
+    k = _parent("--k", type=int, required=True)
+    params = _parent("--eps", required=True)
+    params.add_argument("--delta", required=True)
+    phi = _parent("--subset", required=True)
+    phi.add_argument("--colours", required=True)
+    construction = _parent("--n0", type=int, default=1)
+    construction.add_argument("--seed", type=int, help="cycle orientation seed")
+    tournament = _parent("--tournament", help="DG-v1 file with the tournament")
+
+    def command(subs, name, summary, handler, *parents) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, help=summary, parents=[json_out, *parents])
+        p.set_defaults(handler=handler)
+        return p
+
     sub = parser.add_subparsers(dest="command", required=True)
+    command(sub, "chi", "dichromatic number of a digraph", _cmd_chi, file_, budget)
+    command(sub, "critical", "verify k-dicriticality with witnesses", _cmd_critical,
+            file_, k, budget)
 
-    p = sub.add_parser("chi", help="dichromatic number of a digraph")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_chi)
-
-    p = sub.add_parser("critical", help="verify k-dicriticality with witnesses")
-    p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_critical)
-
-    p_ore = sub.add_parser("ore", help="4-Ore generation, recognition, composition")
-    ore_sub = p_ore.add_subparsers(dest="ore_command", required=True)
-    p = ore_sub.add_parser("gen", help="generate a seeded random 4-Ore digraph")
+    p = sub.add_parser("ore", help="4-Ore generation, recognition, composition")
+    ore_sub = p.add_subparsers(dest="ore_command", required=True)
+    p = command(ore_sub, "gen", "generate a seeded random 4-Ore digraph", _cmd_ore_gen)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--preserve-j", dest="preserve_j", action="store_true")
-    _add_common(p, budget=False, seed=True)
-    p.set_defaults(handler=_cmd_ore_gen)
-    p = ore_sub.add_parser("check", help="recognise 4-Ore membership")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ore_check)
-    p = ore_sub.add_parser("compose", help="Ore-composition of two digraphs")
+    p.add_argument("--preserve-j", action="store_true")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    command(ore_sub, "check", "recognise 4-Ore membership", _cmd_ore_check, file_, budget)
+    p = command(ore_sub, "compose", "Ore-composition of two digraphs", _cmd_ore_compose)
     p.add_argument("file1", help="digon side")
     p.add_argument("file2", help="split side")
     p.add_argument("--digon", required=True, help="x,y digon of the digon side")
     p.add_argument("--split", type=int, required=True, help="split vertex z")
     p.add_argument("--z1", required=True, help="comma-separated Z1 (Z2 is the rest)")
-    _add_common(p, budget=False)
-    p.set_defaults(handler=_cmd_ore_compose)
 
-    p = sub.add_parser("packing", help="maximum digon/triangle packing value T(D)")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_packing)
+    command(sub, "packing", "maximum digon/triangle packing value T(D)", _cmd_packing,
+            file_, budget)
+    command(sub, "potential", "exact potential rho(D)", _cmd_potential,
+            file_, params, budget)
+    command(sub, "audit", "audit the (eps, delta) inequality catalogue", _cmd_audit, params)
 
-    p = sub.add_parser("potential", help="exact potential rho(D)")
-    p.add_argument("file")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--delta", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_potential)
-
-    p = sub.add_parser("audit", help="audit the (eps, delta) inequality catalogue")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--delta", required=True)
-    _add_common(p, budget=False)
-    p.set_defaults(handler=_cmd_audit)
-
-    p_bound = sub.add_parser("bound", help="arc-count and surface bounds")
-    bound_sub = p_bound.add_subparsers(dest="bound_command", required=True)
-    p = bound_sub.add_parser("oriented", help="m >= (10/3 + 1/51) n - 1 check")
-    p.add_argument("file")
-    _add_common(p, budget=False)
-    p.set_defaults(handler=_cmd_bound_oriented)
-    p = bound_sub.add_parser("surface", help="vertex bound from the Euler characteristic")
+    p = sub.add_parser("bound", help="arc-count and surface bounds")
+    bound_sub = p.add_subparsers(dest="bound_command", required=True)
+    command(bound_sub, "oriented", "m >= (10/3 + 1/51) n - 1 check", _cmd_bound_oriented,
+            file_)
+    p = command(bound_sub, "surface", "vertex bound from the Euler characteristic",
+                _cmd_bound_surface)
     p.add_argument("--chi", type=int, required=True)
-    _add_common(p, budget=False)
-    p.set_defaults(handler=_cmd_bound_surface)
 
-    p = sub.add_parser("structure", help="chelou arcs, D6 classes, valencies")
-    p.add_argument("file")
-    _add_common(p, budget=False)
-    p.set_defaults(handler=_cmd_structure)
+    command(sub, "structure", "chelou arcs, D6 classes, valencies", _cmd_structure, file_)
+    command(sub, "discharge", "run the discharging rules, full ledger", _cmd_discharge,
+            file_, params)
+    command(sub, "identify", "phi-identification of a coloured subset", _cmd_identify,
+            file_, phi)
+    command(sub, "extend", "dicritical extension of a coloured subset", _cmd_extend,
+            file_, phi, budget)
 
-    p = sub.add_parser("discharge", help="run the discharging rules, full ledger")
-    p.add_argument("file")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--delta", required=True)
-    _add_common(p, budget=False)
-    p.set_defaults(handler=_cmd_discharge)
+    p = sub.add_parser("construct", help="the sparse dicritical constructions")
+    con_sub = p.add_subparsers(dest="construct_command", required=True)
+    # the base construction is level 3 of the recursive one
+    p = command(con_sub, "g3", "base construction", _cmd_construct_gk, construction)
+    p.set_defaults(k=3, tournament=None)
+    command(con_sub, "gk", "recursive construction", _cmd_construct_gk,
+            k, construction, tournament)
+    command(con_sub, "certify", "dicriticality certificate", _cmd_construct_certify,
+            k, construction, tournament)
 
-    p = sub.add_parser("identify", help="phi-identification of a coloured subset")
-    p.add_argument("file")
-    p.add_argument("--subset", required=True)
-    p.add_argument("--colours", required=True)
-    _add_common(p, budget=False)
-    p.set_defaults(handler=_cmd_identify)
-
-    p = sub.add_parser("extend", help="dicritical extension of a coloured subset")
-    p.add_argument("file")
-    p.add_argument("--subset", required=True)
-    p.add_argument("--colours", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_extend)
-
-    p_con = sub.add_parser("construct", help="the sparse dicritical constructions")
-    con_sub = p_con.add_subparsers(dest="construct_command", required=True)
-    p = con_sub.add_parser("g3", help="base construction")
-    p.add_argument("--n0", type=int, default=1)
-    _add_common(p, budget=False, seed=False)
-    p.add_argument("--seed", type=int, default=None, help="cycle orientation seed")
-    p.set_defaults(handler=_cmd_construct_g3)
-    p = con_sub.add_parser("gk", help="recursive construction")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n0", type=int, default=1)
-    p.add_argument("--tournament", default=None, help="DG-v1 file with the tournament")
-    _add_common(p, budget=False)
-    p.add_argument("--seed", type=int, default=None, help="cycle orientation seed")
-    p.set_defaults(handler=_cmd_construct_gk)
-    p = con_sub.add_parser("certify", help="dicriticality certificate")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n0", type=int, default=1)
-    p.add_argument("--tournament", default=None)
-    _add_common(p, budget=False)
-    p.add_argument("--seed", type=int, default=None, help="cycle orientation seed")
-    p.set_defaults(handler=_cmd_construct_certify)
-
-    p = sub.add_parser("census", help="exact d_k(n), o_k(n) for tiny n")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p.add_argument("--out", default=None, help="directory for witness records")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_census)
+    p = command(sub, "census", "exact d_k(n), o_k(n) for tiny n", _cmd_census, k, budget)
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--out", help="directory for witness records")
 
     return parser
 
@@ -463,7 +405,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DigraphError, ColouringError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 from fractions import Fraction
@@ -45,6 +46,12 @@ class TestExitCodes:
     def test_budget_exceeded_is_3(self, capsys, k4_file):
         code, _, err = run(capsys, "critical", k4_file, "--k", "4", "--budget", "5")
         assert code == 3 and "budget" in err
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_non_positive_budget_is_2(self, capsys, k4_file, limit):
+        code, out, err = run(capsys, "chi", k4_file, "--budget", limit)
+        assert code == 2 and out == ""
+        assert err.strip() == "error: budget limit must be positive"
 
     def test_bad_usage_is_2(self, capsys):
         assert main(["no-such-command"]) == 2
@@ -393,3 +400,50 @@ def test_readme_example_parses(line):
 
 def test_readme_commands_are_found():
     assert len(readme_commands()) >= 18
+
+
+# Every leaf command with the option strings and positionals it accepts
+# (``-h``/``--help`` left out: argparse gives every parser those).
+ARGUMENTS = {
+    "chi": {"file", "--json", "--budget"},
+    "critical": {"file", "--k", "--json", "--budget"},
+    "ore gen": {"--n", "--preserve-j", "--seed", "--json"},
+    "ore check": {"file", "--json", "--budget"},
+    "ore compose": {"file1", "file2", "--digon", "--split", "--z1", "--json"},
+    "packing": {"file", "--json", "--budget"},
+    "potential": {"file", "--eps", "--delta", "--json", "--budget"},
+    "audit": {"--eps", "--delta", "--json"},
+    "bound oriented": {"file", "--json"},
+    "bound surface": {"--chi", "--json"},
+    "structure": {"file", "--json"},
+    "discharge": {"file", "--eps", "--delta", "--json"},
+    "identify": {"file", "--subset", "--colours", "--json"},
+    "extend": {"file", "--subset", "--colours", "--json", "--budget"},
+    "construct g3": {"--n0", "--seed", "--json"},
+    "construct gk": {"--k", "--n0", "--tournament", "--seed", "--json"},
+    "construct certify": {"--k", "--n0", "--tournament", "--seed", "--json"},
+    "census": {"--k", "--n-max", "--out", "--json", "--budget"},
+}
+
+
+def leaf_parsers(parser, path=()):
+    """Each leaf command's name and parser, read off ``build_parser()``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from leaf_parsers(child, (*path, name))
+            return
+    yield " ".join(path), parser
+
+
+def test_every_command_takes_its_arguments():
+    accepted = {
+        name: {
+            string
+            for action in leaf._actions
+            if not isinstance(action, argparse._HelpAction)
+            for string in (action.option_strings or [action.dest])
+        }
+        for name, leaf in leaf_parsers(build_parser())
+    }
+    assert accepted == ARGUMENTS

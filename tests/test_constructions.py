@@ -35,6 +35,12 @@ def predicted_counts(k, n0):
     return n, m
 
 
+def _with_tournament(last_arc):
+    """G_4 over the transitive tournament with its arc (2, 3) replaced."""
+    arcs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), last_arc)
+    return build_gk(4, ConstructionSpec(k=4, tournaments={4: arcs}))
+
+
 class TestBuildG3:
     @pytest.mark.parametrize("n0, n, m", [(1, 12, 30), (2, 20, 50), (3, 28, 70)])
     def test_counts(self, n0, n, m):
@@ -91,6 +97,25 @@ class TestBuildGk:
             build_gk(4, ConstructionSpec(k=4, tournaments={4: cyclic}))
         g, _ = build_gk(4, spec)  # level-3 override is ignored by level 4
         assert (g.n, g.m) == (76, 330)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ConstructionSpec(k=2), "constructions start at k = 3"),
+            (lambda: ConstructionSpec(k=4, n0=0), "n0 must be at least 1"),
+            (lambda: _with_tournament((2, 4)), r"invalid tournament arc \(2, 4\)"),
+            (lambda: _with_tournament((2, 2)), r"invalid tournament arc \(2, 2\)"),
+            (lambda: _with_tournament((3, 1)), r"two arcs on pair \(1, 3\)"),
+            (
+                lambda: gadget_forces_distinct(build_g3(1)[0], 0, 1, (3, 4)),
+                "exactly three vertices",
+            ),
+        ],
+        ids=["k2", "n0", "arc-out-of-range", "loop", "pair-twice", "two-gadget-vertices"],
+    )
+    def test_invalid_input_is_rejected(self, build, message):
+        with pytest.raises(DigraphError, match=message):
+            build()
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -211,6 +211,14 @@ class TestParse:
             ("n 2 m 1\n1 1\n", 2),
             ("# lead\nn 2 m 2\n0 1\n0 1\n", 4),
             ("n 3 m 3\n0 1\n1 2\n# note\n2 2\n", 5),
+            ("n 0 m 0", 1),  # vertex count must be positive
+            ("n 2 m -1", 1),  # arc count must be non-negative
+            ("n two m 1", 1),  # malformed header
+            ("# only", 1),  # missing header
+            ("n 2 m 1\n0 1 1", 2),  # expected an arc line
+            ("n 2 m 1\n0 1\n1 0", 3),  # more arcs than announced
+            # the self-loop is reported before the extra arc after it
+            ("n 2 m 1\n0 0\n0 1", 2),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line):

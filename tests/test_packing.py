@@ -4,11 +4,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dicrit.budget import Budget
+from dicrit.budget import Budget, BudgetExceeded
 from dicrit.digraph import Digraph, bidirected_complete, digon_masks, induced
 from dicrit.ore import generate_4ore
 from dicrit import packing
 from dicrit.packing import Packing, bidirected_triangles, max_packing, verify_packing
+from dicrit.potential import REFERENCE_PARAMS, potential
 
 from .conftest import random_digraph
 from .oracles import oracle_bidirected_triangles, oracle_max_packing_value
@@ -77,6 +78,25 @@ class TestMaxPacking:
 
     def test_tampered_packing_fails_verification(self, k4):
         assert not verify_packing(k4, Packing((), ((0, 1, 2), (0, 2, 3))))
+
+    @pytest.mark.parametrize(
+        "name, digons, triangles",
+        [
+            ("k4", ((0, 1), (1, 2)), ()),  # two digons share vertex 1
+            ("k4", ((0, 1),), ((1, 2, 3),)),  # a digon and a triangle share 1
+            ("c3", ((0, 1),), ()),  # 1 -> 0 is missing: no digon
+            ("c3", (), ((0, 1, 2),)),  # a directed triangle is not bidirected
+        ],
+    )
+    def test_invalid_items_fail_verification(self, request, name, digons, triangles):
+        assert not verify_packing(request.getfixturevalue(name), Packing(digons, triangles))
+
+    def test_exact_values_raise_when_the_search_stops_early(self):
+        d, _ = generate_4ore(40, 11)
+        with pytest.raises(BudgetExceeded):
+            packing.packing_value(d, Budget(10))
+        with pytest.raises(BudgetExceeded):
+            potential(d, REFERENCE_PARAMS, Budget(10))
 
     @settings(max_examples=80, deadline=None)
     @given(digraphs(max_n=7))
