@@ -35,6 +35,7 @@ import itertools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 from typing import Union
 
@@ -168,23 +169,32 @@ def build_gk(k: int, spec: ConstructionSpec) -> tuple[Digraph, Layout]:
     # rows need no check of their own.
     block = (1 << sub.n) - 1
     out_masks, in_masks = [0] * k, [0] * k
-    t_out: list[list[int]] = [[] for _ in range(k)]  # tournament out-neighbours
-    copied: list[list[int]] = [[] for _ in range(k)]  # vertices of the copies headed
-    for i, (x, y) in enumerate(t_arcs):
-        off = layout.copy_offset(i)
-        out_masks[x] |= 1 << y
-        in_masks[y] |= 1 << x
-        out_masks[y] |= block << off  # y sends an arc to every vertex of copy i
-        in_masks[x] |= block << off  # and every vertex of copy i one to x
-        t_out[x].append(y)
-        copied[y] += range(off, off + sub.n)
-    out = [tuple(t_out[v] + copied[v]) for v in range(k)]
     for i, (x, y) in enumerate(t_arcs):
         off, x_bit, y_bit = layout.copy_offset(i), 1 << x, 1 << y
+        out_masks[x] |= y_bit
+        in_masks[y] |= x_bit
+        out_masks[y] |= block << off  # y sends an arc to every vertex of copy i
+        in_masks[x] |= block << off  # and every vertex of copy i one to x
         out_masks += [mask << off | x_bit for mask in sub.out_masks]
         in_masks += [mask << off | y_bit for mask in sub.in_masks]
-        out += [(x,) + tuple([v + off for v in row]) for row in sub._out]
-    return Digraph._from_rows(out_masks, in_masks, out), layout
+    m = len(t_arcs) * (1 + 2 * sub.n + sub.m)
+    return Digraph._from_rows(out_masks, in_masks, m, partial(_gk_rows, layout)), layout
+
+
+def _gk_rows(layout: GkLayout) -> list[tuple[int, ...]]:
+    """The sorted out-neighbour tuples of the level-k construction, from
+    the sub-level's shifted (docs/decisions.md, section 21): building them
+    off the bitsets took three times as long."""
+    k, sub = layout.k, layout.sub_digraph
+    t_out: list[list[int]] = [[] for _ in range(k)]  # tournament out-neighbours
+    copied: list[list[int]] = [[] for _ in range(k)]  # vertices of the copies headed
+    copies: list[tuple[int, ...]] = []
+    for i, (x, y) in enumerate(layout.tournament_arcs):
+        off = layout.copy_offset(i)
+        t_out[x].append(y)
+        copied[y] += range(off, off + sub.n)
+        copies += [(x,) + tuple([v + off for v in row]) for row in sub._out]
+    return [tuple(t_out[v] + copied[v]) for v in range(k)] + copies
 
 
 def all_gadgets(layout: Layout, offset: int = 0):
@@ -232,9 +242,13 @@ class CertificateReport:
     plus the sub-certificate.  Every witness considered is decided: level
     3's by the certifier's one peel, each one above by one lookup in the
     arcs that the peel's failures reject there (the lemma of
-    docs/decisions.md, section 20).  ``assumed`` is always empty and stays
-    for readers that still look for it.  A level whose premises fail, or
-    that sits above one whose premises fail, decides no witness.
+    docs/decisions.md, section 20).  When every arc of a level is
+    considered, ``witness_failures`` is that set of rejected arcs, sorted,
+    or every arc when the base's reference fails, and
+    ``witnesses_checked`` is m minus its size: the level's arcs are listed
+    in that last case only.  ``assumed`` is always empty and stays for
+    readers that still look for it.  A level whose premises fail, or that
+    sits above one whose premises fail, decides no witness.
     """
 
     k: int
@@ -366,14 +380,37 @@ def _gamma(sub: _Level, t: int) -> tuple[int, ...]:
 
 
 def _arcs_at(d: Digraph, indices) -> list[tuple[int, int]]:
-    """``d.sorted_arcs()[j]`` for each j of ``indices``, without listing
-    the arcs."""
+    """``d.sorted_arcs()[j]`` for each j of ``indices``, read off the
+    out-bitsets without listing the arcs or building the out-neighbour
+    tuples: arc j leaves the vertex u within whose out-degree prefix sums
+    it falls, towards the (j - starts[u])-th set bit of u's row."""
     starts = list(itertools.accumulate(map(int.bit_count, d.out_masks), initial=0))
     found = []
     for j in indices:
         u = bisect_right(starts, j) - 1
-        found.append((u, d.out_neighbours(u)[j - starts[u]]))
+        found.append((u, _nth_bit(d.out_masks[u], j - starts[u])))
     return found
+
+
+def _nth_bit(row: int, r: int) -> int:
+    """The position of the r-th lowest set bit of ``row``, from r = 0.
+
+    A tournament vertex heads whole copies, so its row can hold thousands
+    of bits below the one sought: the span that holds it is halved while
+    more than 8 lie below it, and the rest are cleared one by one, which
+    is cheaper on a copy vertex's few bits spread over a wide row."""
+    pos, width = 0, row.bit_length()  # row's bits lie in [0, width), shifted by pos
+    while r > 8:
+        half = width >> 1
+        low = row & ((1 << half) - 1)
+        below = low.bit_count()
+        if r < below:
+            row, width = low, half
+        else:
+            row, r, pos, width = row >> half, r - below, pos + half, width - half
+    for _ in range(r):
+        row &= row - 1
+    return pos + (row & -row).bit_length() - 1
 
 
 def _g3_premises(d: Digraph, layout: G3Layout) -> bool:
@@ -461,7 +498,7 @@ def _certify_level(
             results = [ok for ok, _ in check_dicolourings(d, pairs)]
             level.rejected = {arc for arc, ok in zip(level.witnesses, results) if not ok}
             level.cold = {t for t, ok in enumerate(results[len(level.witnesses):]) if not ok}
-        return _decide_witnesses(level, list(level.witnesses))
+        return _decide_witnesses(level, None)
 
     k = layout.k
     sub = _certify_level(layout.sub_digraph, layout.sub_layout, witness_sample, rng)
@@ -470,7 +507,8 @@ def _certify_level(
     # and for the lemma of docs/decisions.md, section 20, every vertex's
     # out-arcs exactly as build_gk wires them, which fixes the arc set.
     t_arcs = layout.tournament_arcs
-    block = (1 << layout.sub_digraph.n) - 1
+    sub_rows, n_sub = layout.sub_digraph.out_masks, layout.sub_digraph.n
+    block = (1 << n_sub) - 1
     wired = [0] * k
     for i, (x, y) in enumerate(t_arcs):
         wired[x] |= 1 << y
@@ -484,10 +522,9 @@ def _certify_level(
             for a in range(k)
         )
         and all(
-            d.out_masks[off + w] == mask << off | 1 << x
+            d.out_masks[off:off + n_sub] == tuple([mask << off | 1 << x for mask in sub_rows])
             for i, (x, _) in enumerate(t_arcs)
             for off in (layout.copy_offset(i),)
-            for w, mask in enumerate(layout.sub_digraph.out_masks)
         )
     )
 
@@ -502,12 +539,11 @@ def _certify_level(
         witnesses_checked=0,
         sub_certificate=sub.report,
     )
+    arcs = None  # every arc
     if witness_sample is not None and witness_sample < d.m:
         # The same draws as sampling the list of sorted arcs.
         arcs = _arcs_at(d, sorted(rng.sample(range(d.m), witness_sample)))
         report.sampled = True
-    else:
-        arcs = d.sorted_arcs()
     # The sub-level's rejected arcs and cold vertices in every copy, and the
     # wiring arcs at each cold vertex (docs/decisions.md, section 20).
     level = _Level(d, layout, report, sub=sub)
@@ -520,22 +556,28 @@ def _certify_level(
     return _decide_witnesses(level, arcs)
 
 
-def _decide_witnesses(level: _Level, arcs) -> _Level:
-    """Count ``arcs`` checked or failing, if the lower bound holds: an arc
-    fails when the level rejects it and, above the base, every arc fails
-    when vertex 0 is cold at the base, whose reference every witness
-    above it holds in some copy (docs/decisions.md, section 20)."""
+def _decide_witnesses(level: _Level, arcs: list[tuple[int, int]] | None) -> _Level:
+    """Count ``arcs``, or every arc of the level when ``arcs`` is None,
+    checked or failing, if the lower bound holds: an arc fails when the
+    level rejects it and, above the base, every arc fails when vertex 0 is
+    cold at the base, whose reference every witness above it holds in some
+    copy (docs/decisions.md, section 20).  Under the premises the level
+    rejects only its own arcs, so every arc is decided without listing
+    them unless they all fail."""
     report = level.report
     if report.lower_bound_ok:
         base = level
         while base.sub is not None:
             base = base.sub
         every = base is not level and 0 in base.cold
-        for arc in arcs:
-            if every or arc in level.rejected:
-                report.witness_failures.append(arc)
-            else:
-                report.witnesses_checked += 1
+        if arcs is None:
+            failures = level.digraph.sorted_arcs() if every else sorted(level.rejected)
+            considered = report.m
+        else:
+            failures = [arc for arc in arcs if every or arc in level.rejected]
+            considered = len(arcs)
+        report.witness_failures = failures
+        report.witnesses_checked = considered - len(failures)
     return level
 
 

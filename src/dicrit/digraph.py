@@ -17,9 +17,9 @@ Canonical serialization lists arcs in lexicographic order.
 A :class:`Digraph` stores its adjacency once, when it is built: the out-
 and in-neighbourhood of each vertex as a vertex bitset (``out_masks`` and
 ``in_masks``), plus the sorted out-neighbour tuples that the witness
-checker in :mod:`dicrit.colouring` peels over and walks.  Only this module
-builds them; every other module reads them.  The arc set is built when it
-is first read.
+checker in :mod:`dicrit.colouring` peels over and walks.  A digraph built
+from its rows makes those tuples on their first read, and the arc set of
+every digraph is built when it is first read.
 
 Every cut and component question is answered on vertex bitsets:
 :func:`underlying_masks` gives the underlying graph as one neighbourhood
@@ -33,7 +33,7 @@ the packing layer and the diamond detector read their digon cliques off it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class DigraphError(ValueError):
@@ -66,14 +66,17 @@ class Digraph:
     :meth:`out_neighbours`, :meth:`sorted_arcs` and the witness checker:
     its peel ORs the cells of each vertex's out-neighbours by one
     ``reduce`` over a tuple, and its cycle DFS ran 1.6-2.1 times as fast on
-    them as on bits.  The frozenset ``arcs`` is built on first read and
-    kept: from the arcs handed to the constructor, which it keeps until
-    then, or from the tuples for a digraph built from its rows.  Code that
-    only walks the arcs reads :meth:`sorted_arcs` instead.
+    them as on bits.  The constructor sorts them at once; a digraph built
+    from its rows (:meth:`_from_rows`) builds them from its recipe on their
+    first read, so a construction level that nothing walks never holds
+    them.  The frozenset ``arcs`` is built on first read and kept: from
+    the arcs handed to the constructor, which it keeps until then, or from
+    the tuples for a digraph built from its rows.  Code that only walks
+    the arcs reads :meth:`sorted_arcs` instead.
 
     Empty digraphs (n = 0) are rejected everywhere.  Instances are hashable
-    and safe to share between threads: two threads that both read ``arcs``
-    first store equal sets.
+    and safe to share between threads: two threads that both read ``arcs``,
+    or the tuples, first store equal values.
     """
 
     __slots__ = ("n", "m", "out_masks", "in_masks", "_out", "_arcs")
@@ -101,20 +104,25 @@ class Digraph:
         self._out = tuple(tuple(sorted(t)) for t in targets)
         self._arcs = arcs
 
-    @classmethod
+    @staticmethod
     def _from_rows(
-        cls, out_masks: Sequence[int], in_masks: Sequence[int], out: Sequence[tuple[int, ...]]
+        out_masks: Sequence[int],
+        in_masks: Sequence[int],
+        m: int,
+        rows: Callable[[], Iterable[tuple[int, ...]]],
     ) -> "Digraph":
-        """The digraph whose vertex v has the out-bitset ``out_masks[v]``,
-        the in-bitset ``in_masks[v]`` and the sorted out-neighbours
-        ``out[v]``, taken as they are.  Nothing is checked: the caller
-        vouches that the three agree and describe a loopless digraph."""
-        d = object.__new__(cls)
-        d.n = len(out)
-        d.m = sum(map(len, out))
+        """The digraph with ``m`` arcs whose vertex v has the out-bitset
+        ``out_masks[v]``, the in-bitset ``in_masks[v]`` and the sorted
+        out-neighbours ``rows()[v]``, taken as they are.  ``rows`` is
+        called on the first read of the out-neighbour tuples, if any, and
+        its result is kept.  Nothing is checked: the caller vouches that
+        the four agree and describe a loopless digraph."""
+        d = object.__new__(_RowsDigraph)
+        d.n = len(out_masks)
+        d.m = m
         d.out_masks = tuple(out_masks)
         d.in_masks = tuple(in_masks)
-        d._out = tuple(out)
+        d._rows = rows
         d._arcs = None
         return d
 
@@ -203,6 +211,25 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
 
+class _RowsDigraph(Digraph):
+    """A :class:`Digraph` from :meth:`Digraph._from_rows`, whose ``_out``
+    slot stays unset until the out-neighbour tuples are first read.
+
+    Python calls ``__getattr__`` only for an attribute that normal lookup
+    does not find, here the unset slot, and this one fills it from the
+    recipe.  It lives on this subclass alone because a class that defines
+    ``__getattr__`` loses the interpreter's fast attribute reads on every
+    instance: three times the cost of a plain slot read on Python 3.11."""
+
+    __slots__ = ("_rows",)
+
+    def __getattr__(self, name: str):
+        if name != "_out":
+            raise AttributeError(f"'Digraph' object has no attribute {name!r}")
+        out = self._out = tuple(self._rows())
+        return out
+
+
 # -- standard digraphs ----------------------------------------------------
 
 
@@ -251,17 +278,18 @@ def parse(text: str) -> Digraph:
     n = m = 0
     fault = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # One split per line: a blank line has no token, and a comment's
+        # first token starts with "#".
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
         if header is None:
-            parts = line.split()
             if len(parts) != 4 or parts[0] != "n" or parts[2] != "m":
-                raise ParseError(f"malformed header {line!r}", lineno)
+                raise ParseError(f"malformed header {raw.strip()!r}", lineno)
             try:
                 n, m = int(parts[1]), int(parts[3])
             except ValueError:
-                raise ParseError(f"malformed header {line!r}", lineno) from None
+                raise ParseError(f"malformed header {raw.strip()!r}", lineno) from None
             if n < 1:
                 raise ParseError("vertex count must be positive", lineno)
             if m < 0:
@@ -270,9 +298,9 @@ def parse(text: str) -> Digraph:
             header_line = lineno
             continue
         try:
-            u, v = map(int, line.split())
+            u, v = map(int, parts)
         except ValueError:
-            fault = ParseError(f"expected an arc line, got {line!r}", lineno)
+            fault = ParseError(f"expected an arc line, got {raw.strip()!r}", lineno)
             break
         arcs.append((u, v))
         lines.append(lineno)

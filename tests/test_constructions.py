@@ -174,6 +174,8 @@ class TestBuildGk:
         ]
         assert built.arcs == listed.arcs == frozenset(arcs)
         assert built == listed and hash(built) == hash(listed)
+        # the sampler's reading of arc j off the bitsets, for every j
+        assert constructions._arcs_at(built, range(built.m)) == sorted(arcs)
 
 
 class TestGadget:
@@ -270,8 +272,9 @@ class TestCertify:
         assert len(calls) == 1
 
     def test_levels_above_3_list_no_arcs(self, monkeypatch):
-        # every level above 3 is composed from the rows below it, and
-        # neither build_gk nor the certifier reads its arc set
+        # every level above 3 is composed from the bitsets below it, and
+        # neither build_gk nor the certifier reads its arc set or builds its
+        # out-neighbour tuples, whether it samples the witnesses or not
         built = []
         real_build = constructions.build_gk
 
@@ -289,11 +292,21 @@ class TestCertify:
 
         monkeypatch.setattr(constructions, "build_gk", recording_build)
         monkeypatch.setattr(Digraph, "__init__", counting_init)
-        report = certify_dicritical_composition(5)
-        assert report.ok() and report.witnesses_checked == 4830
-        assert [d.n for d in built] == [12, 76, 765]
-        assert all(d._arcs is None for d in built[1:])
-        assert sizes and set(sizes) == {12}
+        for k in (5, 6):
+            for sample in (None, 40):
+                built.clear()
+                sizes.clear()
+                report = certify_dicritical_composition(k, witness_sample=sample)
+                assert report.ok()
+                assert report.witnesses_checked == (report.m if sample is None else sample)
+                assert [d.n for d in built] == [
+                    predicted_counts(level, 1)[0] for level in range(3, k + 1)
+                ]
+                for d in built[1:]:
+                    assert d._arcs is None
+                    with pytest.raises(AttributeError):
+                        object.__getattribute__(d, "_out")  # unset, not filled
+                assert sizes and set(sizes) == {12}
 
     def test_level_below_3_is_rejected(self):
         with pytest.raises(DigraphError, match="constructions start at k = 3"):
@@ -503,12 +516,13 @@ def _record_calls(monkeypatch):
 
 
 def _spy_decided(monkeypatch):
-    """Level -> the arcs the certifier hands ``_decide_witnesses``, in order."""
+    """Level -> the arcs the certifier hands ``_decide_witnesses``, in
+    order, with every arc of the level listed when it hands None."""
     decided = {}
     real_decide = constructions._decide_witnesses
 
     def recording_decide(level, arcs):
-        decided[level.chi] = arcs = list(arcs)
+        decided[level.chi] = level.digraph.sorted_arcs() if arcs is None else list(arcs)
         return real_decide(level, arcs)
 
     monkeypatch.setattr(constructions, "_decide_witnesses", recording_decide)
@@ -687,6 +701,7 @@ class TestLemma:
             g = level.digraph
             arcs = g.sorted_arcs()
             assert decided[level.chi] == arcs
+            assert level.report.witness_failures == _rejected(level, arcs)
             assert _rejected(level, arcs) == _full_failures(level, arcs) == []
             assert _cold(level) == _cold_by_peel(level) == []
             for arc in rng.sample(arcs, 20):

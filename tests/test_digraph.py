@@ -202,6 +202,8 @@ class TestParse:
     def test_comments_and_blanks(self):
         d = parse("# a comment\n\nn 2 m 1\n# another\n0 1\n")
         assert d.m == 1
+        # a comment needs no space after "#" and may be indented
+        assert parse("#tight\n  # indented\nn 2 m 1\n\t#\n0 1\n \n") == d
 
     @pytest.mark.parametrize(
         "text, line",
@@ -225,6 +227,22 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("  n 2 x 1\t\n0 1\n", "line 1: malformed header 'n 2 x 1'"),
+            ("\tn two m 1 ", "line 1: malformed header 'n two m 1'"),
+            ("n 2 m 1\n  # note\n 0 1 1 \n", "line 3: expected an arc line, got '0 1 1'"),
+            ("n 2 m 1\n0 # 1\n", "line 2: expected an arc line, got '0 # 1'"),
+        ],
+    )
+    def test_errors_quote_the_stripped_line(self, text, message):
+        # a comment is a line whose first token starts with "#"; a line
+        # in error is quoted without its surrounding whitespace
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
     def test_arc_count_mismatch(self):
         with pytest.raises(ParseError):
