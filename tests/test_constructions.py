@@ -298,7 +298,9 @@ class TestCertify:
                 sizes.clear()
                 report = certify_dicritical_composition(k, witness_sample=sample)
                 assert report.ok()
-                assert report.witnesses_checked == (report.m if sample is None else sample)
+                m = predicted_counts(k, 1)[1]
+                assert report.m == m
+                assert report.witnesses_checked == (m if sample is None else sample)
                 assert [d.n for d in built] == [
                     predicted_counts(level, 1)[0] for level in range(3, k + 1)
                 ]
@@ -307,6 +309,10 @@ class TestCertify:
                     with pytest.raises(AttributeError):
                         object.__getattribute__(d, "_out")  # unset, not filled
                 assert sizes and set(sizes) == {12}
+                # the recurrence's m is the number of arcs the rows list
+                assert [len(d.sorted_arcs()) for d in built] == [
+                    predicted_counts(level, 1)[1] for level in range(3, k + 1)
+                ]
 
     def test_level_below_3_is_rejected(self):
         with pytest.raises(DigraphError, match="constructions start at k = 3"):
