@@ -10,8 +10,9 @@ generated: vertex 0 has the largest out-degree d0 and the out-neighbours
 (docs/decisions.md, section 11).  Candidates are generated vertex by
 vertex as out-bitsets, so digraphs that break the degree condition or the
 rule are never built, and each (n, m) stream is generated once, from choice
-tables built once per order.  The ``nshards`` argument of :func:`census`
-has no effect.  Orders up to 6 are supported (``MAX_CENSUS_N``).
+tables built once per order in each process.  The ``nshards`` argument of
+:func:`census` has no effect.  Orders up to 6 are supported
+(``MAX_CENSUS_N``).
 
 For k >= 3 a candidate is first decided on bitsets: the last
 (k - 1)-dicolouring the call found on this order settles it when its
@@ -34,6 +35,13 @@ contradicting chi(D) = k.  The in-degree case is symmetric, since a cycle
 through v also enters it from an in-neighbour.  Hence m >= n(k - 1), and
 the scan starts there.
 
+The oriented stream of an arc count is its plain stream without the
+candidates that hold a digon, in the same order, so o_k(n) >= d_k(n).
+o_k(n) is read off the plain scan: it equals d_k(n) when some plain
+witness is oriented, and the oriented witnesses are then the oriented
+plain ones; only otherwise are oriented streams scanned, from d_k(n) + 1
+(docs/decisions.md, section 25).
+
 Witnesses found at the minimum are deduplicated by their canonical form
 (:func:`dicrit.iso.canonical_form`, colour refinement plus
 individualisation) and persisted as one canonical DG-v1 blob plus a JSON
@@ -42,6 +50,7 @@ sidecar per record; records re-verify on load.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import Counter
@@ -113,24 +122,27 @@ class CensusTable:
         }
 
 
-def _choice_table(n: int) -> list:
+@functools.cache
+def _choice_table(n: int) -> tuple:
     """choices[v][size]: (mask, chosen) for every out-neighbourhood of
     v of that size, in lexicographic order, except that vertex 0 has only
     the first of each size, {1, ..., size}.  Sizes below k - 1 are never
-    read, so one table serves every k, m and mode of order n."""
+    read, so one table serves every k, m and mode of order n.  A pure
+    function of n, built once per process and shared by every call, so it
+    is made of tuples, which no caller can change."""
     choices = []
     for v in range(n):
         others = [w for w in range(n) if w != v]
-        choices.append([
-            [(sum(1 << w for w in chosen), chosen)
-             for chosen in itertools.combinations(others, size)]
+        by_size = tuple(
+            tuple((sum(1 << w for w in chosen), chosen)
+                  for chosen in itertools.combinations(others, size))
             for size in range(n)
-        ])
-    choices[0] = [by_size[:1] for by_size in choices[0]]
-    return choices
+        )
+        choices.append(by_size if v else tuple(s[:1] for s in by_size))
+    return tuple(choices)
 
 
-def _stream(choices: list, m: int, k: int, oriented_only: bool):
+def _stream(choices: tuple, m: int, k: int, oriented_only: bool):
     """The m-arc digraphs on ``range(n)``, n the order of the choice table
     ``choices``, whose in- and out-degrees are all at least k - 1 and whose
     labels follow the census's rule, each once, as tuples of out-bitsets;
@@ -249,7 +261,7 @@ def _dicolourable(
 
 
 def _scan_arc_sets(
-    choices: list,
+    choices: tuple,
     m: int,
     k: int,
     budget: Budget,
@@ -277,6 +289,10 @@ def _scan_arc_sets(
 
 
 def _dedupe(found: list[Digraph]) -> list[Digraph]:
+    """The first digraph of each isomorphism class in ``found``, in order.
+    Fewer than two digraphs are one class each, and need no labelling."""
+    if len(found) < 2:
+        return found
     seen = set()
     unique = []
     for d in found:
@@ -288,19 +304,43 @@ def _dedupe(found: list[Digraph]) -> list[Digraph]:
 
 
 def _minimum_for(
-    choices: list, k: int, budget: Budget, oriented_only: bool, stats: Counter,
-    classes: list[int],
+    choices: tuple, k: int, budget: Budget, oriented_only: bool, stats: Counter,
+    classes: list[int], start: int,
 ) -> tuple[int | None, list[Digraph]]:
+    """The least m >= ``start`` whose candidate stream holds a k-dicritical
+    digraph, and every one it holds, in stream order; (None, []) if none
+    does."""
     n = len(choices)
     max_m = n * (n - 1) // (2 if oriented_only else 1)
-    for m in range(max(1, n * (k - 1)), max_m + 1):
+    for m in range(start, max_m + 1):
         found = list(
             _scan_arc_sets(choices, m, k, budget, oriented_only, stats, classes)
         )
         if found:
             stats["dicritical"] += len(found)
-            return m, _dedupe(found)
+            return m, found
     return None, []
+
+
+def _oriented_minimum(
+    choices: tuple, k: int, budget: Budget, stats: Counter, classes: list[int],
+    d_min: int | None, d_wit: list[Digraph],
+) -> tuple[int | None, list[Digraph]]:
+    """o_k(n) and its witnesses, read off d_k(n) = ``d_min`` and its
+    deduplicated witnesses ``d_wit`` (docs/decisions.md, section 25).
+
+    The oriented stream of an arc count is its plain stream without the
+    candidates that hold a digon, so o_k(n) >= d_k(n), and there is no
+    oriented witness where there is no plain one.  When some plain witness
+    is oriented, o_k(n) = d_k(n) and the oriented witnesses are the oriented
+    plain ones; otherwise the oriented scan resumes at d_k(n) + 1."""
+    if d_min is None:
+        return None, []
+    o_wit = [d for d in d_wit if d.is_oriented()]
+    if o_wit:
+        return d_min, o_wit
+    o_min, found = _minimum_for(choices, k, budget, True, stats, classes, d_min + 1)
+    return o_min, _dedupe(found)
 
 
 def census(
@@ -311,8 +351,11 @@ def census(
 ) -> CensusTable:
     """Exact d_k(n) and o_k(n) for 2 <= n <= n_max (n_max at most 6).
 
-    Each candidate stream is scanned once, in stream order.  ``nshards`` has
-    no effect; it must still be at least 1."""
+    Each plain candidate stream is scanned once, in stream order, from
+    m = n(k - 1) up to d_k(n); the oriented minimum is read off its
+    witnesses, and only when none of them is oriented are oriented streams
+    scanned, from d_k(n) + 1.  ``nshards`` has no effect; it must still be
+    at least 1."""
     if not 2 <= n_max <= MAX_CENSUS_N:
         raise DigraphError(f"census supports 2 <= n_max <= {MAX_CENSUS_N}")
     if k < 2:
@@ -324,11 +367,16 @@ def census(
     stats: Counter = Counter(candidates=0, dicritical=0, reused=0)
     table = CensusTable(k, {}, {}, {}, {})
     for n in range(2, n_max + 1):
-        # Both modes of one order share the choice table and the stored
-        # colouring; neither outlives this call.
+        # Both modes of one order share the stored colouring; it does not
+        # outlive this call, so two calls with equal arguments agree.
         choices, classes = _choice_table(n), []
-        d_min, d_wit = _minimum_for(choices, k, budget, False, stats, classes)
-        o_min, o_wit = _minimum_for(choices, k, budget, True, stats, classes)
+        d_min, found = _minimum_for(
+            choices, k, budget, False, stats, classes, max(1, n * (k - 1))
+        )
+        d_wit = _dedupe(found)
+        o_min, o_wit = _oriented_minimum(
+            choices, k, budget, stats, classes, d_min, d_wit
+        )
         table.d_min[n] = d_min
         table.o_min[n] = o_min
         table.witnesses[n] = [CensusRecord(k, w, True) for w in d_wit]

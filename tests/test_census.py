@@ -8,6 +8,8 @@ from dicrit.budget import Budget
 from dicrit.census import (
     MAX_CENSUS_N,
     _choice_table,
+    _minimum_for,
+    _oriented_minimum,
     _scan_arc_sets,
     _stream,
     census,
@@ -33,11 +35,11 @@ TABLES_N5 = {
     4: ((None, None, 12, 17), (None,) * 4),
 }
 #: Budget.used ceilings for census(k, 5).  Later changes may only lower them.
-NODE_CEILINGS_N5 = {2: 212, 3: 233, 4: 486}
+NODE_CEILINGS_N5 = {2: 130, 3: 233, 4: 486}
 #: census(k, 5).stats per k as (candidates, dicritical, reused, nodes).  A
 #: change to the candidate stream or the search shows here as a diff, even
 #: one that stays under the ceilings.
-STATS_N5 = {2: (25, 19, 0, 212), 3: (55, 5, 32, 233), 4: (97, 3, 54, 486)}
+STATS_N5 = {2: (16, 10, 0, 130), 3: (51, 5, 28, 233), 4: (97, 3, 54, 486)}
 #: census(k, 6) per k: d_k(6), o_k(6), and the arcs of the one witness of
 #: each, in the census's labelling.  No oriented graph on fewer than 7
 #: vertices is 3-dichromatic (Neumann-Lara), hence o_3(6) = o_4(6) = None.
@@ -50,12 +52,16 @@ TABLES_N6 = {
                    (2, 0), (2, 1), (2, 4), (3, 0), (3, 1), (3, 5), (4, 0), (4, 2),
                    (4, 5), (5, 0), (5, 3), (5, 4)], None),
 }
+#: The one witness of o_3(7) = 20 in the census's labelling (d_3(7) = 14).
+O3_N7 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (2, 6),
+         (3, 4), (3, 5), (4, 0), (4, 2), (4, 6), (5, 0), (5, 1), (5, 4), (6, 0),
+         (6, 1), (6, 5)]
 #: Budget.used ceilings for census(k, 6).  Later changes may only lower them.
-NODE_CEILINGS_N6 = {2: 1_118, 3: 12_963, 4: 43_682}
+NODE_CEILINGS_N6 = {2: 676, 3: 12_463, 4: 43_682}
 #: census(k, 6).stats per k, as ``STATS_N5``.
 STATS_N6 = {
-    2: (110, 67, 0, 1_118),
-    3: (4_709, 17, 3_555, 12_963),
+    2: (69, 34, 0, 676),
+    3: (4_561, 17, 3_457, 12_463),
     4: (28_073, 15, 24_391, 43_682),
 }
 STATS_KEYS = ("candidates", "dicritical", "reused", "nodes")
@@ -69,8 +75,12 @@ def candidate_arc_sets(n, m, k, oriented):
 
 
 def census_streams():
-    """(n, m, k, oriented) for every candidate stream census(k, 5) scans: m
-    from n(k - 1) up to the minimum, or up to the most arcs if there is none."""
+    """(n, m, k, oriented) for every plain candidate stream census(k, 5)
+    scans, m from n(k - 1) up to the minimum, or up to the most arcs if there
+    is none, and every oriented stream up to o_k(n) or the most arcs.  The
+    census itself reads o_k(5) off its plain witnesses and scans no oriented
+    stream for these k (docs/decisions.md, section 25); the oriented streams
+    stay here so that the stream and scan tests still cover that mode."""
     for k, (d_min, o_min) in TABLES_N5.items():
         for n in range(2, 6):
             for oriented, minima in ((False, d_min), (True, o_min)):
@@ -117,6 +127,19 @@ class TestCandidates:
                 if oracle_follows_labelling_rule(n, arcs)
             ]
             assert got == expected, f"m={m}"
+
+    # The oriented stream of (n, m) is the plain one without the candidates
+    # that hold a digon, in the same order; the census reads o_k(n) and its
+    # witnesses off the plain scan on this (docs/decisions.md, section 25).
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    @pytest.mark.parametrize("k", (2, 3, 4, 5))
+    def test_oriented_stream_is_the_filtered_plain_stream(self, n, k):
+        for m in range(n * (n - 1) + 1):
+            expected = [
+                arcs for arcs in candidate_arc_sets(n, m, k, False)
+                if not set(arcs) & {(v, u) for u, v in arcs}
+            ]
+            assert list(candidate_arc_sets(n, m, k, True)) == expected, f"m={m}"
 
     # The labelling rule drops labellings, never classes.  At n = 6 the scan
     # of all m-subsets of the 30 arcs is out of reach, so the first generator
@@ -217,9 +240,10 @@ class TestCensus:
     def test_stats(self):
         table = census(2, 3)
         # n = 2: the digon; n = 3: the directed triangle 0 -> 1 -> 2 -> 0,
-        # plain and oriented.  Its other labelling, 0 -> 2 -> 1 -> 0, breaks
-        # the labelling rule (vertex 0's out-neighbour must be 1).
-        assert table.stats["dicritical"] == 3
+        # found once: it is oriented, so the oriented minimum is read off the
+        # plain scan.  Its other labelling, 0 -> 2 -> 1 -> 0, breaks the
+        # labelling rule (vertex 0's out-neighbour must be 1).
+        assert table.stats["dicritical"] == 2
         assert table.stats["candidates"] >= table.stats["dicritical"]
         assert table.stats["nodes"] > 0
         assert table.stats["reused"] == 0  # k = 2 has no stored colouring
@@ -246,6 +270,40 @@ class TestCensus:
                 assert oracle_ie_is_k_dicritical(rec.digraph, k)
         assert budget.used <= NODE_CEILINGS_N6[k]
         assert table.stats == dict(zip(STATS_KEYS, STATS_N6[k]))
+
+    # The census reads o_k(n) off its plain scan.  A full oriented scan from
+    # m = n(k - 1), deduplicated in stream order, finds the same minima and
+    # the same witnesses.
+    @pytest.mark.parametrize("k, n_max", [(2, 6), (3, 6), (4, 6), (5, 5)])
+    def test_oriented_minima_match_a_full_oriented_scan(self, k, n_max):
+        table = census(k, n_max)
+        for n in range(2, n_max + 1):
+            o_min, found = _minimum_for(
+                _choice_table(n), k, Budget(10**7), True, Counter(), [],
+                max(1, n * (k - 1)),
+            )
+            forms, expected = set(), []
+            for d in found:
+                if canonical_form(d) not in forms:
+                    forms.add(canonical_form(d))
+                    expected.append(d.sorted_arcs())
+            assert table.o_min[n] == o_min, n
+            assert [rec.digraph.sorted_arcs()
+                    for rec in table.oriented_witnesses[n]] == expected, n
+
+    # Up to n = 6 no oriented minimum lies above a plain one, so only n = 7
+    # reaches the resumed oriented scan: d_3(7) = 14, o_3(7) = 20 (scanning
+    # the plain streams of n = 7 takes seconds).  Given a plain minimum of 19
+    # whose witnesses hold no oriented digraph, the scan resumes at m = 20
+    # and finds 72 oriented 3-dicritical labellings there, of one class.
+    def test_oriented_scan_resumes_above_the_plain_minimum(self):
+        stats = Counter(candidates=0, dicritical=0, reused=0)
+        o_min, o_wit = _oriented_minimum(
+            _choice_table(7), 3, Budget(10**7), stats, [], 19, []
+        )
+        assert (o_min, stats["dicritical"]) == (20, 72)
+        assert [d.sorted_arcs() for d in o_wit] == [O3_N7]
+        assert oracle_ie_is_k_dicritical(o_wit[0], 3)
 
     # Every stream below d_3(6) and d_4(6): m starts at 6(k - 1).  The
     # labelling rule drops no class (docs/decisions.md, section 11), so no
