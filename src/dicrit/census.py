@@ -10,7 +10,7 @@ generated: vertex 0 has the largest out-degree d0 and the out-neighbours
 (docs/decisions.md, section 11).  Candidates are generated vertex by
 vertex as out-bitsets, so digraphs that break the degree condition or the
 rule are never built, and each (n, m) stream is generated once, from choice
-tables built once per order in each process.  The ``nshards`` argument of
+tables built once per order in each call.  The ``nshards`` argument of
 :func:`census` has no effect.  Orders up to 6 are supported
 (``MAX_CENSUS_N``).
 
@@ -50,7 +50,6 @@ sidecar per record; records re-verify on load.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from collections import Counter
@@ -122,27 +121,24 @@ class CensusTable:
         }
 
 
-@functools.cache
-def _choice_table(n: int) -> tuple:
+def _choice_table(n: int) -> list:
     """choices[v][size]: (mask, chosen) for every out-neighbourhood of
     v of that size, in lexicographic order, except that vertex 0 has only
     the first of each size, {1, ..., size}.  Sizes below k - 1 are never
-    read, so one table serves every k, m and mode of order n.  A pure
-    function of n, built once per process and shared by every call, so it
-    is made of tuples, which no caller can change."""
+    read, so one table serves every k, m and mode of order n."""
     choices = []
     for v in range(n):
         others = [w for w in range(n) if w != v]
-        by_size = tuple(
-            tuple((sum(1 << w for w in chosen), chosen)
-                  for chosen in itertools.combinations(others, size))
+        choices.append([
+            [(sum(1 << w for w in chosen), chosen)
+             for chosen in itertools.combinations(others, size)]
             for size in range(n)
-        )
-        choices.append(by_size if v else tuple(s[:1] for s in by_size))
-    return tuple(choices)
+        ])
+    choices[0] = [by_size[:1] for by_size in choices[0]]
+    return choices
 
 
-def _stream(choices: tuple, m: int, k: int, oriented_only: bool):
+def _stream(choices: list, m: int, k: int, oriented_only: bool):
     """The m-arc digraphs on ``range(n)``, n the order of the choice table
     ``choices``, whose in- and out-degrees are all at least k - 1 and whose
     labels follow the census's rule, each once, as tuples of out-bitsets;
@@ -261,7 +257,7 @@ def _dicolourable(
 
 
 def _scan_arc_sets(
-    choices: tuple,
+    choices: list,
     m: int,
     k: int,
     budget: Budget,
@@ -304,7 +300,7 @@ def _dedupe(found: list[Digraph]) -> list[Digraph]:
 
 
 def _minimum_for(
-    choices: tuple, k: int, budget: Budget, oriented_only: bool, stats: Counter,
+    choices: list, k: int, budget: Budget, oriented_only: bool, stats: Counter,
     classes: list[int], start: int,
 ) -> tuple[int | None, list[Digraph]]:
     """The least m >= ``start`` whose candidate stream holds a k-dicritical
@@ -323,7 +319,7 @@ def _minimum_for(
 
 
 def _oriented_minimum(
-    choices: tuple, k: int, budget: Budget, stats: Counter, classes: list[int],
+    choices: list, k: int, budget: Budget, stats: Counter, classes: list[int],
     d_min: int | None, d_wit: list[Digraph],
 ) -> tuple[int | None, list[Digraph]]:
     """o_k(n) and its witnesses, read off d_k(n) = ``d_min`` and its
@@ -367,8 +363,8 @@ def census(
     stats: Counter = Counter(candidates=0, dicritical=0, reused=0)
     table = CensusTable(k, {}, {}, {}, {})
     for n in range(2, n_max + 1):
-        # Both modes of one order share the stored colouring; it does not
-        # outlive this call, so two calls with equal arguments agree.
+        # Both modes of one order share the choice table and the stored
+        # colouring; neither outlives this call.
         choices, classes = _choice_table(n), []
         d_min, found = _minimum_for(
             choices, k, budget, False, stats, classes, max(1, n * (k - 1))
