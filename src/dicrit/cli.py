@@ -244,6 +244,8 @@ def _cmd_extend(args) -> int:
 def _construct_spec(args) -> constructions.ConstructionSpec:
     tournaments = None
     if args.tournament:
+        if args.k < 4:
+            raise DigraphError(f"--tournament needs --k 4 or more: level {args.k} has no tournament")
         t = _load(args.tournament)
         tournaments = {args.k: tuple(t.sorted_arcs())}
     return constructions.ConstructionSpec(
@@ -287,7 +289,8 @@ def _cmd_census(args) -> int:
     if args.out:
         all_records = [r for recs in table.witnesses.values() for r in recs]
         all_records += [r for recs in table.oriented_witnesses.values() for r in recs]
-        census_mod.save_records(all_records, args.out)
+        # an oriented witness is often a plain one too: save each record once
+        census_mod.save_records(list(dict.fromkeys(all_records)), args.out)
     lines = []
     for n in sorted(table.d_min):
         d_val = table.d_min[n]

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb
@@ -242,13 +241,14 @@ class CertificateReport:
     plus the sub-certificate.  Every witness considered is decided: level
     3's by the certifier's one peel, each one above by one lookup in the
     arcs that the peel's failures reject there (the lemma of
-    docs/decisions.md, section 20).  When every arc of a level is
-    considered, ``witness_failures`` is that set of rejected arcs, sorted,
-    or every arc when the base's reference fails, and
-    ``witnesses_checked`` is m minus its size: the level's arcs are listed
-    in that last case only.  ``assumed`` is always empty and stays for
-    readers that still look for it.  A level whose premises fail, or that
-    sits above one whose premises fail, decides no witness.
+    docs/decisions.md, section 20).  ``witness_failures`` is that set of
+    rejected arcs, sorted, or every arc when the base's reference fails,
+    and the level's arcs are listed in that last case only; a sampled
+    level keeps those whose rank in sorted order was drawn.
+    ``witnesses_checked`` is the number considered minus the failures.
+    ``assumed`` is always empty and stays for readers that still look for
+    it.  A level whose premises fail, or that sits above one whose
+    premises fail, decides no witness.
     """
 
     k: int
@@ -379,40 +379,6 @@ def _gamma(sub: _Level, t: int) -> tuple[int, ...]:
     return tuple(colours)
 
 
-def _arcs_at(d: Digraph, indices) -> list[tuple[int, int]]:
-    """``d.sorted_arcs()[j]`` for each j of ``indices``, read off the
-    out-bitsets without listing the arcs or building the out-neighbour
-    tuples: arc j leaves the vertex u within whose out-degree prefix sums
-    it falls, towards the (j - starts[u])-th set bit of u's row."""
-    starts = list(itertools.accumulate(map(int.bit_count, d.out_masks), initial=0))
-    found = []
-    for j in indices:
-        u = bisect_right(starts, j) - 1
-        found.append((u, _nth_bit(d.out_masks[u], j - starts[u])))
-    return found
-
-
-def _nth_bit(row: int, r: int) -> int:
-    """The position of the r-th lowest set bit of ``row``, from r = 0.
-
-    A tournament vertex heads whole copies, so its row can hold thousands
-    of bits below the one sought: the span that holds it is halved while
-    more than 8 lie below it, and the rest are cleared one by one, which
-    is cheaper on a copy vertex's few bits spread over a wide row."""
-    pos, width = 0, row.bit_length()  # row's bits lie in [0, width), shifted by pos
-    while r > 8:
-        half = width >> 1
-        low = row & ((1 << half) - 1)
-        below = low.bit_count()
-        if r < below:
-            row, width = low, half
-        else:
-            row, r, pos, width = row >> half, r - below, pos + half, width - half
-    for _ in range(r):
-        row &= row - 1
-    return pos + (row & -row).bit_length() - 1
-
-
 def _g3_premises(d: Digraph, layout: G3Layout) -> bool:
     """The premises of docs/decisions.md, section 23, on the bitsets: L =
     2 n0 + 1 vertices on an odd cycle whose arcs join exactly the pairs i,
@@ -539,10 +505,10 @@ def _certify_level(
         witnesses_checked=0,
         sub_certificate=sub.report,
     )
-    arcs = None  # every arc
+    drawn = None  # every arc
     if witness_sample is not None and witness_sample < d.m:
-        # The same draws as sampling the list of sorted arcs.
-        arcs = _arcs_at(d, sorted(rng.sample(range(d.m), witness_sample)))
+        # The same draws as sampling the list of sorted arcs, by rank.
+        drawn = set(rng.sample(range(d.m), witness_sample))
         report.sampled = True
     # The sub-level's rejected arcs and cold vertices in every copy, and the
     # wiring arcs at each cold vertex (docs/decisions.md, section 20).
@@ -553,29 +519,35 @@ def _certify_level(
         for t in sub.cold:
             level.rejected.update(((y, t + off), (t + off, x)))
         level.cold.update(t + off for t in sub.cold)
-    return _decide_witnesses(level, arcs)
+    return _decide_witnesses(level, drawn)
 
 
-def _decide_witnesses(level: _Level, arcs: list[tuple[int, int]] | None) -> _Level:
-    """Count ``arcs``, or every arc of the level when ``arcs`` is None,
-    checked or failing, if the lower bound holds: an arc fails when the
-    level rejects it and, above the base, every arc fails when vertex 0 is
-    cold at the base, whose reference every witness above it holds in some
-    copy (docs/decisions.md, section 20).  Under the premises the level
-    rejects only its own arcs, so every arc is decided without listing
-    them unless they all fail."""
+def _decide_witnesses(level: _Level, drawn: set[int] | None) -> _Level:
+    """Count every arc of the level, or those whose rank in sorted order
+    was ``drawn``, checked or failing, if the lower bound holds: an arc
+    fails when the level rejects it and, above the base, every arc fails
+    when vertex 0 is cold at the base, whose reference every witness above
+    it holds in some copy (docs/decisions.md, section 20).  Under the
+    premises the level rejects only its own arcs, so the arcs are listed
+    only when they all fail, and a sample keeps the failures whose rank,
+    read off the out-bitsets, it drew."""
     report = level.report
     if report.lower_bound_ok:
         base = level
         while base.sub is not None:
             base = base.sub
         every = base is not level and 0 in base.cold
-        if arcs is None:
-            failures = level.digraph.sorted_arcs() if every else sorted(level.rejected)
-            considered = report.m
-        else:
-            failures = [arc for arc in arcs if every or arc in level.rejected]
-            considered = len(arcs)
+        failures = level.digraph.sorted_arcs() if every else sorted(level.rejected)
+        considered = report.m
+        if drawn is not None:
+            if failures:
+                rows = level.digraph.out_masks
+                starts = list(itertools.accumulate(map(int.bit_count, rows), initial=0))
+                failures = [
+                    (u, v) for u, v in failures
+                    if starts[u] + (rows[u] & ((1 << v) - 1)).bit_count() in drawn
+                ]
+            considered = len(drawn)
         report.witness_failures = failures
         report.witnesses_checked = considered - len(failures)
     return level

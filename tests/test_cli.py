@@ -56,6 +56,15 @@ class TestExitCodes:
     def test_bad_usage_is_2(self, capsys):
         assert main(["no-such-command"]) == 2
 
+    @pytest.mark.parametrize("command", ["gk", "certify"])
+    def test_tournament_below_level_4_is_2(self, capsys, tmp_path, command):
+        # level 3 has no tournament, so the file would be silently ignored
+        path = tmp_path / "t3.dg"
+        path.write_text(serialize(Digraph(3, [(0, 1), (0, 2), (1, 2)])))
+        code, out, err = run(capsys, "construct", command, "--k", "3", "--tournament", str(path))
+        assert code == 2 and out == ""
+        assert err.strip() == "error: --tournament needs --k 4 or more: level 3 has no tournament"
+
     @pytest.mark.parametrize("command", ["potential", "audit", "discharge"])
     @pytest.mark.parametrize("params", [("1/0", "1/3"), ("1/51", "2/0")])
     def test_zero_denominator_is_2(self, capsys, k4_file, command, params):
@@ -334,7 +343,19 @@ class TestSubcommands:
         )
         assert code == 0
         assert "d_2(n) = 2" in out and "d_2(n) = 3" in out
-        assert list(out_dir.glob("*.dg"))
+        # one blob per distinct witness: the directed triangle is both the
+        # plain and the oriented witness at n = 3, and its sidecar says so
+        blobs = sorted(out_dir.glob("*.dg"))
+        table = census_mod.census(2, 3)
+        witnesses = {
+            rec.digraph
+            for table_part in (table.witnesses, table.oriented_witnesses)
+            for recs in table_part.values() for rec in recs
+        }
+        assert {parse(blob.read_text()) for blob in blobs} == witnesses
+        assert len(blobs) == len(witnesses) == 2
+        sidecars = [json.loads(blob.with_suffix(".json").read_text()) for blob in blobs]
+        assert [meta["oriented"] for meta in sidecars] == [False, True]
 
     def test_certify_checks_every_witness(self, capsys):
         # the certificate is always the full one: there is no option to

@@ -174,8 +174,6 @@ class TestBuildGk:
         ]
         assert built.arcs == listed.arcs == frozenset(arcs)
         assert built == listed and hash(built) == hash(listed)
-        # the sampler's reading of arc j off the bitsets, for every j
-        assert constructions._arcs_at(built, range(built.m)) == sorted(arcs)
 
 
 class TestGadget:
@@ -522,14 +520,16 @@ def _record_calls(monkeypatch):
 
 
 def _spy_decided(monkeypatch):
-    """Level -> the arcs the certifier hands ``_decide_witnesses``, in
-    order, with every arc of the level listed when it hands None."""
+    """Level -> the arcs whose ranks the certifier hands
+    ``_decide_witnesses``, in order, with every arc of the level listed
+    when it hands None."""
     decided = {}
     real_decide = constructions._decide_witnesses
 
-    def recording_decide(level, arcs):
-        decided[level.chi] = level.digraph.sorted_arcs() if arcs is None else list(arcs)
-        return real_decide(level, arcs)
+    def recording_decide(level, drawn):
+        arcs = level.digraph.sorted_arcs()
+        decided[level.chi] = arcs if drawn is None else [arcs[j] for j in sorted(drawn)]
+        return real_decide(level, drawn)
 
     monkeypatch.setattr(constructions, "_decide_witnesses", recording_decide)
     return decided
@@ -782,7 +782,9 @@ class TestWitnessMutation:
     witness does; at every level above, exactly the arcs whose composed
     witness the full check rejects fail."""
 
-    @pytest.mark.parametrize("k, sample", [(4, None), (5, 40), (5, None)])
+    @pytest.mark.parametrize(
+        "k, sample", [(4, None), (4, 1), (4, 329), (5, 40), (5, None)]
+    )
     def test_recoloured_witness_fails(self, monkeypatch, k, sample):
         spec = _random_spec(k, 1)
         g3, layout3 = build_gk(3, spec)
@@ -854,7 +856,7 @@ class TestWitnessMutation:
             elif sample is None:
                 assert len(top.report.witness_failures) < len(top_arcs)
 
-    @pytest.mark.parametrize("k, sample", [(4, None), (5, 40)])
+    @pytest.mark.parametrize("k, sample", [(4, None), (4, 1), (4, 329), (5, 40)])
     def test_recoloured_reference_fails(self, monkeypatch, k, sample):
         # the base's reference _gamma(base, 0) with a gadget triangle closed:
         # every level's reference unrolls to it, and every composed witness

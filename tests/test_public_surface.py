@@ -105,3 +105,59 @@ def test_every_public_name_has_a_reader_or_a_reason():
     assert sorted(unused - KEPT.keys()) == []
     assert sorted(KEPT.keys() - unused) == [], "listed in KEPT but read, or gone"
     assert all(reason.strip() for reason in KEPT.values())
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names a module-level definition, assignment or import binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [
+        name.id
+        for target in targets if target is not None
+        for name in ast.walk(target) if isinstance(name, ast.Name)
+    ]
+
+
+def _read_names(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) for every bare name or attribute read, and for every
+    name taken from another module by ``from ... import``."""
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            reads.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            reads += [(alias.name, node.lineno) for alias in node.names]
+    return reads
+
+
+def test_every_private_name_and_import_is_read():
+    # A module-level name with one leading underscore is read somewhere in
+    # src/ outside its own definition (tests and bench/ do not count), and
+    # every name a module imports is used in it, outside the import; the
+    # imports of __init__ are the package's re-exports.
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = [(path, name, line) for path, tree in trees.items() for name, line in _read_names(tree)]
+    unread, unused = [], []
+    for path, tree in trees.items():
+        for node in tree.body:
+            imports = isinstance(node, (ast.Import, ast.ImportFrom))
+            if imports and (path.name == "__init__.py" or getattr(node, "module", "") == "__future__"):
+                continue
+            for name in _bound_names(node):
+                if not imports and not (name.startswith("_") and not name.startswith("__")):
+                    continue
+                # an import is used only in its own module
+                readers = [
+                    (where, line) for where, read, line in reads
+                    if read == name and (where == path or not imports)
+                ]
+                if all(where == path and node.lineno <= line <= node.end_lineno
+                       for where, line in readers):
+                    (unused if imports else unread).append(f"{path.stem}.{name}")
+    assert unread == [], "private names that nothing in src/ reads"
+    assert unused == [], "imported names that the module never uses"
