@@ -245,7 +245,9 @@ def _construct_spec(args) -> constructions.ConstructionSpec:
     tournaments = None
     if args.tournament:
         if args.k < 4:
-            raise DigraphError(f"--tournament needs --k 4 or more: level {args.k} has no tournament")
+            raise DigraphError(
+                f"--tournament needs --k 4 or more: level {args.k} has no tournament"
+            )
         t = _load(args.tournament)
         tournaments = {args.k: tuple(t.sorted_arcs())}
     return constructions.ConstructionSpec(

@@ -8,6 +8,9 @@ re-exports of ``__init__`` aside), in ``bench/`` or in
 name, ``module.name`` for a function or class, or ``anything.name`` for a
 method.  Names with no such reader are listed in ``KEPT`` with
 the reason they stay; a name that gains a reader leaves the list.
+
+A private module-level name has no such reasons: something in ``src/``
+must read it, and every module must use each name it imports.
 """
 
 from __future__ import annotations
@@ -111,6 +114,8 @@ def _bound_names(node: ast.stmt) -> list[str]:
     """The names a module-level definition, assignment or import binds."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         return [node.name]
+    if getattr(node, "module", None) == "__future__":
+        return []  # a compiler directive: it binds no name that code reads
     if isinstance(node, (ast.Import, ast.ImportFrom)):
         return [alias.asname or alias.name.split(".")[0] for alias in node.names]
     targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
@@ -141,12 +146,14 @@ def test_every_private_name_and_import_is_read():
     # every name a module imports is used in it, outside the import; the
     # imports of __init__ are the package's re-exports.
     trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    reads = [(path, name, line) for path, tree in trees.items() for name, line in _read_names(tree)]
+    reads = [
+        (path, name, line) for path, tree in trees.items() for name, line in _read_names(tree)
+    ]
     unread, unused = [], []
     for path, tree in trees.items():
         for node in tree.body:
             imports = isinstance(node, (ast.Import, ast.ImportFrom))
-            if imports and (path.name == "__init__.py" or getattr(node, "module", "") == "__future__"):
+            if imports and path.name == "__init__.py":
                 continue
             for name in _bound_names(node):
                 if not imports and not (name.startswith("_") and not name.startswith("__")):
