@@ -18,15 +18,16 @@ vertex's out-arcs to build_g3's wiring, and each of its arcs gets a
 deletion witness by one rule of docs/decisions.md, section 23; higher
 levels get a compositional lower-bound certificate.  The certifier's one
 ``check_dicolourings`` call peels the base witnesses and a ``_gamma``
-colouring per base vertex.  Above the base, an arc-deletion witness is
-the tournament's colouring, one copy's local colouring and the
-sub-level's reference ``_gamma(sub, 0)`` in every other copy; it is
-decided without being composed, by the lemma of docs/decisions.md,
-section 20, under premises that fix every vertex's out-arcs to
-build_gk's wiring.  Each level lifts the sub-level's rejected arcs and
-cold vertices (those whose ``_gamma`` fails) into its copies once, and a
-witness fails when its arc is rejected or the base's reference, which
-every level's reference shares, is cold.
+colouring per base vertex t, the witness of t's first out-arc with t
+alone in colour 3.  Above the base, an arc-deletion witness is the
+tournament's colouring, one copy's local colouring and the sub-level's
+reference, its Gamma(0), in every other copy; it is decided without
+being composed, by the lemma of docs/decisions.md, section 20, under
+premises that fix every vertex's out-arcs to build_gk's wiring, so
+``_gamma`` is built at level 3 only.  Each level lifts the sub-level's
+rejected arcs and cold vertices (those whose Gamma fails) into its
+copies once, and a witness fails when its arc is rejected or the base's
+reference, to which every level's reference unrolls, is cold.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Union
 
 from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
 from .colouring import Colouring, check_dicolourings
-from .digraph import Digraph, DigraphError, induced
+from .digraph import Digraph, DigraphError
 
 
 @dataclass(frozen=True)
@@ -208,25 +209,6 @@ def all_gadgets(layout: Layout, offset: int = 0):
         yield from all_gadgets(layout.sub_layout, offset + layout.copy_offset(i))
 
 
-def gadget_forces_distinct(d: Digraph, x: int, y: int, gadget_vertices) -> bool:
-    """True iff every 2-colouring of {x, y} + gadget with x, y equal leaves
-    a monochromatic directed cycle inside the induced subdigraph.
-    Exhaustive over the 16 assignments with c(x) = c(y)."""
-    triangle = tuple(sorted(set(gadget_vertices)))
-    if len(triangle) != 3:
-        raise DigraphError("gadget must consist of exactly three vertices")
-    if x == y or x in triangle or y in triangle:
-        raise DigraphError("x, y must be two vertices outside the gadget")
-    sub, mapping = induced(d, (x, y) + triangle)
-    xi, yi = mapping[x], mapping[y]
-    equal = [
-        (Colouring(2, assignment), None)
-        for assignment in itertools.product((1, 2), repeat=5)
-        if assignment[xi] == assignment[yi]
-    ]
-    return not any(ok for ok, _ in check_dicolourings(sub, equal))
-
-
 # -- certification ------------------------------------------------------------
 
 
@@ -299,11 +281,11 @@ class _Level:
 
     Level 3 keeps its constructed deletion witnesses; a higher level keeps
     its sub-level.  ``rejected`` holds the arcs whose deletion witness
-    fails and ``cold`` the vertices t whose ``_gamma(level, t)`` fails, as
-    the peel found them at level 3 and as lifted from the sub-level above
-    it.  The lift leaves out the base's reference: when vertex 0 is cold
-    at level 3, every witness above fails (docs/decisions.md, section
-    20)."""
+    fails and ``cold`` the vertices t whose Gamma(t) fails (``_gamma`` at
+    level 3), as the peel found them at level 3 and as lifted from the
+    sub-level above it.  The lift leaves out the base's reference: when
+    vertex 0 is cold at level 3, every witness above fails
+    (docs/decisions.md, section 20)."""
 
     digraph: Digraph
     layout: Layout
@@ -318,64 +300,18 @@ class _Level:
         return self.report.k
 
 
-def _tournament_colours(k: int, special: tuple[int, int]) -> list[int]:
-    """Colour k-1 on both ends of the tournament arc ``special`` and the
-    colours 1..k-2, in vertex order, on the other tournament vertices."""
-    others = iter(range(1, k - 1))
-    return [k - 1 if w in special else next(others) for w in range(k)]
+def _gamma(base: _Level, t: int) -> tuple[int, ...]:
+    """A 3-dicolouring of the base construction in which vertex t is the
+    only one coloured 3: the constructed witness of t's first out-arc, with
+    t recoloured.  With t = 0 it is the base's reference, to which the
+    reference of every level above unrolls (docs/decisions.md, section 20).
 
-
-def _compose(
-    level: _Level,
-    special: tuple[int, int],
-    copy: int | None,
-    local: tuple[int, ...],
-) -> Colouring:
-    """A (chi-1)-colouring of the level's graph: distinct colours on the
-    tournament except the pair ``special``, which shares chi-1; ``local`` in
-    copy number ``copy`` and the sub-level's reference ``_gamma(sub, 0)`` in
-    every other copy."""
-    colours = _tournament_colours(level.chi, special)
-    reference = _gamma(level.sub, 0)
-    for i in range(len(level.layout.tournament_arcs)):  # back to back from vertex k
-        colours += local if i == copy else reference
-    return Colouring(level.chi - 1, tuple(colours))
-
-
-def _deletion_witness(level: _Level, arc: tuple[int, int]) -> Colouring:
-    """A (chi-1)-dicolouring of the level's graph minus one arc, built the
-    way the dicriticality argument does, down to the constructed level-3
-    witnesses."""
-    if level.sub is None:
-        return level.witnesses[arc]
-    k = level.chi
-    u, v = arc
-    if u < k and v < k:
-        return _compose(level, arc, None, ())
-    # Every other arc has an end in exactly one copy: inside it, or joining
-    # it to the tournament.
-    w = max(u, v)
-    copy = (w - k) // level.sub.digraph.n
-    off = level.layout.copy_offset(copy)
-    if min(u, v) >= k:
-        local = _deletion_witness(level.sub, (u - off, v - off)).colours
-    else:
-        local = _gamma(level.sub, w - off)
-    return _compose(level, level.layout.tournament_arcs[copy], copy, local)
-
-
-def _gamma(sub: _Level, t: int) -> tuple[int, ...]:
-    """A chi-dicolouring of the sub-construction in which the local vertex
-    t is the only one coloured chi.  With t = 0 it is the reference that
-    the parent puts in every copy the witness leaves alone.
-
-    The deletion witness of an arc at t is a (chi-1)-dicolouring of a
-    supergraph of the sub-construction minus t, so giving t a colour of its
-    own leaves every colour class acyclic.  The sub-construction is
-    dicritical, so t has out-degree at least chi-1 and an out-arc to use."""
-    arc = (t, sub.digraph.out_neighbours(t)[0])
-    colours = list(_deletion_witness(sub, arc).colours)
-    colours[t] = sub.chi
+    The witness is a 2-dicolouring of a supergraph of the base minus t, so
+    giving t a colour of its own leaves every colour class acyclic.  The
+    base is dicritical, so t has out-degree at least 2 and an out-arc to
+    use."""
+    colours = list(base.witnesses[t, base.digraph.out_neighbours(t)[0]].colours)
+    colours[t] = 3
     return tuple(colours)
 
 

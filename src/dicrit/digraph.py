@@ -27,8 +27,8 @@ bitset per vertex, :func:`mask_components` floods it within a vertex
 bitset, and :func:`two_cut_sides` enumerates every cut of at most two
 vertices with its sides.  4-Ore recognition, D6 components and the
 dicolouring reduction all use these three, and :func:`restrict` cuts out
-pieces.  :func:`digon_masks` gives the digon graph the same way;
-the packing layer and the diamond detector read their digon cliques off it.
+pieces.  :func:`digon_masks` gives the digon graph the same way; the
+packing layer reads its digon cliques off it.
 """
 
 from __future__ import annotations
@@ -129,10 +129,11 @@ class Digraph:
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
         # Until the first read, _arcs holds the arcs handed to __init__,
-        # or None for a digraph built from its rows.
+        # or None for a digraph built from its rows.  The caller's pairs
+        # may be lists, which a set cannot hold.
         arcs = self._arcs
         if type(arcs) is not frozenset:
-            arcs = self._arcs = frozenset(self.sorted_arcs() if arcs is None else arcs)
+            arcs = self._arcs = frozenset(self.sorted_arcs() if arcs is None else map(tuple, arcs))
         return arcs
 
     # -- basic accessors -------------------------------------------------

@@ -21,7 +21,6 @@ builds a Digraph only for its result (docs/decisions.md section 14).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
@@ -32,12 +31,10 @@ from .digraph import (
     DigraphError,
     bidirected_from_edges,
     bits,
-    digon_masks,
     restrict,
     two_cut_sides,
     underlying_masks,
 )
-from .packing import bidirected_triangles
 
 
 # -- traces ----------------------------------------------------------------
@@ -54,8 +51,9 @@ class OreNode:
 
     ``digon`` lives in digon-side labels, ``split_vertex``/``z1``/``z2`` in
     split-side labels.  ``j_preserving`` records that the distinguished base
-    K4 sits on the digon side of this step.  Child traces may be None for a
-    bare surgery record; such a trace cannot be replayed.
+    K4 sits on the digon side of this step.  Child traces are None in the
+    bare surgery record that :func:`ore_compose` returns; such a trace
+    cannot be replayed.
     """
 
     digon_side: Union["OreLeaf", "OreNode", None]
@@ -170,23 +168,20 @@ def ore_compose(
     z: int,
     z1,
     z2,
-    digon_trace: OreTrace | None = None,
-    split_trace: OreTrace | None = None,
-    j_preserving: bool = False,
 ) -> tuple[Digraph, OreNode]:
     """Ore-composition of bidirected d1 (digon side) and d2 (split side).
 
     Removes the digon [x,y] from d1 and the vertex z from d2, then rewires
     the Z1 part of N(z) to x and the Z2 part to y.  Returns the composed
-    digraph and the trace node recording the surgery.
+    digraph and a bare surgery node: no child traces, and not marked
+    J-preserving.
     """
     x, y = digon
     if not d1.is_bidirected() or not d2.is_bidirected():
         raise DigraphError("Ore-composition requires bidirected sides")
     z1, z2 = set(z1), set(z2)
     adj = _compose(underlying_masks(d1), (x, y), underlying_masks(d2), z, z1, z2)
-    node = OreNode(digon_trace, split_trace, (x, y), z, tuple(sorted(z1)), tuple(sorted(z2)),
-                   j_preserving)
+    node = OreNode(None, None, (x, y), z, tuple(sorted(z1)), tuple(sorted(z2)))
     return bidirected_from_edges(len(adj), _edges(adj)), node
 
 
@@ -380,28 +375,6 @@ def is_4ore(d: Digraph, budget: Budget | int | None = None) -> OreTrace | None:
 # -- structural detectors ----------------------------------------------------
 
 
-def find_diamonds(d: Digraph) -> list[tuple[int, int, int, int]]:
-    """Induced bidirected-K4-minus-a-digon subdigraphs whose two vertices
-    off the missing digon have degree 6 in the host, as sorted quads in
-    lexicographic order.  Exhaustive."""
-    digon = digon_masks(d)
-    out = []
-    for a, b in d.digons():
-        if d.degree(a) != 6 or d.degree(b) != 6:
-            continue
-        for u, v in itertools.combinations(bits(digon[a] & digon[b]), 2):
-            if not d.has_arc(u, v) and not d.has_arc(v, u):
-                out.append(tuple(sorted((a, b, u, v))))
-    return sorted(out)
-
-
-def find_emeralds(d: Digraph) -> list[tuple[int, int, int]]:
-    """Induced bidirected triangles with all three vertices of degree 6."""
-    return [
-        t for t in bidirected_triangles(d) if all(d.degree(v) == 6 for v in t)
-    ]
-
-
 def find_ore_collapsible(
     d: Digraph, size_cap: int, budget: Budget | int | None = None
 ) -> list[tuple[frozenset[int], tuple[int, int]]]:
@@ -433,31 +406,3 @@ def find_ore_collapsible(
                     _recognition_search(h, budget)):
                 results.append((frozenset(subset), (u, v)))
     return sorted(results, key=lambda found: (len(found[0]), sorted(found[0])))
-
-
-def split_vertex(
-    d: Digraph,
-    v: int,
-    out_parts: tuple,
-    in_parts: tuple,
-) -> tuple[Digraph, int, int]:
-    """Split v into v1 (keeping v's id) and v2 (the new id n).
-
-    ``out_parts = (O1, O2)`` must partition N+(v) and ``in_parts = (I1, I2)``
-    must partition N-(v); empty parts are allowed.  Returns (D', v1, v2).
-    """
-    if not 0 <= v < d.n:
-        raise DigraphError(f"vertex {v} out of range")
-    o1, o2 = set(out_parts[0]), set(out_parts[1])
-    i1, i2 = set(in_parts[0]), set(in_parts[1])
-    if o1 & o2 or (o1 | o2) != set(d.out_neighbours(v)):
-        raise DigraphError("(O1, O2) must partition the out-neighbourhood of v")
-    if i1 & i2 or (i1 | i2) != set(d.in_neighbours(v)):
-        raise DigraphError("(I1, I2) must partition the in-neighbourhood of v")
-    v1, v2 = v, d.n
-    arcs = [(a, b) for (a, b) in d.sorted_arcs() if a != v and b != v]
-    arcs += [(v1, w) for w in o1]
-    arcs += [(v2, w) for w in o2]
-    arcs += [(w, v1) for w in i1]
-    arcs += [(w, v2) for w in i2]
-    return Digraph(d.n + 1, arcs), v1, v2

@@ -8,9 +8,10 @@ recursion over the lowest free vertex (the packing module branches over a
 candidate item list with a bound), canonical forms by trying every
 relabelling (the package refines colours and individualises vertices),
 components by flooding adjacency sets (the package floods bitsets),
-diamonds and emeralds by scanning every 4-set and 3-set (the package walks
-the digon graph), and the order of the census candidate stream by the
-census's first generator (rebuilt bitsets and arc tuples at every level;
+diamonds and emeralds by scanning every 4-set and 3-set (the package has
+no detector; the lemma tests run on these), and the order of the census
+candidate stream by the census's first generator (rebuilt bitsets and
+arc tuples at every level;
 the package keeps in-degree counts and joins arcs once per candidate; the
 census's labelling rule is read off the out-degrees as stated, where the
 package caps sizes while it generates), and
@@ -38,7 +39,17 @@ and reads every degree once); the results are the package's record types,
 so that their ``to_json`` can be compared.
 A construction level above 3 is listed arc by arc: the tournament, every
 copy's arcs shifted to its block and its wiring (the package shifts the
-sub-level's bitsets and out-neighbour tuples, row by row).
+sub-level's bitsets and out-neighbour tuples, row by row).  The deletion
+witnesses above level 3 are composed colour by colour, as
+docs/decisions.md, section 20 writes them, from a certified level's
+constructed level-3 witnesses and the certifier's ``_gamma`` at the base;
+they are the package's ``Colouring`` records (the package composes none
+and decides them by a lemma).  A forcing gadget is checked by Kahn
+peeling every 2-colouring of its five vertices with c(x) = c(y), read
+off the arc set, and bad input raises the package's ``DigraphError``
+(the package certifies the gadgets from premises on the bitsets).
+``tests/test_public_surface.py`` lists every name read from the package
+here, with its reason.
 """
 
 from __future__ import annotations
@@ -49,9 +60,11 @@ from typing import Iterator
 
 from fractions import Fraction
 
+from dicrit import constructions
 from dicrit.budget import Budget
+from dicrit.colouring import Colouring
 from dicrit.constructions import ConstructionSpec, build_g3
-from dicrit.digraph import Digraph, bidirected_complete, boundary, induced
+from dicrit.digraph import Digraph, DigraphError, bidirected_complete, boundary, induced
 from dicrit.iso import canonical_form
 from dicrit.ore import OreLeaf, is_4ore
 from dicrit.potential import PotentialParams
@@ -696,6 +709,77 @@ def oracle_build_gk(k: int, spec: ConstructionSpec) -> tuple[int, list[tuple[int
         arcs += [(y, t) for t in block]
         arcs += [(t, x) for t in block]
     return k + len(t_arcs) * n_sub, arcs
+
+
+def oracle_gadget_forces_distinct(d: Digraph, x: int, y: int, gadget_vertices) -> bool:
+    """True iff every 2-colouring of {x, y} + gadget with x, y equal leaves
+    a monochromatic directed cycle inside the induced subdigraph.
+    Exhaustive over the 16 assignments with c(x) = c(y)."""
+    triangle = tuple(sorted(set(gadget_vertices)))
+    if len(triangle) != 3:
+        raise DigraphError("gadget must consist of exactly three vertices")
+    if x == y or x in triangle or y in triangle:
+        raise DigraphError("x, y must be two vertices outside the gadget")
+    index = {v: i for i, v in enumerate((x, y) + triangle)}
+    sub = Digraph(5, [(index[u], index[v]) for u, v in d.arcs if u in index and v in index])
+    return not any(
+        valid_dicolouring(sub, assignment)
+        for assignment in itertools.product((1, 2), repeat=5)
+        if assignment[0] == assignment[1]
+    )
+
+
+def oracle_compose(level, special: tuple[int, int], copy: int | None, local) -> Colouring:
+    """A (chi-1)-colouring of a certified level above the base: colour
+    chi-1 on both ends of the tournament arc ``special`` and the colours
+    1..chi-2, in vertex order, on the other tournament vertices; ``local``
+    in copy number ``copy`` and the sub-level's reference
+    ``oracle_gamma(sub, 0)`` in every other copy."""
+    k = level.chi
+    others = iter(range(1, k - 1))
+    colours = [k - 1 if w in special else next(others) for w in range(k)]
+    reference = oracle_gamma(level.sub, 0)
+    for i in range(len(level.layout.tournament_arcs)):  # back to back from vertex k
+        colours += local if i == copy else reference
+    return Colouring(k - 1, tuple(colours))
+
+
+def oracle_deletion_witness(level, arc: tuple[int, int]) -> Colouring:
+    """A (chi-1)-dicolouring of a certified level's graph minus one arc,
+    composed the way the dicriticality argument does (docs/decisions.md,
+    section 20), down to the constructed level-3 witnesses."""
+    if level.sub is None:
+        return level.witnesses[arc]
+    k = level.chi
+    u, v = arc
+    if u < k and v < k:
+        return oracle_compose(level, arc, None, ())
+    # Every other arc has an end in exactly one copy: inside it, or joining
+    # it to the tournament.
+    w = max(u, v)
+    copy = (w - k) // level.sub.digraph.n
+    off = level.layout.copy_offset(copy)
+    if min(u, v) >= k:
+        local = oracle_deletion_witness(level.sub, (u - off, v - off)).colours
+    else:
+        local = oracle_gamma(level.sub, w - off)
+    return oracle_compose(level, level.layout.tournament_arcs[copy], copy, local)
+
+
+def oracle_gamma(level, t: int) -> tuple[int, ...]:
+    """Gamma(t) of docs/decisions.md, section 20: a chi-dicolouring of a
+    certified level in which vertex t is the only one coloured chi, the
+    deletion witness of t's first out-arc with t recoloured.  With t = 0
+    it is the reference that the level above puts in every copy a witness
+    leaves alone.  At the base it is the certifier's own
+    ``constructions._gamma``, read at each call, so that a test can
+    patch it."""
+    if level.sub is None:
+        return constructions._gamma(level, t)
+    arc = (t, level.digraph.out_neighbours(t)[0])
+    colours = list(oracle_deletion_witness(level, arc).colours)
+    colours[t] = level.chi
+    return tuple(colours)
 
 
 @functools.lru_cache(maxsize=None)

@@ -29,7 +29,6 @@ from dicrit.constructions import (
     build_g3,
     build_gk,
     certify_dicritical_composition,
-    gadget_forces_distinct,
 )
 from dicrit.digraph import (
     Digraph,
@@ -51,7 +50,12 @@ from dicrit.potential import (
 from dicrit.structure import discharge
 
 from .conftest import random_digraph, random_bidirected
-from .oracles import oracle_chromatic_number, oracle_max_packing_value, underlying_edges
+from .oracles import (
+    oracle_chromatic_number,
+    oracle_gadget_forces_distinct,
+    oracle_max_packing_value,
+    underlying_edges,
+)
 
 F = Fraction
 
@@ -328,7 +332,7 @@ def test_criterion_6_constructions():
     gadgets = list(all_gadgets(layout4))
     assert len(gadgets) == 18
     for gadget in gadgets:
-        assert gadget_forces_distinct(g4, gadget.tail, gadget.head, gadget.triangle)
+        assert oracle_gadget_forces_distinct(g4, gadget.tail, gadget.head, gadget.triangle)
 
     report = certify_dicritical_composition(4, witness_sample=30, seed=0)
     assert report.ok()

@@ -17,12 +17,18 @@ from dicrit.constructions import (
     build_g3,
     build_gk,
     certify_dicritical_composition,
-    gadget_forces_distinct,
 )
 from dicrit.digraph import Digraph, DigraphError, induced
 from dicrit.packing import max_packing
 
-from .oracles import oracle_build_gk, valid_dicolouring
+from .oracles import (
+    oracle_build_gk,
+    oracle_compose,
+    oracle_deletion_witness,
+    oracle_gadget_forces_distinct,
+    oracle_gamma,
+    valid_dicolouring,
+)
 
 
 def predicted_counts(k, n0):
@@ -107,7 +113,7 @@ class TestBuildGk:
             (lambda: _with_tournament((2, 2)), r"invalid tournament arc \(2, 2\)"),
             (lambda: _with_tournament((3, 1)), r"two arcs on pair \(1, 3\)"),
             (
-                lambda: gadget_forces_distinct(build_g3(1)[0], 0, 1, (3, 4)),
+                lambda: oracle_gadget_forces_distinct(build_g3(1)[0], 0, 1, (3, 4)),
                 "exactly three vertices",
             ),
         ],
@@ -182,13 +188,13 @@ class TestGadget:
         gadgets = list(all_gadgets(layout))
         assert len(gadgets) == 3
         for gadget in gadgets:
-            assert gadget_forces_distinct(g, gadget.tail, gadget.head, gadget.triangle)
+            assert oracle_gadget_forces_distinct(g, gadget.tail, gadget.head, gadget.triangle)
 
     def test_broken_gadget_fails(self):
         g, layout = build_g3(1)
         gadget = next(all_gadgets(layout))
         broken = g.without_arcs([(gadget.triangle[0], gadget.tail)])
-        assert not gadget_forces_distinct(
+        assert not oracle_gadget_forces_distinct(
             broken, gadget.tail, gadget.head, gadget.triangle
         )
 
@@ -196,9 +202,9 @@ class TestGadget:
         g, layout = build_g3(1)
         gadget = next(all_gadgets(layout))
         with pytest.raises(DigraphError):
-            gadget_forces_distinct(g, gadget.tail, gadget.tail, gadget.triangle)
+            oracle_gadget_forces_distinct(g, gadget.tail, gadget.tail, gadget.triangle)
         with pytest.raises(DigraphError):
-            gadget_forces_distinct(g, gadget.triangle[0], gadget.head, gadget.triangle)
+            oracle_gadget_forces_distinct(g, gadget.triangle[0], gadget.head, gadget.triangle)
 
 
 class TestCertify:
@@ -390,7 +396,7 @@ class TestGadgetCertificate:
                 assert witness.k == 2
                 assert valid_dicolouring(Digraph(g.n, g.arcs - {arc}), witness.colours)
             for gadget in all_gadgets(layout):
-                assert gadget_forces_distinct(g, gadget.tail, gadget.head, gadget.triangle)
+                assert oracle_gadget_forces_distinct(g, gadget.tail, gadget.head, gadget.triangle)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_certify_runs_no_search(self, monkeypatch, k):
@@ -580,16 +586,16 @@ def _rejected(level, arcs):
 
 
 def _cold(level):
-    """The vertices t whose ``_gamma(level, t)`` the level's sets fail."""
+    """The vertices t whose ``oracle_gamma(level, t)`` the level's sets fail."""
     every = _reference_cold(level)
     return [t for t in range(level.digraph.n) if every or t in level.cold]
 
 
 def _cold_by_peel(level):
-    """The vertices t whose ``_gamma(level, t)`` a peel on the level's
+    """The vertices t whose ``oracle_gamma(level, t)`` a peel on the level's
     graph rejects."""
     g, chi = level.digraph, level.chi
-    gammas = [(Colouring(chi, constructions._gamma(level, t)), None) for t in range(g.n)]
+    gammas = [(Colouring(chi, oracle_gamma(level, t)), None) for t in range(g.n)]
     return [t for t, (ok, _) in enumerate(check_dicolourings(g, gammas)) if not ok]
 
 
@@ -597,7 +603,7 @@ def _full_failures(level, arcs):
     """The arcs whose composed witness the full check rejects on the
     level's graph minus the arc."""
     checked = check_dicolourings(
-        level.digraph, [(constructions._deletion_witness(level, arc), arc) for arc in arcs]
+        level.digraph, [(oracle_deletion_witness(level, arc), arc) for arc in arcs]
     )
     return [arc for arc, (ok, _) in zip(arcs, checked) if not ok]
 
@@ -639,7 +645,7 @@ class TestWitnessOracle:
             assert len(set(arcs)) == len(arcs) == (sample if report.sampled else g.m)
             assert report.witnesses_checked == len(arcs)
             for arc in arcs:
-                witness = constructions._deletion_witness(level, arc)
+                witness = oracle_deletion_witness(level, arc)
                 assert witness.k == level.chi - 1
                 assert valid_dicolouring(Digraph(g.n, g.arcs - {arc}), witness.colours)
             assert decided[level.chi] == arcs
@@ -647,14 +653,14 @@ class TestWitnessOracle:
     @pytest.mark.parametrize("k", [4, 5])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_references_are_composed(self, k, seed):
-        # every level below the top composes one reference, _gamma(sub, 0):
+        # every level below the top composes one reference, Gamma(0):
         # a chi-dicolouring with vertex 0 alone in colour chi, which the
         # lemma accepts
         top = _certify(k, _random_spec(k, seed), 40)
         assert top.report.ok()
         for level in list(_levels(top))[1:]:
             chi, g = level.chi, level.digraph
-            colours = constructions._gamma(level, 0)
+            colours = oracle_gamma(level, 0)
             assert valid_dicolouring(Digraph(g.n, g.arcs), colours)
             assert set(colours) == set(range(1, chi + 1))
             assert [v for v, c in enumerate(colours) if c == chi] == [0]
@@ -711,7 +717,7 @@ class TestLemma:
             assert _rejected(level, arcs) == _full_failures(level, arcs) == []
             assert _cold(level) == _cold_by_peel(level) == []
             for arc in rng.sample(arcs, 20):
-                witness = constructions._deletion_witness(level, arc).colours
+                witness = oracle_deletion_witness(level, arc).colours
                 assert valid_dicolouring(Digraph(g.n, g.arcs - {arc}), witness)
 
     @pytest.mark.parametrize("k", [4, 5])
@@ -721,10 +727,10 @@ class TestLemma:
         # closes a cycle through that copy, unless their arc is deleted; the
         # proof that condition (ii) always holds rests on this
         top = _certify(k, _random_spec(k, 7), 40)
-        reference = constructions._gamma(top.sub, 0)
+        reference = oracle_gamma(top.sub, 0)
         assert set(reference) == set(range(1, k))
         for copy, arc in enumerate(top.layout.tournament_arcs):
-            colouring = constructions._compose(top, arc, copy, reference)
+            colouring = oracle_compose(top, arc, copy, reference)
             for removed in (None, arc):
                 ((full, _),) = check_dicolourings(top.digraph, [(colouring, removed)])
                 assert full == bool(removed)
@@ -737,7 +743,7 @@ class TestLemma:
         for level in list(_levels(top))[:-1]:
             full = set(range(1, level.chi))
             for arc in level.digraph.sorted_arcs():
-                colours = constructions._deletion_witness(level, arc).colours
+                colours = oracle_deletion_witness(level, arc).colours
                 assert set(colours[:level.chi]) == set(colours) == full
 
     @pytest.mark.parametrize("k, seed", [(4, 1), (4, 2), (5, 3)])
@@ -751,7 +757,7 @@ class TestLemma:
         for level in list(_levels(top))[:-1]:
             g, chi = level.digraph, level.chi
             for arc in g.sorted_arcs():
-                colours = constructions._deletion_witness(level, arc).colours
+                colours = oracle_deletion_witness(level, arc).colours
                 pair = [w for w in range(chi) if colours[w] == chi - 1]
                 assert len(pair) == 2 and len(set(colours[:chi])) == chi - 1
                 x, y = pair if g.has_arc(*pair) else pair[::-1]
@@ -826,7 +832,7 @@ class TestWitnessMutation:
             assert base.report.witnesses_checked == 29
             assert _cold(base) == _cold_by_peel(base)
             for level in above:
-                # the sets' verdict on every arc and every _gamma of the
+                # the sets' verdict on every arc and every Gamma of the
                 # level, considered or not, is exact
                 every = level.digraph.sorted_arcs()
                 rejected = _full_failures(level, every)

@@ -117,6 +117,20 @@ class TestConstruction:
         assert d.arcs is d.arcs
         assert d.sorted_arcs() == sorted(arcs)
 
+    @pytest.mark.parametrize("given", ["list", "generator"])
+    def test_list_pairs_give_the_arc_set_of_tuples(self, given):
+        # the constructor takes any pairs, and the arc set holds tuples
+        arcs = [(0, 1), (1, 2), (2, 0), (1, 0)]
+        pairs = (list(arc) for arc in arcs)
+        d = Digraph(3, list(pairs) if given == "list" else pairs)
+        expected = Digraph(3, arcs)
+        assert d.arcs == expected.arcs == frozenset(arcs)
+        for edited, reference in [
+            (d.with_arcs([(0, 2)]), expected.with_arcs([(0, 2)])),
+            (d.without_arcs([(1, 0)]), expected.without_arcs([(1, 0)])),
+        ]:
+            assert edited == reference and edited.arcs == reference.arcs
+
     def test_arc_set_read_from_many_threads(self):
         # threads that race on the first read of arcs may each build the
         # set; every one of them must see the digraph's arcs

@@ -11,6 +11,10 @@ the reason they stay; a name that gains a reader leaves the list.
 
 A private module-level name has no such reasons: something in ``src/``
 must read it, and every module must use each name it imports.
+
+The oracles of ``tests/oracles.py`` share no code with the package, so
+every name they take from it is listed in ``ORACLE_IMPORTS`` with the
+reason it does not make an oracle depend on what it checks.
 """
 
 from __future__ import annotations
@@ -22,15 +26,45 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dicrit"
 
 KEPT = {
-    "ore.find_diamonds": "a paper object; the tests check its lemmas",
-    "ore.find_emeralds": "a paper object; the tests check its lemmas",
-    "ore.split_vertex": "a paper object (the Ore split); the tests check its lemmas",
-    "structure.is_collapsible": "a paper definition; the tests check its lemmas",
+    "structure.is_collapsible": "a paper definition; the tests check its lemmas, and moving it "
+                                "to tests/ would leave `digraph.boundary`, which `dicrit` "
+                                "exports, with no reader",
     "census.load_record": "it validates the files that `census --out` writes",
     "iso.invariant_key": "bench/tracing.py patches it by name and BENCHMARK.json lists "
                          "its metrics; it goes with the next change to the benchmark",
-    "digraph.bidirected_cycle": "a fixture builder",
-    "digraph.Digraph.with_arcs": "a fixture builder",
+    "digraph.bidirected_cycle": "exported from `dicrit` with the other standard digraphs",
+    "digraph.Digraph.with_arcs": "the twin of `without_arcs`, which the benchmark traces",
+    "digraph.Digraph.in_neighbours": "the twin of `out_neighbours`; the oracles and the "
+                                     "tests' Ore split read it",
+}
+
+# Every name that tests/oracles.py takes from the package, with the reason
+# an oracle that shares no code with the package may read it.  An oracle
+# that starts calling a solver or a checker must add itself here.
+ORACLE_IMPORTS = {
+    "dicrit.budget.Budget": "the first kernel, kept as the node-sequence reference, "
+                            "spends one node per call",
+    "dicrit.colouring.Colouring": "a record type: the composed construction witnesses",
+    "dicrit.constructions.ConstructionSpec": "a record type: the choices a level is listed for",
+    "dicrit.constructions.build_g3": "the base level under the listed levels above it",
+    "dicrit.constructions._gamma": "the base's Gamma under the composed ones, read at each "
+                                   "call so that a test can patch it",
+    "dicrit.digraph.Digraph": "the value type every oracle takes and returns",
+    "dicrit.digraph.DigraphError": "the error the gadget check raises on bad input",
+    "dicrit.digraph.bidirected_complete": "the K4 leaf of the Ore-composition oracles",
+    "dicrit.digraph.boundary": "the Ore-collapsible oracle checks how the scan finds R, "
+                               "not boundaries",
+    "dicrit.digraph.induced": "the Ore-collapsible oracle checks how the scan finds R, "
+                              "not induced subdigraphs",
+    "dicrit.iso.canonical_form": "dedupes the 4-Ore classes, which check recognition, "
+                                 "not isomorphism",
+    "dicrit.ore.OreLeaf": "a record type: the leaf of a trace",
+    "dicrit.ore.is_4ore": "the Ore-collapsible oracle checks how the scan finds R, "
+                          "not recognition",
+    "dicrit.potential.PotentialParams": "a record type: the discharging parameters",
+    "dicrit.structure.ChargeLedger": "a record type, so that `to_json` can be compared",
+    "dicrit.structure.D6Component": "a record type, so that `to_json` can be compared",
+    "dicrit.structure.Transfer": "a record type, so that `to_json` can be compared",
 }
 
 
@@ -168,3 +202,34 @@ def test_every_private_name_and_import_is_read():
                     (unused if imports else unread).append(f"{path.stem}.{name}")
     assert unread == [], "private names that nothing in src/ reads"
     assert unused == [], "imported names that the module never uses"
+
+
+def _package_names(path: Path) -> set[str]:
+    """``module.name`` for every name a file takes from the package: each
+    name imported from a package module, and each attribute read off a
+    package module it imports."""
+    tree = ast.parse(path.read_text())
+    names, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dicrit":
+            for alias in node.names:
+                qualified = f"{node.module}.{alias.name}"
+                if node.module == "dicrit" and (PACKAGE / f"{alias.name}.py").exists():
+                    modules[alias.asname or alias.name] = qualified
+                else:
+                    names.add(qualified)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "dicrit":
+                    bound = alias.asname or alias.name.split(".")[0]
+                    modules[bound] = alias.name if alias.asname else bound
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add(f"{modules[node.value.id]}.{node.attr}")
+    return names
+
+
+def test_oracles_read_only_the_listed_package_names():
+    assert sorted(_package_names(ROOT / "tests" / "oracles.py")) == sorted(ORACLE_IMPORTS)
+    assert all(reason.strip() for reason in ORACLE_IMPORTS.values())
