@@ -16,8 +16,9 @@ tables built once per order in each call.  The ``nshards`` argument of
 
 For k >= 3 a candidate is first decided on bitsets: the last
 (k - 1)-dicolouring the call found on this order settles it when its
-colour classes are acyclic there, and otherwise the candidate is decided
-as ``is_k_dicritical`` refutes, a found colouring becoming the stored one.
+colour classes are acyclic there, and otherwise the solver's one private
+entry, ``colouring._dicolouring``, decides it as ``is_k_dicritical``
+refutes, a found colouring becoming the stored one.
 Only a candidate that is not (k - 1)-dicolourable becomes a ``Digraph`` for
 ``is_k_dicritical``, so the scan yields what a full check of every
 candidate would (docs/decisions.md, section 18).  For k = 2 every
@@ -57,14 +58,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
-from .colouring import (
-    RefutationStats,
-    _branching,
-    _classes_acyclic,
-    _decide,
-    _in_masks,
-    is_k_dicritical,
-)
+from .colouring import _dicolouring, is_k_dicritical
 from .digraph import Digraph, DigraphError, bits, parse, serialize
 from .iso import canonical_form
 
@@ -228,31 +222,53 @@ def _extend(
                 indeg[w] -= 1
 
 
+def _classes_acyclic(out: tuple, classes: list[int]) -> bool:
+    """Does every vertex bitset of ``classes`` induce an acyclic subdigraph
+    of the digraph with out-bitsets ``out``?  Each class is peeled as
+    ``colouring.check_dicolourings`` peels one pair (docs/decisions.md,
+    section 17): a vertex with no out-neighbour left in the class is
+    dropped, until a pass drops nothing, and the class is acyclic exactly
+    when nothing is left."""
+    for cls in classes:
+        dropped = True
+        while cls and dropped:
+            dropped = False
+            rest = cls
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not out[low.bit_length() - 1] & cls:
+                    cls ^= low
+                    dropped = True
+        if cls:
+            return False
+    return True
+
+
 def _dicolourable(
     out: tuple, k: int, budget: Budget, classes: list[int], stats: Counter
 ) -> bool:
     """Is the candidate with out-bitsets ``out`` (k - 1)-dicolourable?
 
-    Decided on out- and in-bitsets, with no ``Digraph``.  ``classes`` holds
-    the last (k - 1)-dicolouring found on this order, one vertex bitset per
-    colour, or nothing: when its classes are acyclic on this candidate they
-    prove the answer "yes" with no search, and ``stats["reused"]`` counts it.
-    Otherwise the candidate is decided as the refutation step of
-    ``is_k_dicritical`` decides it (``_branching``, then ``_decide``, same
-    order and nodes), and a colouring found replaces ``classes``
+    Decided on bitsets, with no ``Digraph``.  ``classes`` holds the last
+    (k - 1)-dicolouring found on this order, one vertex bitset per colour,
+    or nothing: when its classes are acyclic on this candidate they prove
+    the answer "yes" with no search, and ``stats["reused"]`` counts it.
+    Otherwise ``colouring._dicolouring`` decides the candidate as the
+    refutation step of ``is_k_dicritical`` decides it (same order and
+    nodes), and a colouring found replaces ``classes``
     (docs/decisions.md, section 18)."""
     if classes and _classes_acyclic(out, classes):
         stats["reused"] += 1
         return True
-    position, ordered_out, ordered_inn = _branching(out, _in_masks(out))
-    found = _decide(out, ordered_out, ordered_inn, k - 1, budget, RefutationStats())
+    found = _dicolouring(out, k - 1, budget)
     if found is None:
         return False
-    # No census order exceeds the solver's base size, so ``_decide`` ran the
-    # plain search and a "yes" carries its assignment, in branching order.
+    # No census order exceeds the solver's base size, so the plain search
+    # decided, and a "yes" carries its assignment.
     classes[:] = [0] * (k - 1)
-    for v, depth in enumerate(position):
-        classes[found[depth] - 1] |= 1 << v
+    for v, colour in enumerate(found):
+        classes[colour - 1] |= 1 << v
     return True
 
 

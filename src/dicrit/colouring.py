@@ -35,7 +35,9 @@ chosen by two to four recursive queries on digraphs smaller than D, and it
 runs the search only on pieces of at most 9 vertices or where no side can
 be replaced.  The proof is in docs/decisions.md, section 6.  After a "yes"
 from the reduction, ``is_k_dicolourable`` runs the plain search to the end
-for its witness.
+for its witness.  Other modules ask the question through one private
+entry, ``_dicolouring``, which orders the digraph given as out-bitsets and
+calls ``_decide`` on it.
 
 ``is_k_dicritical`` derives most per-arc witnesses from a few fresh ones,
 on every digraph (docs/decisions.md, section 24).  A witness w for D - uv
@@ -57,9 +59,9 @@ keeps a bit exactly when its colour classes have a cycle in D minus its
 arc (docs/decisions.md, section 17).  The removed arc is skipped on D
 itself, so no per-arc digraph is rebuilt.  Only for a pair that fails
 does a DFS (``_find_monochromatic_cycle``) find the cycle, and the two
-must agree.  ``check_dicolouring`` is the same check for one pair, and
-``_classes_acyclic`` the same peel for one colouring given as class
-bitsets, with no removed arc and no cycle (the census's pre-check).
+must agree.  All the pairs of a call go through one peel, in cells as
+wide as the number of distinct colours in the call.  ``check_dicolouring``
+is the same check for one pair.
 
 Budgets count decision nodes; an exhausted budget raises
 :class:`~dicrit.budget.BudgetExceeded` rather than returning a silent "no".
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import reduce
-from itertools import filterfalse, islice
+from itertools import chain, filterfalse
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -143,13 +145,6 @@ def check_dicolouring(
     return check_dicolourings(d, [(colouring, removed)])[0]
 
 
-#: check_dicolourings decides this many (colouring, removed arc) pairs per
-#: peel.  On the 7,708 checks of 28 seed-1 certify jobs, best of 7, the
-#: checks took 95 ms at 128 pairs, 104 ms at 64, 113 ms at 256 and 131 ms
-#: at 512, against 790 ms for a DFS per pair.
-_PAIRS_PER_PEEL = 128
-
-
 def _postorder(out: Sequence[Sequence[int]]) -> list[int]:
     """The vertices in the order a DFS over the out-neighbour lists ``out``
     finishes them.  Every arc but a back arc points from a vertex to one
@@ -177,40 +172,49 @@ def _postorder(out: Sequence[Sequence[int]]) -> list[int]:
 
 def _cells(colourings: list[tuple[int, ...]], n: int) -> tuple[list[int], int]:
     """Per vertex v, one cell of ``width`` bits per colouring, colouring p
-    in bits p * width onwards; v's colour c sets bit c - 1 of its cell."""
-    top = max(map(max, colourings))
-    if top <= 8:
-        # One byte per cell: the colourings as rows of bytes, colour c
-        # translated to the byte 1 << c - 1, read off column by column.
-        one_hot = bytes.maketrans(b"\1\2\3\4\5\6\7\10", b"\1\2\4\10\20\40\100\200")
+    in bits p * width onwards; v's colour sets bit r of its cell, r its rank
+    from 0 among the distinct colours of ``colourings``, so the width follows
+    their number, not their values.  A colour that is no integer, even 9.0
+    beside 9, raises ``TypeError`` (from ``bytes`` in the byte layout)."""
+    palette = sorted(set().union(*colourings))
+    width = max(8, len(palette))
+    if width == 8 and palette[-1] < 256:
+        # One byte per cell: the colourings as rows of bytes, each colour
+        # translated to the byte of its rank's bit, read off column by column.
+        one_hot = bytearray(256)
+        for rank, c in enumerate(palette):
+            one_hot[c] = 1 << rank
         rows = b"".join(map(bytes, colourings)).translate(one_hot)
         return [int.from_bytes(rows[v::n], "little") for v in range(n)], 8
+    if not all(isinstance(c, int) for c in chain.from_iterable(colourings)):
+        raise TypeError("colours must be integers")
+    rank = {c: r for r, c in enumerate(palette)}
     cells = [0] * n
     for p, colours in enumerate(colourings):
         for v, c in enumerate(colours):
-            cells[v] |= 1 << p * top + c - 1
-    return cells, top
+            cells[v] |= 1 << p * width + rank[c]
+    return cells, width
 
 
-def _peel(d: Digraph, order: list[int], chunk: list) -> list[bool]:
-    """For each pair of ``chunk``, does its colouring keep a monochromatic
+def _peel(d: Digraph, checks: list) -> list[bool]:
+    """For each pair of ``checks``, does its colouring keep a monochromatic
     cycle in D minus its arc?  Decided for all pairs at once by the peel
-    of docs/decisions.md, section 17, visiting the vertices in ``order``."""
+    of docs/decisions.md, section 17, in the finishing order of a DFS of D."""
     n = d.n
-    for colouring, _ in chunk:
+    for colouring, _ in checks:
         if len(colouring.colours) != n:
             raise ColouringError(
                 f"assignment covers {len(colouring.colours)} vertices, digraph has {n}"
             )
     try:
-        alive, width = _cells([colouring.colours for colouring, _ in chunk], n)
+        alive, width = _cells([colouring.colours for colouring, _ in checks], n)
     except TypeError:
         raise ColouringError("colours must be integers") from None
     full = (1 << width) - 1
     # A removed arc ab no longer passes to a the bit of its pair at a's
     # colour: b leaves a's plain out-neighbours and passes to a masked.
     cut: dict[int, dict[int, int]] = {}
-    for p, (_, removed) in enumerate(chunk):
+    for p, (_, removed) in enumerate(checks):
         if removed is not None and d.has_arc(*removed):
             a, b = removed
             heads = cut.setdefault(a, {})
@@ -223,6 +227,7 @@ def _peel(d: Digraph, order: list[int], chunk: list) -> list[bool]:
     # alive[v] &= OR of alive[u] over the out-neighbours u of v: a bit of v
     # survives while v has a live out-neighbour of its colour in that pair.
     live = alive.__getitem__
+    order = _postorder(d._out)
     changed = True
     while changed:
         changed = False
@@ -237,61 +242,32 @@ def _peel(d: Digraph, order: list[int], chunk: list) -> list[bool]:
                     alive[v] = have & reach
                     changed = True
     left = reduce(or_, alive, 0)
-    return [bool(left >> p * width & full) for p in range(len(chunk))]
+    return [bool(left >> p * width & full) for p in range(len(checks))]
 
 
 def check_dicolourings(
     d: Digraph, checks: Iterable[tuple[Colouring, tuple[int, int] | None]]
 ) -> list[tuple[bool, list[int] | None]]:
     """``check_dicolouring(d, colouring, removed)`` for every pair of
-    ``checks``, in order, decided together by one bit-parallel peel per
-    ``_PAIRS_PER_PEEL`` pairs (docs/decisions.md, section 17).
+    ``checks``, in order, decided together by one bit-parallel peel
+    (docs/decisions.md, section 17).
 
-    ``checks`` is read lazily, so memory stays within one chunk of pairs.
     Only for a pair the peel rejects does ``_find_monochromatic_cycle``
     look for the cycle, and finding none raises ``AssertionError``: the
     peel and the DFS check each other.
     """
-    checks = iter(checks)
-    chunk = list(islice(checks, _PAIRS_PER_PEEL))
-    order = _postorder(d._out) if chunk else []
+    checks = list(checks)
+    if not checks:
+        return []
     results = []
-    while chunk:
-        for (colouring, removed), cyclic in zip(chunk, _peel(d, order, chunk)):
-            if not cyclic:
-                results.append((True, None))
-                continue
-            cycle = _find_monochromatic_cycle(d, colouring.colours, removed)
-            if cycle is None:
-                raise AssertionError(
-                    f"the peel rejects pair {len(results)}, but the DFS finds no "
-                    f"monochromatic cycle"
-                )
-            results.append((False, cycle))
-        chunk = list(islice(checks, _PAIRS_PER_PEEL))
+    for p, ((colouring, removed), cyclic) in enumerate(zip(checks, _peel(d, checks))):
+        cycle = _find_monochromatic_cycle(d, colouring.colours, removed) if cyclic else None
+        if cyclic and cycle is None:
+            raise AssertionError(
+                f"the peel rejects pair {p}, but the DFS finds no monochromatic cycle"
+            )
+        results.append((not cyclic, cycle))
     return results
-
-
-def _classes_acyclic(out: Sequence[int], classes: Iterable[int]) -> bool:
-    """Does every vertex bitset of ``classes`` induce an acyclic subdigraph
-    of the digraph with out-bitsets ``out``?  Each class is peeled as one
-    pair of ``_peel`` is (docs/decisions.md, section 17): a vertex with no
-    out-neighbour left in the class is dropped, until a pass drops nothing,
-    and the class is acyclic exactly when nothing is left."""
-    for cls in classes:
-        dropped = True
-        while cls and dropped:
-            dropped = False
-            rest = cls
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if not out[low.bit_length() - 1] & cls:
-                    cls ^= low
-                    dropped = True
-        if cls:
-            return False
-    return True
 
 
 def _branching(
@@ -472,11 +448,13 @@ class RefutationStats:
     piece_solves: int = 0
 
 
-def _in_masks(out: list[int]) -> list[int]:
+def _in_masks(out: Sequence[int]) -> list[int]:
     inn = [0] * len(out)
     for u, targets in enumerate(out):
-        for v in bits(targets):
-            inn[v] |= 1 << u
+        while targets:  # inline, not ``bits``: ``_dicolouring`` runs it per question
+            low = targets & -targets
+            inn[low.bit_length() - 1] |= 1 << u
+            targets ^= low
     return inn
 
 
@@ -630,6 +608,19 @@ def _decide(
         return found
     stats.reduced = True
     return _colourable(out, c, budget, stats) or None
+
+
+def _dicolouring(out: Sequence[int], c: int, budget: Budget) -> tuple[int, ...] | bool | None:
+    """Is the digraph with out-bitsets ``out`` c-dicolourable?  The one way
+    in for a caller outside this module: ``_decide`` on ``out`` relabelled
+    into its connectivity order, with statistics of its own.  Returns the
+    assignment the plain search found, in ``out``'s labels, True when the
+    reduction decided "yes", or None for "no"."""
+    position, ordered_out, ordered_inn = _branching(out, _in_masks(out))
+    found = _decide(out, ordered_out, ordered_inn, c, budget, RefutationStats())
+    if isinstance(found, tuple):
+        return tuple(map(found.__getitem__, position))
+    return found
 
 
 def is_k_dicolourable(

@@ -190,11 +190,12 @@ class Digraph:
 
     # -- builders (every edit returns a new value) -----------------------
 
+    # The pairs may be lists, as for the constructor.
     def with_arcs(self, extra: Iterable[tuple[int, int]]) -> "Digraph":
-        return Digraph(self.n, set(self.arcs) | set(extra))
+        return Digraph(self.n, self.arcs.union(map(tuple, extra)))
 
     def without_arcs(self, removed: Iterable[tuple[int, int]]) -> "Digraph":
-        return Digraph(self.n, self.arcs.difference(removed))
+        return Digraph(self.n, self.arcs.difference(map(tuple, removed)))
 
     # -- dunder ----------------------------------------------------------
 

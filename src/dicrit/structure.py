@@ -10,7 +10,9 @@ Chelou arcs, D6, valencies and discharging read the vertex bitsets that
 every digraph stores (``out_masks``, ``in_masks``): a degree is two
 popcounts, D6 and the vertices of degree at least 8 are bitsets, and a D6
 component is classified by popcounts inside its own bitset, so no vertex
-pair is ever scanned.
+pair is ever scanned.  The dicritical extension peels arcs off out-bitsets
+too, and asks each trial of the solver's one private entry,
+``colouring._dicolouring``.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import Budget, DEFAULT_SOLVER_NODES, ensure_budget
-from .colouring import (
-    Colouring,
-    RefutationStats,
-    _branching,
-    _decide,
-    check_dicolouring,
-)
+from .colouring import Colouring, _dicolouring, check_dicolouring
 from .digraph import (
     Digraph,
     DigraphError,
@@ -367,32 +363,27 @@ def dicritical_extension(
 
     W is found by greedy arc-peeling in lexicographic order: delete any arc
     whose removal keeps the identification non-3-dicolourable, then drop
-    isolated vertices.  Each trial clears one bit of the out- and in-bitsets
-    and is decided by ``colouring._decide``, with no witness colouring; only
-    the extender becomes a ``Digraph``.  For a 4-dicritical host the core is
-    never empty (the extender cannot be a subdigraph of the host); this is
-    asserted, not assumed.
+    isolated vertices.  Each trial clears one bit of the out-bitsets and is
+    decided by ``colouring._dicolouring``; only the extender becomes a
+    ``Digraph``.  For a 4-dicritical host the core is never empty (the
+    extender cannot be a subdigraph of the host); this is asserted, not
+    assumed.
     """
     budget = ensure_budget(budget, DEFAULT_SOLVER_NODES, "dicritical extension")
     ident = phi_identify(d, subset, phi)
     h = ident.digraph
-    out, inn = list(h.out_masks), list(h.in_masks)
-
-    def colourable() -> bool:
-        _, ordered_out, ordered_inn = _branching(out, inn)
-        return _decide(out, ordered_out, ordered_inn, 3, budget, RefutationStats()) is not None
-
-    if colourable():
+    out = list(h.out_masks)
+    if _dicolouring(out, 3, budget) is not None:
         raise DigraphError(
             "identification is 3-dicolourable; the host cannot be 4-dicritical"
         )
     for u, v in h.sorted_arcs():
         out[u] ^= 1 << v
-        inn[v] ^= 1 << u
-        if colourable():  # the arc is needed: put it back
+        if _dicolouring(out, 3, budget) is not None:  # the arc is needed: put it back
             out[u] |= 1 << v
-            inn[v] |= 1 << u
-    w_vertices = tuple(v for v in h.vertices() if out[v] | inn[v])
+    # An arc kept into a vertex with no out-arc would lie on no cycle, so
+    # it was not needed: every vertex of W has an out-arc.
+    w_vertices = tuple(v for v in h.vertices() if out[v])
     extender = Digraph(
         len(w_vertices),
         [(i, j) for i, row in enumerate(restrict(out, w_vertices)) for j in bits(row)],

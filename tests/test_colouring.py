@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from dicrit import colouring
 from dicrit.budget import Budget, BudgetExceeded
+from dicrit.census import _classes_acyclic
 from dicrit.colouring import (
     _branching,
     _bridges,
-    _classes_acyclic,
     _colourable,
     _decide,
     _find_monochromatic_cycle,
@@ -88,14 +89,17 @@ class TestCheckDicolouring:
     @given(st.data())
     def test_many_pairs_match_the_oracle(self, data):
         # 1-100 pairs cross the 30- and 60-bit digit boundaries of the
-        # cells and, with a drawn chunk size, the chunk boundary.  Palettes
-        # above 8 colours take the wide cells.  Removed arcs are arcs of
-        # D, arcs not in D, or None.
+        # cells.  A call with more than 8 distinct colours takes the wide
+        # cells, and one with a colour above 255 builds its byte cells
+        # without the byte translation.  Removed arcs are arcs of D, arcs
+        # not in D, or None.
         d = data.draw(digraphs())
         pairs = [(u, v) for u in range(d.n) for v in range(d.n) if u != v]
         removals = [st.none()] + [st.sampled_from(sorted(s)) for s in
                                   (d.arcs, set(pairs) - d.arcs) if s]
-        palette = st.sampled_from([(1,), (1, 2), (1, 2, 3), (1, 2, 9, 300)])
+        palette = st.sampled_from([
+            (1,), (1, 2), (1, 2, 3), (1, 2, 9, 300), (1, 2, 3, 4, 5, 6, 7, 8, 9, 300),
+        ])
         checks = []
         for _ in range(data.draw(st.integers(1, 100))):
             colours = data.draw(palette)
@@ -105,13 +109,35 @@ class TestCheckDicolouring:
                 ))),
                 data.draw(st.one_of(removals)),
             ))
-        chunk = data.draw(st.sampled_from([1, 7, 32, 128]))
-        with mock.patch.object(colouring, "_PAIRS_PER_PEEL", chunk):
-            results = check_dicolourings(d, iter(checks))
+        results = check_dicolourings(d, iter(checks))
         assert len(results) == len(checks)
         for (c, arc), (ok, cycle) in zip(checks, results):
             assert ok == valid_dicolouring(Digraph(d.n, d.arcs - {arc}), c.colours)
             assert cycle == _find_monochromatic_cycle(d, c.colours, arc)
+
+    def test_one_peel_per_call(self):
+        d = directed_cycle(5)
+        checks = [(Colouring(2, (1, 1, 1, 1, 1 + p % 2)), None) for p in range(300)]
+        with mock.patch.object(colouring, "_peel", wraps=colouring._peel) as peel:
+            results = check_dicolourings(d, checks)
+        assert peel.call_count == 1
+        assert [ok for ok, _ in results] == [p % 2 == 1 for p in range(300)]
+
+    def test_memory_follows_the_number_of_colours_not_their_values(self):
+        # 50 two-colour pairs on a directed 5-cycle: cells as wide as the
+        # colour value 10^5 would take megabytes; two colours take a byte.
+        d = directed_cycle(5)
+        checks = [(Colouring(10**5, (1, 1, 1, 1, 10**5)), None)] * 49
+        checks.append((Colouring(10**5, (10**5,) * 5), None))
+        tracemalloc.start()
+        try:
+            results = check_dicolourings(d, checks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert [ok for ok, _ in results] == [True] * 49 + [False]
+        assert sorted(results[-1][1]) == [0, 1, 2, 3, 4]
 
     @settings(max_examples=300)
     @given(st.data())
@@ -154,6 +180,18 @@ class TestCheckDicolouring:
     def test_non_integer_colour_rejected(self, c3, colouring):
         with pytest.raises(ColouringError, match="colours must be integers"):
             check_dicolouring(c3, colouring)
+
+    # ... also in a call that has the equal integer colour elsewhere, which
+    # the call's set of distinct colours may keep in its place.
+    @pytest.mark.parametrize("colours", [
+        [(1, 2, 9), (9.0, 9, 9)],
+        [(1, 2, 300), (300.0, 1, 1)],
+        [(1, 2, 3), (4, 5, 6), (7, 8, 9), (9.0, 9, 9)],
+    ], ids=["bytes", "bytes-above-255", "wide"])
+    def test_non_integer_colour_beside_its_integer_rejected(self, c3, colours):
+        checks = [(Colouring(300, c), None) for c in colours]
+        with pytest.raises(ColouringError, match="colours must be integers"):
+            check_dicolourings(c3, checks)
 
     @pytest.mark.parametrize("colours", [(0, 1, 2), (1, 3, 2)])
     def test_colour_out_of_range_rejected(self, colours):
@@ -209,6 +247,14 @@ class TestDichromaticNumber:
         g3, _ = build_g3(4)
         budget = Budget(20_000)
         assert dichromatic_number(g3, budget) == 3
+
+    @pytest.mark.parametrize("n, seed, nodes", [(10, 0, 83), (13, 1, 157), (25, 3, 961)])
+    def test_node_count(self, n, seed, nodes):
+        # pinned: node counts are deterministic, and a change to the
+        # decision route must say why they move
+        budget = Budget(10 * nodes)
+        assert dichromatic_number(generate_4ore(n, seed)[0], budget) == 4
+        assert budget.used == nodes
 
     @settings(max_examples=40, deadline=None)
     @given(digraphs(max_n=6))

@@ -119,7 +119,8 @@ class TestConstruction:
 
     @pytest.mark.parametrize("given", ["list", "generator"])
     def test_list_pairs_give_the_arc_set_of_tuples(self, given):
-        # the constructor takes any pairs, and the arc set holds tuples
+        # the constructor and the two edits take any pairs, and the arc set
+        # holds tuples
         arcs = [(0, 1), (1, 2), (2, 0), (1, 0)]
         pairs = (list(arc) for arc in arcs)
         d = Digraph(3, list(pairs) if given == "list" else pairs)
@@ -127,9 +128,12 @@ class TestConstruction:
         assert d.arcs == expected.arcs == frozenset(arcs)
         for edited, reference in [
             (d.with_arcs([(0, 2)]), expected.with_arcs([(0, 2)])),
+            (d.with_arcs([[0, 2]]), expected.with_arcs([(0, 2)])),
             (d.without_arcs([(1, 0)]), expected.without_arcs([(1, 0)])),
+            (d.without_arcs([[1, 0]]), expected.without_arcs([(1, 0)])),
         ]:
             assert edited == reference and edited.arcs == reference.arcs
+            assert all(type(arc) is tuple for arc in edited.arcs)
 
     def test_arc_set_read_from_many_threads(self):
         # threads that race on the first read of arcs may each build the

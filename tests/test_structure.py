@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dicrit.budget import Budget
 from dicrit.colouring import is_k_dicolourable
 from dicrit.digraph import Digraph, DigraphError, bidirected_complete, induced
 from dicrit.packing import max_packing
@@ -461,6 +462,19 @@ class TestDicriticalExtension:
         assert len(ext.core) == 3
         assert ext.extension_vertices == frozenset(range(d.n))
 
+
+    @pytest.mark.parametrize("n, seed, nodes", [(10, 0, 267), (13, 1, 805), (25, 3, 9_744)])
+    def test_node_count(self, n, seed, nodes):
+        # pinned: node counts are deterministic, and a change to the
+        # decision route must say why they move
+        d = generate_4ore(n, seed)[0]
+        r = list(range(6))
+        sub, mapping = induced(d, r)
+        col = is_k_dicolourable(sub, 3)
+        phi = {v: col.colours[mapping[v]] for v in r}
+        budget = Budget(10 * nodes)
+        dicritical_extension(d, r, phi, budget)
+        assert budget.used == nodes
 
     @pytest.mark.parametrize("n, seed", [(10, 0), (13, 1)])
     def test_peel_matches_a_digraph_per_trial(self, monkeypatch, n, seed):
